@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import conformal, metrics, models, verify
-from .experiment import ExperimentConfig, prepare_run, run_single
-from .kg import KGError, load_kg, make_queries
+from .experiment import (ExperimentConfig, calibrate, calibration_keys, evaluate, load_or_generate_kg,
+                         prepare_run, run_experiment)
+from .kg import KGError, make_queries
 from .synth import SyntheticKGSpec, write_dataset
 
 EXIT_CONFIG = 2
@@ -42,8 +43,9 @@ def _predvecs_path(out: Path, seed: int) -> Path:
     return out / f"predvecs_s{seed}.bin"
 
 
-def _calibrated_path(out: Path, method: str, epsilon: float, seed: int) -> Path:
-    return out / f"calibrated_{method}_e{epsilon:g}_s{seed}.json"
+def _calibrated_path(out: Path, seed: int, method: str, direction: str | None, epsilon: float) -> Path:
+    group = "" if direction is None else f"_{direction}"
+    return out / f"calibrated_{method}{group}_e{epsilon:g}_s{seed}.json"
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -88,18 +90,12 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_kg_for(config: ExperimentConfig, seed: int):
-    from .experiment import _load_or_generate_kg
-
-    return _load_or_generate_kg(config, seed)
-
-
 def cmd_train(args) -> int:
     config = _load_config(args)
     out = Path(config.output_dir)
     _echo_config(config, out)
     for seed in config.seeds:
-        kg = _load_kg_for(config, seed)
+        kg = load_or_generate_kg(config, seed)
         model = models.train(kg, config.model_kind, config.train_config(seed),
                              dim=config.dim, norm=config.transe_norm)
         models.save_model(model, _model_path(out, seed))
@@ -116,7 +112,7 @@ def cmd_score(args) -> int:
         if not model_file.exists():
             raise StageError(f"missing model artifact {model_file}", rerun="train")
         model = models.load_model(model_file)
-        kg = _load_kg_for(config, seed)
+        kg = load_or_generate_kg(config, seed)
         queries = [q for q, _ in make_queries(kg.splits.get("valid", []), config.both_directions).pairs]
         queries += [q for q, _ in make_queries(kg.splits.get("test", []), config.both_directions).pairs]
         matrix = models.ScoreMatrix.from_model(model, queries)
@@ -135,7 +131,7 @@ def _run_data_from_artifacts(config: ExperimentConfig, out: Path, seed: int):
     vectors = models.import_predicate_vectors(_predvecs_path(out, seed))
     model_file = _model_path(out, seed)
     model = models.load_model(model_file) if model_file.exists() else None
-    kg = _load_kg_for(config, seed)
+    kg = load_or_generate_kg(config, seed)
     return prepare_run(config, seed, score_matrix=matrix, model=model,
                        kg=kg, predicate_vectors=vectors)
 
@@ -144,17 +140,12 @@ def cmd_calibrate(args) -> int:
     config = _load_config(args)
     out = Path(config.output_dir)
     _echo_config(config, out)
-    methods = sorted(set(config.methods) | {"kgcp"})  # kgcp is the EF reference
     for seed in config.seeds:
         data = _run_data_from_artifacts(config, out, seed)
-        for epsilon in config.epsilons:
-            for method in methods:
-                from .experiment import _fit
-
-                fitted = _fit(method, data, np.arange(len(data.calib.pairs)), epsilon,
-                              config.gamma, config.phi)
-                fitted.save(_calibrated_path(out, method, epsilon, seed))
-        print(f"seed {seed}: calibrated {methods} at eps {config.epsilons}")
+        fitted = calibrate(config, seed, data)
+        for key, model in fitted.items():
+            model.save(_calibrated_path(out, seed, *key))
+        print(f"seed {seed}: calibrated {sorted({m for m, _, _ in fitted})} at eps {config.epsilons}")
     return 0
 
 
@@ -165,48 +156,13 @@ def cmd_evaluate(args) -> int:
     reports: list[metrics.EvaluationReport] = []
     for seed in config.seeds:
         data = _run_data_from_artifacts(config, out, seed)
-        for epsilon in config.epsilons:
-            fitted_by_method = {}
-            for method in sorted(set(config.methods) | {"kgcp"}):
-                path = _calibrated_path(out, method, epsilon, seed)
-                if not path.exists():
-                    raise StageError(f"missing calibrated model {path}", rerun="calibrate")
-                fitted_by_method[method] = conformal.CalibratedModel.load(path)
-
-            sets_by_method = {}
-            for method, fitted in fitted_by_method.items():
-                sets_by_method[method] = [
-                    conformal.predict_set(fitted, int(data.test_predicates[j]), data.test_nonconf[j],
-                                          data.test_ranks[j], data.test_masks[j])
-                    for j in range(len(data.test.pairs))
-                ]
-            reference = metrics.evaluate_predictions(
-                "kgcp", epsilon, seed, data.test_predicates, data.test_answers,
-                sets_by_method["kgcp"], config.macro_avesize,
-            )
-            for method in config.methods:
-                if method == "kgcp":
-                    report = reference
-                else:
-                    report = metrics.evaluate_predictions(
-                        method, epsilon, seed, data.test_predicates, data.test_answers,
-                        sets_by_method[method], config.macro_avesize,
-                    )
-                    report.ef = metrics.efficiency_rate(report.covgap, report.avesize,
-                                                        reference.covgap, reference.avesize)
-                if method == "condkgcp":
-                    fitted = fitted_by_method[method]
-                    mcp_star = conformal.fit_part_mcp(
-                        data.calib_predicates, data.calib_nonconf, fitted.partition,
-                        epsilon, data.kg.vocab.n_entities,
-                    )
-                    shrink = conformal.verify_shrinkage(fitted, mcp_star, (
-                        (int(data.test_predicates[j]), data.test_nonconf[j], data.test_ranks[j], data.test_masks[j])
-                        for j in range(len(data.test.pairs))
-                    ))
-                    report.csr = shrink.csr
-                    report.sigma_bar = shrink.sigma_bar
-                reports.append(report)
+        fitted = {}
+        for key in calibration_keys(config, data):
+            path = _calibrated_path(out, seed, *key)
+            if not path.exists():
+                raise StageError(f"missing calibrated model {path}", rerun="calibrate")
+            fitted[key] = conformal.CalibratedModel.load(path)
+        reports.extend(evaluate(config, seed, data, fitted))
 
     rows = metrics.aggregate_rows(reports)
     _write_reports(out, reports, rows, plot_data=args.plot_data)
@@ -242,10 +198,7 @@ def cmd_run(args) -> int:
     config = _load_config(args)
     out = Path(config.output_dir)
     _echo_config(config, out)
-    reports = []
-    for seed in config.seeds:
-        reports.extend(run_single(config, seed))
-    rows = metrics.aggregate_rows(reports)
+    reports, rows = run_experiment(config)
     _write_reports(out, reports, rows, plot_data=getattr(args, "plot_data", False))
     print(metrics.format_table(rows))
     return 0
@@ -313,6 +266,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (models.TrainingDiverged, FloatingPointError) as exc:
+        print(f"error: {exc} (in the '{args.command}' stage)", file=sys.stderr)
         return EXIT_CONFIG
 
 

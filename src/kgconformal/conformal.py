@@ -239,6 +239,16 @@ def fit_mcp(calib_predicates, nonconf_true, epsilon: float, n_predicates: int) -
     return CalibratedModel(method="mcp", epsilon=epsilon, per_predicate=thresholds, warnings=warnings)
 
 
+def _part_pools(calib_predicates, partition: PredicatePartition):
+    """(part index, mask over calibration pairs) for every part; each part must be non-empty."""
+    part_ids = np.array([partition.part_of[int(r)] for r in calib_predicates], dtype=np.int64)
+    for g in range(len(partition.parts)):
+        in_g = part_ids == g
+        if not np.any(in_g):
+            raise ValueError(f"part {g} has no calibration pairs")
+        yield g, in_g
+
+
 def fit_condkgcp(
     calib_predicates,
     nonconf_true,
@@ -246,30 +256,16 @@ def fit_condkgcp(
     partition: PredicatePartition,
     epsilon: float,
     gamma: float,
-    rank_cutoff_override: int | None = None,
 ) -> CalibratedModel:
-    """Dual calibration: per-part rank cutoff plus score threshold at the adjusted rate.
-
-    ``rank_cutoff_override`` forces the rank cutoff (used to recover the
-    part-level score-only calibration when set to |E|).
-    """
+    """Dual calibration: per-part rank cutoff plus score threshold at the adjusted rate."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
-    calib_predicates = np.asarray(calib_predicates, dtype=np.int64)
     nonconf_true = np.asarray(nonconf_true, dtype=np.float64)
     ranks_true = np.asarray(ranks_true, dtype=np.int64)
-    part_ids = np.array([partition.part_of[int(r)] for r in calib_predicates], dtype=np.int64)
 
     per_part: dict[int, PartCalibration] = {}
-    for g in range(len(partition.parts)):
-        in_g = part_ids == g
-        if not np.any(in_g):
-            raise ValueError(f"part {g} has no calibration pairs")
-        if rank_cutoff_override is None:
-            k_hat, miscoverage = rank_threshold(ranks_true[in_g], epsilon)
-        else:
-            k_hat = int(rank_cutoff_override)
-            miscoverage = float(np.count_nonzero(ranks_true[in_g] > k_hat) / np.count_nonzero(in_g))
+    for g, in_g in _part_pools(calib_predicates, partition):
+        k_hat, miscoverage = rank_threshold(ranks_true[in_g], epsilon)
         adjusted = epsilon - gamma * miscoverage
         per_part[g] = PartCalibration(
             rank_cutoff=k_hat,
@@ -284,12 +280,21 @@ def fit_condkgcp(
 
 def fit_part_mcp(calib_predicates, nonconf_true, partition: PredicatePartition,
                  epsilon: float, n_entities: int) -> CalibratedModel:
-    """Part-level score-only calibration at the full error rate (no rank cutoff)."""
-    ranks_dummy = np.ones(len(np.asarray(calib_predicates)), dtype=np.int64)
-    return fit_condkgcp(
-        calib_predicates, nonconf_true, ranks_dummy, partition, epsilon,
-        gamma=0.0, rank_cutoff_override=n_entities,
-    )
+    """Part-level score-only calibration at the full error rate (no rank cutoff).
+
+    Every part keeps all ``n_entities`` ranks, so its rank miscoverage is 0.
+    """
+    nonconf_true = np.asarray(nonconf_true, dtype=np.float64)
+    per_part = {
+        g: PartCalibration(
+            rank_cutoff=int(n_entities),
+            rank_miscoverage=0.0,
+            adjusted_epsilon=epsilon,
+            score_threshold=quantile(nonconf_true[in_g], epsilon),
+        )
+        for g, in_g in _part_pools(calib_predicates, partition)
+    }
+    return CalibratedModel(method="condkgcp", epsilon=epsilon, per_part=per_part, partition=partition)
 
 
 def predict_set(model: CalibratedModel, predicate: int, nonconf: np.ndarray,

@@ -15,15 +15,18 @@ from .kg import (
     KnowledgeGraph,
     KGError,
     QueryAnswerSet,
+    SplitConfig,
     build_answer_index,
     candidate_ranks,
     load_kg,
     make_queries,
     rank_of,
+    split_triples,
 )
-from .synth import SyntheticKGSpec, generate_triples, write_dataset
+from .synth import SyntheticKGSpec, synthetic_kg
 
-__all__ = ["ExperimentConfig", "RunData", "prepare_run", "run_experiment", "run_single", "tune_condkgcp"]
+__all__ = ["ExperimentConfig", "RunData", "calibrate", "calibration_keys", "evaluate", "load_or_generate_kg",
+           "prepare_run", "run_experiment", "run_single", "tune_condkgcp"]
 
 DEFAULT_GAMMA_GRID = (0.01, 0.1, 0.5)
 DEFAULT_PHI_GRID = (20, 50, 100, 200)
@@ -113,33 +116,19 @@ class RunData:
     score_matrix: models.ScoreMatrix | None = None
 
 
-def _load_or_generate_kg(config: ExperimentConfig, seed: int) -> KnowledgeGraph:
+def load_or_generate_kg(config: ExperimentConfig, seed: int) -> KnowledgeGraph:
+    """The seed's KG: the synthetic spec (its seed offset by ``seed``) or the dataset.
+
+    A bare TSV (a single ``"all"`` split) is split with ``SplitConfig(seed=seed)``.
+    """
     if config.synthetic is not None:
         spec_doc = dict(config.synthetic)
         spec_doc["seed"] = spec_doc.get("seed", 0) + seed
-        spec = SyntheticKGSpec(**spec_doc)
-        triples = generate_triples(spec)
-        order = list(triples)
-        np.random.default_rng(spec.seed + 1).shuffle(order)
-        n = len(order)
-        n_train, n_valid = int(round(n * 0.6)), int(round(n * 0.2))
-        from .kg import Vocab
-
-        vocab = Vocab.from_identifiers(
-            [f"e{i:05d}" for i in range(spec.n_entities)],
-            [f"r{i:03d}" for i in range(spec.n_predicates)],
-        )
-        return KnowledgeGraph(vocab=vocab, splits={
-            "train": order[:n_train],
-            "valid": order[n_train : n_train + n_valid],
-            "test": order[n_train + n_valid :],
-        })
+        return synthetic_kg(SyntheticKGSpec(**spec_doc))
     if config.dataset is None:
         raise KGError("no dataset configured")
     kg = load_kg(config.dataset)
     if set(kg.splits) == {"all"}:
-        from .kg import SplitConfig, split_triples
-
         kg = KnowledgeGraph(vocab=kg.vocab, splits=split_triples(kg.splits["all"], SplitConfig(seed=seed)))
     return kg
 
@@ -151,7 +140,7 @@ def prepare_run(config: ExperimentConfig, seed: int,
                 predicate_vectors: np.ndarray | None = None) -> RunData:
     """Generate/load data, train or import scores, and precompute per-pair arrays."""
     if kg is None:
-        kg = _load_or_generate_kg(config, seed)
+        kg = load_or_generate_kg(config, seed)
     calib = make_queries(kg.splits.get("valid", []), config.both_directions, name="calib")
     test = make_queries(kg.splits.get("test", []), config.both_directions, name="test")
     if not calib.pairs or not test.pairs:
@@ -224,15 +213,26 @@ def prepare_run(config: ExperimentConfig, seed: int,
 
 
 def _direction_groups(data: RunData, split_directions: bool):
-    """Index groups over calib/test pairs: one shared pool, or one per direction."""
+    """(direction, calib indices, test indices): one pool (direction None), or one per direction."""
     if not split_directions:
-        yield (np.arange(len(data.calib.pairs)), np.arange(len(data.test.pairs)))
+        yield None, np.arange(len(data.calib.pairs)), np.arange(len(data.test.pairs))
         return
     for direction in (Direction.TAIL, Direction.HEAD):
         cal_idx = np.array([i for i, (q, _) in enumerate(data.calib.pairs) if q.direction is direction], dtype=np.int64)
         test_idx = np.array([j for j, (q, _) in enumerate(data.test.pairs) if q.direction is direction], dtype=np.int64)
         if cal_idx.size and test_idx.size:
-            yield (cal_idx, test_idx)
+            yield direction.value, cal_idx, test_idx
+
+
+def _fitted_methods(config: ExperimentConfig) -> list[str]:
+    """The configured methods plus kgcp, the EF reference."""
+    return sorted(set(config.methods) | {"kgcp"})
+
+
+def calibration_keys(config: ExperimentConfig, data: RunData) -> list[tuple[str, str | None, float]]:
+    """``(method, direction, epsilon)`` of every model :func:`calibrate` fits (direction None when pooled)."""
+    groups = [direction for direction, _, _ in _direction_groups(data, config.split_directions)]
+    return [(m, d, eps) for eps in config.epsilons for d in groups for m in _fitted_methods(config)]
 
 
 def _fit(method: str, data: RunData, cal_idx: np.ndarray, epsilon: float,
@@ -247,14 +247,27 @@ def _fit(method: str, data: RunData, cal_idx: np.ndarray, epsilon: float,
     return conformal.fit_condkgcp(preds, nonconf, data.calib_ranks[cal_idx], partition, epsilon, gamma)
 
 
+def calibrate(config: ExperimentConfig, seed: int, data: RunData,
+              gamma: float | None = None, phi: int | None = None) -> dict[tuple, conformal.CalibratedModel]:
+    """Fit every model of :func:`calibration_keys` on its direction group's calibration pairs.
+
+    (gamma, phi) default to the config's; with ``config.tune`` they are
+    grid-selected by :func:`tune_condkgcp` instead.
+    """
+    gamma = config.gamma if gamma is None else gamma
+    phi = config.phi if phi is None else phi
+    if config.tune and "condkgcp" in config.methods:
+        gamma, phi = tune_condkgcp(config, seed, data)
+    cal_idx = {direction: idx for direction, idx, _ in _direction_groups(data, config.split_directions)}
+    return {
+        (method, direction, epsilon): _fit(method, data, cal_idx[direction], epsilon, gamma, phi)
+        for method, direction, epsilon in calibration_keys(config, data)
+    }
+
+
 def _predict_all(model: conformal.CalibratedModel, data: RunData, test_idx: np.ndarray) -> list[np.ndarray]:
-    out = []
-    for j in test_idx:
-        out.append(conformal.predict_set(
-            model, int(data.test_predicates[j]), data.test_nonconf[j],
-            data.test_ranks[j], data.test_masks[j],
-        ))
-    return out
+    return [conformal.predict_set(model, int(data.test_predicates[j]), data.test_nonconf[j],
+                                  data.test_ranks[j], data.test_masks[j]) for j in test_idx]
 
 
 def _prop1_bound_checks(model: conformal.CalibratedModel, data: RunData,
@@ -278,38 +291,35 @@ def _prop1_bound_checks(model: conformal.CalibratedModel, data: RunData,
     return checks
 
 
-def run_single(config: ExperimentConfig, seed: int, data: RunData | None = None,
-               gamma: float | None = None, phi: int | None = None) -> list[metrics.EvaluationReport]:
-    """Fit every configured method for one seed and evaluate on the test split."""
-    if data is None:
-        data = prepare_run(config, seed)
-    gamma = config.gamma if gamma is None else gamma
-    phi = config.phi if phi is None else phi
-    if config.tune and "condkgcp" in config.methods:
-        gamma, phi = tune_condkgcp(config, seed, data)
+def evaluate(config: ExperimentConfig, seed: int, data: RunData,
+             fitted: dict[tuple, conformal.CalibratedModel]) -> list[metrics.EvaluationReport]:
+    """Reports of the models :func:`calibrate` fitted, one per (epsilon, method).
 
+    Each method's prediction sets are scored against kgcp's (EF); condkgcp
+    reports also carry the shrinkage diagnostics and the Prop-1 bound checks.
+    """
     reports: list[metrics.EvaluationReport] = []
     for epsilon in config.epsilons:
-        per_method_sets: dict[str, list] = {m: [None] * len(data.test.pairs) for m in set(config.methods) | {"kgcp"}}
+        per_method_sets = {m: [None] * len(data.test.pairs) for m in _fitted_methods(config)}
         shrinkage: list[conformal.ShrinkageReport] = []
         bound_checks: dict[int, bool] = {}
-        for cal_idx, test_idx in _direction_groups(data, config.split_directions):
+        for direction, cal_idx, test_idx in _direction_groups(data, config.split_directions):
             for method in per_method_sets:
-                fitted = _fit(method, data, cal_idx, epsilon, gamma, phi)
-                sets = _predict_all(fitted, data, test_idx)
+                model = fitted[(method, direction, epsilon)]
+                sets = _predict_all(model, data, test_idx)
                 for j, members in zip(test_idx, sets):
                     per_method_sets[method][j] = members
                 if method == "condkgcp":
                     mcp_star = conformal.fit_part_mcp(
                         data.calib_predicates[cal_idx], data.calib_nonconf[cal_idx],
-                        fitted.partition, epsilon, data.kg.vocab.n_entities,
+                        model.partition, epsilon, data.kg.vocab.n_entities,
                     )
                     queries = (
                         (int(data.test_predicates[j]), data.test_nonconf[j], data.test_ranks[j], data.test_masks[j])
                         for j in test_idx
                     )
-                    shrinkage.append(conformal.verify_shrinkage(fitted, mcp_star, queries))
-                    bound_checks.update(_prop1_bound_checks(fitted, data, test_idx, sets))
+                    shrinkage.append(conformal.verify_shrinkage(model, mcp_star, queries))
+                    bound_checks.update(_prop1_bound_checks(model, data, test_idx, sets))
 
         reference = metrics.evaluate_predictions(
             "kgcp", epsilon, seed, data.test_predicates, data.test_answers,
@@ -332,6 +342,14 @@ def run_single(config: ExperimentConfig, seed: int, data: RunData | None = None,
                 report.bound_checks = bound_checks
             reports.append(report)
     return reports
+
+
+def run_single(config: ExperimentConfig, seed: int, data: RunData | None = None,
+               gamma: float | None = None, phi: int | None = None) -> list[metrics.EvaluationReport]:
+    """Calibrate every configured method for one seed and evaluate on the test split."""
+    if data is None:
+        data = prepare_run(config, seed)
+    return evaluate(config, seed, data, calibrate(config, seed, data, gamma, phi))
 
 
 def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData,

@@ -104,7 +104,6 @@ class SplitConfig:
     calib_fraction: float = 0.2
     test_fraction: float = 0.2
     seed: int = 0
-    both_directions: bool = True
 
     def __post_init__(self):
         fracs = (self.train_fraction, self.calib_fraction, self.test_fraction)
@@ -118,13 +117,6 @@ class SplitConfig:
 class KnowledgeGraph:
     vocab: Vocab
     splits: dict[str, list[Triple]]
-
-    @property
-    def all_triples(self) -> list[Triple]:
-        out: list[Triple] = []
-        for name in sorted(self.splits):
-            out.extend(self.splits[name])
-        return out
 
 
 def _parse_tsv(path: Path) -> list[tuple[str, str, str]]:

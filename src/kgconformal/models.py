@@ -122,24 +122,6 @@ def predicate_vector(model: EmbeddingModel, r: int) -> np.ndarray:
     return np.array(model.predicate_embeddings[r], copy=True)
 
 
-def _triple_scores(model: EmbeddingModel, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    H = model.entity_embeddings[h]
-    R = model.predicate_embeddings[r]
-    T = model.entity_embeddings[t]
-    if model.kind == "transe":
-        diff = H + R - T
-        if model.norm == 1:
-            return -np.abs(diff).sum(axis=1)
-        return -np.sqrt((diff * diff).sum(axis=1))
-    if model.kind == "distmult":
-        return (H * R * T).sum(axis=1)
-    d = model.dim
-    hr, hi = _complex_parts(H, d)
-    rr, ri = _complex_parts(R, d)
-    tr, ti = _complex_parts(T, d)
-    return (hr * rr * tr - hi * ri * tr + hr * ri * ti + hi * rr * ti).sum(axis=1)
-
-
 def transe_pair_loss_grad(h, r, t, hn, tn, margin: float, p: int):
     """Margin ranking loss of one positive/negative pair with analytic gradients.
 
@@ -249,7 +231,6 @@ def train(kg: KnowledgeGraph, kind: str, cfg: TrainConfig, dim: int = 16, norm: 
             norms = np.linalg.norm(model.entity_embeddings, axis=1, keepdims=True)
             model.entity_embeddings /= np.maximum(norms, 1e-12)
         perm = rng.permutation(n)
-        epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             bh, br, bt = heads[idx], rels[idx], tails[idx]
@@ -260,7 +241,6 @@ def train(kg: KnowledgeGraph, kind: str, cfg: TrainConfig, dim: int = 16, norm: 
                 loss = _bce_batch_step(model, cfg, bh, br, bt, nh, nr, nt)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-            epoch_loss += loss
     return model
 
 
@@ -358,7 +338,6 @@ class ScoreMatrix:
 
     n_entities: int
     vectors: dict[tuple[str, int, int], np.ndarray]
-    provenance: str = "imported"
 
     def get(self, query: Query) -> np.ndarray:
         key = query.key()
@@ -378,7 +357,7 @@ class ScoreMatrix:
         for q in queries:
             if q.key() not in vectors:
                 vectors[q.key()] = score(model, q)
-        return cls(n_entities=model.n_entities, vectors=vectors, provenance="trained")
+        return cls(n_entities=model.n_entities, vectors=vectors)
 
 
 def export_scores(matrix: ScoreMatrix, path: str | Path, fmt: str = "binary") -> None:
@@ -464,17 +443,33 @@ def export_predicate_vectors(vectors: np.ndarray, path: str | Path) -> None:
 
 
 def import_predicate_vectors(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
+    """Read a sidecar written by :func:`export_predicate_vectors`.
+
+    Every predicate index in ``[0, n_pred)`` must appear exactly once.
+    """
+    path = Path(path)
+    data = path.read_bytes()
     if data[:4] != VEC_MAGIC:
         raise KGError(f"{path}: bad magic, not a predicate-vector file")
+    if len(data) < 12:
+        raise KGError(f"{path}: truncated header")
     n_pred, dim = struct.unpack_from("<II", data, 4)
-    out = np.empty((n_pred, dim))
-    offset = 12
-    for _ in range(n_pred):
-        (r,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        out[r] = np.frombuffer(data, dtype="<f8", count=dim, offset=offset)
-        offset += 8 * dim
-    if offset != len(data):
+    expected = 12 + n_pred * (4 + 8 * dim)
+    if len(data) < expected:
+        raise KGError(f"{path}: truncated, {len(data)} bytes for {n_pred} predicates of dim {dim} ({expected} expected)")
+    if len(data) > expected:
         raise KGError(f"{path}: trailing bytes")
+    record = np.dtype([("r", "<u4"), ("vec", "<f8", (dim,))])
+    records = np.frombuffer(data, dtype=record, count=n_pred, offset=12)
+    index = records["r"].astype(np.int64)
+    out_of_range = index[index >= n_pred]
+    if out_of_range.size:
+        raise KGError(f"{path}: predicate index {int(out_of_range[0])} out of range for {n_pred} predicates")
+    counts = np.bincount(index, minlength=n_pred)
+    if np.any(counts != 1):
+        repeated = np.flatnonzero(counts > 1).tolist()
+        missing = np.flatnonzero(counts == 0).tolist()
+        raise KGError(f"{path}: predicate indices repeated {repeated[:5]}, missing {missing[:5]}")
+    out = np.empty((n_pred, dim))
+    out[index] = records["vec"]
     return out

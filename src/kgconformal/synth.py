@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .kg import Triple
+from .kg import KnowledgeGraph, Triple, Vocab
 
-__all__ = ["SyntheticKGSpec", "generate_triples", "write_dataset"]
+__all__ = ["SyntheticKGSpec", "generate_triples", "synthetic_kg", "write_dataset"]
 
 
 @dataclass
@@ -88,25 +88,36 @@ def generate_triples(spec: SyntheticKGSpec) -> list[Triple]:
     return triples
 
 
-def write_dataset(spec: SyntheticKGSpec, out_dir: str | Path,
-                  fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)) -> Path:
-    """Write split TSVs plus a manifest; returns the manifest path."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    triples = generate_triples(spec)
-    order = list(triples)
+def synthetic_kg(spec: SyntheticKGSpec,
+                 fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)) -> KnowledgeGraph:
+    """Generated triples shuffled with ``seed + 1`` and cut into train/valid/test.
+
+    Entities are named ``e00000, e00001, ...`` and predicates ``r000, ...``.
+    """
+    order = generate_triples(spec)
     np.random.default_rng(spec.seed + 1).shuffle(order)
     n = len(order)
     n_train = int(round(n * fractions[0]))
     n_valid = int(round(n * fractions[1]))
-    splits = {
+    vocab = Vocab.from_identifiers(
+        [f"e{i:05d}" for i in range(spec.n_entities)],
+        [f"r{i:03d}" for i in range(spec.n_predicates)],
+    )
+    return KnowledgeGraph(vocab=vocab, splits={
         "train": order[:n_train],
         "valid": order[n_train : n_train + n_valid],
         "test": order[n_train + n_valid :],
-    }
-    ent_name = [f"e{i:05d}" for i in range(spec.n_entities)]
-    pred_name = [f"r{i:03d}" for i in range(spec.n_predicates)]
-    for name, rows in splits.items():
+    })
+
+
+def write_dataset(spec: SyntheticKGSpec, out_dir: str | Path,
+                  fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)) -> Path:
+    """Write the :func:`synthetic_kg` splits as TSVs plus a manifest; returns the manifest path."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    kg = synthetic_kg(spec, fractions)
+    ent_name, pred_name = kg.vocab.entities, kg.vocab.predicates
+    for name, rows in kg.splits.items():
         with open(out_dir / f"{name}.tsv", "w", encoding="utf-8") as fh:
             for tr in rows:
                 fh.write(f"{ent_name[tr.head]}\t{pred_name[tr.predicate]}\t{ent_name[tr.tail]}\n")

@@ -157,11 +157,14 @@ class TestCriterion7:
         n_entities = 50
         preds = np.repeat([0, 1, 2], 40)
         nonconf = rng.uniform(size=120)
-        ranks = rng.integers(1, 20, size=120)
+        rng.integers(1, 20, size=120)  # unused draw; pins the stream for the draws below
+        ranks = np.full(120, n_entities)  # every answer at rank |E|: rank cutoff |E|, miscoverage 0
         partition = conformal.build_partition(preds, rng.normal(size=(3, 4)), phi=30)
-        cond = conformal.fit_condkgcp(preds, nonconf, ranks, partition, 0.1, gamma=0.0,
-                                      rank_cutoff_override=n_entities)
+        cond = conformal.fit_condkgcp(preds, nonconf, ranks, partition, 0.1, gamma=0.0)
         star = conformal.fit_part_mcp(preds, nonconf, partition, 0.1, n_entities)
+        for g in range(len(partition.parts)):
+            assert cond.per_part[g].rank_cutoff == star.per_part[g].rank_cutoff == n_entities
+            assert cond.per_part[g].rank_miscoverage == star.per_part[g].rank_miscoverage == 0.0
         for _ in range(50):
             r = int(rng.integers(3))
             vec = rng.uniform(size=n_entities)

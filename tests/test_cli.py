@@ -5,6 +5,7 @@ import pytest
 
 from kgconformal import cli
 from kgconformal.experiment import ExperimentConfig
+from kgconformal.models import load_model, save_model
 from kgconformal.verify import CheckResult
 
 
@@ -86,6 +87,28 @@ class TestPipeline:
         assert echoed["epsilons"] == [0.2, 0.3]
 
 
+class TestStagedMatchesRun:
+    """generate -> train -> score -> calibrate -> evaluate writes what `run` writes."""
+
+    @pytest.mark.parametrize("extra", [{}, {"split_directions": True}, {"tune": True}],
+                             ids=["pooled", "split-directions", "tune"])
+    def test_reports_byte_identical(self, tmp_path, dataset, extra):
+        outputs = {}
+        for mode, stages in (("staged", ("train", "score", "calibrate", "evaluate")), ("run", ("run",))):
+            root = tmp_path / mode
+            root.mkdir()
+            config = write_config(root, dataset, **extra)
+            for stage in stages:
+                assert cli.main([stage, "--config", str(config)]) == 0
+            outputs[mode] = root / "out"
+        for name in ("reports.csv", "summary.json"):
+            assert (outputs["staged"] / name).read_bytes() == (outputs["run"] / name).read_bytes(), name
+        if extra.get("split_directions"):
+            for direction in ("tail", "head"):
+                assert (outputs["staged"] / f"calibrated_condkgcp_{direction}_e0.1_s0.json").exists()
+            assert not (outputs["staged"] / "calibrated_condkgcp_e0.1_s0.json").exists()
+
+
 class TestExitCodes:
     def test_score_without_model_is_config_error(self, tmp_path, dataset, capsys):
         config = write_config(tmp_path, dataset)
@@ -98,6 +121,23 @@ class TestExitCodes:
         assert cli.main(["score", "--config", str(config)]) == 0
         assert cli.main(["evaluate", "--config", str(config)]) == cli.EXIT_CONFIG
         assert "rerun the 'calibrate' stage" in capsys.readouterr().err
+
+    def test_training_divergence_names_stage(self, tmp_path, dataset, capsys):
+        config = write_config(tmp_path, dataset, lr=1e6)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "non-finite loss" in err and "'train' stage" in err
+
+    def test_non_finite_scores_name_stage(self, tmp_path, dataset, capsys):
+        config = write_config(tmp_path, dataset)
+        assert cli.main(["train", "--config", str(config)]) == 0
+        model_file = tmp_path / "out" / "model_s0.npz"
+        model = load_model(model_file)
+        model.entity_embeddings *= 1e200  # finite, but every DistMult score overflows
+        save_model(model, model_file)
+        assert cli.main(["score", "--config", str(config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "non-finite score" in err and "'score' stage" in err
 
     def test_missing_dataset_path(self, tmp_path, capsys):
         config = write_config(tmp_path, tmp_path / "nope.json")

@@ -287,9 +287,10 @@ class TestShrinkage:
         preds = np.zeros(50, dtype=int)
         nonconf = rng.uniform(size=50)
         partition = build_partition(preds, np.array([[0.0]]), phi=10)
-        cond = fit_condkgcp(preds, nonconf, np.ones(50, dtype=int), partition, 0.1,
-                            gamma=0.0, rank_cutoff_override=30)
+        cond = fit_condkgcp(preds, nonconf, np.full(50, 30), partition, 0.1, gamma=0.0)
         star = fit_part_mcp(preds, nonconf, partition, 0.1, n_entities=30)
+        assert cond.per_part[0].rank_cutoff == star.per_part[0].rank_cutoff == 30
+        assert cond.per_part[0].rank_miscoverage == star.per_part[0].rank_miscoverage == 0.0
         queries = [(0, rng.uniform(size=30), rng.permutation(30) + 1, set()) for _ in range(10)]
         report = verify_shrinkage(cond, star, iter(queries))
         assert report.sigma_per_part[0] == pytest.approx(1.0)
@@ -299,9 +300,11 @@ class TestShrinkage:
         preds = np.zeros(50, dtype=int)
         nonconf = np.linspace(0.0, 0.5, 50)
         partition = build_partition(preds, np.array([[0.0]]), phi=10)
-        cond = fit_condkgcp(preds, nonconf, np.ones(50, dtype=int), partition, 0.1,
-                            gamma=0.0, rank_cutoff_override=10)
+        cond = fit_condkgcp(preds, nonconf, np.full(50, 10), partition, 0.1, gamma=0.0)
         star = fit_part_mcp(preds, nonconf, partition, 0.1, n_entities=20)
+        assert cond.per_part[0].rank_cutoff == 10
+        assert cond.per_part[0].rank_miscoverage == 0.0
+        assert star.per_part[0].rank_cutoff == 20
         # all 20 candidates pass the score filter; ranks 1..20 so cutoff 10 keeps half
         queries = [(0, np.zeros(20), np.arange(1, 21), set()) for _ in range(5)]
         report = verify_shrinkage(cond, star, iter(queries))

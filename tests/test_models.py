@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kgconformal.kg import Direction, KnowledgeGraph, Query, Triple, Vocab, rank_of
+from kgconformal.kg import Direction, KGError, KnowledgeGraph, Query, Triple, Vocab, rank_of
 from kgconformal.models import (
     EmbeddingModel,
     ScoreMatrix,
@@ -302,3 +302,35 @@ class TestPersistence:
         path = tmp_path / "vecs.bin"
         export_predicate_vectors(vectors, path)
         assert np.array_equal(import_predicate_vectors(path), vectors)
+
+
+class TestPredicateVectorSidecar:
+    """Malformed sidecars raise KGError naming the file."""
+
+    def sidecar(self, tmp_path, n_pred=4, dim=3):
+        path = tmp_path / "vecs.bin"
+        export_predicate_vectors(np.random.default_rng(7).normal(size=(n_pred, dim)), path)
+        return path, bytearray(path.read_bytes()), 4 + 8 * dim
+
+    def test_index_out_of_range(self, tmp_path):
+        path, data, record = self.sidecar(tmp_path)
+        data[12 + 2 * record : 12 + 2 * record + 4] = (999).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(KGError, match=rf"{path.name}: predicate index 999 out of range"):
+            import_predicate_vectors(path)
+
+    def test_repeated_index_leaves_one_missing(self, tmp_path):
+        path, data, record = self.sidecar(tmp_path)
+        data[12 + 2 * record : 12 + 2 * record + 4] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(KGError, match=rf"{path.name}: predicate indices repeated \[1\], missing \[2\]"):
+            import_predicate_vectors(path)
+
+    def test_truncated(self, tmp_path):
+        path, data, _ = self.sidecar(tmp_path)
+        path.write_bytes(bytes(data[:-5]))
+        with pytest.raises(KGError, match=rf"{path.name}: truncated"):
+            import_predicate_vectors(path)
+        path.write_bytes(bytes(data[:8]))
+        with pytest.raises(KGError, match=rf"{path.name}: truncated header"):
+            import_predicate_vectors(path)

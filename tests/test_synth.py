@@ -1,6 +1,9 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from kgconformal.experiment import ExperimentConfig, load_or_generate_kg
 from kgconformal.kg import load_kg
 from kgconformal.synth import SyntheticKGSpec, generate_triples, write_dataset
 
@@ -80,3 +83,10 @@ class TestWriteDataset:
         m2 = write_dataset(spec(), tmp_path / "b")
         for name in ("train.tsv", "valid.tsv", "test.tsv", "entities.txt"):
             assert (m1.parent / name).read_bytes() == (m2.parent / name).read_bytes()
+
+    def test_written_dataset_equals_in_memory_synthetic_kg(self, tmp_path):
+        written = load_kg(write_dataset(spec(), tmp_path / "data"))
+        config = ExperimentConfig(synthetic=asdict(spec()))
+        in_memory = load_or_generate_kg(config, seed=0)
+        assert written.vocab == in_memory.vocab
+        assert written.splits == in_memory.splits
