@@ -72,6 +72,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in ("kgcp", "mcp", "condkgcp"):
                 raise ValueError(f"unknown method: {m}")
+        if self.tune_objective not in ("ef", "covgap", "avesize"):
+            raise ValueError(f"unknown tune_objective: {self.tune_objective} (ef, covgap or avesize)")
 
     def scorer_config(self, seed: int) -> scores.ScorerConfig:
         doc = dict(self.scorer)
@@ -113,7 +115,6 @@ class RunData:
     test_masks: list[set]
     predicate_vectors: np.ndarray
     model: models.EmbeddingModel | None = None
-    score_matrix: models.ScoreMatrix | None = None
 
 
 def load_or_generate_kg(config: ExperimentConfig, seed: int) -> KnowledgeGraph:
@@ -208,7 +209,6 @@ def prepare_run(config: ExperimentConfig, seed: int,
         test_masks=test_masks,
         predicate_vectors=pred_vecs,
         model=model,
-        score_matrix=score_matrix,
     )
 
 
@@ -270,16 +270,20 @@ def _predict_all(model: conformal.CalibratedModel, data: RunData, test_idx: np.n
                                   data.test_ranks[j], data.test_masks[j]) for j in test_idx]
 
 
-def _prop1_bound_checks(model: conformal.CalibratedModel, data: RunData,
-                        test_idx: np.ndarray, prediction_sets: list[np.ndarray]) -> dict[int, bool]:
-    """Point check of the per-part conditional coverage bounds on the test split."""
+def _prop1_bound_checks(model: conformal.CalibratedModel, data: RunData, direction: str | None,
+                        cal_idx: np.ndarray, test_idx: np.ndarray,
+                        prediction_sets: list[np.ndarray]) -> dict[tuple[str | None, int], bool]:
+    """Point check of the per-part conditional coverage bounds on one direction group's test pairs.
+
+    Keyed ``(direction, part)``; n_g counts the group's own calibration pairs.
+    """
     partition = model.partition
-    calib_part = np.array([partition.part_of[int(r)] for r in data.calib_predicates], dtype=np.int64)
+    calib_part = np.array([partition.part_of[int(r)] for r in data.calib_predicates[cal_idx]], dtype=np.int64)
     covered: dict[int, list[bool]] = {}
     for j, members in zip(test_idx, prediction_sets):
         g = partition.part_of[int(data.test_predicates[j])]
         covered.setdefault(g, []).append(int(data.test_answers[j]) in members)
-    checks: dict[int, bool] = {}
+    checks: dict[tuple[str | None, int], bool] = {}
     for g, flags in covered.items():
         pc = model.per_part[g]
         n_g = int(np.count_nonzero(calib_part == g))
@@ -287,7 +291,7 @@ def _prop1_bound_checks(model: conformal.CalibratedModel, data: RunData,
         upper = 1 - model.epsilon + model.gamma * pc.rank_miscoverage + 1.0 / (n_g + 1)
         slack = 3.0 * math.sqrt(0.25 / len(flags))  # binomial half-width at 3 SE
         cov = float(np.mean(flags))
-        checks[g] = (lower - slack) <= cov <= (upper + slack)
+        checks[(direction, g)] = (lower - slack) <= cov <= (upper + slack)
     return checks
 
 
@@ -302,7 +306,7 @@ def evaluate(config: ExperimentConfig, seed: int, data: RunData,
     for epsilon in config.epsilons:
         per_method_sets = {m: [None] * len(data.test.pairs) for m in _fitted_methods(config)}
         shrinkage: list[conformal.ShrinkageReport] = []
-        bound_checks: dict[int, bool] = {}
+        bound_checks: dict[tuple[str | None, int], bool] = {}
         for direction, cal_idx, test_idx in _direction_groups(data, config.split_directions):
             for method in per_method_sets:
                 model = fitted[(method, direction, epsilon)]
@@ -319,7 +323,7 @@ def evaluate(config: ExperimentConfig, seed: int, data: RunData,
                         for j in test_idx
                     )
                     shrinkage.append(conformal.verify_shrinkage(model, mcp_star, queries))
-                    bound_checks.update(_prop1_bound_checks(model, data, test_idx, sets))
+                    bound_checks.update(_prop1_bound_checks(model, data, direction, cal_idx, test_idx, sets))
 
         reference = metrics.evaluate_predictions(
             "kgcp", epsilon, seed, data.test_predicates, data.test_answers,

@@ -74,7 +74,7 @@ class EvaluationReport:
     ef: float | str | None = None
     csr: float | None = None
     sigma_bar: float | None = None
-    bound_checks: dict[int, bool] = field(default_factory=dict)
+    bound_checks: dict[tuple[str | None, int], bool] = field(default_factory=dict)  # (direction, part)
 
     def row(self) -> dict:
         return {

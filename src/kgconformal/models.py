@@ -72,6 +72,8 @@ class EmbeddingModel:
         width = 2 * self.dim if self.kind == "complex" else self.dim
         if self.entity_embeddings.shape[1] != width or self.predicate_embeddings.shape[1] != width:
             raise ValueError("embedding width inconsistent with model kind")
+        if self.norm not in (1, 2):
+            raise ValueError(f"norm must be 1 or 2, got {self.norm}")
         if not (np.all(np.isfinite(self.entity_embeddings)) and np.all(np.isfinite(self.predicate_embeddings))):
             raise ValueError("non-finite embedding entries")
 
@@ -122,34 +124,6 @@ def predicate_vector(model: EmbeddingModel, r: int) -> np.ndarray:
     return np.array(model.predicate_embeddings[r], copy=True)
 
 
-def transe_pair_loss_grad(h, r, t, hn, tn, margin: float, p: int):
-    """Margin ranking loss of one positive/negative pair with analytic gradients.
-
-    Returns (loss, dict of gradients keyed by 'h', 'r', 't', 'hn', 'tn').
-    """
-    def dist_and_grad(a, b, c):
-        v = a + b - c
-        if p == 1:
-            g = np.sign(v)
-            return np.abs(v).sum(), g
-        n = np.sqrt((v * v).sum())
-        g = v / n if n > 0 else np.zeros_like(v)
-        return n, g
-
-    d_pos, g_pos = dist_and_grad(h, r, t)
-    d_neg, g_neg = dist_and_grad(hn, r, tn)
-    loss = margin + d_pos - d_neg
-    grads = {k: np.zeros_like(h) for k in ("h", "r", "t", "hn", "tn")}
-    if loss <= 0:
-        return 0.0, grads
-    grads["h"] = g_pos
-    grads["r"] = g_pos - g_neg
-    grads["t"] = -g_pos
-    grads["hn"] = -g_neg
-    grads["tn"] = g_neg
-    return float(loss), grads
-
-
 def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
@@ -158,22 +132,55 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def bilinear_bce_loss_grad(kind: str, dim: int, h, r, t, label: float):
-    """Binary cross-entropy of one triple for DistMult/ComplEx with gradients."""
-    if kind == "distmult":
-        s = float((h * r * t).sum())
-        ds_h, ds_r, ds_t = r * t, h * t, h * r
+def transe_loss_grad(ent, pred, h, r, t, hn, tn, margin: float, p: int):
+    """Margin ranking loss of a batch of (h, r, t) / (hn, r, tn) pairs with analytic gradients.
+
+    Takes the embedding matrices and one index per pair in each of ``h``,
+    ``r``, ``t``, ``hn`` and ``tn``; nothing is modified.  Returns the summed
+    loss and the gradient of each gathered row, keyed by those names.
+    Inactive pairs (loss <= 0) get zero gradients.
+    """
+    v_pos = ent[h] + pred[r] - ent[t]
+    v_neg = ent[hn] + pred[r] - ent[tn]
+    if p == 1:
+        d_pos, g_pos = np.abs(v_pos).sum(axis=1), np.sign(v_pos)
+        d_neg, g_neg = np.abs(v_neg).sum(axis=1), np.sign(v_neg)
     else:
-        hr, hi = h[:dim], h[dim:]
-        rr, ri = r[:dim], r[dim:]
-        tr, ti = t[:dim], t[dim:]
-        s = float((hr * rr * tr - hi * ri * tr + hr * ri * ti + hi * rr * ti).sum())
-        ds_h = np.concatenate([rr * tr + ri * ti, -ri * tr + rr * ti])
-        ds_r = np.concatenate([hr * tr + hi * ti, -hi * tr + hr * ti])
-        ds_t = np.concatenate([hr * rr - hi * ri, hr * ri + hi * rr])
-    loss = float(_softplus(s) - label * s)  # = -log sigmoid(s) if label 1, -log(1-sigmoid(s)) if 0
-    dl_ds = float(_sigmoid(s) - label)
-    return loss, {"h": dl_ds * ds_h, "r": dl_ds * ds_r, "t": dl_ds * ds_t}
+        d_pos = np.sqrt((v_pos * v_pos).sum(axis=1))
+        d_neg = np.sqrt((v_neg * v_neg).sum(axis=1))
+        g_pos = v_pos / np.maximum(d_pos, 1e-12)[:, None]
+        g_neg = v_neg / np.maximum(d_neg, 1e-12)[:, None]
+    margin_loss = margin + d_pos - d_neg
+    active = margin_loss > 0
+    g_pos = g_pos * active[:, None]
+    g_neg = g_neg * active[:, None]
+    grads = {"h": g_pos, "r": g_pos - g_neg, "t": -g_pos, "hn": -g_neg, "tn": g_neg}
+    return float(margin_loss[active].sum()), grads
+
+
+def bilinear_bce_loss_grad(kind: str, dim: int, H, R, T, labels):
+    """Binary cross-entropy of a batch of labelled triples for DistMult/ComplEx with gradients.
+
+    ``H``, ``R`` and ``T`` hold one embedding row per triple.  Returns the
+    summed loss and the gradients of those rows, keyed 'h', 'r' and 't'.
+    """
+    if kind == "distmult":
+        s = (H * R * T).sum(axis=1)
+        ds_h, ds_r, ds_t = R * T, H * T, H * R
+    else:
+        hr, hi = H[:, :dim], H[:, dim:]
+        rr, ri = R[:, :dim], R[:, dim:]
+        tr, ti = T[:, :dim], T[:, dim:]
+        s = (hr * rr * tr - hi * ri * tr + hr * ri * ti + hi * rr * ti).sum(axis=1)
+        ds_h = np.concatenate([rr * tr + ri * ti, -ri * tr + rr * ti], axis=1)
+        ds_r = np.concatenate([hr * tr + hi * ti, -hi * tr + hr * ti], axis=1)
+        ds_t = np.concatenate([hr * rr - hi * ri, hr * ri + hi * rr], axis=1)
+    loss = float((_softplus(s) - labels * s).sum())  # -log sigmoid(s) if label 1, -log(1-sigmoid(s)) if 0
+    dl = (_sigmoid(s) - labels)[:, None]
+    ds_h *= dl
+    ds_r *= dl
+    ds_t *= dl
+    return loss, {"h": ds_h, "r": ds_r, "t": ds_t}
 
 
 def _init_model(kind: str, dim: int, n_ent: int, n_pred: int, rng: np.random.Generator, norm: int) -> EmbeddingModel:
@@ -244,69 +251,31 @@ def train(kg: KnowledgeGraph, kind: str, cfg: TrainConfig, dim: int = 16, norm: 
     return model
 
 
-def _scatter_update(mat, idx, grad, lr):
-    np.subtract.at(mat, idx, lr * grad)
+def _scatter_update(mat, idx, grad, rows, cfg):
+    """``mat[idx] -= lr * (grad + l2 * rows)``, accumulating repeated indices; overwrites ``grad``."""
+    grad += cfg.l2 * rows
+    np.subtract.at(mat, idx, cfg.lr * grad)
 
 
 def _transe_batch_step(model, cfg, bh, br, bt, nh, nt, k):
     ent, pred = model.entity_embeddings, model.predicate_embeddings
-    p = model.norm
-    bh_r = np.repeat(bh, k)
-    br_r = np.repeat(br, k)
-    bt_r = np.repeat(bt, k)
-
-    v_pos = ent[bh_r] + pred[br_r] - ent[bt_r]
-    v_neg = ent[nh] + pred[br_r] - ent[nt]
-    if p == 1:
-        d_pos, g_pos = np.abs(v_pos).sum(axis=1), np.sign(v_pos)
-        d_neg, g_neg = np.abs(v_neg).sum(axis=1), np.sign(v_neg)
-    else:
-        d_pos = np.sqrt((v_pos * v_pos).sum(axis=1))
-        d_neg = np.sqrt((v_neg * v_neg).sum(axis=1))
-        g_pos = v_pos / np.maximum(d_pos, 1e-12)[:, None]
-        g_neg = v_neg / np.maximum(d_neg, 1e-12)[:, None]
-    margin_loss = cfg.margin + d_pos - d_neg
-    active = margin_loss > 0
-    loss = float(margin_loss[active].sum())
-    g_pos = g_pos * active[:, None]
-    g_neg = g_neg * active[:, None]
-
-    lr = cfg.lr
-    _scatter_update(ent, bh_r, g_pos + cfg.l2 * ent[bh_r], lr)
-    _scatter_update(ent, bt_r, -g_pos + cfg.l2 * ent[bt_r], lr)
-    _scatter_update(ent, nh, -g_neg + cfg.l2 * ent[nh], lr)
-    _scatter_update(ent, nt, g_neg + cfg.l2 * ent[nt], lr)
-    _scatter_update(pred, br_r, g_pos - g_neg + cfg.l2 * pred[br_r], lr)
+    h, r, t = np.repeat(bh, k), np.repeat(br, k), np.repeat(bt, k)
+    loss, grads = transe_loss_grad(ent, pred, h, r, t, nh, nt, cfg.margin, model.norm)
+    # each L2 term reads its rows after the earlier updates of this step
+    for mat, name, idx in ((ent, "h", h), (ent, "t", t), (ent, "hn", nh), (ent, "tn", nt), (pred, "r", r)):
+        _scatter_update(mat, idx, grads[name], mat[idx], cfg)
     return loss
 
 
 def _bce_batch_step(model, cfg, bh, br, bt, nh, nr, nt):
     ent, pred = model.entity_embeddings, model.predicate_embeddings
-    all_h = np.concatenate([bh, nh])
-    all_r = np.concatenate([br, nr])
-    all_t = np.concatenate([bt, nt])
+    h, r, t = np.concatenate([bh, nh]), np.concatenate([br, nr]), np.concatenate([bt, nt])
     labels = np.concatenate([np.ones(bh.shape[0]), np.zeros(nh.shape[0])])
-
-    H, R, T = ent[all_h], pred[all_r], ent[all_t]
-    d = model.dim
-    if model.kind == "distmult":
-        s = (H * R * T).sum(axis=1)
-        ds_h, ds_r, ds_t = R * T, H * T, H * R
-    else:
-        hr, hi = H[:, :d], H[:, d:]
-        rr, ri = R[:, :d], R[:, d:]
-        tr, ti = T[:, :d], T[:, d:]
-        s = (hr * rr * tr - hi * ri * tr + hr * ri * ti + hi * rr * ti).sum(axis=1)
-        ds_h = np.concatenate([rr * tr + ri * ti, -ri * tr + rr * ti], axis=1)
-        ds_r = np.concatenate([hr * tr + hi * ti, -hi * tr + hr * ti], axis=1)
-        ds_t = np.concatenate([hr * rr - hi * ri, hr * ri + hi * rr], axis=1)
-    loss = float((_softplus(s) - labels * s).sum())
-    dl = (_sigmoid(s) - labels)[:, None]
-
-    lr = cfg.lr
-    _scatter_update(ent, all_h, dl * ds_h + cfg.l2 * H, lr)
-    _scatter_update(ent, all_t, dl * ds_t + cfg.l2 * T, lr)
-    _scatter_update(pred, all_r, dl * ds_r + cfg.l2 * R, lr)
+    H, R, T = ent[h], pred[r], ent[t]  # the L2 terms read these rows as they were before the step
+    loss, grads = bilinear_bce_loss_grad(model.kind, model.dim, H, R, T, labels)
+    _scatter_update(ent, h, grads["h"], H, cfg)
+    _scatter_update(ent, t, grads["t"], T, cfg)
+    _scatter_update(pred, r, grads["r"], R, cfg)
     return loss
 
 

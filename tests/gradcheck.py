@@ -1,0 +1,67 @@
+"""Finite-difference checks of the batched loss/gradient functions that ``models.train`` calls.
+
+Shared by ``test_models.py`` and the acceptance suite.  Every check uses a
+central difference with step 1e-4 and a relative tolerance of 1e-3.
+"""
+
+import numpy as np
+
+from kgconformal.models import bilinear_bce_loss_grad, transe_loss_grad
+
+STEP = 1e-4
+TOL = 1e-3
+
+
+def assert_matches_fd(loss_fn, params: dict, grads: dict) -> None:
+    """Each entry of ``grads[name]`` matches the central difference of ``loss_fn`` in ``params[name]``.
+
+    ``loss_fn`` reads the arrays of ``params``; each entry is perturbed in
+    place and restored.
+    """
+    for name, arr in params.items():
+        flat, grad = arr.reshape(-1), grads[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + STEP
+            up = loss_fn()
+            flat[i] = orig - STEP
+            down = loss_fn()
+            flat[i] = orig
+            fd, g = (up - down) / (2 * STEP), grad[i]
+            if abs(fd) < 1e-10 and abs(g) < 1e-10:
+                continue
+            assert abs(fd - g) / max(1e-8, abs(fd) + abs(g)) < TOL, (name, i, fd, g)
+
+
+def check_transe(rng, p: int, margin: float, n_ent: int = 6, n_pred: int = 2, dim: int = 6,
+                 rows: int = 4) -> float:
+    """FD-check :func:`transe_loss_grad` on a random batch in the embedding matrices; returns its loss.
+
+    Indices repeat across rows and roles, so the row gradients are summed
+    into the matrices the way training scatters them.
+    """
+    ent, pred = rng.normal(size=(n_ent, dim)), rng.normal(size=(n_pred, dim))
+    idx = {name: rng.integers(0, n_pred if name == "r" else n_ent, size=rows)
+           for name in ("h", "r", "t", "hn", "tn")}
+
+    def loss_grad():
+        return transe_loss_grad(ent, pred, idx["h"], idx["r"], idx["t"], idx["hn"], idx["tn"], margin, p)
+
+    loss, row_grads = loss_grad()
+    grads = {"ent": np.zeros_like(ent), "pred": np.zeros_like(pred)}
+    for name, rows_of in idx.items():
+        np.add.at(grads["pred" if name == "r" else "ent"], rows_of, row_grads[name])
+    assert_matches_fd(lambda: loss_grad()[0], {"ent": ent, "pred": pred}, grads)
+    return loss
+
+
+def check_bce(rng, kind: str, first_label: float, dim: int = 3, rows: int = 4) -> None:
+    """FD-check :func:`bilinear_bce_loss_grad` on a random batch whose labels alternate from ``first_label``."""
+    width = 2 * dim if kind == "complex" else dim
+    params = {name: rng.normal(size=(rows, width)) for name in ("h", "r", "t")}
+    labels = (first_label + np.arange(rows)) % 2
+
+    def loss_grad():
+        return bilinear_bce_loss_grad(kind, dim, params["h"], params["r"], params["t"], labels)
+
+    assert_matches_fd(lambda: loss_grad()[0], params, loss_grad()[1])

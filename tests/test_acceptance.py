@@ -12,8 +12,9 @@ import pytest
 from kgconformal import conformal, verify
 from kgconformal.experiment import ExperimentConfig, prepare_run, run_single
 from kgconformal.metrics import efficiency_rate
-from kgconformal.models import bilinear_bce_loss_grad, transe_pair_loss_grad
 from kgconformal.scores import aps_scores, raps_scores
+
+from gradcheck import TOL, check_bce, check_transe
 
 PHI_GRID = (20, 50, 100)
 GAMMA_GRID = (0.01, 0.1, 0.5)
@@ -197,49 +198,18 @@ class TestCriterion7:
 
 class TestCriterion8:
     def test_gradients_match_finite_differences(self):
+        """The batched loss/gradient functions that ``models.train`` calls, on batches of 4 rows."""
         start = time.monotonic()
         rng = np.random.default_rng(8)
-        step, tol = 1e-4, 1e-3
-
-        def check(loss_fn, params, grads):
-            for name, vec in params.items():
-                for i in range(vec.size):
-                    orig = vec[i]
-                    vec[i] = orig + step
-                    up = loss_fn()
-                    vec[i] = orig - step
-                    down = loss_fn()
-                    vec[i] = orig
-                    fd = (up - down) / (2 * step)
-                    g = grads[name][i]
-                    if abs(fd) < 1e-10 and abs(g) < 1e-10:
-                        continue
-                    rel = abs(fd - g) / max(1e-8, abs(fd) + abs(g))
-                    assert rel < tol, (name, i, fd, g)
-
         for trial in range(50):
             kind = ("transe", "distmult", "complex")[trial % 3]
             if kind == "transe":
-                p = 1 + trial % 2
-                params = {k: rng.normal(size=6) for k in ("h", "r", "t", "hn", "tn")}
-                _, grads = transe_pair_loss_grad(
-                    params["h"], params["r"], params["t"], params["hn"], params["tn"], 10.0, p
-                )
-                check(lambda: transe_pair_loss_grad(
-                    params["h"], params["r"], params["t"], params["hn"], params["tn"], 10.0, p
-                )[0], params, grads)
+                check_transe(rng, p=1 + trial % 2, margin=10.0)
             else:
-                dim = 3
-                width = 2 * dim if kind == "complex" else dim
-                label = float(trial % 2)
-                params = {k: rng.normal(size=width) for k in ("h", "r", "t")}
-                _, grads = bilinear_bce_loss_grad(kind, dim, params["h"], params["r"], params["t"], label)
-                check(lambda: bilinear_bce_loss_grad(
-                    kind, dim, params["h"], params["r"], params["t"], label
-                )[0], params, grads)
+                check_bce(rng, kind, first_label=float(trial % 2))
         elapsed = time.monotonic() - start
         assert elapsed < 10.0
-        report(8, f"50 finite-difference gradient instances within rel 1e-3 in {elapsed:.1f}s")
+        report(8, f"50 finite-difference gradient instances within rel {TOL:g} in {elapsed:.1f}s")
 
 
 class TestCriterion9:

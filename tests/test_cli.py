@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgconformal import cli
@@ -143,6 +144,26 @@ class TestExitCodes:
         config = write_config(tmp_path, tmp_path / "nope.json")
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_tune_objective(self, tmp_path, dataset, capsys):
+        config = write_config(tmp_path, dataset)
+        doc = json.loads(config.read_text())
+        doc["tune_objective"] = "EF"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["calibrate", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "unknown tune_objective: EF" in capsys.readouterr().err
+
+    def test_transe_norm_outside_one_or_two(self, tmp_path, dataset, capsys):
+        config = write_config(tmp_path, dataset, model_kind="transe", transe_norm=3)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "norm must be 1 or 2, got 3" in capsys.readouterr().err
+        # a model file written elsewhere is checked on load
+        config = write_config(tmp_path, dataset, model_kind="transe")
+        assert cli.main(["train", "--config", str(config)]) == 0
+        model_file = tmp_path / "out" / "model_s0.npz"
+        np.savez(model_file, **{**np.load(model_file), "norm": 3})
+        assert cli.main(["score", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "norm must be 1 or 2, got 3" in capsys.readouterr().err
 
     def test_bad_method_in_flags(self, tmp_path, dataset):
         config = write_config(tmp_path, dataset)

@@ -95,6 +95,12 @@ class TestRunSingle:
         reports = run_single(tiny_config(split_directions=True), 0)
         assert {r.method for r in reports} == {"kgcp", "mcp", "condkgcp"}
 
+    def test_split_directions_bound_checks_per_group(self):
+        reports = run_single(tiny_config(split_directions=True), 0)
+        cond = next(r for r in reports if r.method == "condkgcp")
+        # 3 predicates, each its own part, in each of the two direction groups
+        assert set(cond.bound_checks) == {(d, g) for d in ("tail", "head") for g in range(3)}
+
     def test_multiple_epsilons(self):
         reports = run_single(tiny_config(methods=["kgcp"], epsilons=[0.1, 0.3]), 0)
         by_eps = {r.epsilon: r for r in reports}

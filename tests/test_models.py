@@ -6,7 +6,6 @@ from kgconformal.models import (
     EmbeddingModel,
     ScoreMatrix,
     TrainConfig,
-    bilinear_bce_loss_grad,
     export_predicate_vectors,
     export_scores,
     import_predicate_vectors,
@@ -16,8 +15,10 @@ from kgconformal.models import (
     save_model,
     score,
     train,
-    transe_pair_loss_grad,
+    transe_loss_grad,
 )
+
+from gradcheck import check_bce, check_transe
 
 
 def make_model(kind, dim, n_ent=5, n_pred=2, seed=0, norm=1):
@@ -124,59 +125,22 @@ class TestScore:
 
 
 class TestGradients:
-    def rel_err(self, a, b):
-        return np.abs(a - b) / np.maximum(1e-8, np.abs(a) + np.abs(b))
-
-    def check_against_fd(self, loss_fn, params, grads, step=1e-4, tol=1e-3):
-        for name, vec in params.items():
-            for i in range(vec.size):
-                orig = vec[i]
-                vec[i] = orig + step
-                up = loss_fn()
-                vec[i] = orig - step
-                down = loss_fn()
-                vec[i] = orig
-                fd = (up - down) / (2 * step)
-                if abs(fd) < 1e-10 and abs(grads[name][i]) < 1e-10:
-                    continue
-                assert self.rel_err(fd, grads[name][i]) < tol, (name, i, fd, grads[name][i])
+    """FD checks of the batched loss/gradient functions that ``train`` calls."""
 
     def test_transe_pair_gradients(self):
         rng = np.random.default_rng(3)
         for p in (1, 2):
-            params = {k: rng.normal(size=8) for k in ("h", "r", "t", "hn", "tn")}
-            loss, grads = transe_pair_loss_grad(
-                params["h"], params["r"], params["t"], params["hn"], params["tn"], margin=12.0, p=p
-            )
-            assert loss > 0  # active margin so gradients are informative
-            self.check_against_fd(
-                lambda: transe_pair_loss_grad(
-                    params["h"], params["r"], params["t"], params["hn"], params["tn"], 12.0, p
-                )[0],
-                params,
-                grads,
-            )
+            assert check_transe(rng, p, margin=12.0) > 0  # active margins, so the gradients are informative
 
     @pytest.mark.parametrize("kind,label", [("distmult", 1.0), ("distmult", 0.0),
                                             ("complex", 1.0), ("complex", 0.0)])
     def test_bce_gradients(self, kind, label):
-        rng = np.random.default_rng(4)
-        dim = 4
-        width = 2 * dim if kind == "complex" else dim
-        params = {k: rng.normal(size=width) for k in ("h", "r", "t")}
-        _, grads = bilinear_bce_loss_grad(kind, dim, params["h"], params["r"], params["t"], label)
-        self.check_against_fd(
-            lambda: bilinear_bce_loss_grad(kind, dim, params["h"], params["r"], params["t"], label)[0],
-            params,
-            grads,
-        )
+        check_bce(np.random.default_rng(4), kind, label, dim=4)
 
     def test_inactive_margin_zero_gradient(self):
-        h = np.zeros(4)
-        t = np.zeros(4)
-        hn = np.ones(4) * 10
-        tn = np.zeros(4)
-        loss, grads = transe_pair_loss_grad(h, np.zeros(4), t, hn, tn, margin=1.0, p=1)
+        ent = np.array([np.zeros(4), np.full(4, 10.0)])
+        idx = np.zeros(1, dtype=np.int64)
+        loss, grads = transe_loss_grad(ent, np.zeros((1, 4)), idx, idx, idx, idx + 1, idx, margin=1.0, p=1)
         assert loss == 0.0
         assert all(np.all(g == 0) for g in grads.values())
 

@@ -1,0 +1,44 @@
+"""Property tests: ranks under tied scores and the calibration rank cutoff."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given
+from hypothesis import strategies as st
+
+from kgconformal.conformal import rank_threshold
+from kgconformal.kg import candidate_ranks, rank_of
+
+
+@st.composite
+def tied_scores_and_mask(draw):
+    """Small integer scores, so ties are common, and a random mask of entity indices."""
+    scores = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=30))
+    mask = draw(st.sets(st.integers(0, len(scores) - 1)))
+    return np.array(scores, dtype=np.float64), mask
+
+
+@given(tied_scores_and_mask())
+def test_candidate_ranks_match_rank_of_and_brute_force_under_ties(case):
+    scores, mask = case
+    ranks = candidate_ranks(scores, mask)
+    kept = [e for e in range(scores.size) if e not in mask]
+    for e in range(scores.size):
+        if e in mask:
+            assert ranks[e] == 0
+        else:
+            assert ranks[e] == rank_of(scores, e, mask) == sum(scores[c] >= scores[e] for c in kept)
+
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=60), st.integers(1, 999))
+def test_rank_threshold_is_smallest_cutoff_below_epsilon(ranks, per_mille):
+    epsilon = per_mille / 1000
+    ranks = np.array(ranks)
+
+    def miscoverage(k):
+        return np.count_nonzero(ranks > k) / ranks.size
+
+    k_hat, misc = rank_threshold(ranks, epsilon)
+    assert k_hat == min(k for k in range(int(ranks.max()) + 1) if miscoverage(k) < epsilon)
+    assert misc == miscoverage(k_hat)
