@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import conformal, metrics, models, verify
-from .experiment import (ExperimentConfig, calibrate, calibration_keys, evaluate, load_or_generate_kg,
+from .experiment import (METHODS, ExperimentConfig, calibrate, calibration_keys, evaluate, load_or_generate_kg,
                          prepare_run, run_experiment)
 from .kg import KGError, make_queries
 from .synth import SyntheticKGSpec, write_dataset
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--dataset", help="dataset manifest or TSV path")
         p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--methods", help="comma-separated: kgcp,mcp,condkgcp")
+        p.add_argument("--methods", help=f"comma-separated: {','.join(METHODS)}")
         p.add_argument("--epsilons", help="comma-separated error rates")
         p.add_argument("--seeds", help="comma-separated seeds")
         p.add_argument("--gamma", type=float)

@@ -1,11 +1,14 @@
 """Calibration and prediction-set construction.
 
-Three methods are supported:
+Every method is a per-part calibration over a predicate partition: each part
+gets a score threshold and, optionally, a rank cutoff.
 
-* ``kgcp``     -- one global score threshold (marginal coverage);
-* ``mcp``      -- one threshold per predicate (predicate-conditional coverage);
+* ``kgcp``     -- one part holding every predicate, no rank filter (marginal coverage);
+* ``mcp``      -- one part per predicate, no rank filter (predicate-conditional coverage);
 * ``condkgcp`` -- predicates merged into parts, each part calibrated with a
   rank cutoff plus a score threshold at an adjusted error rate.
+
+``predict_set`` and the JSON codec therefore treat all three the same way.
 """
 
 from __future__ import annotations
@@ -66,8 +69,11 @@ class PredicatePartition:
     """Disjoint cover of the predicate set; each part has >= phi calibration pairs."""
 
     parts: list[list[int]]
-    part_of: dict[int, int]
     phi: int
+    part_of: dict[int, int] = field(init=False)  # predicate -> part index
+
+    def __post_init__(self):
+        self.part_of = {r: g for g, members in enumerate(self.parts) for r in members}
 
     def validate(self, n_predicates: int) -> None:
         seen: set[int] = set()
@@ -104,8 +110,7 @@ def build_partition(calib_predicates, predicate_vectors: np.ndarray, phi: int) -
         parts[target].append(r)
 
     part_lists = [sorted(parts[r]) for r in rich]
-    part_of = {r: i for i, members in enumerate(part_lists) for r in members}
-    partition = PredicatePartition(parts=part_lists, part_of=part_of, phi=phi)
+    partition = PredicatePartition(parts=part_lists, phi=phi)
     partition.validate(n_pred)
     for i, members in enumerate(part_lists):
         if counts[members].sum() < phi:
@@ -135,37 +140,39 @@ def rank_threshold(ranks, epsilon: float) -> tuple[int, float]:
 
 @dataclass
 class PartCalibration:
-    rank_cutoff: int
+    """One part's calibration; ``rank_cutoff`` None means no rank filter."""
+
+    rank_cutoff: int | None
     rank_miscoverage: float
     adjusted_epsilon: float
     score_threshold: float
 
 
+_METHOD_LABELS = ("kgcp", "mcp", "condkgcp")  # the labels the fit_* functions write
+
+
 @dataclass
 class CalibratedModel:
-    method: str  # kgcp | mcp | condkgcp
+    """Per-part calibration over a predicate partition (None: one part, index 0, for every predicate)."""
+
+    method: str
     epsilon: float
-    gamma: float = 0.0
-    global_threshold: float | None = None
-    per_predicate: dict[int, float] = field(default_factory=dict)
-    per_part: dict[int, PartCalibration] = field(default_factory=dict)
+    per_part: dict[int, PartCalibration]
     partition: PredicatePartition | None = None
+    gamma: float = 0.0
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
         def enc(x):
             return "inf" if math.isinf(x) else x
 
-        doc = {"method": self.method, "epsilon": self.epsilon, "gamma": self.gamma}
-        if self.global_threshold is not None:
-            doc["global_threshold"] = enc(self.global_threshold)
-        if self.per_predicate:
-            doc["per_predicate"] = {str(r): enc(t) for r, t in self.per_predicate.items()}
-        if self.partition is not None:
-            doc["partition"] = self.partition.parts
-            doc["phi"] = self.partition.phi
-        if self.per_part:
-            doc["per_part"] = {
+        partition = self.partition
+        doc = {
+            "method": self.method,
+            "epsilon": self.epsilon,
+            "gamma": self.gamma,
+            "partition": None if partition is None else {"parts": partition.parts, "phi": partition.phi},
+            "per_part": {
                 str(g): {
                     "k_hat": pc.rank_cutoff,
                     "rank_miscoverage": pc.rank_miscoverage,
@@ -173,9 +180,9 @@ class CalibratedModel:
                     "score_threshold": enc(pc.score_threshold),
                 }
                 for g, pc in self.per_part.items()
-            }
-        if self.warnings:
-            doc["warnings"] = self.warnings
+            },
+            "warnings": self.warnings,
+        }
         return json.dumps(doc, indent=2)
 
     @classmethod
@@ -184,69 +191,84 @@ class CalibratedModel:
             return math.inf if x == "inf" else float(x)
 
         doc = json.loads(text)
-        model = cls(method=doc["method"], epsilon=doc["epsilon"], gamma=doc.get("gamma", 0.0))
-        if "global_threshold" in doc:
-            model.global_threshold = dec(doc["global_threshold"])
-        if "per_predicate" in doc:
-            model.per_predicate = {int(r): dec(t) for r, t in doc["per_predicate"].items()}
-        if "partition" in doc:
-            parts = [list(map(int, p)) for p in doc["partition"]]
-            part_of = {r: i for i, members in enumerate(parts) for r in members}
-            model.partition = PredicatePartition(parts=parts, part_of=part_of, phi=int(doc.get("phi", 1)))
-        if "per_part" in doc:
-            model.per_part = {
-                int(g): PartCalibration(
-                    rank_cutoff=int(pc["k_hat"]),
-                    rank_miscoverage=float(pc["rank_miscoverage"]),
-                    adjusted_epsilon=float(pc["adjusted_epsilon"]),
-                    score_threshold=dec(pc["score_threshold"]),
-                )
-                for g, pc in doc["per_part"].items()
-            }
-        model.warnings = list(doc.get("warnings", []))
-        return model
+        if "global_threshold" in doc or "per_predicate" in doc:
+            raise ValueError("older format with global_threshold/per_predicate")
+        if doc["method"] not in _METHOD_LABELS:
+            raise ValueError(f"unknown method {doc['method']!r}")
+        partition = None
+        if doc["partition"] is not None:
+            parts = [[int(r) for r in members] for members in doc["partition"]["parts"]]
+            partition = PredicatePartition(parts=parts, phi=int(doc["partition"]["phi"]))
+        per_part = {
+            int(g): PartCalibration(
+                rank_cutoff=None if pc["k_hat"] is None else int(pc["k_hat"]),
+                rank_miscoverage=float(pc["rank_miscoverage"]),
+                adjusted_epsilon=float(pc["adjusted_epsilon"]),
+                score_threshold=dec(pc["score_threshold"]),
+            )
+            for g, pc in doc["per_part"].items()
+        }
+        n_parts = 1 if partition is None else len(partition.parts)
+        if sorted(per_part) != list(range(n_parts)):
+            raise ValueError(f"per_part holds parts {sorted(per_part)}, the partition has {n_parts}")
+        return cls(method=doc["method"], epsilon=float(doc["epsilon"]), per_part=per_part,
+                   partition=partition, gamma=float(doc["gamma"]), warnings=list(doc["warnings"]))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "CalibratedModel":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        """Read a saved model; a malformed or outdated file raises ``ValueError`` naming it."""
+        try:
+            return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ValueError(f"{path} is not a calibrated model in the current format ({detail}) "
+                             "(rerun the 'calibrate' stage)") from exc
+
+
+def _fit_parts(method: str, epsilon: float, nonconf_true, calib_predicates=None,
+               partition: PredicatePartition | None = None, rank_filter=None,
+               gamma: float = 0.0) -> CalibratedModel:
+    """Calibrate every part of ``partition`` (None: one pooled part) on its own pairs.
+
+    ``rank_filter(in_part)`` gives a part's (rank cutoff, rank miscoverage);
+    without it no part has a rank filter.  The score threshold is the part's
+    conformal quantile at ``epsilon - gamma * miscoverage``.  A part without
+    calibration pairs gets threshold +inf, no rank filter, and a warning.
+    """
+    nonconf_true = np.asarray(nonconf_true, dtype=np.float64)
+    if partition is None:
+        part_ids = np.zeros(nonconf_true.size, dtype=np.int64)
+        n_parts = 1
+    else:
+        part_ids = np.array([partition.part_of[int(r)] for r in calib_predicates], dtype=np.int64)
+        n_parts = len(partition.parts)
+    per_part: dict[int, PartCalibration] = {}
+    warnings: list[str] = []
+    for g in range(n_parts):
+        in_g = part_ids == g
+        if not np.any(in_g):
+            per_part[g] = PartCalibration(None, 0.0, epsilon, math.inf)
+            warnings.append(f"part {g} has no calibration pairs; threshold +inf")
+            continue
+        rank_cutoff, miscoverage = (None, 0.0) if rank_filter is None else rank_filter(in_g)
+        adjusted = epsilon - gamma * miscoverage
+        per_part[g] = PartCalibration(rank_cutoff, miscoverage, adjusted, quantile(nonconf_true[in_g], adjusted))
+    return CalibratedModel(method=method, epsilon=epsilon, per_part=per_part, partition=partition,
+                           gamma=gamma, warnings=warnings)
 
 
 def fit_kgcp(nonconf_true, epsilon: float) -> CalibratedModel:
-    """Global threshold from the nonconformity scores of true calibration answers."""
-    return CalibratedModel(
-        method="kgcp",
-        epsilon=epsilon,
-        global_threshold=quantile(nonconf_true, epsilon),
-    )
+    """One pooled part, score threshold only (marginal coverage)."""
+    return _fit_parts("kgcp", epsilon, nonconf_true)
 
 
 def fit_mcp(calib_predicates, nonconf_true, epsilon: float, n_predicates: int) -> CalibratedModel:
-    """One threshold per predicate; predicates without calibration data get +inf."""
-    calib_predicates = np.asarray(calib_predicates, dtype=np.int64)
-    nonconf_true = np.asarray(nonconf_true, dtype=np.float64)
-    thresholds: dict[int, float] = {}
-    warnings: list[str] = []
-    for r in range(n_predicates):
-        pool = nonconf_true[calib_predicates == r]
-        if pool.size == 0:
-            thresholds[r] = math.inf
-            warnings.append(f"predicate {r} has no calibration pairs; threshold +inf")
-        else:
-            thresholds[r] = quantile(pool, epsilon)
-    return CalibratedModel(method="mcp", epsilon=epsilon, per_predicate=thresholds, warnings=warnings)
-
-
-def _part_pools(calib_predicates, partition: PredicatePartition):
-    """(part index, mask over calibration pairs) for every part; each part must be non-empty."""
-    part_ids = np.array([partition.part_of[int(r)] for r in calib_predicates], dtype=np.int64)
-    for g in range(len(partition.parts)):
-        in_g = part_ids == g
-        if not np.any(in_g):
-            raise ValueError(f"part {g} has no calibration pairs")
-        yield g, in_g
+    """One part per predicate, score threshold only; predicates without calibration data get +inf."""
+    partition = PredicatePartition(parts=[[r] for r in range(n_predicates)], phi=0)
+    return _fit_parts("mcp", epsilon, nonconf_true, calib_predicates, partition)
 
 
 def fit_condkgcp(
@@ -260,65 +282,36 @@ def fit_condkgcp(
     """Dual calibration: per-part rank cutoff plus score threshold at the adjusted rate."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
-    nonconf_true = np.asarray(nonconf_true, dtype=np.float64)
     ranks_true = np.asarray(ranks_true, dtype=np.int64)
-
-    per_part: dict[int, PartCalibration] = {}
-    for g, in_g in _part_pools(calib_predicates, partition):
-        k_hat, miscoverage = rank_threshold(ranks_true[in_g], epsilon)
-        adjusted = epsilon - gamma * miscoverage
-        per_part[g] = PartCalibration(
-            rank_cutoff=k_hat,
-            rank_miscoverage=miscoverage,
-            adjusted_epsilon=adjusted,
-            score_threshold=quantile(nonconf_true[in_g], adjusted),
-        )
-    return CalibratedModel(
-        method="condkgcp", epsilon=epsilon, gamma=gamma, per_part=per_part, partition=partition
-    )
+    return _fit_parts("condkgcp", epsilon, nonconf_true, calib_predicates, partition,
+                      lambda in_g: rank_threshold(ranks_true[in_g], epsilon), gamma)
 
 
 def fit_part_mcp(calib_predicates, nonconf_true, partition: PredicatePartition,
                  epsilon: float, n_entities: int) -> CalibratedModel:
-    """Part-level score-only calibration at the full error rate (no rank cutoff).
+    """Part-level score-only calibration at the full error rate.
 
     Every part keeps all ``n_entities`` ranks, so its rank miscoverage is 0.
     """
-    nonconf_true = np.asarray(nonconf_true, dtype=np.float64)
-    per_part = {
-        g: PartCalibration(
-            rank_cutoff=int(n_entities),
-            rank_miscoverage=0.0,
-            adjusted_epsilon=epsilon,
-            score_threshold=quantile(nonconf_true[in_g], epsilon),
-        )
-        for g, in_g in _part_pools(calib_predicates, partition)
-    }
-    return CalibratedModel(method="condkgcp", epsilon=epsilon, per_part=per_part, partition=partition)
+    return _fit_parts("condkgcp", epsilon, nonconf_true, calib_predicates, partition,
+                      lambda in_g: (int(n_entities), 0.0))
 
 
 def predict_set(model: CalibratedModel, predicate: int, nonconf: np.ndarray,
                 ranks: np.ndarray | None = None, filter_mask=None) -> np.ndarray:
-    """Entity indices in the prediction set for one query (masked entities excluded)."""
-    nonconf = np.asarray(nonconf, dtype=np.float64)
-    keep = np.ones(nonconf.shape[0], dtype=bool)
-    if filter_mask is not None:
-        keep[list(filter_mask)] = False
+    """Entity indices in the prediction set for one query (masked entities excluded).
 
-    if model.method == "kgcp":
-        member = nonconf <= model.global_threshold
-    elif model.method == "mcp":
-        threshold = model.per_predicate.get(predicate, math.inf)
-        member = nonconf <= threshold
-    elif model.method == "condkgcp":
+    ``ranks`` are needed only when the predicate's part has a rank cutoff.
+    """
+    pc = model.per_part[0 if model.partition is None else model.partition.part_of[predicate]]
+    member = np.asarray(nonconf, dtype=np.float64) <= pc.score_threshold
+    if pc.rank_cutoff is not None:
         if ranks is None:
-            raise ValueError("condkgcp prediction requires candidate ranks")
-        part = model.partition.part_of[predicate]
-        pc = model.per_part[part]
-        member = (nonconf <= pc.score_threshold) & (np.asarray(ranks) <= pc.rank_cutoff)
-    else:
-        raise ValueError(f"unknown method: {model.method}")
-    return np.flatnonzero(member & keep)
+            raise ValueError(f"{model.method} prediction with a rank cutoff requires candidate ranks")
+        member &= np.asarray(ranks) <= pc.rank_cutoff
+    if filter_mask is not None:
+        member[list(filter_mask)] = False
+    return np.flatnonzero(member)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from .kg import (
 )
 from .synth import SyntheticKGSpec, synthetic_kg
 
-__all__ = ["ExperimentConfig", "RunData", "calibrate", "calibration_keys", "evaluate", "load_or_generate_kg",
+__all__ = ["METHODS", "ExperimentConfig", "RunData", "calibrate", "calibration_keys", "evaluate", "load_or_generate_kg",
            "prepare_run", "run_experiment", "run_single", "tune_condkgcp"]
 
 DEFAULT_GAMMA_GRID = (0.01, 0.1, 0.5)
@@ -70,8 +70,8 @@ class ExperimentConfig:
         if self.dataset is None and self.synthetic is None and self.score_matrix is None:
             raise ValueError("need a dataset path, a synthetic spec, or a score matrix")
         for m in self.methods:
-            if m not in ("kgcp", "mcp", "condkgcp"):
-                raise ValueError(f"unknown method: {m}")
+            if m not in METHODS:
+                raise ValueError(f"unknown method: {m} ({', '.join(METHODS)})")
         if self.tune_objective not in ("ef", "covgap", "avesize"):
             raise ValueError(f"unknown tune_objective: {self.tune_objective} (ef, covgap or avesize)")
 
@@ -235,16 +235,22 @@ def calibration_keys(config: ExperimentConfig, data: RunData) -> list[tuple[str,
     return [(m, d, eps) for eps in config.epsilons for d in groups for m in _fitted_methods(config)]
 
 
-def _fit(method: str, data: RunData, cal_idx: np.ndarray, epsilon: float,
-         gamma: float, phi: int) -> conformal.CalibratedModel:
+def _fit_condkgcp(data: RunData, cal_idx: np.ndarray, epsilon: float,
+                  gamma: float, phi: int) -> conformal.CalibratedModel:
     preds = data.calib_predicates[cal_idx]
-    nonconf = data.calib_nonconf[cal_idx]
-    if method == "kgcp":
-        return conformal.fit_kgcp(nonconf, epsilon)
-    if method == "mcp":
-        return conformal.fit_mcp(preds, nonconf, epsilon, data.kg.vocab.n_predicates)
     partition = conformal.build_partition(preds, data.predicate_vectors, phi)
-    return conformal.fit_condkgcp(preds, nonconf, data.calib_ranks[cal_idx], partition, epsilon, gamma)
+    return conformal.fit_condkgcp(preds, data.calib_nonconf[cal_idx], data.calib_ranks[cal_idx],
+                                  partition, epsilon, gamma)
+
+
+# The one place a method name selects code: each entry fits one model on
+# (data, calibration indices, epsilon, gamma, phi).
+METHODS = {
+    "kgcp": lambda data, cal_idx, epsilon, gamma, phi: conformal.fit_kgcp(data.calib_nonconf[cal_idx], epsilon),
+    "mcp": lambda data, cal_idx, epsilon, gamma, phi: conformal.fit_mcp(
+        data.calib_predicates[cal_idx], data.calib_nonconf[cal_idx], epsilon, data.kg.vocab.n_predicates),
+    "condkgcp": _fit_condkgcp,
+}
 
 
 def calibrate(config: ExperimentConfig, seed: int, data: RunData,
@@ -260,7 +266,7 @@ def calibrate(config: ExperimentConfig, seed: int, data: RunData,
         gamma, phi = tune_condkgcp(config, seed, data)
     cal_idx = {direction: idx for direction, idx, _ in _direction_groups(data, config.split_directions)}
     return {
-        (method, direction, epsilon): _fit(method, data, cal_idx[direction], epsilon, gamma, phi)
+        (method, direction, epsilon): METHODS[method](data, cal_idx[direction], epsilon, gamma, phi)
         for method, direction, epsilon in calibration_keys(config, data)
     }
 

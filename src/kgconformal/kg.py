@@ -138,8 +138,8 @@ def _parse_tsv(path: Path) -> list[tuple[str, str, str]]:
     return rows
 
 
-def load_kg(path: str | Path, fmt: str = "auto") -> KnowledgeGraph:
-    """Load a KG from a triples TSV or a JSON manifest referencing split TSVs.
+def load_kg(path: str | Path) -> KnowledgeGraph:
+    """Load a KG from a JSON manifest (a ``.json`` path) referencing split TSVs, or a triples TSV.
 
     The manifest format is ``{"train": path, "valid": path, "test": path,
     "entities": optional path, "relations": optional path}``.  With a bare
@@ -148,13 +148,10 @@ def load_kg(path: str | Path, fmt: str = "auto") -> KnowledgeGraph:
     path = Path(path)
     if not path.exists():
         raise KGError(f"no such file: {path}")
-    if fmt == "auto":
-        fmt = "manifest" if path.suffix == ".json" else "tsv"
-
-    if fmt == "tsv":
+    closed_entities = closed_predicates = None
+    if path.suffix != ".json":
         raw = {"all": _parse_tsv(path)}
-        closed_entities = closed_predicates = None
-    elif fmt == "manifest":
+    else:
         manifest = json.loads(path.read_text(encoding="utf-8"))
         raw = {}
         for name in ("train", "valid", "test"):
@@ -162,7 +159,6 @@ def load_kg(path: str | Path, fmt: str = "auto") -> KnowledgeGraph:
                 raw[name] = _parse_tsv(path.parent / manifest[name])
         if not raw:
             raise KGError(f"{path}: manifest declares no splits")
-        closed_entities = closed_predicates = None
         if "entities" in manifest:
             closed_entities = [
                 ln.strip() for ln in (path.parent / manifest["entities"]).read_text().splitlines() if ln.strip()
@@ -171,8 +167,6 @@ def load_kg(path: str | Path, fmt: str = "auto") -> KnowledgeGraph:
             closed_predicates = [
                 ln.strip() for ln in (path.parent / manifest["relations"]).read_text().splitlines() if ln.strip()
             ]
-    else:
-        raise KGError(f"unknown format: {fmt}")
 
     all_rows = [row for rows in raw.values() for row in rows]
     if not all_rows:

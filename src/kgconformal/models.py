@@ -216,12 +216,11 @@ def _sample_negatives(rng, heads, rels, tails, n_ent, known: set, k: int):
     return neg_h, rels_rep, neg_t
 
 
-def train(kg: KnowledgeGraph, kind: str, cfg: TrainConfig, dim: int = 16, norm: int = 1,
-          train_split: str = "train") -> EmbeddingModel:
-    """SGD training; margin ranking loss for TransE, BCE for DistMult/ComplEx."""
-    triples = kg.splits.get(train_split) or []
+def train(kg: KnowledgeGraph, kind: str, cfg: TrainConfig, dim: int = 16, norm: int = 1) -> EmbeddingModel:
+    """SGD training on the ``train`` split; margin ranking loss for TransE, BCE for DistMult/ComplEx."""
+    triples = kg.splits.get("train") or []
     if not triples:
-        raise KGError(f"empty training split '{train_split}'")
+        raise KGError("empty training split 'train'")
     rng = np.random.default_rng(cfg.seed)
     model = _init_model(kind, dim, kg.vocab.n_entities, kg.vocab.n_predicates, rng, norm)
 

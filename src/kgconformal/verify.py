@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conformal
+from .kg import candidate_ranks, rank_of
 from .scores import softmax_scores
 
 __all__ = [
@@ -85,7 +86,7 @@ def _build_pools(rng, n_parts: int, pool_size: int, n_entities: int,
         ranks = np.empty(pool_size, dtype=np.int64)
         for i in range(pool_size):
             nonconf[i] = softmax_scores(raw[i])[answers[i]]
-            ranks[i] = np.count_nonzero(raw[i] >= raw[i, answers[i]])
+            ranks[i] = rank_of(raw[i], answers[i])
         pools.append(_PartPool(nonconf_true=nonconf, rank_true=ranks, raw=raw, answers=answers))
     return pools
 
@@ -167,10 +168,7 @@ def shrinkage_check(gamma: float = 0.5, epsilon: float = 0.1, n_resamples: int =
             cal_ranks.extend(pool.rank_true[cal])
             for i in test:
                 raw = pool.raw[i]
-                nonconf = softmax_scores(raw)
-                order = np.sort(raw)
-                ranks = raw.shape[0] - np.searchsorted(order, raw, side="left")
-                test_records.append((g, nonconf, ranks, set()))
+                test_records.append((g, softmax_scores(raw), candidate_ranks(raw), set()))
         partition = conformal.build_partition(cal_preds, pred_vectors, phi)
         cond = conformal.fit_condkgcp(cal_preds, cal_nonconf, cal_ranks, partition, epsilon, gamma)
         mcp_star = conformal.fit_part_mcp(cal_preds, cal_nonconf, partition, epsilon, n_entities)

@@ -140,6 +140,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "non-finite score" in err and "'score' stage" in err
 
+    @pytest.mark.parametrize("content", [
+        '{"epsilon": 0.1}',
+        '{"method": "kgcp", "epsilon": 0.1, "gamma": 0.0, "partition": null, "per_part": {"0": {"k_h',
+        '{"method": "kgcp", "epsilon": 0.1, "gamma": 0.0, "global_threshold": 0.5}',
+    ], ids=["missing-key", "truncated", "old-format"])
+    def test_malformed_calibrated_model_names_file(self, tmp_path, dataset, capsys, content):
+        config = write_config(tmp_path, dataset, methods=["kgcp"])
+        for stage in ("train", "score", "calibrate"):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        artifact = tmp_path / "out" / "calibrated_kgcp_e0.1_s0.json"
+        artifact.write_text(content, encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(artifact) in err and "rerun the 'calibrate' stage" in err
+
     def test_missing_dataset_path(self, tmp_path, capsys):
         config = write_config(tmp_path, tmp_path / "nope.json")
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG

@@ -5,6 +5,7 @@ import pytest
 
 from kgconformal.conformal import (
     CalibratedModel,
+    PartCalibration,
     build_partition,
     fit_condkgcp,
     fit_kgcp,
@@ -15,6 +16,15 @@ from kgconformal.conformal import (
     rank_threshold,
     verify_shrinkage,
 )
+
+
+def thresholds(model):
+    return {g: pc.score_threshold for g, pc in model.per_part.items()}
+
+
+def pooled_score_only(threshold):
+    """A kgcp-shaped model: one pooled part with a score threshold and no rank filter."""
+    return CalibratedModel(method="kgcp", epsilon=0.1, per_part={0: PartCalibration(None, 0.0, 0.1, threshold)})
 
 
 def oracle_quantile(values, epsilon):
@@ -61,24 +71,27 @@ class TestQuantile:
 class TestFitKgcpMcp:
     def test_kgcp_threshold(self):
         model = fit_kgcp(list(range(1, 10)), 0.1)
-        assert model.global_threshold == 9
+        assert model.partition is None
+        assert model.per_part[0].rank_cutoff is None
+        assert thresholds(model) == {0: 9}
 
     def test_kgcp_single_point(self):
-        assert fit_kgcp([3.0], 0.1).global_threshold == math.inf
+        assert thresholds(fit_kgcp([3.0], 0.1)) == {0: math.inf}
 
     def test_kgcp_constant_scores(self):
-        assert fit_kgcp([2.0] * 40, 0.1).global_threshold == 2.0
+        assert thresholds(fit_kgcp([2.0] * 40, 0.1)) == {0: 2.0}
 
     def test_mcp_per_predicate_pools(self):
         preds = [0] * 9 + [1] * 9
         scores = list(range(1, 10)) + list(range(10, 19))
         model = fit_mcp(preds, scores, 0.1, n_predicates=2)
-        assert model.per_predicate == {0: 9, 1: 18}
+        assert model.partition.parts == [[0], [1]]
+        assert thresholds(model) == {0: 9, 1: 18}
+        assert all(pc.rank_cutoff is None for pc in model.per_part.values())
 
     def test_mcp_sparse_predicate_inf(self):
         model = fit_mcp([0], [1.0], 0.1, n_predicates=2)
-        assert model.per_predicate[0] == math.inf
-        assert model.per_predicate[1] == math.inf
+        assert thresholds(model) == {0: math.inf, 1: math.inf}
         assert model.warnings
 
     def test_mcp_single_predicate_equals_kgcp(self):
@@ -86,7 +99,7 @@ class TestFitKgcpMcp:
         scores = rng.normal(size=30)
         mcp = fit_mcp(np.zeros(30, dtype=int), scores, 0.2, n_predicates=1)
         kgcp = fit_kgcp(scores, 0.2)
-        assert mcp.per_predicate[0] == kgcp.global_threshold
+        assert thresholds(mcp) == thresholds(kgcp)
 
 
 class TestPartition:
@@ -203,12 +216,12 @@ class TestCondKGCP:
 
 class TestPredictSet:
     def test_kgcp_threshold_filter(self):
-        model = CalibratedModel(method="kgcp", epsilon=0.1, global_threshold=0.5)
+        model = pooled_score_only(0.5)
         members = predict_set(model, 0, np.array([0.1, 0.4, 0.6, 0.9]))
         assert members.tolist() == [0, 1]
 
     def test_inf_threshold_includes_everything_unmasked(self):
-        model = CalibratedModel(method="kgcp", epsilon=0.1, global_threshold=math.inf)
+        model = pooled_score_only(math.inf)
         members = predict_set(model, 0, np.array([0.1, 0.9, 0.5]), filter_mask={1})
         assert members.tolist() == [0, 2]
 
@@ -233,6 +246,13 @@ class TestPredictSet:
         ranks = np.array([5, 1, 3, 2, 4])
         members = predict_set(model, 0, nonconf, ranks)
         assert members.tolist() == [1, 2, 3]
+
+    def test_condkgcp_without_ranks_rejected(self):
+        preds = np.zeros(30, dtype=int)
+        partition = build_partition(preds, np.array([[0.0]]), phi=10)
+        model = fit_condkgcp(preds, np.linspace(0, 1, 30), np.ones(30, dtype=int), partition, 0.1, 0.0)
+        with pytest.raises(ValueError, match="requires candidate ranks"):
+            predict_set(model, 0, np.array([0.1, 0.4]))
 
     def test_condkgcp_subset_of_part_mcp_at_gamma_zero(self):
         # with gamma=0 the score filters coincide, so the added rank filter
@@ -275,10 +295,37 @@ class TestSerialization:
             assert restored.per_part[g].score_threshold == pc.score_threshold
             assert restored.per_part[g].rank_cutoff == pc.rank_cutoff
 
+    @pytest.mark.parametrize("method", ["kgcp", "mcp", "part-mcp", "condkgcp"])
+    def test_round_trip_predicts_same(self, method):
+        rng = np.random.default_rng(11)
+        n_entities, n_predicates = 30, 4
+        preds = np.repeat([0, 1, 2], 20)  # predicate 3 has no calibration pairs
+        nonconf = rng.uniform(size=60)
+        ranks = rng.integers(1, 8, size=60)
+        partition = build_partition(preds, rng.normal(size=(n_predicates, 2)), phi=5)
+        model = {
+            "kgcp": lambda: fit_kgcp(nonconf, 0.1),
+            "mcp": lambda: fit_mcp(preds, nonconf, 0.1, n_predicates),
+            "part-mcp": lambda: fit_part_mcp(preds, nonconf, partition, 0.1, n_entities),
+            "condkgcp": lambda: fit_condkgcp(preds, nonconf, ranks, partition, 0.1, gamma=0.5),
+        }[method]()
+        if method == "mcp":
+            assert model.per_part[3].score_threshold == math.inf
+            assert model.warnings
+        restored = CalibratedModel.from_json(model.to_json())
+        assert restored == model
+        needs_ranks = method in ("part-mcp", "condkgcp")  # kgcp and mcp predict without ranks
+        for _ in range(20):
+            r = int(rng.integers(n_predicates))
+            vec = rng.uniform(size=n_entities)
+            cand = rng.permutation(n_entities) + 1 if needs_ranks else None
+            mask = set(rng.choice(n_entities, size=3, replace=False).tolist())
+            assert np.array_equal(predict_set(restored, r, vec, cand, mask), predict_set(model, r, vec, cand, mask))
+
     def test_inf_encoded_as_string(self):
         model = fit_kgcp([1.0], 0.1)
         assert '"inf"' in model.to_json()
-        assert CalibratedModel.from_json(model.to_json()).global_threshold == math.inf
+        assert thresholds(CalibratedModel.from_json(model.to_json())) == {0: math.inf}
 
 
 class TestShrinkage:

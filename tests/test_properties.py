@@ -1,13 +1,16 @@
-"""Property tests: ranks under tied scores and the calibration rank cutoff."""
+"""Property tests: ranks under tied scores, the calibration rank cutoff and the conformal quantile."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kgconformal.conformal import rank_threshold
+from kgconformal.conformal import quantile, rank_threshold
 from kgconformal.kg import candidate_ranks, rank_of
 
 
@@ -42,3 +45,14 @@ def test_rank_threshold_is_smallest_cutoff_below_epsilon(ranks, per_mille):
     k_hat, misc = rank_threshold(ranks, epsilon)
     assert k_hat == min(k for k in range(int(ranks.max()) + 1) if miscoverage(k) < epsilon)
     assert misc == miscoverage(k_hat)
+
+
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=60), st.integers(0, 999))
+@example([1, 2], 0)  # epsilon 0, the limit an adjusted rate reaches when gamma * miscoverage = epsilon
+@example(list(range(9)), 700)  # in floats (n+1)(1-eps) = 10 * 0.30000000000000004, just above 3
+def test_quantile_matches_exact_order_statistic(values, per_mille):
+    epsilon = per_mille / 1000
+    n = len(values)
+    k = math.ceil((n + 1) * (1 - Fraction(per_mille, 1000)))
+    expected = math.inf if k > n else sorted(values)[k - 1]
+    assert quantile(np.array(values, dtype=np.float64), epsilon) == expected
