@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .kg import rank_cuts
+
 __all__ = [
     "CalibratedModel",
     "PartCalibration",
@@ -32,7 +34,9 @@ __all__ = [
     "fit_part_mcp",
     "predict_set",
     "quantile",
+    "query_filters",
     "rank_threshold",
+    "set_outcomes",
     "verify_shrinkage",
 ]
 
@@ -214,6 +218,10 @@ class CalibratedModel:
         return cls(method=doc["method"], epsilon=float(doc["epsilon"]), per_part=per_part,
                    partition=partition, gamma=float(doc["gamma"]), warnings=list(doc["warnings"]))
 
+    def calibration_for(self, predicate: int) -> PartCalibration:
+        """The calibration of the part that holds ``predicate``."""
+        return self.per_part[0 if self.partition is None else self.partition.part_of[predicate]]
+
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
@@ -303,7 +311,7 @@ def predict_set(model: CalibratedModel, predicate: int, nonconf: np.ndarray,
 
     ``ranks`` are needed only when the predicate's part has a rank cutoff.
     """
-    pc = model.per_part[0 if model.partition is None else model.partition.part_of[predicate]]
+    pc = model.calibration_for(predicate)
     member = np.asarray(nonconf, dtype=np.float64) <= pc.score_threshold
     if pc.rank_cutoff is not None:
         if ranks is None:
@@ -314,6 +322,45 @@ def predict_set(model: CalibratedModel, predicate: int, nonconf: np.ndarray,
     return np.flatnonzero(member)
 
 
+def query_filters(model: CalibratedModel, predicates, n_entities: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's (score threshold, rank cutoff), looked up by predicate as :func:`predict_set` does.
+
+    A part without a rank filter reads as cutoff ``n_entities``, which every
+    candidate's rank meets.
+    """
+    predicates = np.asarray(predicates, dtype=np.int64)
+    thresholds = np.empty(predicates.size)
+    cutoffs = np.empty(predicates.size, dtype=np.int64)
+    for r in np.unique(predicates):
+        pc = model.calibration_for(int(r))
+        at = predicates == r
+        thresholds[at] = pc.score_threshold
+        cutoffs[at] = n_entities if pc.rank_cutoff is None else pc.rank_cutoff
+    return thresholds, cutoffs
+
+
+def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, answers, thresholds: np.ndarray,
+                 cutoffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Set size and answer hit of each query under each filter, without building the sets.
+
+    Rows of ``nonconf`` and ``masked_raw`` are queries over all entities, with
+    masked entities at -inf in ``masked_raw``; ``thresholds`` and ``cutoffs``
+    hold one filter per row and one query per column (see
+    :func:`query_filters`).  A set is ``(nonconf <= threshold) & (raw > cut)``
+    with the rank cutoff as a score cut (:func:`kg.rank_cuts`), so sizes and
+    hits equal those of :func:`predict_set` given candidate ranks and the mask.
+    Returns ``(sizes, hits)`` shaped like ``thresholds``.
+    """
+    cuts = rank_cuts(masked_raw, cutoffs.T).T
+    at_answer = (np.arange(masked_raw.shape[0]), np.asarray(answers))
+    hits = (nonconf[at_answer] <= thresholds) & (masked_raw[at_answer] > cuts)
+    sizes = np.empty(thresholds.shape, dtype=np.int64)
+    for f in range(thresholds.shape[0]):
+        member = (nonconf <= thresholds[f, :, None]) & (masked_raw > cuts[f, :, None])
+        sizes[f] = np.count_nonzero(member, axis=1)
+    return sizes, hits
+
+
 @dataclass
 class ShrinkageReport:
     sigma_per_part: dict[int, float]
@@ -322,25 +369,20 @@ class ShrinkageReport:
     sigma_bar: float
 
 
-def verify_shrinkage(cond_model: CalibratedModel, mcp_star: CalibratedModel, test_queries) -> ShrinkageReport:
+def verify_shrinkage(partition: PredicatePartition, predicates, dual_sizes, score_only_sizes) -> ShrinkageReport:
     """Empirical per-part shrinkage ratio of the dual filter vs the score-only filter.
 
-    ``test_queries`` yields (predicate, nonconformity vector, candidate ranks,
-    filter mask) per test query.  sigma_g is the count of candidates passing
-    both dual-calibration filters divided by the count passing the part-level
-    full-rate threshold; parts with a zero denominator (or no test queries)
-    are skipped and flagged.
+    ``dual_sizes`` and ``score_only_sizes`` are the test queries' set sizes
+    under the dual calibration and under the part-level full-rate threshold;
+    ``predicates`` are the queries' predicates.  sigma_g is the part's total
+    dual size divided by its total score-only size; parts with a zero
+    denominator (or no test queries) are skipped and flagged.
     """
-    partition = cond_model.partition
     n_parts = len(partition.parts)
-    numer = np.zeros(n_parts)
-    denom = np.zeros(n_parts)
-    seen = np.zeros(n_parts, dtype=bool)
-    for predicate, nonconf, ranks, mask in test_queries:
-        g = partition.part_of[predicate]
-        seen[g] = True
-        numer[g] += predict_set(cond_model, predicate, nonconf, ranks, mask).size
-        denom[g] += predict_set(mcp_star, predicate, nonconf, ranks, mask).size
+    part = np.array([partition.part_of[int(r)] for r in predicates], dtype=np.int64)
+    numer = np.bincount(part, weights=np.asarray(dual_sizes, dtype=np.float64), minlength=n_parts)
+    denom = np.bincount(part, weights=np.asarray(score_only_sizes, dtype=np.float64), minlength=n_parts)
+    seen = np.bincount(part, minlength=n_parts) > 0
 
     sigma: dict[int, float] = {}
     skipped: list[int] = []

@@ -17,7 +17,6 @@ from .kg import (
     QueryAnswerSet,
     SplitConfig,
     build_answer_index,
-    candidate_ranks,
     load_kg,
     make_queries,
     rank_of,
@@ -30,6 +29,7 @@ __all__ = ["METHODS", "ExperimentConfig", "RunData", "calibrate", "calibration_k
 
 DEFAULT_GAMMA_GRID = (0.01, 0.1, 0.5)
 DEFAULT_PHI_GRID = (20, 50, 100, 200)
+EVAL_BLOCK_ROWS = 256  # test pairs per block of the evaluation pass
 
 
 @dataclass
@@ -110,8 +110,7 @@ class RunData:
     calib_ranks: np.ndarray       # filtered rank of the true calibration answers
     test_predicates: np.ndarray
     test_answers: np.ndarray
-    test_nonconf: list[np.ndarray]   # per test pair, vector over all entities
-    test_ranks: list[np.ndarray]     # per test pair, candidate ranks
+    test_raw: list[np.ndarray]    # per test pair, its query's raw score row (held by the score matrix)
     test_masks: list[set]
     predicate_vectors: np.ndarray
     model: models.EmbeddingModel | None = None
@@ -139,7 +138,11 @@ def prepare_run(config: ExperimentConfig, seed: int,
                 model: models.EmbeddingModel | None = None,
                 kg: KnowledgeGraph | None = None,
                 predicate_vectors: np.ndarray | None = None) -> RunData:
-    """Generate/load data, train or import scores, and precompute per-pair arrays."""
+    """Generate/load data, train or import scores, and score the calibration pairs.
+
+    Test pairs keep only their raw score rows and masks; :func:`evaluate`
+    does their per-entity work.
+    """
     if kg is None:
         kg = load_or_generate_kg(config, seed)
     calib = make_queries(kg.splits.get("valid", []), config.both_directions, name="calib")
@@ -184,17 +187,6 @@ def prepare_run(config: ExperimentConfig, seed: int,
         calib_nonconf[i] = scores.nonconformity(raw, scorer, query_index=i)[a]
         calib_ranks[i] = rank_of(raw, a, mask_for(q, a))
 
-    offset = len(calib.pairs)
-    test_nonconf: list[np.ndarray] = []
-    test_ranks: list[np.ndarray] = []
-    test_masks: list[set] = []
-    for j, (q, a) in enumerate(test.pairs):
-        raw = score_matrix.get(q)
-        mask = mask_for(q, a)
-        test_nonconf.append(scores.nonconformity(raw, scorer, query_index=offset + j))
-        test_ranks.append(candidate_ranks(raw, mask))
-        test_masks.append(mask)
-
     return RunData(
         kg=kg,
         calib=calib,
@@ -204,9 +196,8 @@ def prepare_run(config: ExperimentConfig, seed: int,
         calib_ranks=calib_ranks,
         test_predicates=test.predicates(),
         test_answers=np.array([a for _, a in test.pairs], dtype=np.int64),
-        test_nonconf=test_nonconf,
-        test_ranks=test_ranks,
-        test_masks=test_masks,
+        test_raw=[score_matrix.get(q) for q, _ in test.pairs],
+        test_masks=[mask_for(q, a) for q, a in test.pairs],
         predicate_vectors=pred_vecs,
         model=model,
     )
@@ -271,31 +262,54 @@ def calibrate(config: ExperimentConfig, seed: int, data: RunData,
     }
 
 
-def _predict_all(model: conformal.CalibratedModel, data: RunData, test_idx: np.ndarray) -> list[np.ndarray]:
-    return [conformal.predict_set(model, int(data.test_predicates[j]), data.test_nonconf[j],
-                                  data.test_ranks[j], data.test_masks[j]) for j in test_idx]
+def _outcomes(config: ExperimentConfig, seed: int, data: RunData,
+              filters: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Set size and answer hit of every test pair under each filter, in one blocked pass.
+
+    A filter is a per-test-pair (score threshold, rank cutoff) pair of arrays.
+    Each block of test rows gets its nonconformity (query index
+    ``len(calib) + j``: calibration and test pairs share one index space, so
+    every APS/RAPS pair draws its own u) and its masked entities set to -inf,
+    then :func:`conformal.set_outcomes` reduces it.  Returns ``(sizes, hits)``,
+    each shaped ``(len(filters), n_test)``.
+    """
+    thresholds = np.stack([t for t, _ in filters])
+    cutoffs = np.stack([k for _, k in filters])
+    sizes = np.empty(thresholds.shape, dtype=np.int64)
+    hits = np.empty(thresholds.shape, dtype=bool)
+    scorer = config.scorer_config(seed)
+    offset = len(data.calib.pairs)
+    n_test = len(data.test.pairs)
+    for start in range(0, n_test, EVAL_BLOCK_ROWS):
+        rows = np.arange(start, min(start + EVAL_BLOCK_ROWS, n_test))
+        nonconf = np.stack([scores.nonconformity(data.test_raw[j], scorer, query_index=offset + j) for j in rows])
+        raw = np.stack([data.test_raw[j] for j in rows])
+        for i, j in enumerate(rows):
+            raw[i, list(data.test_masks[j])] = -np.inf
+        sizes[:, rows], hits[:, rows] = conformal.set_outcomes(nonconf, raw, data.test_answers[rows],
+                                                               thresholds[:, rows], cutoffs[:, rows])
+    return sizes, hits
 
 
 def _prop1_bound_checks(model: conformal.CalibratedModel, data: RunData, direction: str | None,
                         cal_idx: np.ndarray, test_idx: np.ndarray,
-                        prediction_sets: list[np.ndarray]) -> dict[tuple[str | None, int], bool]:
+                        hits: np.ndarray) -> dict[tuple[str | None, int], bool]:
     """Point check of the per-part conditional coverage bounds on one direction group's test pairs.
 
-    Keyed ``(direction, part)``; n_g counts the group's own calibration pairs.
+    ``hits`` flags the group's test pairs whose set holds the answer.  Keyed
+    ``(direction, part)``; n_g counts the group's own calibration pairs.
     """
     partition = model.partition
     calib_part = np.array([partition.part_of[int(r)] for r in data.calib_predicates[cal_idx]], dtype=np.int64)
-    covered: dict[int, list[bool]] = {}
-    for j, members in zip(test_idx, prediction_sets):
-        g = partition.part_of[int(data.test_predicates[j])]
-        covered.setdefault(g, []).append(int(data.test_answers[j]) in members)
+    test_part = np.array([partition.part_of[int(r)] for r in data.test_predicates[test_idx]], dtype=np.int64)
     checks: dict[tuple[str | None, int], bool] = {}
-    for g, flags in covered.items():
+    for g in np.unique(test_part).tolist():
+        flags = hits[test_part == g]
         pc = model.per_part[g]
         n_g = int(np.count_nonzero(calib_part == g))
         lower = 1 - model.epsilon - (1 - model.gamma) * pc.rank_miscoverage
         upper = 1 - model.epsilon + model.gamma * pc.rank_miscoverage + 1.0 / (n_g + 1)
-        slack = 3.0 * math.sqrt(0.25 / len(flags))  # binomial half-width at 3 SE
+        slack = 3.0 * math.sqrt(0.25 / flags.size)  # binomial half-width at 3 SE
         cov = float(np.mean(flags))
         checks[(direction, g)] = (lower - slack) <= cov <= (upper + slack)
     return checks
@@ -305,52 +319,60 @@ def evaluate(config: ExperimentConfig, seed: int, data: RunData,
              fitted: dict[tuple, conformal.CalibratedModel]) -> list[metrics.EvaluationReport]:
     """Reports of the models :func:`calibrate` fitted, one per (epsilon, method).
 
-    Each method's prediction sets are scored against kgcp's (EF); condkgcp
-    reports also carry the shrinkage diagnostics and the Prop-1 bound checks.
+    Each method's sets are scored against kgcp's (EF); condkgcp reports also
+    carry the shrinkage diagnostics, against the part-level mcp on the same
+    partition, and the Prop-1 bound checks.  No set is materialised: every
+    test pair reduces to its set size and answer hit (:func:`_outcomes`).
     """
+    groups = list(_direction_groups(data, config.split_directions))
+    n_entities = data.kg.vocab.n_entities
+    # (label, epsilon) -> the model of each direction group; "part-mcp" is condkgcp's score-only reference
+    per_group: dict[tuple[str, float], list[conformal.CalibratedModel]] = {}
+    for epsilon in config.epsilons:
+        for method in _fitted_methods(config):
+            per_group[(method, epsilon)] = [fitted[(method, direction, epsilon)] for direction, _, _ in groups]
+        if "condkgcp" in config.methods:
+            per_group[("part-mcp", epsilon)] = [
+                conformal.fit_part_mcp(data.calib_predicates[cal_idx], data.calib_nonconf[cal_idx],
+                                       cond.partition, epsilon, n_entities)
+                for (_, cal_idx, _), cond in zip(groups, per_group[("condkgcp", epsilon)])
+            ]
+
+    filters = []
+    for group_models in per_group.values():
+        # NaN: a pair outside every direction group gets an empty set
+        thresholds = np.full(len(data.test.pairs), np.nan)
+        cutoffs = np.full(len(data.test.pairs), n_entities, dtype=np.int64)
+        for (_, _, test_idx), model in zip(groups, group_models):
+            thresholds[test_idx], cutoffs[test_idx] = conformal.query_filters(
+                model, data.test_predicates[test_idx], n_entities)
+        filters.append((thresholds, cutoffs))
+    sizes, hits = _outcomes(config, seed, data, filters)
+    outcome = {key: (sizes[f], hits[f]) for f, key in enumerate(per_group)}
+
     reports: list[metrics.EvaluationReport] = []
     for epsilon in config.epsilons:
-        per_method_sets = {m: [None] * len(data.test.pairs) for m in _fitted_methods(config)}
-        shrinkage: list[conformal.ShrinkageReport] = []
-        bound_checks: dict[tuple[str | None, int], bool] = {}
-        for direction, cal_idx, test_idx in _direction_groups(data, config.split_directions):
-            for method in per_method_sets:
-                model = fitted[(method, direction, epsilon)]
-                sets = _predict_all(model, data, test_idx)
-                for j, members in zip(test_idx, sets):
-                    per_method_sets[method][j] = members
-                if method == "condkgcp":
-                    mcp_star = conformal.fit_part_mcp(
-                        data.calib_predicates[cal_idx], data.calib_nonconf[cal_idx],
-                        model.partition, epsilon, data.kg.vocab.n_entities,
-                    )
-                    queries = (
-                        (int(data.test_predicates[j]), data.test_nonconf[j], data.test_ranks[j], data.test_masks[j])
-                        for j in test_idx
-                    )
-                    shrinkage.append(conformal.verify_shrinkage(model, mcp_star, queries))
-                    bound_checks.update(_prop1_bound_checks(model, data, direction, cal_idx, test_idx, sets))
-
-        reference = metrics.evaluate_predictions(
-            "kgcp", epsilon, seed, data.test_predicates, data.test_answers,
-            per_method_sets["kgcp"], config.macro_avesize,
-        )
+        by_method = {method: metrics.evaluate_outcomes(method, epsilon, seed, data.test_predicates,
+                                                       *outcome[(method, epsilon)], config.macro_avesize)
+                     for method in _fitted_methods(config)}
+        reference = by_method["kgcp"]
         for method in config.methods:
-            if method == "kgcp":
-                report = reference
-            else:
-                report = metrics.evaluate_predictions(
-                    method, epsilon, seed, data.test_predicates, data.test_answers,
-                    per_method_sets[method], config.macro_avesize,
-                )
-                report.ef = metrics.efficiency_rate(
-                    report.covgap, report.avesize, reference.covgap, reference.avesize,
-                )
-            if method == "condkgcp" and shrinkage:
-                report.csr = float(np.nanmean([s.csr for s in shrinkage]))
-                report.sigma_bar = float(np.nanmean([s.sigma_bar for s in shrinkage]))
-                report.bound_checks = bound_checks
-            reports.append(report)
+            rep = by_method[method]
+            if method != "kgcp":
+                rep.ef = metrics.efficiency_rate(rep.covgap, rep.avesize, reference.covgap, reference.avesize)
+            if method == "condkgcp":
+                dual_sizes, dual_hits = outcome[("condkgcp", epsilon)]
+                score_only_sizes = outcome[("part-mcp", epsilon)][0]
+                shrinkage = []
+                for (direction, cal_idx, test_idx), model in zip(groups, per_group[("condkgcp", epsilon)]):
+                    shrinkage.append(conformal.verify_shrinkage(
+                        model.partition, data.test_predicates[test_idx],
+                        dual_sizes[test_idx], score_only_sizes[test_idx]))
+                    rep.bound_checks.update(_prop1_bound_checks(model, data, direction, cal_idx, test_idx,
+                                                                dual_hits[test_idx]))
+                rep.csr = float(np.nanmean([s.csr for s in shrinkage]))
+                rep.sigma_bar = float(np.nanmean([s.sigma_bar for s in shrinkage]))
+            reports.append(rep)
     return reports
 
 

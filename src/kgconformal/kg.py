@@ -22,6 +22,7 @@ __all__ = [
     "build_answer_index",
     "load_kg",
     "make_queries",
+    "rank_cuts",
     "rank_of",
     "split_triples",
 ]
@@ -271,3 +272,25 @@ def candidate_ranks(scores: np.ndarray, filter_mask=None) -> np.ndarray:
     ranks = m - below
     ranks[~keep] = 0
     return ranks.astype(np.int64)
+
+
+def rank_cuts(masked_scores: np.ndarray, cutoffs) -> np.ndarray:
+    """Score cuts equivalent to top-``k`` rank filters, one per (row, cutoff).
+
+    ``masked_scores`` holds one query per row, finite except for masked
+    entities, which are -inf; ``cutoffs`` holds each row's rank cutoffs
+    (shape ``(rows, m)``).  The cut for cutoff ``k`` is the (k+1)-th largest
+    unmasked score, or -inf when ``k`` is at least the number of unmasked
+    entities.  For an unmasked entity ``e``,
+    ``candidate_ranks(scores, mask)[e] <= k`` holds exactly when
+    ``scores[e] > cut``, ties included: a pessimistic rank counts the
+    candidates scoring ``>= scores[e]``, and at most ``k`` of them do exactly
+    when the (k+1)-th largest score lies below ``scores[e]``.  Masked
+    entities never pass the cut.
+    """
+    ordered = np.sort(masked_scores, axis=1)
+    n = ordered.shape[1]
+    cutoffs = np.asarray(cutoffs, dtype=np.int64)
+    # the (k+1)-th largest is ascending position n-1-k; masked entries (-inf) fill the bottom
+    cuts = np.take_along_axis(ordered, np.clip(n - 1 - cutoffs, 0, None), axis=1)
+    return np.where(cutoffs < n, cuts, -np.inf)

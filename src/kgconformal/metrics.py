@@ -13,6 +13,7 @@ __all__ = [
     "coverage_per_predicate",
     "covgap",
     "efficiency_rate",
+    "evaluate_outcomes",
     "evaluate_predictions",
 ]
 
@@ -21,14 +22,18 @@ EF_FAILURE = "failure"
 
 def coverage_per_predicate(predicates, answers, prediction_sets) -> dict[int, float]:
     """Empirical coverage per predicate: fraction of test answers inside their set."""
-    hits: dict[int, int] = {}
-    totals: dict[int, int] = {}
-    for r, answer, members in zip(predicates, answers, prediction_sets):
-        r = int(r)
-        totals[r] = totals.get(r, 0) + 1
-        if answer in members:
-            hits[r] = hits.get(r, 0) + 1
-    return {r: hits.get(r, 0) / totals[r] for r in sorted(totals)}
+    return _coverage(predicates, _hits(answers, prediction_sets))
+
+
+def _hits(answers, prediction_sets) -> list[bool]:
+    return [answer in members for answer, members in zip(answers, prediction_sets)]
+
+
+def _coverage(predicates, hits) -> dict[int, float]:
+    predicates = np.asarray(predicates, dtype=np.int64)
+    totals = np.bincount(predicates)
+    covered = np.bincount(predicates[np.asarray(hits, dtype=bool)], minlength=totals.size)
+    return {int(r): int(covered[r]) / int(totals[r]) for r in np.flatnonzero(totals)}
 
 
 def covgap(coverage: dict[int, float], epsilon: float) -> float:
@@ -41,7 +46,11 @@ def covgap(coverage: dict[int, float], epsilon: float) -> float:
 
 def avesize(prediction_sets, predicates=None, macro: bool = False) -> float:
     """Mean prediction-set size over test pairs (or macro-averaged over predicates)."""
-    sizes = np.array([len(m) for m in prediction_sets], dtype=np.float64)
+    return _mean_size([len(m) for m in prediction_sets], predicates, macro)
+
+
+def _mean_size(sizes, predicates, macro: bool) -> float:
+    sizes = np.asarray(sizes, dtype=np.float64)
     if sizes.size == 0:
         raise ValueError("no prediction sets")
     if not macro:
@@ -92,14 +101,22 @@ class EvaluationReport:
 def evaluate_predictions(method: str, epsilon: float, seed: int,
                          predicates, answers, prediction_sets,
                          macro_avesize: bool = False) -> EvaluationReport:
-    coverage = coverage_per_predicate(predicates, answers, prediction_sets)
+    """Report of explicit prediction sets (see :func:`evaluate_outcomes`)."""
+    return evaluate_outcomes(method, epsilon, seed, predicates, [len(m) for m in prediction_sets],
+                             _hits(answers, prediction_sets), macro_avesize)
+
+
+def evaluate_outcomes(method: str, epsilon: float, seed: int, predicates, sizes, hits,
+                      macro_avesize: bool = False) -> EvaluationReport:
+    """Report from each test pair's set size and whether its set holds the answer."""
+    coverage = _coverage(predicates, hits)
     return EvaluationReport(
         method=method,
         epsilon=epsilon,
         seed=seed,
         coverage=coverage,
         covgap=covgap(coverage, epsilon),
-        avesize=avesize(prediction_sets, predicates, macro=macro_avesize),
+        avesize=_mean_size(sizes, predicates, macro_avesize),
     )
 
 

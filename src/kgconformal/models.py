@@ -362,25 +362,32 @@ def import_scores(path: str | Path, required_queries=None) -> ScoreMatrix:
 
 
 def _import_scores_binary(path: Path) -> ScoreMatrix:
-    data = path.read_bytes()
-    if data[:4] != SCORE_MAGIC:
-        raise KGError(f"{path}: bad magic, not a score-matrix file")
-    n_ent, n_queries = struct.unpack_from("<II", data, 4)
-    offset = 12
-    rec_header = struct.Struct("<BII")
-    vec_bytes = 8 * n_ent
-    vectors = {}
-    for _ in range(n_queries):
-        if offset + rec_header.size + vec_bytes > len(data):
+    """Read the file into one array of packed records; each query's vector is a row of it."""
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        header = fh.read(12)
+        if header[:4] != SCORE_MAGIC:
+            raise KGError(f"{path}: bad magic, not a score-matrix file")
+        if len(header) < 12:
+            raise KGError(f"{path}: truncated header")
+        n_ent, n_queries = struct.unpack_from("<II", header, 4)
+        record = np.dtype([("direction", "u1"), ("anchor", "<u4"), ("predicate", "<u4"), ("scores", "<f8", (n_ent,))])
+        expected = 12 + n_queries * record.itemsize
+        if size < expected:
             raise KGError(f"{path}: truncated record (length mismatch vs |E|={n_ent})")
-        code, anchor, predicate = rec_header.unpack_from(data, offset)
-        offset += rec_header.size
-        vec = np.frombuffer(data, dtype="<f8", count=n_ent, offset=offset).copy()
-        offset += vec_bytes
-        vectors[(_DIR_FROM_CODE[code].value, anchor, predicate)] = vec
-    if offset != len(data):
-        raise KGError(f"{path}: trailing bytes (length mismatch vs |E|={n_ent})")
-    return ScoreMatrix(n_entities=n_ent, vectors=vectors)
+        if size > expected:
+            raise KGError(f"{path}: trailing bytes (length mismatch vs |E|={n_ent})")
+        records = np.fromfile(fh, dtype=record, count=n_queries)
+    codes = records["direction"]
+    if np.any(codes > 1):
+        raise KGError(f"{path}: direction code {int(codes[codes > 1][0])} is neither 0 (tail) nor 1 (head)")
+    keys = [(_DIR_FROM_CODE[c].value, a, p) for c, a, p in
+            zip(codes.tolist(), records["anchor"].tolist(), records["predicate"].tolist())]
+    rows = records["scores"]
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise KGError(f"{path}: non-finite score for query {keys[bad[0]]}")
+    return ScoreMatrix(n_entities=n_ent, vectors=dict(zip(keys, rows)))
 
 
 def _import_scores_csv(path: Path) -> ScoreMatrix:
@@ -396,6 +403,8 @@ def _import_scores_csv(path: Path) -> ScoreMatrix:
                 raise KGError(f"{path}:{lineno}: length mismatch vs |E|={n_ent}")
             key = (Direction(row[0]).value, int(row[1]), int(row[2]))
             vectors[key] = np.array([float(v) for v in row[3:]])
+            if not np.all(np.isfinite(vectors[key])):
+                raise KGError(f"{path}:{lineno}: non-finite score for query {key}")
     return ScoreMatrix(n_entities=n_ent, vectors=vectors)
 
 

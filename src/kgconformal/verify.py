@@ -172,14 +172,13 @@ def shrinkage_check(gamma: float = 0.5, epsilon: float = 0.1, n_resamples: int =
         partition = conformal.build_partition(cal_preds, pred_vectors, phi)
         cond = conformal.fit_condkgcp(cal_preds, cal_nonconf, cal_ranks, partition, epsilon, gamma)
         mcp_star = conformal.fit_part_mcp(cal_preds, cal_nonconf, partition, epsilon, n_entities)
-        report = conformal.verify_shrinkage(cond, mcp_star, iter(test_records))
-
-        size_cond = np.mean([
-            conformal.predict_set(cond, g, nc, rk, mask).size for g, nc, rk, mask in test_records
-        ])
-        size_star = np.mean([
-            conformal.predict_set(mcp_star, g, nc, rk, mask).size for g, nc, rk, mask in test_records
-        ])
+        sizes_cond, sizes_star = (
+            np.array([conformal.predict_set(model, g, nc, rk, mask).size for g, nc, rk, mask in test_records])
+            for model in (cond, mcp_star)
+        )
+        report = conformal.verify_shrinkage(partition, [g for g, *_ in test_records], sizes_cond, sizes_star)
+        size_cond = np.mean(sizes_cond)
+        size_star = np.mean(sizes_star)
         if all(s <= 1.0 for s in report.sigma_per_part.values()) and size_cond > size_star:
             implication_holds = False
         sigma_bars.append(report.sigma_bar)

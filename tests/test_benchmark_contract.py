@@ -24,13 +24,23 @@ def checks():
     return module
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_run_single_equals_primitive_reference(checks, seed):
+# (seed, scorer, filtered); ids "0" and "1" are the softmax, filtered cases
+CASES = [(0, "softmax", True), (1, "softmax", True)] + [
+    (0, kind, filtered) for kind in ("softmax", "aps", "raps") for filtered in (True, False)
+    if (kind, filtered) != ("softmax", True)
+]
+
+
+@pytest.mark.parametrize("seed, scorer, filtered", CASES,
+                         ids=["0", "1"] + [f"{k}-{'filtered' if f else 'raw'}" for _, k, f in CASES[2:]])
+def test_run_single_equals_primitive_reference(checks, seed, scorer, filtered):
+    # APS/RAPS draw one u per pair from its run-wide query index, so these cases pin the
+    # test pairs' offset behind the calibration pairs
     config = experiment.ExperimentConfig(
         synthetic=dict(n_entities=60, n_predicates=4, triple_counts=[200, 100, 50, 25],
                        noise_rates=0.1, n_clusters=4),
         model_kind="transe", dim=8, epochs=5, methods=["kgcp", "mcp", "condkgcp"],
-        epsilons=[0.1, 0.2], gamma=0.5, phi=25, seeds=[seed],
+        epsilons=[0.1, 0.2], gamma=0.5, phi=25, seeds=[seed], scorer={"kind": scorer}, filtered=filtered,
     )
     kg = experiment.load_or_generate_kg(config, seed)
     reports = experiment.run_single(config, seed, data=experiment.prepare_run(config, seed, kg=kg))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from kgconformal import cli
-from kgconformal.experiment import ExperimentConfig
-from kgconformal.models import load_model, save_model
+from kgconformal.experiment import ExperimentConfig, load_or_generate_kg
+from kgconformal.kg import make_queries
+from kgconformal.models import export_scores, import_scores, load_model, save_model
 from kgconformal.verify import CheckResult
 
 
@@ -139,6 +140,24 @@ class TestExitCodes:
         assert cli.main(["score", "--config", str(config)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "non-finite score" in err and "'score' stage" in err
+
+    def test_non_finite_imported_score_names_file_and_query(self, tmp_path, dataset, capsys):
+        config = write_config(tmp_path, dataset)
+        for stage in ("train", "score"):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        kg = load_or_generate_kg(ExperimentConfig.load(config), 0)
+        calib_keys = {q.key() for q, _ in make_queries(kg.splits["valid"]).pairs}
+        # a query only test pairs ask: no calibration score or rank ever reads its row
+        key = next(q.key() for q, _ in make_queries(kg.splits["test"]).pairs if q.key() not in calib_keys)
+        scores_file = tmp_path / "out" / "scores_s0.bin"
+        matrix = import_scores(scores_file)
+        matrix.vectors[key][3] = np.nan
+        export_scores(matrix, scores_file)
+        capsys.readouterr()
+        for stage in ("calibrate", "evaluate"):
+            assert cli.main([stage, "--config", str(config)]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert str(scores_file) in err and f"non-finite score for query {key}" in err
 
     @pytest.mark.parametrize("content", [
         '{"epsilon": 0.1}',

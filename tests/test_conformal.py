@@ -13,9 +13,12 @@ from kgconformal.conformal import (
     fit_part_mcp,
     predict_set,
     quantile,
+    query_filters,
     rank_threshold,
+    set_outcomes,
     verify_shrinkage,
 )
+from kgconformal.kg import candidate_ranks
 
 
 def thresholds(model):
@@ -280,6 +283,49 @@ class TestPredictSet:
         assert set(large.tolist()) <= set(small.tolist())
 
 
+class TestSetOutcomes:
+    """The blocked (size, hit) pass against predict_set with candidate ranks."""
+
+    @pytest.mark.parametrize("method", ["kgcp", "mcp", "part-mcp", "condkgcp"])
+    def test_sizes_and_hits_equal_predict_set(self, method):
+        rng = np.random.default_rng(12)
+        n_entities, n_predicates, n_queries = 12, 4, 60
+        preds = np.repeat([0, 1, 2], 20)  # predicate 3 has no calibration pairs
+        nonconf_true = rng.integers(0, 5, size=60) / 4
+        # part of predicate 0 gets a small cutoff, the others one at least the unmasked count
+        ranks_true = np.where(preds == 0, rng.integers(1, 4, size=60), rng.integers(10, 13, size=60))
+        partition = build_partition(preds, np.array([[0.0], [5.0], [9.0], [5.5]]), phi=5)
+        model = {
+            "kgcp": lambda: fit_kgcp(nonconf_true, 0.2),
+            "mcp": lambda: fit_mcp(preds, nonconf_true, 0.2, n_predicates),
+            "part-mcp": lambda: fit_part_mcp(preds, nonconf_true, partition, 0.2, n_entities),
+            "condkgcp": lambda: fit_condkgcp(preds, nonconf_true, ranks_true, partition, 0.2, gamma=0.5),
+        }[method]()
+
+        raw = rng.integers(-2, 3, size=(n_queries, n_entities)).astype(float)  # tied scores
+        nonconf = rng.integers(0, 7, size=(n_queries, n_entities)) / 4  # ties with the thresholds
+        predicates = rng.integers(0, n_predicates, size=n_queries)
+        answers = rng.integers(0, n_entities, size=n_queries)
+        masks = [set(rng.choice(n_entities, size=rng.integers(0, 6), replace=False).tolist()) - {int(a)}
+                 for a in answers]
+        masked = raw.copy()
+        for i, mask in enumerate(masks):
+            masked[i, list(mask)] = -np.inf
+        thresholds_, cutoffs = query_filters(model, predicates, n_entities)
+        sizes, hits = set_outcomes(nonconf, masked, answers, thresholds_[None, :], cutoffs[None, :])
+
+        for i, mask in enumerate(masks):
+            members = predict_set(model, int(predicates[i]), nonconf[i], candidate_ranks(raw[i], mask), mask)
+            assert sizes[0, i] == members.size
+            assert hits[0, i] == (answers[i] in members)
+        unmasked = n_entities - np.array([len(m) for m in masks])
+        if method == "mcp":
+            assert np.any(thresholds_ == math.inf)
+        if method == "condkgcp":
+            assert np.any(cutoffs < unmasked) and np.any(cutoffs >= unmasked)
+        assert 0 < sizes.sum() < masked.size and 0 < hits.sum() < n_queries
+
+
 class TestSerialization:
     def test_round_trip_condkgcp(self):
         rng = np.random.default_rng(8)
@@ -328,6 +374,12 @@ class TestSerialization:
         assert thresholds(CalibratedModel.from_json(model.to_json())) == {0: math.inf}
 
 
+def shrinkage_of(cond, star, queries):
+    """verify_shrinkage on the set sizes predict_set gives each (predicate, nonconf, ranks, mask) query."""
+    sizes = [[predict_set(model, *query).size for query in queries] for model in (cond, star)]
+    return verify_shrinkage(cond.partition, [query[0] for query in queries], *sizes)
+
+
 class TestShrinkage:
     def test_sigma_one_when_filters_coincide(self):
         rng = np.random.default_rng(9)
@@ -339,7 +391,7 @@ class TestShrinkage:
         assert cond.per_part[0].rank_cutoff == star.per_part[0].rank_cutoff == 30
         assert cond.per_part[0].rank_miscoverage == star.per_part[0].rank_miscoverage == 0.0
         queries = [(0, rng.uniform(size=30), rng.permutation(30) + 1, set()) for _ in range(10)]
-        report = verify_shrinkage(cond, star, iter(queries))
+        report = shrinkage_of(cond, star, queries)
         assert report.sigma_per_part[0] == pytest.approx(1.0)
         assert report.csr == 1.0
 
@@ -354,7 +406,7 @@ class TestShrinkage:
         assert star.per_part[0].rank_cutoff == 20
         # all 20 candidates pass the score filter; ranks 1..20 so cutoff 10 keeps half
         queries = [(0, np.zeros(20), np.arange(1, 21), set()) for _ in range(5)]
-        report = verify_shrinkage(cond, star, iter(queries))
+        report = shrinkage_of(cond, star, queries)
         assert report.sigma_per_part[0] == pytest.approx(0.5)
 
     def test_empty_part_skipped(self):
@@ -365,5 +417,5 @@ class TestShrinkage:
         cond = fit_condkgcp(preds, nonconf, np.ones(60, dtype=int), partition, 0.1, gamma=0.0)
         star = fit_part_mcp(preds, nonconf, partition, 0.1, n_entities=20)
         queries = [(0, rng.uniform(size=20), rng.permutation(20) + 1, set())]
-        report = verify_shrinkage(cond, star, iter(queries))
+        report = shrinkage_of(cond, star, queries)
         assert 1 in report.skipped_parts

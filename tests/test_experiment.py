@@ -54,8 +54,8 @@ class TestPrepareRun:
         n_cal, n_test = len(data.calib.pairs), len(data.test.pairs)
         assert data.calib_nonconf.shape == (n_cal,)
         assert data.calib_ranks.shape == (n_cal,)
-        assert len(data.test_nonconf) == n_test
-        assert all(v.shape == (40,) for v in data.test_nonconf)
+        assert len(data.test_raw) == len(data.test_masks) == n_test
+        assert all(v.shape == (40,) for v in data.test_raw)
         assert np.all(data.calib_ranks >= 1)
         assert data.predicate_vectors.shape[0] == 3
 

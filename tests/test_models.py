@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,17 @@ class TestPersistence:
         from kgconformal.kg import KGError
 
         with pytest.raises(KGError, match="length mismatch"):
+            import_scores(path)
+
+    @pytest.mark.parametrize("fmt, suffix", [("binary", ".bin"), ("csv", ".csv")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_names_file_and_query(self, tmp_path, fmt, suffix, bad):
+        matrix, queries = self.score_matrix()
+        matrix.vectors[queries[4].key()][2] = bad
+        path = tmp_path / f"scores{suffix}"
+        export_scores(matrix, path, fmt=fmt)
+        key = re.escape(str(queries[4].key()))
+        with pytest.raises(KGError, match=rf"{path.name}.*non-finite score for query {key}"):
             import_scores(path)
 
     def test_missing_required_query(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Property tests: ranks under tied scores, the calibration rank cutoff and the conformal quantile."""
+"""Property tests: ranks and rank cuts under tied scores, the calibration rank cutoff and the conformal quantile."""
 
 import math
 from fractions import Fraction
@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kgconformal.conformal import quantile, rank_threshold
-from kgconformal.kg import candidate_ranks, rank_of
+from kgconformal.kg import candidate_ranks, rank_cuts, rank_of
 
 
 @st.composite
@@ -32,6 +32,19 @@ def test_candidate_ranks_match_rank_of_and_brute_force_under_ties(case):
             assert ranks[e] == 0
         else:
             assert ranks[e] == rank_of(scores, e, mask) == sum(scores[c] >= scores[e] for c in kept)
+
+
+@given(tied_scores_and_mask())
+def test_rank_cut_selects_exactly_the_ranks_within_the_cutoff_under_ties(case):
+    scores, mask = case
+    ranks = candidate_ranks(scores, mask)
+    masked = scores.copy()
+    masked[list(mask)] = -np.inf
+    n = scores.size
+    cuts = rank_cuts(masked[None, :], np.arange(n + 2)[None, :])[0]
+    for k in range(n + 2):
+        within = {e for e in range(n) if e not in mask and ranks[e] <= k}
+        assert {e for e in range(n) if masked[e] > cuts[k]} == within
 
 
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=60), st.integers(1, 999))
