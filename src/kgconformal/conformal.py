@@ -349,14 +349,19 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, answers, threshold
     :func:`query_filters`).  A set is ``(nonconf <= threshold) & (raw > cut)``
     with the rank cutoff as a score cut (:func:`kg.rank_cuts`), so sizes and
     hits equal those of :func:`predict_set` given candidate ranks and the mask.
+    A filter whose every cut is -inf (no rank filter, as in kgcp and mcp)
+    shares one ``raw > -inf`` compare, the mask, with the other such filters.
     Returns ``(sizes, hits)`` shaped like ``thresholds``.
     """
     cuts = rank_cuts(masked_raw, cutoffs.T).T
     at_answer = (np.arange(masked_raw.shape[0]), np.asarray(answers))
     hits = (nonconf[at_answer] <= thresholds) & (masked_raw[at_answer] > cuts)
+    ranked = np.isfinite(cuts).any(axis=1)
+    unmasked = masked_raw > -np.inf
     sizes = np.empty(thresholds.shape, dtype=np.int64)
     for f in range(thresholds.shape[0]):
-        member = (nonconf <= thresholds[f, :, None]) & (masked_raw > cuts[f, :, None])
+        member = nonconf <= thresholds[f, :, None]
+        member &= (masked_raw > cuts[f, :, None]) if ranked[f] else unmasked
         sizes[f] = np.count_nonzero(member, axis=1)
     return sizes, hits
 

@@ -163,6 +163,9 @@ def prepare_run(config: ExperimentConfig, seed: int,
             score_matrix = models.ScoreMatrix.from_model(model, all_queries)
     else:
         score_matrix.require(all_queries)
+    if score_matrix.n_entities != kg.vocab.n_entities:
+        raise KGError(f"{score_matrix.source}: {score_matrix.n_entities} score columns, "
+                      f"but the KG has {kg.vocab.n_entities} entities")
 
     if predicate_vectors is not None:
         pred_vecs = predicate_vectors

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +65,8 @@ class EmbeddingModel:
     entity_embeddings: np.ndarray
     predicate_embeddings: np.ndarray
     norm: int = 1  # TransE only, p in {1, 2}
+    # (|E|, width) workspace that :func:`score` reuses across calls; never saved or compared
+    _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -87,23 +89,39 @@ def _complex_parts(mat: np.ndarray, dim: int):
 
 
 def score(model: EmbeddingModel, query: Query) -> np.ndarray:
-    """Plausibility score of every candidate entity in the missing slot."""
+    """Plausibility score of every candidate entity in the missing slot.
+
+    TransE writes its ``|E| x dim`` difference into the model's workspace, so
+    a call allocates only the returned row.  The ufuncs and the C-contiguous
+    layout are those of the plain expression ``-abs(diff).sum(axis=1)``, so
+    the row is the same to the last bit.  Calls on one model must not run
+    concurrently.
+    """
     ent = model.entity_embeddings
     r = model.predicate_embeddings[query.predicate]
     anchor = ent[query.anchor]
 
     if model.kind == "transe":
+        diff = model._scratch
+        if diff is None or diff.shape != ent.shape:
+            diff = model._scratch = np.empty(ent.shape)
         if query.direction is Direction.TAIL:
-            diff = (anchor + r)[None, :] - ent
+            np.subtract(anchor + r, ent, out=diff)
         else:
-            diff = ent + r[None, :] - anchor[None, :]
+            np.add(ent, r, out=diff)
+            np.subtract(diff, anchor, out=diff)
+        out = np.empty(ent.shape[0])
         if model.norm == 1:
-            out = -np.abs(diff).sum(axis=1)
+            np.abs(diff, out=diff)
+            diff.sum(axis=1, out=out)
         else:
-            out = -np.sqrt((diff * diff).sum(axis=1))
+            np.multiply(diff, diff, out=diff)
+            diff.sum(axis=1, out=out)
+            np.sqrt(out, out=out)
+        np.negative(out, out=out)
     elif model.kind == "distmult":
         out = ent @ (anchor * r)
-    else:  # complex
+    else:  # complex: gemv on the strided [real | imag] views needs no |E| x dim temporary
         d = model.dim
         ar, ai = anchor[:d], anchor[d:]
         rr, ri = r[:d], r[d:]
@@ -306,6 +324,7 @@ class ScoreMatrix:
 
     n_entities: int
     vectors: dict[tuple[str, int, int], np.ndarray]
+    source: str = "score matrix"  # the file it was imported from, for error messages
 
     def get(self, query: Query) -> np.ndarray:
         key = query.key()
@@ -356,6 +375,7 @@ def import_scores(path: str | Path, required_queries=None) -> ScoreMatrix:
         matrix = _import_scores_csv(path)
     else:
         matrix = _import_scores_binary(path)
+    matrix.source = str(path)
     if required_queries is not None:
         matrix.require(required_queries)
     return matrix
@@ -401,8 +421,11 @@ def _import_scores_csv(path: Path) -> ScoreMatrix:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 3 + n_ent:
                 raise KGError(f"{path}:{lineno}: length mismatch vs |E|={n_ent}")
-            key = (Direction(row[0]).value, int(row[1]), int(row[2]))
-            vectors[key] = np.array([float(v) for v in row[3:]])
+            try:
+                key = (Direction(row[0]).value, int(row[1]), int(row[2]))
+                vectors[key] = np.array([float(v) for v in row[3:]])
+            except ValueError as exc:
+                raise KGError(f"{path}:{lineno}: malformed row ({exc})") from None
             if not np.all(np.isfinite(vectors[key])):
                 raise KGError(f"{path}:{lineno}: non-finite score for query {key}")
     return ScoreMatrix(n_entities=n_ent, vectors=vectors)

@@ -159,6 +159,23 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert str(scores_file) in err and f"non-finite score for query {key}" in err
 
+    @pytest.mark.parametrize("extra", [10, -10], ids=["wider", "narrower"])
+    def test_score_matrix_width_must_match_kg(self, tmp_path, dataset, capsys, extra):
+        config = write_config(tmp_path, dataset)
+        for stage in ("train", "score"):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        scores_file = tmp_path / "out" / "scores_s0.bin"
+        matrix = import_scores(scores_file)
+        width = matrix.n_entities + extra
+        matrix.vectors = {key: np.resize(vec, width) for key, vec in matrix.vectors.items()}
+        matrix.n_entities = width
+        export_scores(matrix, scores_file)
+        capsys.readouterr()
+        for stage in ("calibrate", "evaluate"):
+            assert cli.main([stage, "--config", str(config)]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"{scores_file}: {width} score columns, but the KG has 40 entities" in err
+
     @pytest.mark.parametrize("content", [
         '{"epsilon": 0.1}',
         '{"method": "kgcp", "epsilon": 0.1, "gamma": 0.0, "partition": null, "per_part": {"0": {"k_h',

@@ -8,7 +8,9 @@ from kgconformal.experiment import (
     run_single,
     tune_condkgcp,
 )
+from kgconformal.kg import KGError
 from kgconformal.metrics import EF_FAILURE
+from kgconformal.models import ScoreMatrix
 
 
 def tiny_config(**kw):
@@ -65,6 +67,15 @@ class TestPrepareRun:
         b = prepare_run(config, 0)
         assert np.array_equal(a.calib_nonconf, b.calib_nonconf)
         assert np.array_equal(a.calib_ranks, b.calib_ranks)
+
+    def test_score_matrix_width_must_match_kg(self):
+        config = tiny_config()
+        data = prepare_run(config, 0)
+        matrix = ScoreMatrix.from_model(data.model, [q for q, _ in data.calib.pairs + data.test.pairs])
+        matrix.vectors = {key: vec[:-1] for key, vec in matrix.vectors.items()}
+        matrix.n_entities -= 1
+        with pytest.raises(KGError, match="^score matrix: 39 score columns, but the KG has 40 entities$"):
+            prepare_run(config, 0, score_matrix=matrix, model=data.model)
 
     def test_unfiltered_masks_empty(self):
         data = prepare_run(tiny_config(filtered=False), 0)

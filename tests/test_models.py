@@ -126,6 +126,86 @@ class TestScore:
         assert model.predicate_embeddings[1][0] != 99.0
 
 
+def oracle_score(model, query):
+    """``score`` as plain per-query numpy expressions, with fresh temporaries."""
+    ent = model.entity_embeddings
+    r = model.predicate_embeddings[query.predicate]
+    anchor = ent[query.anchor]
+    if model.kind == "transe":
+        if query.direction is Direction.TAIL:
+            diff = (anchor + r)[None, :] - ent
+        else:
+            diff = ent + r[None, :] - anchor[None, :]
+        if model.norm == 1:
+            return -np.abs(diff).sum(axis=1)
+        return -np.sqrt((diff * diff).sum(axis=1))
+    if model.kind == "distmult":
+        return ent @ (anchor * r)
+    d = model.dim
+    ar, ai, rr, ri = anchor[:d], anchor[d:], r[:d], r[d:]
+    er, ei = ent[:, :d], ent[:, d:]
+    if query.direction is Direction.TAIL:
+        return er @ (ar * rr - ai * ri) + ei @ (ar * ri + ai * rr)
+    return er @ (rr * ar + ri * ai) + ei @ (rr * ai - ri * ar)
+
+
+SCORED_KINDS = [pytest.param("transe", 1, id="transe-l1"), pytest.param("transe", 2, id="transe-l2"),
+                pytest.param("distmult", 1, id="distmult"), pytest.param("complex", 1, id="complex")]
+
+
+class TestScoreExactness:
+    """``score`` and every ``ScoreMatrix.from_model`` row equal the oracle bit for bit."""
+
+    @pytest.mark.parametrize("dim", [8, 32, 200])
+    @pytest.mark.parametrize("kind,norm", SCORED_KINDS)
+    def test_rows_equal_oracle(self, kind, norm, dim):
+        model = make_model(kind, dim, n_ent=301, n_pred=3, seed=dim, norm=norm)
+        queries = [Query(d, a, p) for d in (Direction.TAIL, Direction.HEAD) for a in (0, 7, 300) for p in (0, 2)]
+        queries += queries[::3]  # repeats
+        for q in queries:
+            assert np.array_equal(score(model, q), oracle_score(model, q))
+        matrix = ScoreMatrix.from_model(model, queries)
+        assert len(matrix.vectors) == 12
+        for q in queries:
+            assert np.array_equal(matrix.get(q), oracle_score(model, q))
+
+    @pytest.mark.parametrize("kind,norm", SCORED_KINDS)
+    def test_scratch_does_not_leak_between_calls(self, kind, norm):
+        model = make_model(kind, 16, n_ent=50, seed=3, norm=norm)
+        qa, qb = Query(Direction.TAIL, 4, 1), Query(Direction.HEAD, 9, 0)
+        first = score(model, qa)
+        other = score(model, qb)
+        again = score(model, qa)
+        assert np.array_equal(first, again)
+        assert np.array_equal(other, oracle_score(model, qb))
+        assert not np.shares_memory(first, again)
+
+    @pytest.mark.parametrize("norm", [1, 2])
+    def test_models_of_different_sizes(self, norm):
+        small = make_model("transe", 8, n_ent=20, seed=4, norm=norm)
+        large = make_model("transe", 8, n_ent=90, seed=5, norm=norm)
+        for q in (Query(Direction.TAIL, 3, 1), Query(Direction.HEAD, 11, 0)):
+            for model in (small, large, small):
+                assert np.array_equal(score(model, q), oracle_score(model, q))
+        large.entity_embeddings = large.entity_embeddings[:60].copy()  # a new shape reallocates the scratch
+        q = Query(Direction.TAIL, 2, 0)
+        assert np.array_equal(score(large, q), oracle_score(large, q))
+
+    def test_scratch_not_saved_or_shown(self, tmp_path):
+        model = make_model("transe", 4, n_ent=6)
+        score(model, Query(Direction.TAIL, 0, 0))
+        assert "_scratch" not in repr(model)
+        save_model(model, tmp_path / "model.npz")
+        assert sorted(np.load(tmp_path / "model.npz").files) == [
+            "dim", "entity_embeddings", "kind", "norm", "predicate_embeddings"]
+
+    def test_distmult_overflow_raises(self):
+        model = make_model("distmult", 4, n_ent=6)
+        model.entity_embeddings *= 1e200  # finite entries, but every product overflows
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite score"):
+            score(model, Query(Direction.TAIL, 1, 0))
+
+
 class TestGradients:
     """FD checks of the batched loss/gradient functions that ``train`` calls."""
 
@@ -262,6 +342,20 @@ class TestPersistence:
         export_scores(matrix, path, fmt=fmt)
         key = re.escape(str(queries[4].key()))
         with pytest.raises(KGError, match=rf"{path.name}.*non-finite score for query {key}"):
+            import_scores(path)
+
+    @pytest.mark.parametrize("field,value", [(0, "sideways"), (1, "x"), (2, "1.5"), (5, "abc")],
+                             ids=["direction", "anchor", "predicate", "score"])
+    def test_malformed_csv_row_names_file_and_line(self, tmp_path, field, value):
+        matrix, _ = self.score_matrix()
+        path = tmp_path / "scores.csv"
+        export_scores(matrix, path, fmt="csv")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = lines[3].split(",")
+        row[field] = value
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(KGError, match=rf"{path.name}:4: malformed row .*{value}"):
             import_scores(path)
 
     def test_missing_required_query(self, tmp_path):
