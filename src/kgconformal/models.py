@@ -7,6 +7,7 @@ each, so a row has length ``2 * dim``.
 from __future__ import annotations
 
 import csv
+import logging
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +36,8 @@ SCORE_MAGIC = b"KGSC"
 VEC_MAGIC = b"KGPV"
 _DIR_CODE = {Direction.TAIL: 0, Direction.HEAD: 1}
 _DIR_FROM_CODE = {0: Direction.TAIL, 1: Direction.HEAD}
+
+logger = logging.getLogger(__name__)
 
 
 class TrainingDiverged(RuntimeError):
@@ -150,55 +153,130 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def transe_loss_grad(ent, pred, h, r, t, hn, tn, margin: float, p: int):
+class _Workspace:
+    """Float64 buffers of one ``train`` call, reused by every batch step.
+
+    ``ws(name, m, width)`` is the first ``m`` rows of the buffer ``name``, a
+    C-contiguous ``(m, width)`` view (``(m,)`` without a width).  A buffer is
+    allocated on first use and again only if a later call needs more rows, so
+    the steps of a call write to the same pages instead of freeing and
+    faulting in fresh temporaries.
+    """
+
+    def __init__(self):
+        self._buffers: dict[tuple, np.ndarray] = {}
+
+    def __call__(self, name: str, m: int, width: int | None = None) -> np.ndarray:
+        key = (name, width)
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape[0] < m:
+            buf = self._buffers[key] = np.empty((m,) if width is None else (m, width))
+        return buf[:m]
+
+
+def _gather(mat, idx, out):
+    """``mat[idx]`` written to ``out``; ``mode="clip"`` because ``"raise"`` buffers ``out``."""
+    return np.take(mat, idx, axis=0, out=out, mode="clip")
+
+
+def transe_loss_grad(ent, pred, h, r, t, hn, tn, margin: float, p: int, ws: _Workspace | None = None):
     """Margin ranking loss of a batch of (h, r, t) / (hn, r, tn) pairs with analytic gradients.
 
     Takes the embedding matrices and one index per pair in each of ``h``,
     ``r``, ``t``, ``hn`` and ``tn``; nothing is modified.  Returns the summed
     loss and the gradient of each gathered row, keyed by those names.
-    Inactive pairs (loss <= 0) get zero gradients.
+    Inactive pairs (loss <= 0) get zero gradients.  The rows, distances and
+    gradients live in ``ws`` (a fresh workspace when None), so the gradients
+    are valid until its next use.
     """
-    v_pos = ent[h] + pred[r] - ent[t]
-    v_neg = ent[hn] + pred[r] - ent[tn]
-    if p == 1:
-        d_pos, g_pos = np.abs(v_pos).sum(axis=1), np.sign(v_pos)
-        d_neg, g_neg = np.abs(v_neg).sum(axis=1), np.sign(v_neg)
-    else:
-        d_pos = np.sqrt((v_pos * v_pos).sum(axis=1))
-        d_neg = np.sqrt((v_neg * v_neg).sum(axis=1))
-        g_pos = v_pos / np.maximum(d_pos, 1e-12)[:, None]
-        g_neg = v_neg / np.maximum(d_neg, 1e-12)[:, None]
+    ws = _Workspace() if ws is None else ws
+    m, width = h.shape[0], ent.shape[1]
+    g_pos, g_neg, tmp = ws("g_h", m, width), ws("g_tn", m, width), ws("tmp", m, width)
+    d_pos, d_neg = ws("d_pos", m), ws("d_neg", m)
+    rel = _gather(pred, r, ws("rel", m, width))
+    for v, d, a, b in ((g_pos, d_pos, h, t), (g_neg, d_neg, hn, tn)):
+        # v = ent[a] + pred[r] - ent[b], then d = ||v||_p and v becomes dd/dv
+        _gather(ent, a, v)
+        np.add(v, rel, out=v)
+        np.subtract(v, _gather(ent, b, tmp), out=v)
+        if p == 1:
+            np.abs(v, out=tmp)
+            tmp.sum(axis=1, out=d)
+            np.sign(v, out=v)
+        else:
+            np.multiply(v, v, out=tmp)
+            tmp.sum(axis=1, out=d)
+            np.sqrt(d, out=d)
+            np.divide(v, np.maximum(d, 1e-12)[:, None], out=v)
     margin_loss = margin + d_pos - d_neg
     active = margin_loss > 0
-    g_pos = g_pos * active[:, None]
-    g_neg = g_neg * active[:, None]
-    grads = {"h": g_pos, "r": g_pos - g_neg, "t": -g_pos, "hn": -g_neg, "tn": g_neg}
+    np.multiply(g_pos, active[:, None], out=g_pos)
+    np.multiply(g_neg, active[:, None], out=g_neg)
+    grads = {"h": g_pos, "r": np.subtract(g_pos, g_neg, out=ws("g_r", m, width)),
+             "t": np.negative(g_pos, out=ws("g_t", m, width)),
+             "hn": np.negative(g_neg, out=ws("g_hn", m, width)), "tn": g_neg}
     return float(margin_loss[active].sum()), grads
 
 
-def bilinear_bce_loss_grad(kind: str, dim: int, H, R, T, labels):
+def _bce_loss_weights(s, labels):
+    """Summed BCE of scores ``s`` and the derivative of each term in its score, as a column."""
+    loss = float((_softplus(s) - labels * s).sum())  # -log sigmoid(s) if label 1, -log(1-sigmoid(s)) if 0
+    return loss, (_sigmoid(s) - labels)[:, None]
+
+
+def bilinear_bce_loss_grad(kind: str, dim: int, H, R, T, labels, ws: _Workspace | None = None):
     """Binary cross-entropy of a batch of labelled triples for DistMult/ComplEx with gradients.
 
     ``H``, ``R`` and ``T`` hold one embedding row per triple.  Returns the
     summed loss and the gradients of those rows, keyed 'h', 'r' and 't'.
+    The products and gradients live in ``ws`` (a fresh workspace when None),
+    so the gradients are valid until its next use.  ComplEx copies the real
+    and imaginary halves into contiguous blocks first: the products are
+    elementwise, so the layout changes no bit of them, and a contiguous
+    block is several times faster to read than a strided half.
     """
+    ws = _Workspace() if ws is None else ws
+    m, width = H.shape
+    g_h, g_r, g_t, s = ws("g_h", m, width), ws("g_r", m, width), ws("g_t", m, width), ws("s", m)
     if kind == "distmult":
-        s = (H * R * T).sum(axis=1)
-        ds_h, ds_r, ds_t = R * T, H * T, H * R
-    else:
-        hr, hi = H[:, :dim], H[:, dim:]
-        rr, ri = R[:, :dim], R[:, dim:]
-        tr, ti = T[:, :dim], T[:, dim:]
-        s = (hr * rr * tr - hi * ri * tr + hr * ri * ti + hi * rr * ti).sum(axis=1)
-        ds_h = np.concatenate([rr * tr + ri * ti, -ri * tr + rr * ti], axis=1)
-        ds_r = np.concatenate([hr * tr + hi * ti, -hi * tr + hr * ti], axis=1)
-        ds_t = np.concatenate([hr * rr - hi * ri, hr * ri + hi * rr], axis=1)
-    loss = float((_softplus(s) - labels * s).sum())  # -log sigmoid(s) if label 1, -log(1-sigmoid(s)) if 0
-    dl = (_sigmoid(s) - labels)[:, None]
-    ds_h *= dl
-    ds_r *= dl
-    ds_t *= dl
-    return loss, {"h": ds_h, "r": ds_r, "t": ds_t}
+        np.multiply(H, R, out=g_t)
+        np.multiply(g_t, T, out=g_h)
+        g_h.sum(axis=1, out=s)  # s = sum(H * R * T)
+        loss, dl = _bce_loss_weights(s, labels)
+        np.multiply(R, T, out=g_h)
+        np.multiply(H, T, out=g_r)
+        for g in (g_h, g_r, g_t):
+            g *= dl
+        return loss, {"h": g_h, "r": g_r, "t": g_t}
+    hr, hi, rr, ri, tr, ti = (ws(name, m, dim) for name in ("hr", "hi", "rr", "ri", "tr", "ti"))
+    for mat, real, imag in ((H, hr, hi), (R, rr, ri), (T, tr, ti)):
+        np.copyto(real, mat[:, :dim])
+        np.copyto(imag, mat[:, dim:])
+    acc, tmp = ws("acc", m, dim), ws("prod", m, dim)
+    # s = sum(hr * rr * tr - hi * ri * tr + hr * ri * ti + hi * rr * ti)
+    np.multiply(hr, rr, out=acc)
+    np.multiply(acc, tr, out=acc)
+    for x, y, z, op in ((hi, ri, tr, np.subtract), (hr, ri, ti, np.add), (hi, rr, ti, np.add)):
+        np.multiply(x, y, out=tmp)
+        np.multiply(tmp, z, out=tmp)
+        op(acc, tmp, out=acc)
+    acc.sum(axis=1, out=s)
+    loss, dl = _bce_loss_weights(s, labels)
+    # each gradient half is (+/-x1 * y1 op x2 * y2) * dl, written to its strided half of the row
+    for out, negate, x1, y1, op, x2, y2 in (
+        (g_h[:, :dim], False, rr, tr, np.add, ri, ti), (g_h[:, dim:], True, ri, tr, np.add, rr, ti),
+        (g_r[:, :dim], False, hr, tr, np.add, hi, ti), (g_r[:, dim:], True, hi, tr, np.add, hr, ti),
+        (g_t[:, :dim], False, hr, rr, np.subtract, hi, ri), (g_t[:, dim:], False, hr, ri, np.add, hi, rr),
+    ):
+        if negate:
+            np.negative(x1, out=acc)
+            np.multiply(acc, y1, out=acc)
+        else:
+            np.multiply(x1, y1, out=acc)
+        np.multiply(x2, y2, out=tmp)
+        op(acc, tmp, out=acc)
+        np.multiply(acc, dl, out=out)
+    return loss, {"h": g_h, "r": g_r, "t": g_t}
 
 
 def _init_model(kind: str, dim: int, n_ent: int, n_pred: int, rng: np.random.Generator, norm: int) -> EmbeddingModel:
@@ -210,8 +288,27 @@ def _init_model(kind: str, dim: int, n_ent: int, n_pred: int, rng: np.random.Gen
     return EmbeddingModel(kind=kind, dim=dim, entity_embeddings=ent, predicate_embeddings=pred, norm=norm)
 
 
-def _sample_negatives(rng, heads, rels, tails, n_ent, known: set, k: int):
-    """Uniformly corrupt head or tail, resampling on collision with a known positive."""
+def _triple_keys(heads, rels, tails, n_ent: int, n_pred: int):
+    """Key ``(h * n_pred + r) * n_ent + t`` of each triple: one int64 per (h, r, t) in range."""
+    if n_ent * n_ent * n_pred > 2**63:  # the largest key is n_ent^2 * n_pred - 1
+        raise KGError(f"{n_ent} entities and {n_pred} predicates overflow the int64 triple key")
+    return (heads * n_pred + rels) * n_ent + tails
+
+
+def _is_known(known, keys):
+    """Whether each key is in ``known``, a non-empty sorted key array."""
+    pos = np.searchsorted(known, keys)
+    return known[np.minimum(pos, known.size - 1)] == keys
+
+
+def _sample_negatives(rng, heads, rels, tails, n_ent: int, n_pred: int, known, k: int):
+    """Uniformly corrupt head or tail, resampling on collision with a known positive.
+
+    ``known`` holds the sorted :func:`_triple_keys` of the positives.  All
+    ``n * k`` candidates are checked at once; only the colliding ones are
+    redrawn, one draw at a time in index order and at most 101 times each,
+    so the draws match a per-candidate loop.
+    """
     n = heads.shape[0]
     neg_h = np.repeat(heads, k)
     neg_t = np.repeat(tails, k)
@@ -220,9 +317,10 @@ def _sample_negatives(rng, heads, rels, tails, n_ent, known: set, k: int):
     cand = rng.integers(0, n_ent, size=n * k)
     neg_h = np.where(corrupt_head, cand, neg_h)
     neg_t = np.where(corrupt_head, neg_t, cand)
-    for i in range(n * k):
+    collisions = np.flatnonzero(_is_known(known, _triple_keys(neg_h, rels_rep, neg_t, n_ent, n_pred)))
+    for i in collisions.tolist():
         tries = 0
-        while (int(neg_h[i]), int(rels_rep[i]), int(neg_t[i])) in known:
+        while _is_known(known, _triple_keys(neg_h[i], rels_rep[i], neg_t[i], n_ent, n_pred)):
             e = int(rng.integers(0, n_ent))
             if corrupt_head[i]:
                 neg_h[i] = e
@@ -235,61 +333,76 @@ def _sample_negatives(rng, heads, rels, tails, n_ent, known: set, k: int):
 
 
 def train(kg: KnowledgeGraph, kind: str, cfg: TrainConfig, dim: int = 16, norm: int = 1) -> EmbeddingModel:
-    """SGD training on the ``train`` split; margin ranking loss for TransE, BCE for DistMult/ComplEx."""
+    """SGD training on the ``train`` split; margin ranking loss for TransE, BCE for DistMult/ComplEx.
+
+    Each epoch's mean loss per training triple is logged at DEBUG on
+    ``kgconformal.models``.
+    """
     triples = kg.splits.get("train") or []
     if not triples:
         raise KGError("empty training split 'train'")
     rng = np.random.default_rng(cfg.seed)
-    model = _init_model(kind, dim, kg.vocab.n_entities, kg.vocab.n_predicates, rng, norm)
+    n_ent, n_pred = kg.vocab.n_entities, kg.vocab.n_predicates
+    model = _init_model(kind, dim, n_ent, n_pred, rng, norm)
 
     heads = np.array([t.head for t in triples], dtype=np.int64)
     rels = np.array([t.predicate for t in triples], dtype=np.int64)
     tails = np.array([t.tail for t in triples], dtype=np.int64)
-    known = {(t.head, t.predicate, t.tail) for t in triples}
+    known = np.unique(_triple_keys(heads, rels, tails, n_ent, n_pred))
     n = heads.shape[0]
-    n_ent = kg.vocab.n_entities
     k = cfg.negatives
+    ws = _Workspace()
 
     for epoch in range(cfg.epochs):
         if kind == "transe":
             norms = np.linalg.norm(model.entity_embeddings, axis=1, keepdims=True)
             model.entity_embeddings /= np.maximum(norms, 1e-12)
         perm = rng.permutation(n)
+        epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             bh, br, bt = heads[idx], rels[idx], tails[idx]
-            nh, nr, nt = _sample_negatives(rng, bh, br, bt, n_ent, known, k)
+            nh, nr, nt = _sample_negatives(rng, bh, br, bt, n_ent, n_pred, known, k)
             if kind == "transe":
-                loss = _transe_batch_step(model, cfg, bh, br, bt, nh, nt, k)
+                loss = _transe_batch_step(model, cfg, bh, br, bt, nh, nt, k, ws)
             else:
-                loss = _bce_batch_step(model, cfg, bh, br, bt, nh, nr, nt)
+                loss = _bce_batch_step(model, cfg, bh, br, bt, nh, nr, nt, ws)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+            epoch_loss += loss
+        logger.debug("epoch %d: mean loss %.6g per training triple", epoch, epoch_loss / n)
     return model
 
 
 def _scatter_update(mat, idx, grad, rows, cfg):
-    """``mat[idx] -= lr * (grad + l2 * rows)``, accumulating repeated indices; overwrites ``grad``."""
-    grad += cfg.l2 * rows
-    np.subtract.at(mat, idx, cfg.lr * grad)
+    """``mat[idx] -= lr * (grad + l2 * rows)``, accumulating repeated indices; overwrites ``grad`` and ``rows``."""
+    np.multiply(rows, cfg.l2, out=rows)
+    np.add(grad, rows, out=grad)
+    np.multiply(grad, cfg.lr, out=grad)
+    np.subtract.at(mat, idx, grad)
 
 
-def _transe_batch_step(model, cfg, bh, br, bt, nh, nt, k):
+def _transe_batch_step(model, cfg, bh, br, bt, nh, nt, k, ws):
     ent, pred = model.entity_embeddings, model.predicate_embeddings
     h, r, t = np.repeat(bh, k), np.repeat(br, k), np.repeat(bt, k)
-    loss, grads = transe_loss_grad(ent, pred, h, r, t, nh, nt, cfg.margin, model.norm)
+    loss, grads = transe_loss_grad(ent, pred, h, r, t, nh, nt, cfg.margin, model.norm, ws)
+    rows = ws("rows", h.shape[0], ent.shape[1])
     # each L2 term reads its rows after the earlier updates of this step
     for mat, name, idx in ((ent, "h", h), (ent, "t", t), (ent, "hn", nh), (ent, "tn", nt), (pred, "r", r)):
-        _scatter_update(mat, idx, grads[name], mat[idx], cfg)
+        _scatter_update(mat, idx, grads[name], _gather(mat, idx, rows), cfg)
     return loss
 
 
-def _bce_batch_step(model, cfg, bh, br, bt, nh, nr, nt):
+def _bce_batch_step(model, cfg, bh, br, bt, nh, nr, nt, ws):
     ent, pred = model.entity_embeddings, model.predicate_embeddings
     h, r, t = np.concatenate([bh, nh]), np.concatenate([br, nr]), np.concatenate([bt, nt])
     labels = np.concatenate([np.ones(bh.shape[0]), np.zeros(nh.shape[0])])
-    H, R, T = ent[h], pred[r], ent[t]  # the L2 terms read these rows as they were before the step
-    loss, grads = bilinear_bce_loss_grad(model.kind, model.dim, H, R, T, labels)
+    m, width = h.shape[0], ent.shape[1]
+    # the L2 terms read these rows as they were before the step
+    H = _gather(ent, h, ws("H", m, width))
+    R = _gather(pred, r, ws("R", m, width))
+    T = _gather(ent, t, ws("T", m, width))
+    loss, grads = bilinear_bce_loss_grad(model.kind, model.dim, H, R, T, labels, ws)
     _scatter_update(ent, h, grads["h"], H, cfg)
     _scatter_update(ent, t, grads["t"], T, cfg)
     _scatter_update(pred, r, grads["r"], R, cfg)
@@ -333,10 +446,10 @@ class ScoreMatrix:
         return self.vectors[key]
 
     def require(self, queries) -> None:
-        missing = [q.key() for q in queries if q.key() not in self.vectors]
+        missing = list(dict.fromkeys(q.key() for q in queries if q.key() not in self.vectors))
         if missing:
             preview = ", ".join(map(str, missing[:5]))
-            raise KGError(f"{len(missing)} queries missing from score matrix: {preview}")
+            raise KGError(f"{self.source}: missing scores for {len(missing)} queries: {preview}")
 
     @classmethod
     def from_model(cls, model: EmbeddingModel, queries) -> "ScoreMatrix":

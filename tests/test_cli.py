@@ -159,6 +159,22 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert str(scores_file) in err and f"non-finite score for query {key}" in err
 
+    def test_score_file_missing_a_query_names_file(self, tmp_path, dataset, capsys):
+        config = write_config(tmp_path, dataset)
+        for stage in ("train", "score"):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        kg = load_or_generate_kg(ExperimentConfig.load(config), 0)
+        key = make_queries(kg.splits["test"]).pairs[0][0].key()
+        scores_file = tmp_path / "out" / "scores_s0.bin"
+        matrix = import_scores(scores_file)
+        del matrix.vectors[key]
+        export_scores(matrix, scores_file)
+        capsys.readouterr()
+        for stage in ("calibrate", "evaluate"):
+            assert cli.main([stage, "--config", str(config)]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"{scores_file}: missing scores for 1 queries: {key}" in err
+
     @pytest.mark.parametrize("extra", [10, -10], ids=["wider", "narrower"])
     def test_score_matrix_width_must_match_kg(self, tmp_path, dataset, capsys, extra):
         config = write_config(tmp_path, dataset)

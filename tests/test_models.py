@@ -1,8 +1,11 @@
+import logging
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from kgconformal import models
 from kgconformal.kg import Direction, KGError, KnowledgeGraph, Query, Triple, Vocab, rank_of
 from kgconformal.models import (
     EmbeddingModel,
@@ -20,6 +23,7 @@ from kgconformal.models import (
     transe_loss_grad,
 )
 
+import train_oracle
 from gradcheck import check_bce, check_transe
 
 
@@ -281,6 +285,132 @@ class TestTrain:
             TrainConfig(epochs=-1)
 
 
+def dense_kg():
+    """Six entities, two predicates: predicate 0 holds every (h, t) pair and predicate 1 a few.
+
+    Every negative of a predicate-0 triple is a known positive, so it runs to
+    the 100-try cap; predicate-1 negatives collide often and then resolve.
+    """
+    triples = [Triple(h, 0, t) for h in range(6) for t in range(6)]
+    triples += [Triple(h, 1, (h + 1) % 6) for h in range(6)] + [Triple(0, 1, 3), Triple(2, 1, 2)]
+    vocab = Vocab(entities=tuple(f"e{i}" for i in range(6)), predicates=("r0", "r1"))
+    return KnowledgeGraph(vocab=vocab, splits={"train": triples})
+
+
+def assert_same_model(got, want):
+    assert np.array_equal(got.entity_embeddings, want.entity_embeddings)
+    assert np.array_equal(got.predicate_embeddings, want.predicate_embeddings)
+
+
+class TestTrainExactness:
+    """``train`` gives the embeddings of ``train_oracle.train``, the plain-expression code, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [3, 16])
+    @pytest.mark.parametrize("kind,norm", SCORED_KINDS)
+    def test_equals_oracle(self, kind, norm, dim):
+        kg = toy_kg(n_ent=30, n_pred=3, n_triples=100, seed=2)
+        cfg = TrainConfig(epochs=3, negatives=3, batch_size=32, seed=5)  # 100 = 3 * 32 + 4: a partial last batch
+        want = train_oracle.train(kg, kind, cfg, dim=dim, norm=norm)
+        assert_same_model(train(kg, kind, cfg, dim=dim, norm=norm), want)
+
+    @pytest.mark.parametrize("kind,norm", SCORED_KINDS)
+    def test_loss_grad_equal_oracle(self, kind, norm):
+        """Loss and gradients bit for bit, without a workspace and through a reused larger one."""
+        rng = np.random.default_rng(8)
+        dim, m = 32, 700
+        width = 2 * dim if kind == "complex" else dim
+        ent, pred = rng.normal(size=(500, width)), rng.normal(size=(7, width))
+        ws = models._Workspace()
+        ws("g_h", m + 50, width)  # a buffer with spare rows, as after a full batch
+        for workspace in (None, ws, ws):
+            if kind == "transe":
+                idx = [rng.integers(0, 7 if name == "r" else 500, size=m) for name in ("h", "r", "t", "hn", "tn")]
+                loss, grads = transe_loss_grad(ent, pred, *idx, 4.0, norm, workspace)
+                want_loss, want = train_oracle.transe_loss_grad(ent, pred, *idx, 4.0, norm)
+            else:
+                H, R, T = ent[rng.integers(0, 500, m)], pred[rng.integers(0, 7, m)], ent[rng.integers(0, 500, m)]
+                labels = (np.arange(m) % 3 == 0).astype(float)
+                loss, grads = models.bilinear_bce_loss_grad(kind, dim, H, R, T, labels, workspace)
+                want_loss, want = train_oracle.bilinear_bce_loss_grad(kind, dim, H, R, T, labels)
+            assert loss == want_loss
+            assert grads.keys() == want.keys()
+            for name in want:
+                assert grads[name].shape == want[name].shape and np.array_equal(grads[name], want[name])
+
+    @pytest.mark.parametrize("kind,norm", SCORED_KINDS)
+    def test_dense_kg_with_collisions_and_the_try_cap(self, kind, norm):
+        kg = dense_kg()
+        cfg = TrainConfig(epochs=2, negatives=4, batch_size=16, seed=3)
+        want = train_oracle.train(kg, kind, cfg, dim=4, norm=norm)
+        assert_same_model(train(kg, kind, cfg, dim=4, norm=norm), want)
+
+    def test_dense_kg_collides_and_reaches_the_cap(self):
+        triples = dense_kg().splits["train"]
+        known = {(t.head, t.predicate, t.tail) for t in triples}
+        h, r, t = (np.array(col, dtype=np.int64) for col in zip(*sorted(known)))
+        sampled = train_oracle._sample_negatives(np.random.default_rng(0), h, r, t, 6, known, 4)
+        unchecked = train_oracle._sample_negatives(np.random.default_rng(0), h, r, t, 6, set(), 4)
+        final = set(zip(*(a.tolist() for a in sampled)))
+        assert final & known  # only the try cap leaves a known positive
+        changed = np.flatnonzero(np.any(np.stack(sampled) != np.stack(unchecked), axis=0))
+        assert any((sampled[0][i], sampled[1][i], sampled[2][i]) not in known for i in changed)  # resolved collisions
+
+    def test_interleaved_calls_equal_calls_alone(self):
+        calls = [(toy_kg(n_ent=25, n_triples=70, seed=1), "complex", 6),
+                 (toy_kg(n_ent=60, n_triples=90, seed=2), "complex", 10),
+                 (toy_kg(n_ent=40, n_triples=80, seed=3), "transe", 5)]
+        cfg = TrainConfig(epochs=4, negatives=3, batch_size=16, seed=9)
+
+        def run(i):
+            kg, kind, dim = calls[i]
+            return train(kg, kind, cfg, dim=dim)
+
+        alone = [run(i) for i in range(len(calls))]
+        for got, want in zip([run(i) for i in (0, 1, 0, 2)], [alone[i] for i in (0, 1, 0, 2)]):
+            assert_same_model(got, want)
+        with ThreadPoolExecutor(max_workers=2) as pool:  # two calls in flight at once
+            for got, i in zip(pool.map(run, [0, 1, 2, 1, 0]), [0, 1, 2, 1, 0]):
+                assert_same_model(got, alone[i])
+
+    def test_triple_key_range_and_overflow(self):
+        last = np.array([2**31 - 1], dtype=np.int64)
+        assert models._triple_keys(last, np.array([1]), last, 2**31, 2).tolist() == [2**63 - 1]
+        with pytest.raises(KGError, match="overflow the int64 triple key"):
+            models._triple_keys(last, np.array([1]), last, 2**31, 3)
+
+
+class TestTrainLogging:
+    """``train`` logs each epoch's mean loss per training triple at DEBUG on ``kgconformal.models``."""
+
+    @pytest.mark.parametrize("kind,step", [("transe", "_transe_batch_step"), ("complex", "_bce_batch_step")])
+    def test_one_finite_record_per_epoch(self, kind, step, caplog, monkeypatch):
+        batch_losses = []
+        original = getattr(models, step)
+
+        def recording_step(*args):
+            batch_losses.append(original(*args))
+            return batch_losses[-1]
+
+        monkeypatch.setattr(models, step, recording_step)
+        kg = toy_kg()  # 60 training triples in batches of 16: four batches per epoch
+        with caplog.at_level(logging.DEBUG, logger="kgconformal.models"):
+            train(kg, kind, TrainConfig(epochs=3, seed=1, batch_size=16), dim=4)
+        records = [r for r in caplog.records if r.name == "kgconformal.models"]
+        assert [(r.levelno, r.args[0]) for r in records] == [(logging.DEBUG, e) for e in range(3)]
+        assert len(batch_losses) == 12
+        for epoch, record in enumerate(records):
+            assert np.isfinite(record.args[1])
+            assert record.args[1] == sum(batch_losses[4 * epoch:4 * epoch + 4]) / 60
+
+    def test_no_record_without_epochs(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="kgconformal.models"):
+            train(toy_kg(), "distmult", TrainConfig(epochs=0), dim=4)
+        assert not [r for r in caplog.records if r.name == "kgconformal.models"]
+
+    def test_attaches_no_handler(self):
+        assert logging.getLogger("kgconformal.models").handlers == []
+
+
 class TestPersistence:
     def test_model_round_trip(self, tmp_path):
         model = make_model("complex", 5)
@@ -362,9 +492,7 @@ class TestPersistence:
         matrix, _ = self.score_matrix()
         path = tmp_path / "scores.bin"
         export_scores(matrix, path)
-        from kgconformal.kg import KGError
-
-        with pytest.raises(KGError, match="missing from score matrix"):
+        with pytest.raises(KGError, match=rf"^{re.escape(str(path))}: missing scores for 1 queries: \('head', 6, 1\)$"):
             import_scores(path, required_queries=[Query(Direction.HEAD, 6, 1)])
 
     def test_predicate_vector_round_trip(self, tmp_path):

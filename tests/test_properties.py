@@ -1,4 +1,5 @@
-"""Property tests: ranks and rank cuts under tied scores, the calibration rank cutoff and the conformal quantile."""
+"""Property tests: ranks and rank cuts under tied scores, the calibration rank cutoff, the conformal
+quantile, and the negative sampler against its per-candidate loop."""
 
 import math
 from fractions import Fraction
@@ -12,6 +13,9 @@ from hypothesis import strategies as st
 
 from kgconformal.conformal import quantile, rank_threshold
 from kgconformal.kg import candidate_ranks, rank_cuts, rank_of
+from kgconformal.models import _sample_negatives, _triple_keys
+
+import train_oracle
 
 
 @st.composite
@@ -69,3 +73,27 @@ def test_quantile_matches_exact_order_statistic(values, per_mille):
     k = math.ceil((n + 1) * (1 - Fraction(per_mille, 1000)))
     expected = math.inf if k > n else sorted(values)[k - 1]
     assert quantile(np.array(values, dtype=np.float64), epsilon) == expected
+
+
+@st.composite
+def small_kg_batch(draw):
+    """A random small KG, sometimes complete (every candidate a known positive), a batch of it, k and a seed."""
+    n_ent, n_pred = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    every = [(h, r, t) for h in range(n_ent) for r in range(n_pred) for t in range(n_ent)]
+    known = every if draw(st.booleans()) else draw(st.lists(st.sampled_from(every), min_size=1, unique=True))
+    batch = draw(st.lists(st.sampled_from(known), min_size=1, max_size=12))
+    return n_ent, n_pred, known, batch, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(small_kg_batch())
+@example((3, 1, [(h, 0, t) for h in range(3) for t in range(3)], [(0, 0, 1), (2, 0, 2)], 3, 7))  # all known
+def test_sample_negatives_matches_per_candidate_loop(case):
+    n_ent, n_pred, known, batch, k, seed = case
+    h, r, t = (np.array(col, dtype=np.int64) for col in zip(*batch))
+    keys = np.unique(_triple_keys(*(np.array(col, dtype=np.int64) for col in zip(*known)), n_ent, n_pred))
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _sample_negatives(rng, h, r, t, n_ent, n_pred, keys, k)
+    want = train_oracle._sample_negatives(oracle_rng, h, r, t, n_ent, set(known), k)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
