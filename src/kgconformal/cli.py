@@ -113,13 +113,12 @@ def cmd_score(args) -> int:
             raise StageError(f"missing model artifact {model_file}", rerun="train")
         model = models.load_model(model_file)
         kg = load_or_generate_kg(config, seed)
-        queries = [q for q, _ in make_queries(kg.splits.get("valid", []), config.both_directions).pairs]
-        queries += [q for q, _ in make_queries(kg.splits.get("test", []), config.both_directions).pairs]
-        matrix = models.ScoreMatrix.from_model(model, queries)
+        matrix = models.ScoreMatrix.from_model(model, *(make_queries(kg.splits.get(name, []), config.both_directions)
+                                                         for name in ("valid", "test")))
         models.export_scores(matrix, _scores_path(out, seed))
         vectors = np.stack([models.predicate_vector(model, r) for r in range(kg.vocab.n_predicates)])
         models.export_predicate_vectors(vectors, _predvecs_path(out, seed))
-        print(f"seed {seed}: scored {len(matrix.vectors)} queries -> {_scores_path(out, seed)}")
+        print(f"seed {seed}: scored {len(matrix.queries)} queries -> {_scores_path(out, seed)}")
     return 0
 
 

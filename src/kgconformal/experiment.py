@@ -11,12 +11,12 @@ import numpy as np
 
 from . import conformal, metrics, models, scores
 from .kg import (
-    Direction,
+    DIRECTIONS,
     KnowledgeGraph,
     KGError,
     QueryAnswerSet,
     SplitConfig,
-    build_answer_index,
+    filter_masks,
     load_kg,
     make_queries,
     rank_of,
@@ -105,13 +105,12 @@ class RunData:
     kg: KnowledgeGraph
     calib: QueryAnswerSet
     test: QueryAnswerSet
-    calib_predicates: np.ndarray
     calib_nonconf: np.ndarray     # nonconformity of the true calibration answers
     calib_ranks: np.ndarray       # filtered rank of the true calibration answers
-    test_predicates: np.ndarray
-    test_answers: np.ndarray
-    test_raw: list[np.ndarray]    # per test pair, its query's raw score row (held by the score matrix)
-    test_masks: list[set]
+    scores: np.ndarray            # raw score rows of the distinct calibration and test queries
+    test_rows: np.ndarray         # row of each test pair's query in ``scores``
+    mask_indptr: np.ndarray       # CSR filter masks of the test pairs: pair j masks
+    mask_indices: np.ndarray      # mask_indices[mask_indptr[j]:mask_indptr[j + 1]]
     predicate_vectors: np.ndarray
     model: models.EmbeddingModel | None = None
 
@@ -140,29 +139,27 @@ def prepare_run(config: ExperimentConfig, seed: int,
                 predicate_vectors: np.ndarray | None = None) -> RunData:
     """Generate/load data, train or import scores, and score the calibration pairs.
 
-    Test pairs keep only their raw score rows and masks; :func:`evaluate`
-    does their per-entity work.
+    Test pairs keep only their score rows and filter masks; :func:`evaluate`
+    does their per-entity work.  The scores come from ``score_matrix``, else ``model``, else
+    ``config.score_matrix``, else a newly trained model.
     """
     if kg is None:
         kg = load_or_generate_kg(config, seed)
-    calib = make_queries(kg.splits.get("valid", []), config.both_directions, name="calib")
-    test = make_queries(kg.splits.get("test", []), config.both_directions, name="test")
-    if not calib.pairs or not test.pairs:
+    calib = make_queries(kg.splits.get("valid", []), config.both_directions)
+    test = make_queries(kg.splits.get("test", []), config.both_directions)
+    if not len(calib) or not len(test):
         raise KGError("calibration or test split is empty")
-    train_qa = make_queries(kg.splits.get("train", []), config.both_directions, name="train")
-    answer_index = build_answer_index([train_qa, calib, test]) if config.filtered else {}
+    known = [make_queries(kg.splits.get("train", []), config.both_directions), calib, test] if config.filtered else []
 
-    all_queries = [q for q, _ in calib.pairs] + [q for q, _ in test.pairs]
     if score_matrix is None:
-        if config.score_matrix is not None:
-            score_matrix = models.import_scores(config.score_matrix, required_queries=all_queries)
+        if model is None and config.score_matrix is not None:
+            score_matrix = models.import_scores(config.score_matrix)
         else:
             if model is None:
                 model = models.train(kg, config.model_kind, config.train_config(seed),
                                      dim=config.dim, norm=config.transe_norm)
-            score_matrix = models.ScoreMatrix.from_model(model, all_queries)
-    else:
-        score_matrix.require(all_queries)
+            score_matrix = models.ScoreMatrix.from_model(model, calib, test)
+    calib_rows, test_rows = score_matrix.rows(calib, test)
     if score_matrix.n_entities != kg.vocab.n_entities:
         raise KGError(f"{score_matrix.source}: {score_matrix.n_entities} score columns, "
                       f"but the KG has {kg.vocab.n_entities} entities")
@@ -177,30 +174,25 @@ def prepare_run(config: ExperimentConfig, seed: int,
         raise KGError("condkgcp merging needs a trained model or a predicate-vector sidecar file")
 
     scorer = config.scorer_config(seed)
-
-    def mask_for(q, a) -> set:
-        if not config.filtered:
-            return set()
-        return answer_index.get(q.key(), set()) - {a}
-
-    calib_nonconf = np.empty(len(calib.pairs))
-    calib_ranks = np.empty(len(calib.pairs), dtype=np.int64)
-    for i, (q, a) in enumerate(calib.pairs):
-        raw = score_matrix.get(q)
+    indptr, indices = (csr.tolist() for csr in filter_masks(calib, known))  # rank_of takes list slices fastest
+    calib_nonconf = np.empty(len(calib))
+    calib_ranks = np.empty(len(calib), dtype=np.int64)
+    for i, (row, a) in enumerate(zip(calib_rows.tolist(), calib.answer.tolist())):
+        raw = score_matrix.scores[row]
         calib_nonconf[i] = scores.nonconformity(raw, scorer, query_index=i)[a]
-        calib_ranks[i] = rank_of(raw, a, mask_for(q, a))
+        calib_ranks[i] = rank_of(raw, a, indices[indptr[i] : indptr[i + 1]])
 
+    mask_indptr, mask_indices = filter_masks(test, known)
     return RunData(
         kg=kg,
         calib=calib,
         test=test,
-        calib_predicates=calib.predicates(),
         calib_nonconf=calib_nonconf,
         calib_ranks=calib_ranks,
-        test_predicates=test.predicates(),
-        test_answers=np.array([a for _, a in test.pairs], dtype=np.int64),
-        test_raw=[score_matrix.get(q) for q, _ in test.pairs],
-        test_masks=[mask_for(q, a) for q, a in test.pairs],
+        scores=score_matrix.scores,
+        test_rows=test_rows,
+        mask_indptr=mask_indptr,
+        mask_indices=mask_indices,
         predicate_vectors=pred_vecs,
         model=model,
     )
@@ -209,11 +201,11 @@ def prepare_run(config: ExperimentConfig, seed: int,
 def _direction_groups(data: RunData, split_directions: bool):
     """(direction, calib indices, test indices): one pool (direction None), or one per direction."""
     if not split_directions:
-        yield None, np.arange(len(data.calib.pairs)), np.arange(len(data.test.pairs))
+        yield None, np.arange(len(data.calib)), np.arange(len(data.test))
         return
-    for direction in (Direction.TAIL, Direction.HEAD):
-        cal_idx = np.array([i for i, (q, _) in enumerate(data.calib.pairs) if q.direction is direction], dtype=np.int64)
-        test_idx = np.array([j for j, (q, _) in enumerate(data.test.pairs) if q.direction is direction], dtype=np.int64)
+    for code, direction in enumerate(DIRECTIONS):
+        cal_idx = np.flatnonzero(data.calib.direction == code)
+        test_idx = np.flatnonzero(data.test.direction == code)
         if cal_idx.size and test_idx.size:
             yield direction.value, cal_idx, test_idx
 
@@ -231,7 +223,7 @@ def calibration_keys(config: ExperimentConfig, data: RunData) -> list[tuple[str,
 
 def _fit_condkgcp(data: RunData, cal_idx: np.ndarray, epsilon: float,
                   gamma: float, phi: int) -> conformal.CalibratedModel:
-    preds = data.calib_predicates[cal_idx]
+    preds = data.calib.predicate[cal_idx]
     partition = conformal.build_partition(preds, data.predicate_vectors, phi)
     return conformal.fit_condkgcp(preds, data.calib_nonconf[cal_idx], data.calib_ranks[cal_idx],
                                   partition, epsilon, gamma)
@@ -242,7 +234,7 @@ def _fit_condkgcp(data: RunData, cal_idx: np.ndarray, epsilon: float,
 METHODS = {
     "kgcp": lambda data, cal_idx, epsilon, gamma, phi: conformal.fit_kgcp(data.calib_nonconf[cal_idx], epsilon),
     "mcp": lambda data, cal_idx, epsilon, gamma, phi: conformal.fit_mcp(
-        data.calib_predicates[cal_idx], data.calib_nonconf[cal_idx], epsilon, data.kg.vocab.n_predicates),
+        data.calib.predicate[cal_idx], data.calib_nonconf[cal_idx], epsilon, data.kg.vocab.n_predicates),
     "condkgcp": _fit_condkgcp,
 }
 
@@ -281,16 +273,19 @@ def _outcomes(config: ExperimentConfig, seed: int, data: RunData,
     sizes = np.empty(thresholds.shape, dtype=np.int64)
     hits = np.empty(thresholds.shape, dtype=bool)
     scorer = config.scorer_config(seed)
-    offset = len(data.calib.pairs)
-    n_test = len(data.test.pairs)
+    offset = len(data.calib)
+    n_test = len(data.test)
+    indptr = data.mask_indptr
     for start in range(0, n_test, EVAL_BLOCK_ROWS):
-        rows = np.arange(start, min(start + EVAL_BLOCK_ROWS, n_test))
-        nonconf = np.stack([scores.nonconformity(data.test_raw[j], scorer, query_index=offset + j) for j in rows])
-        raw = np.stack([data.test_raw[j] for j in rows])
-        for i, j in enumerate(rows):
-            raw[i, list(data.test_masks[j])] = -np.inf
-        sizes[:, rows], hits[:, rows] = conformal.set_outcomes(nonconf, raw, data.test_answers[rows],
-                                                               thresholds[:, rows], cutoffs[:, rows])
+        block = slice(start, min(start + EVAL_BLOCK_ROWS, n_test))
+        raw = data.scores[data.test_rows[block]]
+        nonconf = np.empty_like(raw)
+        for i in range(raw.shape[0]):
+            nonconf[i] = scores.nonconformity(raw[i], scorer, query_index=offset + start + i)
+        owner = np.repeat(np.arange(raw.shape[0]), np.diff(indptr[block.start : block.stop + 1]))
+        raw[owner, data.mask_indices[indptr[block.start] : indptr[block.stop]]] = -np.inf
+        sizes[:, block], hits[:, block] = conformal.set_outcomes(nonconf, raw, data.test.answer[block],
+                                                                 thresholds[:, block], cutoffs[:, block])
     return sizes, hits
 
 
@@ -303,8 +298,8 @@ def _prop1_bound_checks(model: conformal.CalibratedModel, data: RunData, directi
     ``(direction, part)``; n_g counts the group's own calibration pairs.
     """
     partition = model.partition
-    calib_part = np.array([partition.part_of[int(r)] for r in data.calib_predicates[cal_idx]], dtype=np.int64)
-    test_part = np.array([partition.part_of[int(r)] for r in data.test_predicates[test_idx]], dtype=np.int64)
+    calib_part = np.array([partition.part_of[int(r)] for r in data.calib.predicate[cal_idx]], dtype=np.int64)
+    test_part = np.array([partition.part_of[int(r)] for r in data.test.predicate[test_idx]], dtype=np.int64)
     checks: dict[tuple[str | None, int], bool] = {}
     for g in np.unique(test_part).tolist():
         flags = hits[test_part == g]
@@ -336,7 +331,7 @@ def evaluate(config: ExperimentConfig, seed: int, data: RunData,
             per_group[(method, epsilon)] = [fitted[(method, direction, epsilon)] for direction, _, _ in groups]
         if "condkgcp" in config.methods:
             per_group[("part-mcp", epsilon)] = [
-                conformal.fit_part_mcp(data.calib_predicates[cal_idx], data.calib_nonconf[cal_idx],
+                conformal.fit_part_mcp(data.calib.predicate[cal_idx], data.calib_nonconf[cal_idx],
                                        cond.partition, epsilon, n_entities)
                 for (_, cal_idx, _), cond in zip(groups, per_group[("condkgcp", epsilon)])
             ]
@@ -344,18 +339,18 @@ def evaluate(config: ExperimentConfig, seed: int, data: RunData,
     filters = []
     for group_models in per_group.values():
         # NaN: a pair outside every direction group gets an empty set
-        thresholds = np.full(len(data.test.pairs), np.nan)
-        cutoffs = np.full(len(data.test.pairs), n_entities, dtype=np.int64)
+        thresholds = np.full(len(data.test), np.nan)
+        cutoffs = np.full(len(data.test), n_entities, dtype=np.int64)
         for (_, _, test_idx), model in zip(groups, group_models):
             thresholds[test_idx], cutoffs[test_idx] = conformal.query_filters(
-                model, data.test_predicates[test_idx], n_entities)
+                model, data.test.predicate[test_idx], n_entities)
         filters.append((thresholds, cutoffs))
     sizes, hits = _outcomes(config, seed, data, filters)
     outcome = {key: (sizes[f], hits[f]) for f, key in enumerate(per_group)}
 
     reports: list[metrics.EvaluationReport] = []
     for epsilon in config.epsilons:
-        by_method = {method: metrics.evaluate_outcomes(method, epsilon, seed, data.test_predicates,
+        by_method = {method: metrics.evaluate_outcomes(method, epsilon, seed, data.test.predicate,
                                                        *outcome[(method, epsilon)], config.macro_avesize)
                      for method in _fitted_methods(config)}
         reference = by_method["kgcp"]
@@ -369,7 +364,7 @@ def evaluate(config: ExperimentConfig, seed: int, data: RunData,
                 shrinkage = []
                 for (direction, cal_idx, test_idx), model in zip(groups, per_group[("condkgcp", epsilon)]):
                     shrinkage.append(conformal.verify_shrinkage(
-                        model.partition, data.test_predicates[test_idx],
+                        model.partition, data.test.predicate[test_idx],
                         dual_sizes[test_idx], score_only_sizes[test_idx]))
                     rep.bound_checks.update(_prop1_bound_checks(model, data, direction, cal_idx, test_idx,
                                                                 dual_hits[test_idx]))
@@ -408,18 +403,11 @@ def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData,
     sub_kg = KnowledgeGraph(vocab=data.kg.vocab, splits={
         "train": data.kg.splits["train"], "valid": tune_cal, "test": tune_test,
     })
-    needed = make_queries(tune_cal, config.both_directions).pairs \
-        + make_queries(tune_test, config.both_directions).pairs
-    if data.model is not None:
-        matrix = models.ScoreMatrix.from_model(data.model, [q for q, _ in needed])
-    elif config.score_matrix is not None:
-        matrix = models.import_scores(config.score_matrix, required_queries=[q for q, _ in needed])
-    else:
+    if data.model is None and config.score_matrix is None:
         raise KGError("tuning needs a trained model or an importable score matrix")
-    sub_data = prepare_run(sub, seed, score_matrix=matrix, model=data.model,
-                           kg=sub_kg, predicate_vectors=data.predicate_vectors)
+    sub_data = prepare_run(sub, seed, model=data.model, kg=sub_kg, predicate_vectors=data.predicate_vectors)
 
-    max_count = int(np.bincount(sub_data.calib_predicates, minlength=data.kg.vocab.n_predicates).max())
+    max_count = int(np.bincount(sub_data.calib.predicate, minlength=data.kg.vocab.n_predicates).max())
     candidates = []
     for phi in phi_grid:
         if phi > max_count:

@@ -19,7 +19,7 @@ __all__ = [
     "SplitConfig",
     "Triple",
     "Vocab",
-    "build_answer_index",
+    "filter_masks",
     "load_kg",
     "make_queries",
     "rank_cuts",
@@ -87,16 +87,33 @@ class Query:
         return (self.direction.value, self.anchor, self.predicate)
 
 
+DIRECTIONS = (Direction.TAIL, Direction.HEAD)  # indexed by the direction code: 0 tail, 1 head
+
+
 @dataclass
 class QueryAnswerSet:
-    pairs: list[tuple[Query, int]]
-    name: str = ""
+    """(query, answer) pairs as int64 columns; pair ``i`` is row ``i`` of each column."""
+
+    direction: np.ndarray  # 0 tail (h, r, ?), 1 head (?, r, t)
+    anchor: np.ndarray
+    predicate: np.ndarray
+    answer: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.answer.shape[0]
+
+    def queries(self) -> np.ndarray:
+        """``(n, 3)`` rows of (direction, anchor, predicate)."""
+        return np.column_stack((self.direction, self.anchor, self.predicate))
+
+    @property
+    def pairs(self) -> list[tuple[Query, int]]:
+        """Per-pair view: ``(Query, answer)`` tuples."""
+        columns = (self.direction, self.anchor, self.predicate, self.answer)
+        return [(Query(DIRECTIONS[d], a, p), ans) for d, a, p, ans in zip(*(c.tolist() for c in columns))]
 
     def predicates(self) -> np.ndarray:
-        return np.array([q.predicate for q, _ in self.pairs], dtype=np.int64)
+        return self.predicate
 
 
 @dataclass(frozen=True)
@@ -211,29 +228,51 @@ def split_triples(triples: list[Triple], cfg: SplitConfig) -> dict[str, list[Tri
     }
 
 
-def make_queries(triples: list[Triple], both_directions: bool = True, name: str = "") -> QueryAnswerSet:
-    """Turn triples into (query, answer) pairs, preserving input order."""
-    pairs: list[tuple[Query, int]] = []
-    seen: set[tuple[tuple[str, int, int], int]] = set()
-    for tr in triples:
-        candidates = [(Query(Direction.TAIL, tr.head, tr.predicate), tr.tail)]
-        if both_directions:
-            candidates.append((Query(Direction.HEAD, tr.tail, tr.predicate), tr.head))
-        for q, a in candidates:
-            k = (q.key(), a)
-            if k not in seen:
-                seen.add(k)
-                pairs.append((q, a))
-    return QueryAnswerSet(pairs=pairs, name=name)
+def make_queries(triples: list[Triple], both_directions: bool = True) -> QueryAnswerSet:
+    """Turn triples into (query, answer) pairs in input order: each triple's tail query, then its head query.
+
+    A repeated triple would repeat both of its pairs, so only its first occurrence counts.
+    """
+    hrt = np.array([(t.head, t.predicate, t.tail) for t in triples], dtype=np.int64).reshape(-1, 3)
+    h, r, t = hrt[np.sort(np.unique(hrt, axis=0, return_index=True)[1])].T
+    tail = np.stack((np.zeros_like(h), h, r, t))  # rows: direction, anchor, predicate, answer
+    head = np.stack((np.ones_like(h), t, r, h))
+    pairs = np.stack((tail, head) if both_directions else (tail,), axis=2)  # (4, triples, pairs per triple)
+    return QueryAnswerSet(*pairs.reshape(4, -1))
 
 
-def build_answer_index(sets: list[QueryAnswerSet]) -> dict[tuple[str, int, int], set[int]]:
-    """All known true answers per query across the given sets (filtered-setting masks)."""
-    index: dict[tuple[str, int, int], set[int]] = {}
-    for qa in sets:
-        for q, a in qa.pairs:
-            index.setdefault(q.key(), set()).add(a)
-    return index
+def query_keys(queries: np.ndarray) -> np.ndarray:
+    """One int64 per ``(direction, anchor, predicate)`` row, anchors and predicates in [0, 2**31).
+
+    Keys sort like :meth:`Query.key` tuples: head queries (code 1) first, then by anchor, then by predicate.
+    """
+    return ((1 - queries[:, 0]) << 62) | (queries[:, 1] << 31) | queries[:, 2]
+
+
+def filter_masks(qa: QueryAnswerSet, known: list[QueryAnswerSet]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR filter masks ``(indptr, indices)``: pair ``i`` of ``qa`` masks ``indices[indptr[i]:indptr[i + 1]]``.
+
+    A mask holds, in ascending order, the answers its query has in ``known`` other than the pair's own.
+    """
+    indptr = np.zeros(len(qa) + 1, dtype=np.int64)
+    if not known:
+        return indptr, np.empty(0, dtype=np.int64)
+    known_keys = query_keys(np.concatenate([k.queries() for k in known]))
+    answers = np.concatenate([k.answer for k in known])
+    # sorted distinct (query key, answer) rows: each query's known answers form one run
+    order = np.lexsort((answers, known_keys))
+    known_keys, answers = known_keys[order], answers[order]
+    new = np.ones(order.shape, dtype=bool)
+    new[1:] = (known_keys[1:] != known_keys[:-1]) | (answers[1:] != answers[:-1])
+    known_keys, answers = known_keys[new], answers[new]
+    keys = query_keys(qa.queries())
+    lo = np.searchsorted(known_keys, keys, side="left")
+    sizes = np.searchsorted(known_keys, keys, side="right") - lo
+    owner = np.repeat(np.arange(len(qa)), sizes)
+    answers = answers[np.repeat(lo - (np.cumsum(sizes) - sizes), sizes) + np.arange(owner.shape[0])]
+    other = answers != qa.answer[owner]
+    np.cumsum(np.bincount(owner[other], minlength=len(qa)), out=indptr[1:])
+    return indptr, answers[other]
 
 
 def rank_of(scores: np.ndarray, answer: int, filter_mask=None) -> int:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kg import Direction, KnowledgeGraph, KGError, Query
+from .kg import DIRECTIONS, Direction, KnowledgeGraph, KGError, Query, query_keys
 
 __all__ = [
     "EmbeddingModel",
@@ -34,8 +34,7 @@ MODEL_KINDS = ("transe", "distmult", "complex")
 
 SCORE_MAGIC = b"KGSC"
 VEC_MAGIC = b"KGPV"
-_DIR_CODE = {Direction.TAIL: 0, Direction.HEAD: 1}
-_DIR_FROM_CODE = {0: Direction.TAIL, 1: Direction.HEAD}
+EXPORT_BLOCK_ROWS = 64  # score rows per packed block that export_scores writes
 
 logger = logging.getLogger(__name__)
 
@@ -345,9 +344,7 @@ def train(kg: KnowledgeGraph, kind: str, cfg: TrainConfig, dim: int = 16, norm: 
     n_ent, n_pred = kg.vocab.n_entities, kg.vocab.n_predicates
     model = _init_model(kind, dim, n_ent, n_pred, rng, norm)
 
-    heads = np.array([t.head for t in triples], dtype=np.int64)
-    rels = np.array([t.predicate for t in triples], dtype=np.int64)
-    tails = np.array([t.tail for t in triples], dtype=np.int64)
+    heads, rels, tails = np.array([(t.head, t.predicate, t.tail) for t in triples], dtype=np.int64).T
     known = np.unique(_triple_keys(heads, rels, tails, n_ent, n_pred))
     n = heads.shape[0]
     k = cfg.negatives
@@ -431,71 +428,98 @@ def load_model(path: str | Path) -> EmbeddingModel:
     )
 
 
+def _query_key(query) -> str:
+    d, a, p = (int(v) for v in query)
+    return str(Query(DIRECTIONS[d], a, p).key())
+
+
 @dataclass
 class ScoreMatrix:
-    """Dense per-query score vectors keyed by (direction, anchor, predicate)."""
+    """Row ``i`` of ``scores`` holds the ``|E|`` scores of query ``queries[i]`` (direction, anchor, predicate).
 
-    n_entities: int
-    vectors: dict[tuple[str, int, int], np.ndarray]
+    Construction sorts the rows by :func:`kg.query_keys`, copying only rows out of order; a query given
+    twice raises KGError naming ``source``.
+    """
+
+    queries: np.ndarray
+    scores: np.ndarray
     source: str = "score matrix"  # the file it was imported from, for error messages
 
-    def get(self, query: Query) -> np.ndarray:
-        key = query.key()
-        if key not in self.vectors:
-            raise KeyError(f"no scores for query {key}")
-        return self.vectors[key]
+    def __post_init__(self):
+        if np.any(self.queries[:, 1:] >> 31):  # negative, or 2**31 and above
+            raise KGError(f"{self.source}: anchors and predicates must lie in [0, 2**31)")
+        keys = query_keys(self.queries)
+        if np.any(keys[1:] <= keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            keys, self.queries, self.scores = keys[order], self.queries[order], self.scores[order]
+            repeated = np.flatnonzero(keys[1:] == keys[:-1])
+            if repeated.size:
+                raise KGError(f"{self.source}: scores for query {_query_key(self.queries[repeated[0]])} repeated")
 
-    def require(self, queries) -> None:
-        missing = list(dict.fromkeys(q.key() for q in queries if q.key() not in self.vectors))
-        if missing:
-            preview = ", ".join(map(str, missing[:5]))
-            raise KGError(f"{self.source}: missing scores for {len(missing)} queries: {preview}")
+    @property
+    def n_entities(self) -> int:
+        return self.scores.shape[1]
+
+    def rows(self, *sets) -> list[np.ndarray]:
+        """Row in ``scores`` of each pair's query, one array per query-answer set; KGError names missing ones."""
+        queries = np.concatenate([qa.queries() for qa in sets])
+        own, wanted = query_keys(self.queries), query_keys(queries)
+        pos = np.searchsorted(own, wanted)
+        missing = np.append(own, -1)[pos] != wanted  # keys are nonnegative
+        if missing.any():
+            _, first = np.unique(wanted[missing], return_index=True)
+            preview = ", ".join(_query_key(q) for q in queries[missing][np.sort(first)][:5])
+            raise KGError(f"{self.source}: missing scores for {first.size} queries: {preview}")
+        return np.split(pos, np.cumsum([len(qa) for qa in sets])[:-1])
 
     @classmethod
-    def from_model(cls, model: EmbeddingModel, queries) -> "ScoreMatrix":
-        vectors = {}
-        for q in queries:
-            if q.key() not in vectors:
-                vectors[q.key()] = score(model, q)
-        return cls(n_entities=model.n_entities, vectors=vectors)
+    def from_model(cls, model: EmbeddingModel, *sets) -> "ScoreMatrix":
+        """Score every distinct query of the given query-answer sets."""
+        queries = np.concatenate([qa.queries() for qa in sets])
+        queries = queries[np.unique(query_keys(queries), return_index=True)[1]]
+        scores = np.empty((queries.shape[0], model.n_entities))
+        for i, (d, a, p) in enumerate(queries.tolist()):
+            scores[i] = score(model, Query(DIRECTIONS[d], a, p))
+        return cls(queries=queries, scores=scores)
+
+
+def _score_record(n_ent: int) -> np.dtype:
+    """One packed record of the binary score file: direction code, anchor, predicate, ``|E|`` scores."""
+    return np.dtype([("direction", "u1"), ("anchor", "<u4"), ("predicate", "<u4"), ("scores", "<f8", (n_ent,))])
 
 
 def export_scores(matrix: ScoreMatrix, path: str | Path, fmt: str = "binary") -> None:
+    """Write the rows in key order: a CSV table, or packed binary records one block at a time."""
     path = Path(path)
-    keys = sorted(matrix.vectors)
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["direction", "anchor", "predicate"] + [f"s{i}" for i in range(matrix.n_entities)])
-            for key in keys:
-                d, a, p = key
-                writer.writerow([d, a, p] + [repr(float(v)) for v in matrix.vectors[key]])
+            for (d, a, p), row in zip(matrix.queries.tolist(), matrix.scores):
+                writer.writerow([DIRECTIONS[d].value, a, p] + [repr(float(v)) for v in row])
         return
+    n = matrix.queries.shape[0]
     with open(path, "wb") as fh:
         fh.write(SCORE_MAGIC)
-        fh.write(struct.pack("<II", matrix.n_entities, len(keys)))
-        for d, a, p in keys:
-            code = _DIR_CODE[Direction(d)]
-            fh.write(struct.pack("<BII", code, a, p))
-            fh.write(np.asarray(matrix.vectors[(d, a, p)], dtype="<f8").tobytes())
+        fh.write(struct.pack("<II", matrix.n_entities, n))
+        for start in range(0, n, EXPORT_BLOCK_ROWS):
+            block = np.empty(min(EXPORT_BLOCK_ROWS, n - start), dtype=_score_record(matrix.n_entities))
+            block["direction"], block["anchor"], block["predicate"] = matrix.queries[start : start + block.size].T
+            block["scores"] = matrix.scores[start : start + block.size]
+            fh.write(block.tobytes())
 
 
-def import_scores(path: str | Path, required_queries=None) -> ScoreMatrix:
+def import_scores(path: str | Path) -> ScoreMatrix:
     path = Path(path)
     if not path.exists():
         raise KGError(f"no such file: {path}")
     if path.suffix == ".csv":
-        matrix = _import_scores_csv(path)
-    else:
-        matrix = _import_scores_binary(path)
-    matrix.source = str(path)
-    if required_queries is not None:
-        matrix.require(required_queries)
-    return matrix
+        return _import_scores_csv(path)
+    return _import_scores_binary(path)
 
 
 def _import_scores_binary(path: Path) -> ScoreMatrix:
-    """Read the file into one array of packed records; each query's vector is a row of it."""
+    """Read the file into one array of packed records; ``scores`` is a view of their score fields."""
     size = path.stat().st_size
     with open(path, "rb") as fh:
         header = fh.read(12)
@@ -504,7 +528,7 @@ def _import_scores_binary(path: Path) -> ScoreMatrix:
         if len(header) < 12:
             raise KGError(f"{path}: truncated header")
         n_ent, n_queries = struct.unpack_from("<II", header, 4)
-        record = np.dtype([("direction", "u1"), ("anchor", "<u4"), ("predicate", "<u4"), ("scores", "<f8", (n_ent,))])
+        record = _score_record(n_ent)
         expected = 12 + n_queries * record.itemsize
         if size < expected:
             raise KGError(f"{path}: truncated record (length mismatch vs |E|={n_ent})")
@@ -514,13 +538,12 @@ def _import_scores_binary(path: Path) -> ScoreMatrix:
     codes = records["direction"]
     if np.any(codes > 1):
         raise KGError(f"{path}: direction code {int(codes[codes > 1][0])} is neither 0 (tail) nor 1 (head)")
-    keys = [(_DIR_FROM_CODE[c].value, a, p) for c, a, p in
-            zip(codes.tolist(), records["anchor"].tolist(), records["predicate"].tolist())]
+    queries = np.column_stack((codes, records["anchor"], records["predicate"])).astype(np.int64)
     rows = records["scores"]
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
-        raise KGError(f"{path}: non-finite score for query {keys[bad[0]]}")
-    return ScoreMatrix(n_entities=n_ent, vectors=dict(zip(keys, rows)))
+        raise KGError(f"{path}: non-finite score for query {_query_key(queries[bad[0]])}")
+    return ScoreMatrix(queries=queries, scores=rows, source=str(path))
 
 
 def _import_scores_csv(path: Path) -> ScoreMatrix:
@@ -530,18 +553,19 @@ def _import_scores_csv(path: Path) -> ScoreMatrix:
         if not header or header[:3] != ["direction", "anchor", "predicate"]:
             raise KGError(f"{path}: bad CSV header")
         n_ent = len(header) - 3
-        vectors = {}
+        queries, rows = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 3 + n_ent:
                 raise KGError(f"{path}:{lineno}: length mismatch vs |E|={n_ent}")
             try:
-                key = (Direction(row[0]).value, int(row[1]), int(row[2]))
-                vectors[key] = np.array([float(v) for v in row[3:]])
+                rows.append(np.array([float(v) for v in row[3:]]))
+                queries.append((DIRECTIONS.index(Direction(row[0])), int(row[1]), int(row[2])))
             except ValueError as exc:
                 raise KGError(f"{path}:{lineno}: malformed row ({exc})") from None
-            if not np.all(np.isfinite(vectors[key])):
-                raise KGError(f"{path}:{lineno}: non-finite score for query {key}")
-    return ScoreMatrix(n_entities=n_ent, vectors=vectors)
+            if not np.all(np.isfinite(rows[-1])):
+                raise KGError(f"{path}:{lineno}: non-finite score for query {_query_key(queries[-1])}")
+    return ScoreMatrix(queries=np.array(queries, dtype=np.int64).reshape(-1, 3),
+                       scores=np.array(rows).reshape(len(rows), n_ent), source=str(path))
 
 
 def export_predicate_vectors(vectors: np.ndarray, path: str | Path) -> None:

@@ -1,0 +1,88 @@
+"""The per-pair query code as it was before queries became int64 columns.
+
+``kg.make_queries``, ``kg.filter_masks`` and ``models.export_scores`` must
+agree with the functions here: ``make_queries``, ``build_answer_index`` and
+``export_scores`` are verbatim copies of the versions that built one
+``Query`` object per pair, one ``set`` of known answers per query and one
+``struct.pack`` call per score record.  Used by ``test_properties.py``.
+"""
+
+from __future__ import annotations
+
+import csv
+import struct
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from kgconformal.kg import Direction, Query, Triple
+
+SCORE_MAGIC = b"KGSC"
+_DIR_CODE = {Direction.TAIL: 0, Direction.HEAD: 1}
+
+
+@dataclass
+class QueryAnswerSet:
+    pairs: list[tuple[Query, int]]
+    name: str = ""
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def predicates(self) -> np.ndarray:
+        return np.array([q.predicate for q, _ in self.pairs], dtype=np.int64)
+
+
+@dataclass
+class ScoreMatrix:
+    """Dense per-query score vectors keyed by (direction, anchor, predicate)."""
+
+    n_entities: int
+    vectors: dict[tuple[str, int, int], np.ndarray]
+    source: str = "score matrix"  # the file it was imported from, for error messages
+
+
+def make_queries(triples: list[Triple], both_directions: bool = True, name: str = "") -> QueryAnswerSet:
+    """Turn triples into (query, answer) pairs, preserving input order."""
+    pairs: list[tuple[Query, int]] = []
+    seen: set[tuple[tuple[str, int, int], int]] = set()
+    for tr in triples:
+        candidates = [(Query(Direction.TAIL, tr.head, tr.predicate), tr.tail)]
+        if both_directions:
+            candidates.append((Query(Direction.HEAD, tr.tail, tr.predicate), tr.head))
+        for q, a in candidates:
+            k = (q.key(), a)
+            if k not in seen:
+                seen.add(k)
+                pairs.append((q, a))
+    return QueryAnswerSet(pairs=pairs, name=name)
+
+
+def build_answer_index(sets: list[QueryAnswerSet]) -> dict[tuple[str, int, int], set[int]]:
+    """All known true answers per query across the given sets (filtered-setting masks)."""
+    index: dict[tuple[str, int, int], set[int]] = {}
+    for qa in sets:
+        for q, a in qa.pairs:
+            index.setdefault(q.key(), set()).add(a)
+    return index
+
+
+def export_scores(matrix: ScoreMatrix, path: str | Path, fmt: str = "binary") -> None:
+    path = Path(path)
+    keys = sorted(matrix.vectors)
+    if fmt == "csv":
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["direction", "anchor", "predicate"] + [f"s{i}" for i in range(matrix.n_entities)])
+            for key in keys:
+                d, a, p = key
+                writer.writerow([d, a, p] + [repr(float(v)) for v in matrix.vectors[key]])
+        return
+    with open(path, "wb") as fh:
+        fh.write(SCORE_MAGIC)
+        fh.write(struct.pack("<II", matrix.n_entities, len(keys)))
+        for d, a, p in keys:
+            code = _DIR_CODE[Direction(d)]
+            fh.write(struct.pack("<BII", code, a, p))
+            fh.write(np.asarray(matrix.vectors[(d, a, p)], dtype="<f8").tobytes())

@@ -6,8 +6,8 @@ import pytest
 
 from kgconformal import cli
 from kgconformal.experiment import ExperimentConfig, load_or_generate_kg
-from kgconformal.kg import make_queries
-from kgconformal.models import export_scores, import_scores, load_model, save_model
+from kgconformal.kg import DIRECTIONS, Query, make_queries
+from kgconformal.models import ScoreMatrix, export_scores, import_scores, load_model, save_model
 from kgconformal.verify import CheckResult
 
 
@@ -146,12 +146,15 @@ class TestExitCodes:
         for stage in ("train", "score"):
             assert cli.main([stage, "--config", str(config)]) == 0
         kg = load_or_generate_kg(ExperimentConfig.load(config), 0)
-        calib_keys = {q.key() for q, _ in make_queries(kg.splits["valid"]).pairs}
-        # a query only test pairs ask: no calibration score or rank ever reads its row
-        key = next(q.key() for q, _ in make_queries(kg.splits["test"]).pairs if q.key() not in calib_keys)
         scores_file = tmp_path / "out" / "scores_s0.bin"
         matrix = import_scores(scores_file)
-        matrix.vectors[key][3] = np.nan
+        calib_rows, test_rows = matrix.rows(make_queries(kg.splits["valid"]), make_queries(kg.splits["test"]))
+        # a query only test pairs ask: no calibration score or rank ever reads its row
+        calib = set(calib_rows.tolist())
+        row = next(r for r in test_rows.tolist() if r not in calib)
+        d, a, p = matrix.queries[row].tolist()
+        key = Query(DIRECTIONS[d], a, p).key()
+        matrix.scores[row, 3] = np.nan
         export_scores(matrix, scores_file)
         capsys.readouterr()
         for stage in ("calibrate", "evaluate"):
@@ -164,16 +167,37 @@ class TestExitCodes:
         for stage in ("train", "score"):
             assert cli.main([stage, "--config", str(config)]) == 0
         kg = load_or_generate_kg(ExperimentConfig.load(config), 0)
-        key = make_queries(kg.splits["test"]).pairs[0][0].key()
+        test = make_queries(kg.splits["test"])
+        key = test.pairs[0][0].key()
         scores_file = tmp_path / "out" / "scores_s0.bin"
         matrix = import_scores(scores_file)
-        del matrix.vectors[key]
-        export_scores(matrix, scores_file)
+        row = matrix.rows(test)[0][0]
+        export_scores(ScoreMatrix(queries=np.delete(matrix.queries, row, axis=0),
+                                  scores=np.delete(matrix.scores, row, axis=0)), scores_file)
         capsys.readouterr()
         for stage in ("calibrate", "evaluate"):
             assert cli.main([stage, "--config", str(config)]) == cli.EXIT_CONFIG
             err = capsys.readouterr().err
             assert f"{scores_file}: missing scores for 1 queries: {key}" in err
+
+    def test_score_file_repeating_a_query_names_file_and_query(self, tmp_path, dataset, capsys):
+        config = write_config(tmp_path, dataset)
+        for stage in ("train", "score"):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        scores_file = tmp_path / "out" / "scores_s0.bin"
+        data = scores_file.read_bytes()
+        n_queries = int.from_bytes(data[8:12], "little")
+        record = (len(data) - 12) // n_queries
+        last = data[-record:]  # the file's last query, listed a second time with other scores
+        d, a, p = last[0], int.from_bytes(last[1:5], "little"), int.from_bytes(last[5:9], "little")
+        repeat = last[:9] + np.full(40, 0.5).tobytes()
+        scores_file.write_bytes(data[:8] + (n_queries + 1).to_bytes(4, "little") + data[12:] + repeat)
+        key = Query(DIRECTIONS[d], a, p).key()
+        capsys.readouterr()
+        for stage in ("calibrate", "evaluate"):
+            assert cli.main([stage, "--config", str(config)]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"{scores_file}: scores for query {key} repeated" in err
 
     @pytest.mark.parametrize("extra", [10, -10], ids=["wider", "narrower"])
     def test_score_matrix_width_must_match_kg(self, tmp_path, dataset, capsys, extra):
@@ -183,9 +207,8 @@ class TestExitCodes:
         scores_file = tmp_path / "out" / "scores_s0.bin"
         matrix = import_scores(scores_file)
         width = matrix.n_entities + extra
-        matrix.vectors = {key: np.resize(vec, width) for key, vec in matrix.vectors.items()}
-        matrix.n_entities = width
-        export_scores(matrix, scores_file)
+        resized = np.stack([np.resize(vec, width) for vec in matrix.scores])
+        export_scores(ScoreMatrix(queries=matrix.queries, scores=resized), scores_file)
         capsys.readouterr()
         for stage in ("calibrate", "evaluate"):
             assert cli.main([stage, "--config", str(config)]) == cli.EXIT_CONFIG

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from kgconformal import conformal, experiment
 from kgconformal.experiment import (
     ExperimentConfig,
+    calibrate,
     prepare_run,
     run_experiment,
     run_single,
@@ -56,8 +58,8 @@ class TestPrepareRun:
         n_cal, n_test = len(data.calib.pairs), len(data.test.pairs)
         assert data.calib_nonconf.shape == (n_cal,)
         assert data.calib_ranks.shape == (n_cal,)
-        assert len(data.test_raw) == len(data.test_masks) == n_test
-        assert all(v.shape == (40,) for v in data.test_raw)
+        assert data.test_rows.shape == (n_test,) and data.mask_indptr.shape == (n_test + 1,)
+        assert data.scores[data.test_rows].shape == (n_test, 40)
         assert np.all(data.calib_ranks >= 1)
         assert data.predicate_vectors.shape[0] == 3
 
@@ -71,15 +73,14 @@ class TestPrepareRun:
     def test_score_matrix_width_must_match_kg(self):
         config = tiny_config()
         data = prepare_run(config, 0)
-        matrix = ScoreMatrix.from_model(data.model, [q for q, _ in data.calib.pairs + data.test.pairs])
-        matrix.vectors = {key: vec[:-1] for key, vec in matrix.vectors.items()}
-        matrix.n_entities -= 1
+        matrix = ScoreMatrix.from_model(data.model, data.calib, data.test)
+        matrix.scores = matrix.scores[:, :-1]
         with pytest.raises(KGError, match="^score matrix: 39 score columns, but the KG has 40 entities$"):
             prepare_run(config, 0, score_matrix=matrix, model=data.model)
 
     def test_unfiltered_masks_empty(self):
         data = prepare_run(tiny_config(filtered=False), 0)
-        assert all(m == set() for m in data.test_masks)
+        assert not data.mask_indptr.any() and data.mask_indices.size == 0
 
 
 class TestRunSingle:
@@ -111,6 +112,25 @@ class TestRunSingle:
         cond = next(r for r in reports if r.method == "condkgcp")
         # 3 predicates, each its own part, in each of the two direction groups
         assert set(cond.bound_checks) == {(d, g) for d in ("tail", "head") for g in range(3)}
+
+    def test_split_directions_calibrate_each_group_on_its_own_pairs(self):
+        config = tiny_config(split_directions=True, methods=["kgcp"])
+        data = prepare_run(config, 0)
+        fitted = calibrate(config, 0, data)
+        for code, direction in enumerate(("tail", "head")):
+            own = data.calib_nonconf[data.calib.direction == code]
+            assert fitted[("kgcp", direction, 0.1)].per_part[0].score_threshold == conformal.quantile(own, 0.1)
+
+    @pytest.mark.parametrize("kind", ["softmax", "aps"])
+    def test_reports_do_not_depend_on_the_evaluation_block(self, monkeypatch, kind):
+        """Each test pair keeps its own mask and APS draw however the pass splits the pairs into blocks."""
+        config = tiny_config(scorer={"kind": kind})
+        data = prepare_run(config, 0)
+        assert len(data.test) > 2 * 7
+        whole = run_single(config, 0, data=data)
+        monkeypatch.setattr(experiment, "EVAL_BLOCK_ROWS", 7)
+        blocked = run_single(config, 0, data=data)
+        assert [(r.row(), r.coverage) for r in blocked] == [(r.row(), r.coverage) for r in whole]
 
     def test_multiple_epsilons(self):
         reports = run_single(tiny_config(methods=["kgcp"], epsilons=[0.1, 0.3]), 0)

@@ -7,8 +7,8 @@ from kgconformal.kg import (
     Query,
     SplitConfig,
     Triple,
-    build_answer_index,
     candidate_ranks,
+    filter_masks,
     load_kg,
     make_queries,
     rank_of,
@@ -165,5 +165,8 @@ class TestSplits:
 def test_answer_index_collects_all_splits():
     qa1 = make_queries([Triple(0, 0, 1)], both_directions=False)
     qa2 = make_queries([Triple(0, 0, 2)], both_directions=False)
-    index = build_answer_index([qa1, qa2])
-    assert index[("tail", 0, 0)] == {1, 2}
+    # the index of query ('tail', 0, 0) holds {1, 2}; each pair masks the other answer
+    indptr, indices = filter_masks(qa1, [qa1, qa2])
+    assert indptr.tolist() == [0, 1] and indices.tolist() == [2]
+    indptr, indices = filter_masks(qa2, [qa1, qa2])
+    assert indptr.tolist() == [0, 1] and indices.tolist() == [1]

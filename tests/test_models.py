@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kgconformal import models
-from kgconformal.kg import Direction, KGError, KnowledgeGraph, Query, Triple, Vocab, rank_of
+from kgconformal.kg import DIRECTIONS, Direction, KGError, KnowledgeGraph, Query, QueryAnswerSet, Triple, Vocab, rank_of
 from kgconformal.models import (
     EmbeddingModel,
     ScoreMatrix,
@@ -37,6 +37,13 @@ def make_model(kind, dim, n_ent=5, n_pred=2, seed=0, norm=1):
         predicate_embeddings=rng.normal(size=(n_pred, width)),
         norm=norm,
     )
+
+
+def query_set(queries):
+    """The query-answer set asking ``queries`` in order, each with answer 0."""
+    columns = [[DIRECTIONS.index(q.direction) for q in queries], [q.anchor for q in queries],
+               [q.predicate for q in queries], [0] * len(queries)]
+    return QueryAnswerSet(*(np.array(c, dtype=np.int64) for c in columns))
 
 
 def toy_kg(n_ent=20, n_pred=2, n_triples=60, seed=0):
@@ -153,6 +160,8 @@ def oracle_score(model, query):
     return er @ (rr * ar + ri * ai) + ei @ (rr * ai - ri * ar)
 
 
+SCORE_FILE_BYTES = 12 + 7 * (9 + 8 * 7)  # TestPersistence.score_matrix: header, then 7 records of |E| = 7
+
 SCORED_KINDS = [pytest.param("transe", 1, id="transe-l1"), pytest.param("transe", 2, id="transe-l2"),
                 pytest.param("distmult", 1, id="distmult"), pytest.param("complex", 1, id="complex")]
 
@@ -168,10 +177,11 @@ class TestScoreExactness:
         queries += queries[::3]  # repeats
         for q in queries:
             assert np.array_equal(score(model, q), oracle_score(model, q))
-        matrix = ScoreMatrix.from_model(model, queries)
-        assert len(matrix.vectors) == 12
-        for q in queries:
-            assert np.array_equal(matrix.get(q), oracle_score(model, q))
+        matrix = ScoreMatrix.from_model(model, query_set(queries))
+        assert len(matrix.queries) == 12
+        (rows,) = matrix.rows(query_set(queries))
+        for q, row in zip(queries, rows):
+            assert np.array_equal(matrix.scores[row], oracle_score(model, q))
 
     @pytest.mark.parametrize("kind,norm", SCORED_KINDS)
     def test_scratch_does_not_leak_between_calls(self, kind, norm):
@@ -425,24 +435,25 @@ class TestPersistence:
         model = make_model("distmult", 4, n_ent=7, seed=seed)
         queries = [Query(Direction.TAIL, a, p) for a in range(3) for p in range(2)]
         queries += [Query(Direction.HEAD, 1, 0)]
-        return ScoreMatrix.from_model(model, queries), queries
+        return ScoreMatrix.from_model(model, query_set(queries)), queries
 
     def test_binary_round_trip_exact(self, tmp_path):
         matrix, queries = self.score_matrix()
         path = tmp_path / "scores.bin"
         export_scores(matrix, path)
-        loaded = import_scores(path, required_queries=queries)
+        loaded = import_scores(path)
         assert loaded.n_entities == matrix.n_entities
-        for key, vec in matrix.vectors.items():
-            assert np.array_equal(loaded.vectors[key], vec)
+        loaded.rows(query_set(queries))  # raises if a query is missing
+        assert np.array_equal(loaded.queries, matrix.queries)
+        assert np.array_equal(loaded.scores, matrix.scores)
 
     def test_csv_round_trip_exact(self, tmp_path):
         matrix, _ = self.score_matrix(seed=1)
         path = tmp_path / "scores.csv"
         export_scores(matrix, path, fmt="csv")
         loaded = import_scores(path)
-        for key, vec in matrix.vectors.items():
-            assert np.array_equal(loaded.vectors[key], vec)
+        assert np.array_equal(loaded.queries, matrix.queries)
+        assert np.array_equal(loaded.scores, matrix.scores)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "scores.bin"
@@ -452,22 +463,53 @@ class TestPersistence:
         with pytest.raises(KGError, match="bad magic"):
             import_scores(path)
 
-    def test_truncated_record_names_length_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("corrupt", [pytest.param(("cut", n), id=f"cut-{n}") for n in range(SCORE_FILE_BYTES)]
+                             + [pytest.param(("direction", 2), id="direction-2"),
+                                pytest.param(("anchor", 2**32 - 1), id="anchor-2**32-1")])
+    def test_truncated_record_names_length_mismatch(self, tmp_path, corrupt):
+        """Cut at any byte offset, or with a bad field in a record, the file raises KGError naming it."""
         matrix, _ = self.score_matrix()
         path = tmp_path / "scores.bin"
         export_scores(matrix, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-9])
-        from kgconformal.kg import KGError
+        data = bytearray(path.read_bytes())
+        assert len(data) == SCORE_FILE_BYTES
+        kind, value = corrupt
+        fourth = 12 + 3 * (SCORE_FILE_BYTES - 12) // 7  # the fourth record: direction byte, anchor, predicate
+        if kind == "cut":
+            data = data[:value]
+            expected = "bad magic" if value < 4 else "truncated header" if value < 12 else "length mismatch"
+        elif kind == "direction":
+            data[fourth] = value
+            expected = rf"direction code {value} is neither"
+        else:
+            data[fourth + 1 : fourth + 5] = value.to_bytes(4, "little")
+            expected = re.escape("anchors and predicates must lie in [0, 2**31)")
+        path.write_bytes(bytes(data))
+        with pytest.raises(KGError, match=rf"^{re.escape(str(path))}: .*{expected}"):
+            import_scores(path)
 
-        with pytest.raises(KGError, match="length mismatch"):
+    @pytest.mark.parametrize("fmt, suffix", [("binary", ".bin"), ("csv", ".csv")])
+    def test_repeated_query_names_file_and_query(self, tmp_path, fmt, suffix):
+        matrix, _ = self.score_matrix()
+        path = tmp_path / f"scores{suffix}"
+        export_scores(matrix, path, fmt=fmt)
+        data = path.read_bytes()
+        tail_0_0 = int(np.flatnonzero((matrix.queries == [0, 0, 0]).all(axis=1))[0])
+        if fmt == "csv":
+            data += data.splitlines(keepends=True)[1 + tail_0_0]
+        else:
+            record = (len(data) - 12) // len(matrix.queries)
+            copy = data[12 + tail_0_0 * record : 12 + (tail_0_0 + 1) * record]
+            data = data[:8] + (len(matrix.queries) + 1).to_bytes(4, "little") + data[12:] + copy
+        path.write_bytes(data)
+        with pytest.raises(KGError, match=rf"^{re.escape(str(path))}: scores for query \('tail', 0, 0\) repeated$"):
             import_scores(path)
 
     @pytest.mark.parametrize("fmt, suffix", [("binary", ".bin"), ("csv", ".csv")])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_names_file_and_query(self, tmp_path, fmt, suffix, bad):
         matrix, queries = self.score_matrix()
-        matrix.vectors[queries[4].key()][2] = bad
+        matrix.scores[matrix.rows(query_set(queries[4:5]))[0][0], 2] = bad
         path = tmp_path / f"scores{suffix}"
         export_scores(matrix, path, fmt=fmt)
         key = re.escape(str(queries[4].key()))
@@ -493,7 +535,7 @@ class TestPersistence:
         path = tmp_path / "scores.bin"
         export_scores(matrix, path)
         with pytest.raises(KGError, match=rf"^{re.escape(str(path))}: missing scores for 1 queries: \('head', 6, 1\)$"):
-            import_scores(path, required_queries=[Query(Direction.HEAD, 6, 1)])
+            import_scores(path).rows(query_set([Query(Direction.HEAD, 6, 1), Query(Direction.TAIL, 0, 0)]))
 
     def test_predicate_vector_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)

@@ -1,8 +1,12 @@
 """Property tests: ranks and rank cuts under tied scores, the calibration rank cutoff, the conformal
-quantile, and the negative sampler against its per-candidate loop."""
+quantile, the negative sampler against its per-candidate loop, and the columnar queries, filter
+masks and score export against their per-pair versions."""
 
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +15,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from kgconformal import models
 from kgconformal.conformal import quantile, rank_threshold
-from kgconformal.kg import candidate_ranks, rank_cuts, rank_of
-from kgconformal.models import _sample_negatives, _triple_keys
+from kgconformal.kg import DIRECTIONS, Query, Triple, candidate_ranks, filter_masks, make_queries, rank_cuts, rank_of
+from kgconformal.models import ScoreMatrix, _sample_negatives, _triple_keys, export_scores
 
+import query_oracle
 import train_oracle
 
 
@@ -97,3 +103,58 @@ def test_sample_negatives_matches_per_candidate_loop(case):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+# few entities and predicates, so triples repeat within and across splits
+triple_lists = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 5)), max_size=30)
+
+
+@given(triple_lists, st.booleans())
+def test_make_queries_matches_per_pair_oracle(rows, both_directions):
+    triples = [Triple(*row) for row in rows]
+    qa = make_queries(triples, both_directions)
+    oracle = query_oracle.make_queries(triples, both_directions)
+    assert qa.pairs == oracle.pairs
+    assert len(qa) == len(oracle) and np.array_equal(qa.predicates(), oracle.predicates())
+
+
+@given(st.lists(triple_lists, min_size=3, max_size=3), st.booleans())
+def test_filter_masks_match_answer_index(splits, both_directions):
+    """Each pair masks its query's known answers across the splits but its own; unfiltered, nothing."""
+    triples = [[Triple(*row) for row in rows] for rows in splits]
+    sets = [make_queries(ts, both_directions) for ts in triples]
+    index = query_oracle.build_answer_index([query_oracle.make_queries(ts, both_directions) for ts in triples])
+    for qa in sets:
+        indptr, indices = filter_masks(qa, sets)
+        assert indptr.shape == (len(qa) + 1,)
+        for i, (q, a) in enumerate(qa.pairs):
+            assert indices[indptr[i] : indptr[i + 1]].tolist() == sorted(index[q.key()] - {a})
+        indptr, indices = filter_masks(qa, [])
+        assert indptr.tolist() == [0] * (len(qa) + 1) and indices.size == 0
+
+
+@st.composite
+def score_rows(draw):
+    """Distinct queries with finite score rows, and an order to list them in."""
+    n_ent = draw(st.integers(1, 4))
+    queries = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2**20), st.integers(0, 2**20)),
+                            unique=True, max_size=10))
+    rows = draw(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n_ent, max_size=n_ent),
+                         min_size=len(queries), max_size=len(queries)))
+    order = draw(st.permutations(range(len(queries))))
+    return (np.array(queries, dtype=np.int64).reshape(-1, 3), np.array(rows, dtype=np.float64).reshape(-1, n_ent),
+            np.array(order, dtype=np.int64))
+
+
+@given(score_rows())
+def test_export_matches_per_record_oracle(case):
+    queries, scores, order = case
+    vectors = {Query(DIRECTIONS[d], a, p).key(): row for (d, a, p), row in zip(queries.tolist(), scores)}
+    oracle = query_oracle.ScoreMatrix(n_entities=scores.shape[1], vectors=vectors)
+    matrix = ScoreMatrix(queries=queries[order], scores=scores[order])
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(models, "EXPORT_BLOCK_ROWS", 3):  # several blocks
+        for fmt in ("binary", "csv"):
+            got, want = Path(tmp) / f"got.{fmt}", Path(tmp) / f"want.{fmt}"
+            export_scores(matrix, got, fmt=fmt)
+            query_oracle.export_scores(oracle, want, fmt=fmt)
+            assert got.read_bytes() == want.read_bytes(), fmt
