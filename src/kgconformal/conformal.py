@@ -33,6 +33,7 @@ __all__ = [
     "fit_mcp",
     "fit_part_mcp",
     "predict_set",
+    "prop1_bounds",
     "quantile",
     "query_filters",
     "rank_threshold",
@@ -337,6 +338,13 @@ def query_filters(model: CalibratedModel, predicates, n_entities: int) -> tuple[
         thresholds[at] = pc.score_threshold
         cutoffs[at] = n_entities if pc.rank_cutoff is None else pc.rank_cutoff
     return thresholds, cutoffs
+
+
+def prop1_bounds(epsilon: float, gamma: float, rank_miscoverage: float, n_cal: int) -> tuple[float, float]:
+    """Prop 1's (lower, upper) coverage bounds for a part with ``n_cal`` calibration pairs."""
+    lower = 1 - epsilon - (1 - gamma) * rank_miscoverage
+    upper = 1 - epsilon + gamma * rank_miscoverage + 1.0 / (n_cal + 1)
+    return lower, upper
 
 
 def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, answers, thresholds: np.ndarray,

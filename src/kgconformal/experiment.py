@@ -305,8 +305,7 @@ def _prop1_bound_checks(model: conformal.CalibratedModel, data: RunData, directi
         flags = hits[test_part == g]
         pc = model.per_part[g]
         n_g = int(np.count_nonzero(calib_part == g))
-        lower = 1 - model.epsilon - (1 - model.gamma) * pc.rank_miscoverage
-        upper = 1 - model.epsilon + model.gamma * pc.rank_miscoverage + 1.0 / (n_g + 1)
+        lower, upper = conformal.prop1_bounds(model.epsilon, model.gamma, pc.rank_miscoverage, n_g)
         slack = 3.0 * math.sqrt(0.25 / flags.size)  # binomial half-width at 3 SE
         cov = float(np.mean(flags))
         checks[(direction, g)] = (lower - slack) <= cov <= (upper + slack)

@@ -3,7 +3,10 @@
 These suites run on synthetic data where the relevant probabilities can be
 estimated by resampling: marginal coverage of the global threshold,
 per-part conditional coverage of the dual calibration, and the set-size
-shrinkage implied by the rank filter.
+shrinkage implied by the rank filter.  The last two resample calibration and
+test pairs of one synthetic pool, fit through ``experiment.METHODS`` and
+reduce through ``conformal.query_filters`` and ``conformal.set_outcomes``: the
+code that a run executes.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import conformal
-from .kg import candidate_ranks, rank_of
+from . import conformal, experiment
+from .kg import KnowledgeGraph, QueryAnswerSet, Vocab, rank_of
 from .scores import softmax_scores
 
 __all__ = [
@@ -65,138 +68,125 @@ def marginal_coverage_check(n_cal: int = 99, epsilon: float = 0.1, n_trials: int
     )
 
 
-@dataclass
-class _PartPool:
-    """Precomputed query pool for one predicate: true-answer scores and ranks."""
+def _pool(rng, n_parts: int, pool_size: int, n_entities: int) -> tuple[experiment.RunData, np.ndarray]:
+    """``pool_size`` synthetic pairs per predicate as one unmasked run, plus every pair's nonconformity row.
 
-    nonconf_true: np.ndarray
-    rank_true: np.ndarray
-    raw: np.ndarray  # pool_size x n_entities raw scores
-    answers: np.ndarray
+    Scores are standard normal with the answer boosted by a per-predicate
+    quality from 3 down to 0.75.  Every pair is both a calibration and a test
+    pair of the run, so a resample is a pair of index arrays.  Predicate
+    vectors are one-hot.
+    """
+    raw = np.empty((n_parts, pool_size, n_entities))
+    answer = np.empty((n_parts, pool_size), dtype=np.int64)
+    for g, quality in enumerate(np.linspace(3.0, 0.75, n_parts)):
+        raw[g] = rng.normal(size=(pool_size, n_entities))
+        answer[g] = rng.integers(0, n_entities, size=pool_size)
+        raw[g, np.arange(pool_size), answer[g]] += quality
+    raw, answer = raw.reshape(-1, n_entities), answer.ravel()
+    n = answer.size
+    nonconf = np.array([softmax_scores(row) for row in raw])
+    pairs = QueryAnswerSet(direction=np.zeros(n, dtype=np.int64), anchor=np.arange(n),
+                           predicate=np.repeat(np.arange(n_parts), pool_size), answer=answer)
+    pool = experiment.RunData(
+        kg=KnowledgeGraph(Vocab.from_identifiers(range(n_entities), range(n_parts)), splits={}),
+        calib=pairs,
+        test=pairs,
+        calib_nonconf=nonconf[np.arange(n), answer],
+        calib_ranks=np.array([rank_of(row, a) for row, a in zip(raw, answer.tolist())], dtype=np.int64),
+        scores=raw,
+        test_rows=np.arange(n),
+        mask_indptr=np.zeros(n + 1, dtype=np.int64),
+        mask_indices=np.empty(0, dtype=np.int64),
+        predicate_vectors=np.eye(n_parts),
+    )
+    return pool, nonconf
 
 
-def _build_pools(rng, n_parts: int, pool_size: int, n_entities: int,
-                 qualities) -> list[_PartPool]:
-    pools = []
-    for g in range(n_parts):
-        raw = rng.normal(size=(pool_size, n_entities))
-        answers = rng.integers(0, n_entities, size=pool_size)
-        raw[np.arange(pool_size), answers] += qualities[g]
-        nonconf = np.empty(pool_size)
-        ranks = np.empty(pool_size, dtype=np.int64)
-        for i in range(pool_size):
-            nonconf[i] = softmax_scores(raw[i])[answers[i]]
-            ranks[i] = rank_of(raw[i], answers[i])
-        pools.append(_PartPool(nonconf_true=nonconf, rank_true=ranks, raw=raw, answers=answers))
-    return pools
+def _resample(rng, n_parts: int, pool_size: int, part_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint calibration and test pool indices, ``part_size`` of each per predicate, grouped by predicate."""
+    idx = np.stack([g * pool_size + rng.choice(pool_size, size=2 * part_size, replace=False) for g in range(n_parts)])
+    return idx[:, :part_size].ravel(), idx[:, part_size:].ravel()
+
+
+def _outcomes(pool: experiment.RunData, nonconf: np.ndarray, fitted, test_idx) -> tuple[np.ndarray, np.ndarray]:
+    """Set size and answer hit of each test pair under each fitted model, as the evaluation pass reduces them."""
+    filters = [conformal.query_filters(model, pool.test.predicate[test_idx], pool.kg.vocab.n_entities)
+               for model in fitted]
+    return conformal.set_outcomes(nonconf[test_idx], pool.scores[test_idx], pool.test.answer[test_idx],
+                                  np.stack([t for t, _ in filters]), np.stack([k for _, k in filters]))
 
 
 def conditional_coverage_check(gammas=(0.0, 0.5, 1.0), epsilon: float = 0.1,
                                n_resamples: int = 300, part_size: int = 200,
                                n_parts: int = 5, n_entities: int = 40,
                                pool_size: int = 4000, seed: int = 1) -> CheckResult:
-    """Per-part coverage of the dual calibration against the two-sided bounds.
+    """Per-part coverage of condkgcp against Prop 1's two-sided bounds, over resplits of one pool.
 
-    The bound slots use the pool-wide (population-proxy) rank miscoverage at
-    the calibrated cutoff; the fitting path uses the calibration estimate, as
-    in the algorithm itself.
+    The bounds use the pool-wide (population-proxy) rank miscoverage at the
+    calibrated cutoff; the fit uses the calibration estimate, as in the
+    algorithm itself.  With phi = ``part_size`` every predicate is its own part:
+    part g is predicate g.
     """
     rng = np.random.default_rng(seed)
-    qualities = np.linspace(3.0, 0.75, n_parts)
-    pools = _build_pools(rng, n_parts, pool_size, n_entities, qualities)
-
-    worst: dict[str, float] = {"margin_low": math.inf, "margin_high": math.inf}
-    all_ok = True
-    details_parts = []
-    for gamma in gammas:
-        for g, pool in enumerate(pools):
-            m_low = np.empty(n_resamples)
-            m_high = np.empty(n_resamples)
-            for t in range(n_resamples):
-                idx = rng.choice(pool_size, size=2 * part_size, replace=False)
-                cal, test = idx[:part_size], idx[part_size:]
-                k_hat, misc_cal = conformal.rank_threshold(pool.rank_true[cal], epsilon)
-                adjusted = epsilon - gamma * misc_cal
-                threshold = conformal.quantile(pool.nonconf_true[cal], adjusted)
-                covered = (pool.nonconf_true[test] <= threshold) & (pool.rank_true[test] <= k_hat)
-                cov = covered.mean()
-                misc_pop = float(np.mean(pool.rank_true > k_hat))
-                lower = 1 - epsilon - (1 - gamma) * misc_pop
-                upper = 1 - epsilon + gamma * misc_pop + 1.0 / (part_size + 1)
-                m_low[t] = cov - lower
-                m_high[t] = upper - cov
-            se_low = m_low.std(ddof=1) / math.sqrt(n_resamples)
-            se_high = m_high.std(ddof=1) / math.sqrt(n_resamples)
-            ok_low = m_low.mean() >= -3 * se_low
-            ok_high = m_high.mean() >= -3 * se_high
-            if not (ok_low and ok_high):
-                all_ok = False
-                details_parts.append(f"gamma={gamma} part={g} low={m_low.mean():.4f} high={m_high.mean():.4f}")
-            worst["margin_low"] = min(worst["margin_low"], float(m_low.mean()))
-            worst["margin_high"] = min(worst["margin_high"], float(m_high.mean()))
+    pool, nonconf = _pool(rng, n_parts, pool_size, n_entities)
+    pool_ranks = pool.calib_ranks.reshape(n_parts, pool_size)
+    margins = np.empty((2, len(gammas), n_parts, n_resamples))  # coverage above the lower bound, below the upper
+    for t in range(n_resamples):
+        cal_idx, test_idx = _resample(rng, n_parts, pool_size, part_size)
+        fitted = [experiment.METHODS["condkgcp"](pool, cal_idx, epsilon, gamma, part_size) for gamma in gammas]
+        coverage = _outcomes(pool, nonconf, fitted, test_idx)[1].reshape(len(gammas), n_parts, part_size).mean(axis=2)
+        for i, (gamma, model) in enumerate(zip(gammas, fitted)):
+            for g, pc in model.per_part.items():
+                misc_pop = float(np.mean(pool_ranks[g] > pc.rank_cutoff))
+                lower, upper = conformal.prop1_bounds(epsilon, gamma, misc_pop, part_size)
+                margins[:, i, g, t] = coverage[i, g] - lower, upper - coverage[i, g]
+    mean = margins.mean(axis=3)
+    ok = mean >= -3 * margins.std(axis=3, ddof=1) / math.sqrt(n_resamples)
+    worst = {"margin_low": float(mean[0].min()), "margin_high": float(mean[1].min())}
+    violations = [f"gamma={gammas[i]} part={g} low={mean[0, i, g]:.4f} high={mean[1, i, g]:.4f}"
+                  for i, g in zip(*np.nonzero(~ok.all(axis=0)))]
     details = (
         f"worst mean slack: lower {worst['margin_low']:.4f}, upper {worst['margin_high']:.4f}"
-        + ("" if all_ok else "; violations: " + "; ".join(details_parts))
+        + ("; violations: " + "; ".join(violations) if violations else "")
     )
-    return CheckResult(name="conditional-coverage", passed=all_ok, details=details, stats=worst)
+    return CheckResult(name="conditional-coverage", passed=not violations, details=details, stats=worst)
 
 
 def shrinkage_check(gamma: float = 0.5, epsilon: float = 0.1, n_resamples: int = 40,
                     part_size: int = 60, n_parts: int = 5, n_entities: int = 40,
                     pool_size: int = 1500, phi: int = 50, seed: int = 2) -> CheckResult:
-    """Whenever sigma_g <= 1 for every part, the dual-filter sets must be smaller.
+    """Whenever sigma_g <= 1 for every part, the dual-filter sets must be smaller on average.
 
-    Also reports how often the sign of (dual AveSize - score-only AveSize)
-    agrees with the sign of (sigma_bar - 1) across resamples.
+    The dual sets are condkgcp's; the score-only sets are the part-level mcp's
+    on the same partition, as in the evaluation.  sigma_bar is an unweighted
+    mean of the per-part ratios, so sigma_bar <= 1 does not imply a smaller
+    AveSize: how often the sign of (dual AveSize - score-only AveSize) agrees
+    with the sign of (sigma_bar - 1), and their correlation, are only reported.
     """
     rng = np.random.default_rng(seed)
-    qualities = np.linspace(3.0, 0.75, n_parts)
-    pools = _build_pools(rng, n_parts, pool_size, n_entities, qualities)
-    # distinct predicate vectors; every predicate is data-rich so parts are singletons
-    pred_vectors = np.eye(n_parts)
-
+    pool, nonconf = _pool(rng, n_parts, pool_size, n_entities)
     implication_holds = True
-    sigma_bars, gaps = [], []
+    sigma_bars, gaps = np.empty(n_resamples), np.empty(n_resamples)
     for t in range(n_resamples):
-        cal_preds, cal_nonconf, cal_ranks = [], [], []
-        test_records = []  # (predicate, nonconf vector, candidate ranks, mask)
-        for g, pool in enumerate(pools):
-            idx = rng.choice(pool_size, size=2 * part_size, replace=False)
-            cal, test = idx[:part_size], idx[part_size:]
-            cal_preds.extend([g] * part_size)
-            cal_nonconf.extend(pool.nonconf_true[cal])
-            cal_ranks.extend(pool.rank_true[cal])
-            for i in test:
-                raw = pool.raw[i]
-                test_records.append((g, softmax_scores(raw), candidate_ranks(raw), set()))
-        partition = conformal.build_partition(cal_preds, pred_vectors, phi)
-        cond = conformal.fit_condkgcp(cal_preds, cal_nonconf, cal_ranks, partition, epsilon, gamma)
-        mcp_star = conformal.fit_part_mcp(cal_preds, cal_nonconf, partition, epsilon, n_entities)
-        sizes_cond, sizes_star = (
-            np.array([conformal.predict_set(model, g, nc, rk, mask).size for g, nc, rk, mask in test_records])
-            for model in (cond, mcp_star)
-        )
-        report = conformal.verify_shrinkage(partition, [g for g, *_ in test_records], sizes_cond, sizes_star)
-        size_cond = np.mean(sizes_cond)
-        size_star = np.mean(sizes_star)
-        if all(s <= 1.0 for s in report.sigma_per_part.values()) and size_cond > size_star:
+        cal_idx, test_idx = _resample(rng, n_parts, pool_size, part_size)
+        cond = experiment.METHODS["condkgcp"](pool, cal_idx, epsilon, gamma, phi)
+        mcp_star = conformal.fit_part_mcp(pool.calib.predicate[cal_idx], pool.calib_nonconf[cal_idx],
+                                          cond.partition, epsilon, n_entities)
+        sizes, _ = _outcomes(pool, nonconf, [cond, mcp_star], test_idx)
+        report = conformal.verify_shrinkage(cond.partition, pool.test.predicate[test_idx], *sizes)
+        sigma_bars[t] = report.sigma_bar
+        gaps[t] = np.mean(sizes[0]) - np.mean(sizes[1])
+        if all(s <= 1.0 for s in report.sigma_per_part.values()) and gaps[t] > 0:
             implication_holds = False
-        sigma_bars.append(report.sigma_bar)
-        gaps.append(size_cond - size_star)
 
-    sigma_bars = np.array(sigma_bars)
-    gaps = np.array(gaps)
     agree = float(np.mean((gaps <= 1e-9) == (sigma_bars <= 1.0)))
     if np.std(sigma_bars) > 0 and np.std(gaps) > 0:
         corr = float(np.corrcoef(sigma_bars, gaps)[0, 1])
     else:
         corr = math.nan
-    # sigma_bar below 1 should go with non-positive size gaps
-    sign_ok = bool(np.all(gaps[sigma_bars <= 1.0] <= 1e-9)) if np.any(sigma_bars <= 1.0) else True
-    passed = implication_holds and sign_ok
     return CheckResult(
         name="shrinkage-condition",
-        passed=passed,
+        passed=implication_holds,
         details=(
             f"mean sigma_bar {sigma_bars.mean():.3f}, mean size gap {gaps.mean():.3f}, "
             f"corr {corr:.3f}, sign agreement {agree:.2f}"

@@ -12,6 +12,7 @@ from kgconformal.conformal import (
     fit_mcp,
     fit_part_mcp,
     predict_set,
+    prop1_bounds,
     quantile,
     query_filters,
     rank_threshold,
@@ -215,6 +216,13 @@ class TestCondKGCP:
         preds, nonconf, ranks, partition = self.setup_data()
         with pytest.raises(ValueError):
             fit_condkgcp(preds, nonconf, ranks, partition, 0.1, gamma=1.5)
+
+    def test_prop1_bounds_arithmetic(self):
+        # eps 0.1, gamma 0.5, rank miscoverage 0.04, 9 calibration pairs
+        lower, upper = prop1_bounds(0.1, 0.5, 0.04, 9)
+        assert lower == pytest.approx(1 - 0.1 - 0.5 * 0.04)
+        assert upper == pytest.approx(1 - 0.1 + 0.5 * 0.04 + 0.1)
+        assert prop1_bounds(0.1, 0.0, 0.0, 9) == pytest.approx((0.9, 1.0))
 
 
 class TestPredictSet:

@@ -1,6 +1,7 @@
 """Property tests: ranks and rank cuts under tied scores, the calibration rank cutoff, the conformal
-quantile, the negative sampler against its per-candidate loop, and the columnar queries, filter
-masks and score export against their per-pair versions."""
+quantile, the predicate partition under tied distances, the negative sampler against its
+per-candidate loop, and the columnar queries, filter masks and score export against their per-pair
+versions."""
 
 import math
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kgconformal import models
-from kgconformal.conformal import quantile, rank_threshold
+from kgconformal.conformal import build_partition, quantile, rank_threshold
 from kgconformal.kg import DIRECTIONS, Query, Triple, candidate_ranks, filter_masks, make_queries, rank_cuts, rank_of
 from kgconformal.models import ScoreMatrix, _sample_negatives, _triple_keys, export_scores
 
@@ -79,6 +80,35 @@ def test_quantile_matches_exact_order_statistic(values, per_mille):
     k = math.ceil((n + 1) * (1 - Fraction(per_mille, 1000)))
     expected = math.inf if k > n else sorted(values)[k - 1]
     assert quantile(np.array(values, dtype=np.float64), epsilon) == expected
+
+
+@st.composite
+def partition_case(draw):
+    """Per-predicate calibration counts, small integer predicate vectors (so distances tie) and phi."""
+    n_pred = draw(st.integers(1, 8))
+    counts = draw(st.lists(st.integers(0, 6), min_size=n_pred, max_size=n_pred).filter(lambda c: max(c) > 0))
+    dim = draw(st.integers(1, 3))
+    vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), min_size=n_pred, max_size=n_pred))
+    return np.array(counts), np.array(vectors, dtype=np.float64), draw(st.integers(1, max(counts) + 2))
+
+
+@given(partition_case())
+def test_partition_merges_each_poor_predicate_into_its_nearest_rich_one(case):
+    counts, vectors, phi = case
+    calib = np.repeat(np.arange(counts.size), counts)
+    if phi > counts.max():
+        with pytest.raises(ValueError, match="phi exceeds"):
+            build_partition(calib, vectors, phi)
+        return
+    partition = build_partition(calib, vectors, phi)
+    partition.validate(counts.size)  # every predicate in exactly one part
+    rich = [r for r in range(counts.size) if counts[r] >= phi]
+    for part in partition.parts:
+        assert len([r for r in part if counts[r] >= phi]) == 1
+        assert counts[part].sum() >= phi
+    for r in range(counts.size):
+        nearest = min(rich, key=lambda q: (np.abs(vectors[q] - vectors[r]).sum(), q))
+        assert partition.part_of[r] == partition.part_of[r if counts[r] >= phi else nearest]
 
 
 @st.composite

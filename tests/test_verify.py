@@ -1,7 +1,12 @@
+import numpy as np
+
+from kgconformal import conformal
 from kgconformal.verify import (
     CheckResult,
+    conditional_coverage_check,
     marginal_coverage_check,
     run_all_checks,
+    shrinkage_check,
 )
 
 
@@ -10,10 +15,46 @@ def test_check_result_line_format():
     assert CheckResult("x", False, "bad").line() == "[FAIL] x: bad"
 
 
-def test_marginal_check_detects_broken_band():
-    # an absurdly tight trial count with a shifted band should fail
-    result = marginal_coverage_check(n_cal=9, epsilon=0.5, n_trials=50, seed=0)
+def test_marginal_check_detects_broken_band(monkeypatch):
+    args = dict(n_cal=9, epsilon=0.5, n_trials=50, seed=0)
+    result = marginal_coverage_check(**args)
+    assert result.passed, result.details
     assert result.stats["low"] == 0.5
+    real = conformal.quantile
+    # raising epsilon by 1/(n+1) takes the order statistic one below the conformal one
+    monkeypatch.setattr(conformal, "quantile", lambda values, epsilon: real(values, epsilon + 1 / (len(values) + 1)))
+    assert not marginal_coverage_check(**args).passed
+
+
+SMALL_CONDITIONAL = dict(n_resamples=40, part_size=100, pool_size=1000)
+
+
+def test_conditional_check_runs_the_pipeline_filters(monkeypatch):
+    assert conditional_coverage_check(**SMALL_CONDITIONAL).passed
+    real = conformal.query_filters
+    # each predicate reads the next predicate's part
+    monkeypatch.setattr(conformal, "query_filters", lambda model, predicates, n_entities: real(
+        model, (np.asarray(predicates) + 1) % len(model.per_part), n_entities))
+    assert not conditional_coverage_check(**SMALL_CONDITIONAL).passed
+
+
+def test_conditional_check_runs_the_pipeline_fit(monkeypatch):
+    def fit_with_negated_gamma(calib_predicates, nonconf_true, ranks_true, partition, epsilon, gamma):
+        ranks_true = np.asarray(ranks_true)
+        model = conformal._fit_parts("condkgcp", epsilon, nonconf_true, calib_predicates, partition,
+                                     lambda in_g: conformal.rank_threshold(ranks_true[in_g], epsilon), -gamma)
+        model.gamma = gamma
+        return model
+
+    monkeypatch.setattr(conformal, "fit_condkgcp", fit_with_negated_gamma)
+    assert not conditional_coverage_check(**SMALL_CONDITIONAL).passed
+
+
+def test_shrinkage_check_does_not_require_sigma_bar_sign_agreement():
+    # at these seeds some resample has sigma_bar <= 1 with a positive AveSize gap
+    for seed in (13, 28):
+        result = shrinkage_check(seed=seed)
+        assert result.passed, result.details
 
 
 def test_run_all_checks_names():
