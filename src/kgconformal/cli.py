@@ -160,7 +160,12 @@ def cmd_evaluate(args) -> int:
             path = _calibrated_path(out, seed, *key)
             if not path.exists():
                 raise StageError(f"missing calibrated model {path}", rerun="calibrate")
-            fitted[key] = conformal.CalibratedModel.load(path)
+            fitted[key] = model = conformal.CalibratedModel.load(path)
+            if model.partition is not None:
+                try:
+                    model.partition.validate(data.kg.vocab.n_predicates)
+                except ValueError as exc:
+                    raise StageError(f"{path}: {exc}", rerun="calibrate") from exc
         reports.extend(evaluate(config, seed, data, fitted))
 
     rows = metrics.aggregate_rows(reports)

@@ -71,24 +71,36 @@ def quantile(values, epsilon: float) -> float:
 
 @dataclass
 class PredicatePartition:
-    """Disjoint cover of the predicate set; each part has >= phi calibration pairs."""
+    """Disjoint cover of predicates ``0..n-1``; each part has >= phi calibration pairs.
+
+    Construction raises ``ValueError`` on a negative predicate, on one listed
+    twice, and on a gap below the largest one listed.
+    """
 
     parts: list[list[int]]
     phi: int
-    part_of: dict[int, int] = field(init=False)  # predicate -> part index
+    part_of: np.ndarray = field(init=False, repr=False, compare=False)  # part index of each predicate
 
     def __post_init__(self):
-        self.part_of = {r: g for g, members in enumerate(self.parts) for r in members}
+        members = np.array([r for part in self.parts for r in part], dtype=np.int64)
+        listed = np.sort(members)
+        if listed.size and listed[0] < 0:
+            raise ValueError(f"partition lists negative predicate {listed[0]}")
+        repeated = np.unique(listed[1:][listed[1:] == listed[:-1]])
+        if repeated.size:
+            raise ValueError(f"partition parts overlap on predicates {repeated.tolist()}")
+        gaps = np.flatnonzero(listed != np.arange(listed.size))
+        if gaps.size:  # the first gap: predicate gaps[0] is listed nowhere, though a larger one is
+            raise ValueError(f"partition misses predicate {gaps[0]}")
+        self.part_of = np.empty(members.size, dtype=np.int64)
+        self.part_of[members] = np.repeat(np.arange(len(self.parts)), [len(part) for part in self.parts])
 
     def validate(self, n_predicates: int) -> None:
-        seen: set[int] = set()
-        for part in self.parts:
-            overlap = seen & set(part)
-            if overlap:
-                raise ValueError(f"partition parts overlap on predicates {sorted(overlap)}")
-            seen |= set(part)
-        if seen != set(range(n_predicates)):
-            raise ValueError("partition does not cover the predicate set")
+        """Raise ``ValueError`` unless the parts cover exactly predicates ``0..n_predicates-1``."""
+        if self.part_of.size < n_predicates:
+            raise ValueError(f"partition misses predicate {self.part_of.size} of {n_predicates}")
+        if self.part_of.size > n_predicates:
+            raise ValueError(f"partition names predicate {self.part_of.size - 1}, but there are {n_predicates}")
 
 
 def build_partition(calib_predicates, predicate_vectors: np.ndarray, phi: int) -> PredicatePartition:
@@ -219,9 +231,10 @@ class CalibratedModel:
         return cls(method=doc["method"], epsilon=float(doc["epsilon"]), per_part=per_part,
                    partition=partition, gamma=float(doc["gamma"]), warnings=list(doc["warnings"]))
 
-    def calibration_for(self, predicate: int) -> PartCalibration:
-        """The calibration of the part that holds ``predicate``."""
-        return self.per_part[0 if self.partition is None else self.partition.part_of[predicate]]
+    def part_ids(self, predicates) -> np.ndarray:
+        """The part index of each predicate (0 for every predicate without a partition)."""
+        predicates = np.asarray(predicates, dtype=np.int64)
+        return np.zeros_like(predicates) if self.partition is None else self.partition.part_of[predicates]
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -231,13 +244,13 @@ class CalibratedModel:
         """Read a saved model; a malformed or outdated file raises ``ValueError`` naming it."""
         try:
             return cls.from_json(Path(path).read_text(encoding="utf-8"))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
             raise ValueError(f"{path} is not a calibrated model in the current format ({detail}) "
                              "(rerun the 'calibrate' stage)") from exc
 
 
-def _fit_parts(method: str, epsilon: float, nonconf_true, calib_predicates=None,
+def _fit_parts(method: str, epsilon: float, nonconf_true, calib_predicates,
                partition: PredicatePartition | None = None, rank_filter=None,
                gamma: float = 0.0) -> CalibratedModel:
     """Calibrate every part of ``partition`` (None: one pooled part) on its own pairs.
@@ -248,30 +261,23 @@ def _fit_parts(method: str, epsilon: float, nonconf_true, calib_predicates=None,
     calibration pairs gets threshold +inf, no rank filter, and a warning.
     """
     nonconf_true = np.asarray(nonconf_true, dtype=np.float64)
-    if partition is None:
-        part_ids = np.zeros(nonconf_true.size, dtype=np.int64)
-        n_parts = 1
-    else:
-        part_ids = np.array([partition.part_of[int(r)] for r in calib_predicates], dtype=np.int64)
-        n_parts = len(partition.parts)
-    per_part: dict[int, PartCalibration] = {}
-    warnings: list[str] = []
-    for g in range(n_parts):
+    model = CalibratedModel(method=method, epsilon=epsilon, per_part={}, partition=partition, gamma=gamma)
+    part_ids = model.part_ids(calib_predicates)
+    for g in range(1 if partition is None else len(partition.parts)):
         in_g = part_ids == g
         if not np.any(in_g):
-            per_part[g] = PartCalibration(None, 0.0, epsilon, math.inf)
-            warnings.append(f"part {g} has no calibration pairs; threshold +inf")
+            model.per_part[g] = PartCalibration(None, 0.0, epsilon, math.inf)
+            model.warnings.append(f"part {g} has no calibration pairs; threshold +inf")
             continue
         rank_cutoff, miscoverage = (None, 0.0) if rank_filter is None else rank_filter(in_g)
         adjusted = epsilon - gamma * miscoverage
-        per_part[g] = PartCalibration(rank_cutoff, miscoverage, adjusted, quantile(nonconf_true[in_g], adjusted))
-    return CalibratedModel(method=method, epsilon=epsilon, per_part=per_part, partition=partition,
-                           gamma=gamma, warnings=warnings)
+        model.per_part[g] = PartCalibration(rank_cutoff, miscoverage, adjusted, quantile(nonconf_true[in_g], adjusted))
+    return model
 
 
 def fit_kgcp(nonconf_true, epsilon: float) -> CalibratedModel:
     """One pooled part, score threshold only (marginal coverage)."""
-    return _fit_parts("kgcp", epsilon, nonconf_true)
+    return _fit_parts("kgcp", epsilon, nonconf_true, np.zeros(np.shape(nonconf_true), dtype=np.int64))
 
 
 def fit_mcp(calib_predicates, nonconf_true, epsilon: float, n_predicates: int) -> CalibratedModel:
@@ -312,7 +318,7 @@ def predict_set(model: CalibratedModel, predicate: int, nonconf: np.ndarray,
 
     ``ranks`` are needed only when the predicate's part has a rank cutoff.
     """
-    pc = model.calibration_for(predicate)
+    pc = model.per_part[int(model.part_ids(predicate))]
     member = np.asarray(nonconf, dtype=np.float64) <= pc.score_threshold
     if pc.rank_cutoff is not None:
         if ranks is None:
@@ -329,15 +335,11 @@ def query_filters(model: CalibratedModel, predicates, n_entities: int) -> tuple[
     A part without a rank filter reads as cutoff ``n_entities``, which every
     candidate's rank meets.
     """
-    predicates = np.asarray(predicates, dtype=np.int64)
-    thresholds = np.empty(predicates.size)
-    cutoffs = np.empty(predicates.size, dtype=np.int64)
-    for r in np.unique(predicates):
-        pc = model.calibration_for(int(r))
-        at = predicates == r
-        thresholds[at] = pc.score_threshold
-        cutoffs[at] = n_entities if pc.rank_cutoff is None else pc.rank_cutoff
-    return thresholds, cutoffs
+    parts = [model.per_part[g] for g in range(len(model.per_part))]
+    ids = model.part_ids(predicates)
+    thresholds = np.array([pc.score_threshold for pc in parts], dtype=np.float64)
+    cutoffs = np.array([n_entities if pc.rank_cutoff is None else pc.rank_cutoff for pc in parts], dtype=np.int64)
+    return thresholds[ids], cutoffs[ids]
 
 
 def prop1_bounds(epsilon: float, gamma: float, rank_miscoverage: float, n_cal: int) -> tuple[float, float]:
@@ -392,7 +394,7 @@ def verify_shrinkage(partition: PredicatePartition, predicates, dual_sizes, scor
     denominator (or no test queries) are skipped and flagged.
     """
     n_parts = len(partition.parts)
-    part = np.array([partition.part_of[int(r)] for r in predicates], dtype=np.int64)
+    part = partition.part_of[np.asarray(predicates, dtype=np.int64)]
     numer = np.bincount(part, weights=np.asarray(dual_sizes, dtype=np.float64), minlength=n_parts)
     denom = np.bincount(part, weights=np.asarray(score_only_sizes, dtype=np.float64), minlength=n_parts)
     seen = np.bincount(part, minlength=n_parts) > 0

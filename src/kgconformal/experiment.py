@@ -19,7 +19,6 @@ from .kg import (
     filter_masks,
     load_kg,
     make_queries,
-    rank_of,
     split_triples,
 )
 from .synth import SyntheticKGSpec, synthetic_kg
@@ -29,7 +28,7 @@ __all__ = ["METHODS", "ExperimentConfig", "RunData", "calibrate", "calibration_k
 
 DEFAULT_GAMMA_GRID = (0.01, 0.1, 0.5)
 DEFAULT_PHI_GRID = (20, 50, 100, 200)
-EVAL_BLOCK_ROWS = 256  # test pairs per block of the evaluation pass
+EVAL_BLOCK_ROWS = 256  # pairs per block of the calibration and the evaluation pass (see _score_blocks)
 
 
 @dataclass
@@ -173,14 +172,13 @@ def prepare_run(config: ExperimentConfig, seed: int,
     else:
         raise KGError("condkgcp merging needs a trained model or a predicate-vector sidecar file")
 
-    scorer = config.scorer_config(seed)
-    indptr, indices = (csr.tolist() for csr in filter_masks(calib, known))  # rank_of takes list slices fastest
     calib_nonconf = np.empty(len(calib))
     calib_ranks = np.empty(len(calib), dtype=np.int64)
-    for i, (row, a) in enumerate(zip(calib_rows.tolist(), calib.answer.tolist())):
-        raw = score_matrix.scores[row]
-        calib_nonconf[i] = scores.nonconformity(raw, scorer, query_index=i)[a]
-        calib_ranks[i] = rank_of(raw, a, indices[indptr[i] : indptr[i + 1]])
+    for block, nonconf, masked in _score_blocks(config.scorer_config(seed), score_matrix.scores, calib_rows,
+                                                *filter_masks(calib, known), offset=0):
+        at_answer = (np.arange(masked.shape[0]), calib.answer[block])
+        calib_nonconf[block] = nonconf[at_answer]
+        calib_ranks[block] = np.count_nonzero(masked >= masked[at_answer][:, None], axis=1)  # as kg.rank_of
 
     mask_indptr, mask_indices = filter_masks(test, known)
     return RunData(
@@ -196,6 +194,27 @@ def prepare_run(config: ExperimentConfig, seed: int,
         predicate_vectors=pred_vecs,
         model=model,
     )
+
+
+def _score_blocks(scorer: scores.ScorerConfig, score_rows: np.ndarray, rows: np.ndarray,
+                  indptr: np.ndarray, indices: np.ndarray, offset: int):
+    """Yield ``(block, nonconf, masked)`` per block of ``EVAL_BLOCK_ROWS`` pairs; pair ``j`` reads row ``rows[j]``.
+
+    ``nonconf`` rows draw as query ``offset + j``, so every APS/RAPS pair draws its own u; ``masked`` rows have
+    the pair's CSR mask at -inf.  Both are views of one buffer the next block overwrites.  Rows are copied one
+    at a time: a gather from an imported score file's strided record view would copy all of it.
+    """
+    n = rows.shape[0]
+    buffers = np.empty((2, min(EVAL_BLOCK_ROWS, n), score_rows.shape[1]))
+    for start in range(0, n, EVAL_BLOCK_ROWS):
+        block = slice(start, min(start + EVAL_BLOCK_ROWS, n))
+        masked, nonconf = buffers[:, : block.stop - start]
+        for i, row in enumerate(rows[block].tolist()):
+            masked[i] = score_rows[row]
+            nonconf[i] = scores.nonconformity(masked[i], scorer, query_index=offset + start + i)
+        owner = np.repeat(np.arange(masked.shape[0]), np.diff(indptr[block.start : block.stop + 1]))
+        masked[owner, indices[indptr[block.start] : indptr[block.stop]]] = -np.inf
+        yield block, nonconf, masked
 
 
 def _direction_groups(data: RunData, split_directions: bool):
@@ -262,29 +281,16 @@ def _outcomes(config: ExperimentConfig, seed: int, data: RunData,
     """Set size and answer hit of every test pair under each filter, in one blocked pass.
 
     A filter is a per-test-pair (score threshold, rank cutoff) pair of arrays.
-    Each block of test rows gets its nonconformity (query index
-    ``len(calib) + j``: calibration and test pairs share one index space, so
-    every APS/RAPS pair draws its own u) and its masked entities set to -inf,
-    then :func:`conformal.set_outcomes` reduces it.  Returns ``(sizes, hits)``,
-    each shaped ``(len(filters), n_test)``.
+    Each block of :func:`_score_blocks` (test pair ``j`` draws as query ``len(calib) + j``) is reduced
+    by :func:`conformal.set_outcomes`.  Returns ``(sizes, hits)``, each shaped ``(len(filters), n_test)``.
     """
     thresholds = np.stack([t for t, _ in filters])
     cutoffs = np.stack([k for _, k in filters])
     sizes = np.empty(thresholds.shape, dtype=np.int64)
     hits = np.empty(thresholds.shape, dtype=bool)
-    scorer = config.scorer_config(seed)
-    offset = len(data.calib)
-    n_test = len(data.test)
-    indptr = data.mask_indptr
-    for start in range(0, n_test, EVAL_BLOCK_ROWS):
-        block = slice(start, min(start + EVAL_BLOCK_ROWS, n_test))
-        raw = data.scores[data.test_rows[block]]
-        nonconf = np.empty_like(raw)
-        for i in range(raw.shape[0]):
-            nonconf[i] = scores.nonconformity(raw[i], scorer, query_index=offset + start + i)
-        owner = np.repeat(np.arange(raw.shape[0]), np.diff(indptr[block.start : block.stop + 1]))
-        raw[owner, data.mask_indices[indptr[block.start] : indptr[block.stop]]] = -np.inf
-        sizes[:, block], hits[:, block] = conformal.set_outcomes(nonconf, raw, data.test.answer[block],
+    for block, nonconf, masked in _score_blocks(config.scorer_config(seed), data.scores, data.test_rows,
+                                                data.mask_indptr, data.mask_indices, offset=len(data.calib)):
+        sizes[:, block], hits[:, block] = conformal.set_outcomes(nonconf, masked, data.test.answer[block],
                                                                  thresholds[:, block], cutoffs[:, block])
     return sizes, hits
 
@@ -297,9 +303,8 @@ def _prop1_bound_checks(model: conformal.CalibratedModel, data: RunData, directi
     ``hits`` flags the group's test pairs whose set holds the answer.  Keyed
     ``(direction, part)``; n_g counts the group's own calibration pairs.
     """
-    partition = model.partition
-    calib_part = np.array([partition.part_of[int(r)] for r in data.calib.predicate[cal_idx]], dtype=np.int64)
-    test_part = np.array([partition.part_of[int(r)] for r in data.test.predicate[test_idx]], dtype=np.int64)
+    calib_part = model.part_ids(data.calib.predicate[cal_idx])
+    test_part = model.part_ids(data.test.predicate[test_idx])
     checks: dict[tuple[str | None, int], bool] = {}
     for g in np.unique(test_part).tolist():
         flags = hits[test_part == g]
@@ -383,11 +388,12 @@ def run_single(config: ExperimentConfig, seed: int, data: RunData | None = None,
 
 def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData,
                   gamma_grid=DEFAULT_GAMMA_GRID, phi_grid=DEFAULT_PHI_GRID) -> tuple[float, int]:
-    """Grid-select (gamma, phi) on a held-out slice of the training split.
+    """Grid-select (gamma, phi) on a held-out slice of the training split, at the first epsilon.
 
     Two disjoint samples of training triples, each sized like the calibration
     set, stand in for calibration and test; the objective is EF with a CovGap
-    tiebreak (failures sort last).
+    tiebreak (failures sort last), measured at ``config.epsilons[0]`` only, and
+    the selected pair serves every epsilon.
     """
     rng = np.random.default_rng(seed + 7)
     train_triples = list(data.kg.splits.get("train", []))
@@ -398,7 +404,8 @@ def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData,
     tune_cal = [train_triples[i] for i in order[:want]]
     tune_test = [train_triples[i] for i in order[want : 2 * want]]
 
-    sub = ExperimentConfig(**{**asdict(config), "tune": False, "methods": ["kgcp", "condkgcp"]})
+    sub = ExperimentConfig(**{**asdict(config), "tune": False, "methods": ["kgcp", "condkgcp"],
+                              "epsilons": config.epsilons[:1]})
     sub_kg = KnowledgeGraph(vocab=data.kg.vocab, splits={
         "train": data.kg.splits["train"], "valid": tune_cal, "test": tune_test,
     })

@@ -51,6 +51,23 @@ def _descending_order(probs: np.ndarray) -> np.ndarray:
     return np.argsort(-probs, kind="stable")
 
 
+def _aps_in_order(raw: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """The descending softmax order and each candidate's APS score, in that order."""
+    if not 0.0 <= u <= 1.0:
+        raise ValueError("u must be in [0, 1]")
+    probs = softmax_probs(raw)
+    order = _descending_order(probs)
+    sorted_probs = probs[order]
+    ahead = np.concatenate([[0.0], np.cumsum(sorted_probs)[:-1]])
+    return order, ahead + u * sorted_probs
+
+
+def _unsort(order: np.ndarray, values_sorted: np.ndarray) -> np.ndarray:
+    out = np.empty_like(values_sorted)
+    out[order] = values_sorted
+    return out
+
+
 def aps_scores(raw: np.ndarray, u: float) -> np.ndarray:
     """Cumulative-probability nonconformity.
 
@@ -58,16 +75,7 @@ def aps_scores(raw: np.ndarray, u: float) -> np.ndarray:
     index); the score of a candidate is the probability mass strictly ahead
     of it plus ``u`` times its own mass.
     """
-    if not 0.0 <= u <= 1.0:
-        raise ValueError("u must be in [0, 1]")
-    probs = softmax_probs(raw)
-    order = _descending_order(probs)
-    sorted_probs = probs[order]
-    ahead = np.concatenate([[0.0], np.cumsum(sorted_probs)[:-1]])
-    scores_sorted = ahead + u * sorted_probs
-    out = np.empty_like(scores_sorted)
-    out[order] = scores_sorted
-    return out
+    return _unsort(*_aps_in_order(raw, u))
 
 
 def raps_scores(raw: np.ndarray, u: float, lam: float, k_reg: int) -> np.ndarray:
@@ -76,12 +84,9 @@ def raps_scores(raw: np.ndarray, u: float, lam: float, k_reg: int) -> np.ndarray
         raise ValueError("lam must be nonnegative")
     if k_reg < 1:
         raise ValueError("k_reg must be >= 1")
-    probs = softmax_probs(raw)
-    order = _descending_order(probs)
-    positions = np.empty(len(probs), dtype=np.int64)
-    positions[order] = np.arange(1, len(probs) + 1)
-    penalty = lam * np.maximum(positions - k_reg, 0)
-    return aps_scores(raw, u) + penalty
+    order, aps_sorted = _aps_in_order(raw, u)
+    penalty = lam * np.maximum(np.arange(1, order.size + 1) - k_reg, 0)  # by 1-based position in the order
+    return _unsort(order, aps_sorted + penalty)
 
 
 def uniform_for_query(seed: int, query_index: int) -> float:

@@ -30,6 +30,16 @@ def write_config(tmp_path, dataset, **kw):
     return path
 
 
+def _with_parts(parts):
+    """An edit of a saved mcp file (parts [[0], [1], [2]]) that lists ``parts``, one per_part entry each."""
+    def edit(text):
+        doc = json.loads(text)
+        doc["partition"]["parts"] = parts
+        doc["per_part"] = {str(g): doc["per_part"]["0"] for g in range(len(parts))}
+        return json.dumps(doc)
+    return edit
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
@@ -215,21 +225,29 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert f"{scores_file}: {width} score columns, but the KG has 40 entities" in err
 
-    @pytest.mark.parametrize("content", [
-        '{"epsilon": 0.1}',
-        '{"method": "kgcp", "epsilon": 0.1, "gamma": 0.0, "partition": null, "per_part": {"0": {"k_h',
-        '{"method": "kgcp", "epsilon": 0.1, "gamma": 0.0, "global_threshold": 0.5}',
-    ], ids=["missing-key", "truncated", "old-format"])
-    def test_malformed_calibrated_model_names_file(self, tmp_path, dataset, capsys, content):
-        config = write_config(tmp_path, dataset, methods=["kgcp"])
+    @pytest.mark.parametrize("method, edit, message", [
+        ("kgcp", lambda text: '{"epsilon": 0.1}', "missing key"),
+        ("kgcp", lambda text: '{"method": "kgcp", "epsilon": 0.1, "gamma": 0.0, "partition": null, '
+                              '"per_part": {"0": {"k_h', "current format"),
+        ("kgcp", lambda text: '{"method": "kgcp", "epsilon": 0.1, "gamma": 0.0, "global_threshold": 0.5}',
+         "older format"),
+        ("mcp", _with_parts([[0], [1]]), "partition misses predicate 2 of 3"),
+        ("mcp", _with_parts([[0], [2]]), "partition misses predicate 1"),
+        ("mcp", _with_parts([[0], [1], [2], [3]]), "partition names predicate 3, but there are 3"),
+        ("mcp", _with_parts([[0, 1], [1], [2]]), "partition parts overlap on predicates [1]"),
+        ("mcp", _with_parts([[0], [1], [2], [-1]]), "partition lists negative predicate -1"),
+    ], ids=["missing-key", "truncated", "old-format", "part-dropped", "predicate-skipped", "predicate-past-kg",
+            "predicate-repeated", "predicate-negative"])
+    def test_malformed_calibrated_model_names_file(self, tmp_path, dataset, capsys, method, edit, message):
+        config = write_config(tmp_path, dataset, methods=[method])
         for stage in ("train", "score", "calibrate"):
             assert cli.main([stage, "--config", str(config)]) == 0
-        artifact = tmp_path / "out" / "calibrated_kgcp_e0.1_s0.json"
-        artifact.write_text(content, encoding="utf-8")
+        artifact = tmp_path / "out" / f"calibrated_{method}_e0.1_s0.json"
+        artifact.write_text(edit(artifact.read_text(encoding="utf-8")), encoding="utf-8")
         capsys.readouterr()
         assert cli.main(["evaluate", "--config", str(config)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert str(artifact) in err and "rerun the 'calibrate' stage" in err
+        assert str(artifact) in err and "rerun the 'calibrate' stage" in err and message in err
 
     def test_missing_dataset_path(self, tmp_path, capsys):
         config = write_config(tmp_path, tmp_path / "nope.json")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kgconformal import conformal, experiment
+from kgconformal import conformal, experiment, scores
 from kgconformal.experiment import (
     ExperimentConfig,
     calibrate,
@@ -10,7 +10,7 @@ from kgconformal.experiment import (
     run_single,
     tune_condkgcp,
 )
-from kgconformal.kg import KGError
+from kgconformal.kg import KGError, filter_masks, make_queries, rank_of
 from kgconformal.metrics import EF_FAILURE
 from kgconformal.models import ScoreMatrix
 
@@ -78,6 +78,31 @@ class TestPrepareRun:
         with pytest.raises(KGError, match="^score matrix: 39 score columns, but the KG has 40 entities$"):
             prepare_run(config, 0, score_matrix=matrix, model=data.model)
 
+    @pytest.mark.parametrize("filtered", [True, False], ids=["filtered", "raw"])
+    @pytest.mark.parametrize("kind", ["softmax", "aps"])
+    def test_calibration_equals_the_per_pair_oracle(self, monkeypatch, kind, filtered):
+        """Each calibration pair's nonconformity and rank equal the per-pair primitives, on tied scores."""
+        config = tiny_config(scorer={"kind": kind}, filtered=filtered)
+        trained = prepare_run(config, 0)
+        matrix = ScoreMatrix.from_model(trained.model, trained.calib, trained.test)
+        matrix.scores = np.round(matrix.scores)  # a few distinct values per row: ties everywhere
+        monkeypatch.setattr(experiment, "EVAL_BLOCK_ROWS", 7)
+        data = prepare_run(config, 0, score_matrix=matrix, model=trained.model)
+        kg = data.kg
+        known = [make_queries(kg.splits["train"]), data.calib, data.test] if filtered else []
+        indptr, indices = filter_masks(data.calib, known)
+        (rows,) = matrix.rows(data.calib)
+        scorer = config.scorer_config(0)
+        ties = 0
+        for i, (row, a) in enumerate(zip(rows.tolist(), data.calib.answer.tolist())):
+            raw = matrix.scores[row]
+            mask = indices[indptr[i] : indptr[i + 1]].tolist()
+            assert data.calib_nonconf[i] == scores.nonconformity(raw, scorer, query_index=i)[a]
+            assert data.calib_ranks[i] == rank_of(raw, a, mask)
+            ties += np.count_nonzero(np.delete(raw, mask) == raw[a]) > 1
+        assert ties > len(data.calib) // 2
+        assert bool(indices.size) == filtered
+
     def test_unfiltered_masks_empty(self):
         data = prepare_run(tiny_config(filtered=False), 0)
         assert not data.mask_indptr.any() and data.mask_indices.size == 0
@@ -126,11 +151,14 @@ class TestRunSingle:
         """Each test pair keeps its own mask and APS draw however the pass splits the pairs into blocks."""
         config = tiny_config(scorer={"kind": kind})
         data = prepare_run(config, 0)
-        assert len(data.test) > 2 * 7
+        assert len(data.calib) > 2 * 7 and len(data.test) > 2 * 7
         whole = run_single(config, 0, data=data)
         monkeypatch.setattr(experiment, "EVAL_BLOCK_ROWS", 7)
         blocked = run_single(config, 0, data=data)
         assert [(r.row(), r.coverage) for r in blocked] == [(r.row(), r.coverage) for r in whole]
+        rerun = prepare_run(config, 0, model=data.model)
+        assert np.array_equal(rerun.calib_nonconf, data.calib_nonconf)
+        assert np.array_equal(rerun.calib_ranks, data.calib_ranks)
 
     def test_multiple_epsilons(self):
         reports = run_single(tiny_config(methods=["kgcp"], epsilons=[0.1, 0.3]), 0)
@@ -146,6 +174,22 @@ class TestTuning:
         gamma, phi = tune_condkgcp(config, 0, data, gamma_grid=(0.1, 0.5), phi_grid=(5, 10))
         assert gamma in (0.1, 0.5)
         assert phi in (5, 10)
+
+    def test_grid_is_evaluated_at_the_first_epsilon_only(self, monkeypatch):
+        config = tiny_config(tune=True, epsilons=[0.2, 0.1, 0.3])
+        data = prepare_run(config, 0)
+        evaluated = []
+        real_run_single = experiment.run_single
+
+        def recording_run_single(sub, seed, **kw):
+            evaluated.append(sub.epsilons)
+            return real_run_single(sub, seed, **kw)
+
+        monkeypatch.setattr(experiment, "run_single", recording_run_single)
+        chosen = tune_condkgcp(config, 0, data, gamma_grid=(0.1, 0.5), phi_grid=(5, 10))
+        assert evaluated and all(eps == [0.2] for eps in evaluated)
+        assert chosen == tune_condkgcp(tiny_config(tune=True, epsilons=[0.2]), 0, data,
+                                       gamma_grid=(0.1, 0.5), phi_grid=(5, 10))
 
 
 def test_run_experiment_aggregates_across_seeds():

@@ -1,9 +1,10 @@
 """Property tests: ranks and rank cuts under tied scores, the calibration rank cutoff, the conformal
-quantile, the predicate partition under tied distances, the negative sampler against its
-per-candidate loop, and the columnar queries, filter masks and score export against their per-pair
-versions."""
+quantile, the predicate partition under tied distances, the calibrated-model file (round trip and
+truncation), the negative sampler against its per-candidate loop, and the columnar queries, filter
+masks and score export against their per-pair versions."""
 
 import math
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kgconformal import models
-from kgconformal.conformal import build_partition, quantile, rank_threshold
+from kgconformal.conformal import (CalibratedModel, PartCalibration, PredicatePartition, build_partition,
+                                   fit_condkgcp, quantile, rank_threshold)
 from kgconformal.kg import DIRECTIONS, Query, Triple, candidate_ranks, filter_masks, make_queries, rank_cuts, rank_of
 from kgconformal.models import ScoreMatrix, _sample_negatives, _triple_keys, export_scores
 
@@ -109,6 +111,63 @@ def test_partition_merges_each_poor_predicate_into_its_nearest_rich_one(case):
     for r in range(counts.size):
         nearest = min(rich, key=lambda q: (np.abs(vectors[q] - vectors[r]).sum(), q))
         assert partition.part_of[r] == partition.part_of[r if counts[r] >= phi else nearest]
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def calibrated_models(draw):
+    """A kgcp, mcp or condkgcp model: a shuffled partition, +inf thresholds, None cutoffs and warnings."""
+    method = draw(st.sampled_from(["kgcp", "mcp", "condkgcp"]))
+    n_pred = draw(st.integers(1, 8))
+    if method == "kgcp":
+        partition = None
+    elif method == "mcp":
+        partition = PredicatePartition(parts=[[r] for r in range(n_pred)], phi=0)
+    else:
+        order = draw(st.permutations(range(n_pred)))
+        splits = draw(st.lists(st.booleans(), min_size=n_pred - 1, max_size=n_pred - 1))
+        cuts = [i for i, split in enumerate(splits, start=1) if split]
+        parts = [sorted(order[a:b]) for a, b in zip([0] + cuts, cuts + [n_pred])]
+        partition = PredicatePartition(parts=parts, phi=draw(st.integers(1, 500)))
+    per_part = {
+        g: PartCalibration(
+            rank_cutoff=None if method != "condkgcp" else draw(st.none() | st.integers(1, 10**6)),
+            rank_miscoverage=draw(_finite),
+            adjusted_epsilon=draw(_finite),
+            score_threshold=draw(_finite | st.just(math.inf)),
+        )
+        for g in range(1 if partition is None else len(partition.parts))
+    }
+    return CalibratedModel(method=method, epsilon=draw(_finite), per_part=per_part, partition=partition,
+                           gamma=draw(_finite), warnings=draw(st.lists(st.text(max_size=20), max_size=3)))
+
+
+@given(calibrated_models())
+def test_calibrated_model_json_round_trip(model):
+    restored = CalibratedModel.from_json(model.to_json())
+    assert restored == model
+    if model.partition is not None:
+        for g, part in enumerate(model.partition.parts):
+            assert restored.part_ids(part).tolist() == [g] * len(part)
+
+
+def test_every_truncation_of_a_calibrated_file_names_it(tmp_path):
+    rng = np.random.default_rng(0)
+    predicates = np.repeat(np.arange(4), [30, 12, 0, 5])
+    partition = PredicatePartition(parts=[[0, 2], [1, 3]], phi=12)
+    model = fit_condkgcp(predicates, rng.random(predicates.size), rng.integers(1, 40, predicates.size),
+                         partition, 0.1, 0.5)
+    model.warnings.append("part 9 has no calibration pairs; threshold +inf")
+    path = tmp_path / "calibrated_condkgcp_e0.1_s0.json"
+    model.save(path)
+    text = path.read_bytes()
+    assert CalibratedModel.load(path) == model
+    for cut in range(len(text)):
+        path.write_bytes(text[:cut])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            CalibratedModel.load(path)
 
 
 @st.composite
