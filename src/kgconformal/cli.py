@@ -127,12 +127,11 @@ def _run_data_from_artifacts(config: ExperimentConfig, out: Path, seed: int):
     if not scores_file.exists():
         raise StageError(f"missing score artifact {scores_file}", rerun="score")
     matrix = models.import_scores(scores_file)
-    vectors = models.import_predicate_vectors(_predvecs_path(out, seed))
     model_file = _model_path(out, seed)
     model = models.load_model(model_file) if model_file.exists() else None
     kg = load_or_generate_kg(config, seed)
     return prepare_run(config, seed, score_matrix=matrix, model=model,
-                       kg=kg, predicate_vectors=vectors)
+                       kg=kg, predicate_vectors=_predvecs_path(out, seed))
 
 
 def cmd_calibrate(args) -> int:

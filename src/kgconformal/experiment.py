@@ -106,8 +106,8 @@ class RunData:
     test: QueryAnswerSet
     calib_nonconf: np.ndarray     # nonconformity of the true calibration answers
     calib_ranks: np.ndarray       # filtered rank of the true calibration answers
-    scores: np.ndarray            # raw score rows of the distinct calibration and test queries
-    test_rows: np.ndarray         # row of each test pair's query in ``scores``
+    score_rows: models.RowSource  # raw score rows of the calibration and test queries
+    test_rows: np.ndarray         # row of each test pair's query in ``score_rows``
     mask_indptr: np.ndarray       # CSR filter masks of the test pairs: pair j masks
     mask_indices: np.ndarray      # mask_indices[mask_indptr[j]:mask_indptr[j + 1]]
     predicate_vectors: np.ndarray
@@ -135,12 +135,15 @@ def prepare_run(config: ExperimentConfig, seed: int,
                 score_matrix: models.ScoreMatrix | None = None,
                 model: models.EmbeddingModel | None = None,
                 kg: KnowledgeGraph | None = None,
-                predicate_vectors: np.ndarray | None = None) -> RunData:
+                predicate_vectors: np.ndarray | str | Path | None = None) -> RunData:
     """Generate/load data, train or import scores, and score the calibration pairs.
 
     Test pairs keep only their score rows and filter masks; :func:`evaluate`
     does their per-entity work.  The scores come from ``score_matrix``, else ``model``, else
-    ``config.score_matrix``, else a newly trained model.
+    ``config.score_matrix``, else a newly trained model; a model's rows are scored when a pass
+    reads them (:class:`models.ModelScores`), so no run holds all of them.  The predicate
+    vectors come from ``predicate_vectors`` (an array, or a sidecar file to import), else the
+    model, else ``config.predicate_vectors``; KGError unless there is one per KG predicate.
     """
     if kg is None:
         kg = load_or_generate_kg(config, seed)
@@ -150,31 +153,37 @@ def prepare_run(config: ExperimentConfig, seed: int,
         raise KGError("calibration or test split is empty")
     known = [make_queries(kg.splits.get("train", []), config.both_directions), calib, test] if config.filtered else []
 
-    if score_matrix is None:
-        if model is None and config.score_matrix is not None:
-            score_matrix = models.import_scores(config.score_matrix)
-        else:
-            if model is None:
-                model = models.train(kg, config.model_kind, config.train_config(seed),
-                                     dim=config.dim, norm=config.transe_norm)
-            score_matrix = models.ScoreMatrix.from_model(model, calib, test)
-    calib_rows, test_rows = score_matrix.rows(calib, test)
-    if score_matrix.n_entities != kg.vocab.n_entities:
-        raise KGError(f"{score_matrix.source}: {score_matrix.n_entities} score columns, "
+    source = score_matrix
+    if source is None and model is None and config.score_matrix is not None:
+        source = models.import_scores(config.score_matrix)
+    if source is None:
+        if model is None:
+            model = models.train(kg, config.model_kind, config.train_config(seed),
+                                 dim=config.dim, norm=config.transe_norm)
+        source = models.ModelScores(model, calib, test)
+    calib_rows, test_rows = source.rows(calib, test)
+    if source.n_entities != kg.vocab.n_entities:
+        raise KGError(f"{source.source}: {source.n_entities} score columns, "
                       f"but the KG has {kg.vocab.n_entities} entities")
 
-    if predicate_vectors is not None:
-        pred_vecs = predicate_vectors
+    n_pred = kg.vocab.n_predicates
+    if predicate_vectors is None and model is None:
+        predicate_vectors = config.predicate_vectors
+    if isinstance(predicate_vectors, (str, Path)):
+        named, pred_vecs = str(predicate_vectors), models.import_predicate_vectors(predicate_vectors)
+    elif predicate_vectors is not None:
+        named, pred_vecs = "predicate vectors", predicate_vectors
     elif model is not None:
-        pred_vecs = np.stack([models.predicate_vector(model, r) for r in range(kg.vocab.n_predicates)])
-    elif config.predicate_vectors is not None:
-        pred_vecs = models.import_predicate_vectors(config.predicate_vectors)
+        named, pred_vecs = "model", np.stack([models.predicate_vector(model, r) for r in range(n_pred)])
     else:
         raise KGError("condkgcp merging needs a trained model or a predicate-vector sidecar file")
+    if pred_vecs.shape[0] != n_pred:
+        raise KGError(f"{named}: {pred_vecs.shape[0]} predicate vectors, but the KG has {n_pred} predicates "
+                      "(rerun the 'score' stage)")
 
     calib_nonconf = np.empty(len(calib))
     calib_ranks = np.empty(len(calib), dtype=np.int64)
-    for block, nonconf, masked in _score_blocks(config.scorer_config(seed), score_matrix.scores, calib_rows,
+    for block, nonconf, masked in _score_blocks(config.scorer_config(seed), source, calib_rows,
                                                 *filter_masks(calib, known), offset=0):
         at_answer = (np.arange(masked.shape[0]), calib.answer[block])
         calib_nonconf[block] = nonconf[at_answer]
@@ -187,7 +196,7 @@ def prepare_run(config: ExperimentConfig, seed: int,
         test=test,
         calib_nonconf=calib_nonconf,
         calib_ranks=calib_ranks,
-        scores=score_matrix.scores,
+        score_rows=source,
         test_rows=test_rows,
         mask_indptr=mask_indptr,
         mask_indices=mask_indices,
@@ -196,24 +205,28 @@ def prepare_run(config: ExperimentConfig, seed: int,
     )
 
 
-def _score_blocks(scorer: scores.ScorerConfig, score_rows: np.ndarray, rows: np.ndarray,
+def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: np.ndarray,
                   indptr: np.ndarray, indices: np.ndarray, offset: int):
     """Yield ``(block, nonconf, masked)`` per block of ``EVAL_BLOCK_ROWS`` pairs; pair ``j`` reads row ``rows[j]``.
 
-    ``nonconf`` rows draw as query ``offset + j``, so every APS/RAPS pair draws its own u; ``masked`` rows have
-    the pair's CSR mask at -inf.  Both are views of one buffer the next block overwrites.  Rows are copied one
-    at a time: a gather from an imported score file's strided record view would copy all of it.
+    The pairs are visited in stable ``rows`` order, so the pairs of one query are adjacent and a model source
+    scores each query once per block.  ``block`` holds the block's pair indices.  ``nonconf`` row ``i`` draws as
+    query ``offset + block[i]``, so every APS/RAPS pair draws its own u; ``masked`` rows have the pair's CSR mask
+    at -inf.  Both are views of one buffer the next block overwrites.
     """
     n = rows.shape[0]
-    buffers = np.empty((2, min(EVAL_BLOCK_ROWS, n), score_rows.shape[1]))
+    order = np.argsort(rows, kind="stable")
+    buffers = np.empty((2, min(EVAL_BLOCK_ROWS, n), source.n_entities))
     for start in range(0, n, EVAL_BLOCK_ROWS):
-        block = slice(start, min(start + EVAL_BLOCK_ROWS, n))
-        masked, nonconf = buffers[:, : block.stop - start]
-        for i, row in enumerate(rows[block].tolist()):
-            masked[i] = score_rows[row]
-            nonconf[i] = scores.nonconformity(masked[i], scorer, query_index=offset + start + i)
-        owner = np.repeat(np.arange(masked.shape[0]), np.diff(indptr[block.start : block.stop + 1]))
-        masked[owner, indices[indptr[block.start] : indptr[block.stop]]] = -np.inf
+        block = order[start : start + EVAL_BLOCK_ROWS]
+        masked, nonconf = buffers[:, : block.size]
+        source.fill(rows[block], masked)
+        for i, j in enumerate(block.tolist()):
+            nonconf[i] = scores.nonconformity(masked[i], scorer, query_index=offset + j)
+        lo, counts = indptr[block], indptr[block + 1] - indptr[block]
+        # position of each masked entity in ``indices``: pair i's slice lo[i] + 0, 1, ..., counts[i] - 1
+        at = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        masked[np.repeat(np.arange(block.size), counts), indices[at]] = -np.inf
         yield block, nonconf, masked
 
 
@@ -288,7 +301,7 @@ def _outcomes(config: ExperimentConfig, seed: int, data: RunData,
     cutoffs = np.stack([k for _, k in filters])
     sizes = np.empty(thresholds.shape, dtype=np.int64)
     hits = np.empty(thresholds.shape, dtype=bool)
-    for block, nonconf, masked in _score_blocks(config.scorer_config(seed), data.scores, data.test_rows,
+    for block, nonconf, masked in _score_blocks(config.scorer_config(seed), data.score_rows, data.test_rows,
                                                 data.mask_indptr, data.mask_indices, offset=len(data.calib)):
         sizes[:, block], hits[:, block] = conformal.set_outcomes(nonconf, masked, data.test.answer[block],
                                                                  thresholds[:, block], cutoffs[:, block])

@@ -1,4 +1,5 @@
-"""Desk-scale KGE models (TransE, DistMult, ComplEx) and score-matrix import/export.
+"""Desk-scale KGE models (TransE, DistMult, ComplEx), their block scorer, score-row sources
+and score-matrix import/export.
 
 ComplEx embeddings are stored as ``[real | imag]`` blocks of width ``dim``
 each, so a row has length ``2 * dim``.
@@ -9,7 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,8 @@ from .kg import DIRECTIONS, Direction, KnowledgeGraph, KGError, Query, query_key
 
 __all__ = [
     "EmbeddingModel",
+    "ModelScores",
+    "RowSource",
     "ScoreMatrix",
     "TrainConfig",
     "TrainingDiverged",
@@ -35,6 +38,7 @@ MODEL_KINDS = ("transe", "distmult", "complex")
 SCORE_MAGIC = b"KGSC"
 VEC_MAGIC = b"KGPV"
 EXPORT_BLOCK_ROWS = 64  # score rows per packed block that export_scores writes
+SCORE_BLOCK_QUERIES = 16  # queries the TransE block scorer scores at once
 
 logger = logging.getLogger(__name__)
 
@@ -67,8 +71,6 @@ class EmbeddingModel:
     entity_embeddings: np.ndarray
     predicate_embeddings: np.ndarray
     norm: int = 1  # TransE only, p in {1, 2}
-    # (|E|, width) workspace that :func:`score` reuses across calls; never saved or compared
-    _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -90,53 +92,152 @@ def _complex_parts(mat: np.ndarray, dim: int):
     return mat[..., :dim], mat[..., dim:]
 
 
+def _pairwise_buffers(n: int) -> int:
+    """Blocks :func:`_pairwise_sum` needs for ``n`` dims besides its output."""
+    if n < 8:
+        return 1
+    if n <= 128:
+        return 4
+    half = n // 2 - (n // 2) % 8
+    return max(_pairwise_buffers(half), 1 + _pairwise_buffers(n - half))
+
+
+def _pairwise_sum(term, lo: int, n: int, out: np.ndarray, spare: np.ndarray) -> None:
+    """``out`` = the sum over dims ``lo <= d < lo + n`` of ``term(d, buf)``, added as numpy adds a row.
+
+    numpy's float64 row sum adds fewer than 8 values in order.  Up to 128 it
+    keeps eight partial sums, ``r_j`` over the values ``j, j + 8, ...`` of the
+    first ``n - n % 8``, combined as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7))``, and adds the rest after.  Above 128 it adds the sums of the
+    halves split at ``n // 2 - (n // 2) % 8``.  Here each addition acts on
+    whole blocks, so every element of ``out`` is its row sum to the last bit.
+    ``term`` writes one dim's (non-negative) terms into a block and returns
+    it; ``spare`` holds :func:`_pairwise_buffers` blocks shaped like ``out``.
+    """
+    if n < 8:
+        term(lo, out)
+        for d in range(lo + 1, lo + n):
+            out += term(d, spare[0])
+        return
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        _pairwise_sum(term, lo, half, out, spare)
+        _pairwise_sum(term, lo + half, n - half, spare[0], spare[1:])
+        out += spare[0]
+        return
+    stop = lo + n - n % 8
+    s, t, u, tmp = spare[:4]
+
+    def lane(j, acc):
+        term(lo + j, acc)
+        for d in range(lo + j + 8, stop, 8):
+            acc += term(d, tmp)
+        return acc
+
+    lane(0, out)
+    out += lane(1, s)
+    lane(2, s)
+    s += lane(3, t)
+    out += s
+    lane(4, s)
+    s += lane(5, t)
+    lane(6, t)
+    t += lane(7, u)
+    s += t
+    out += s
+    for d in range(stop, lo + n):
+        out += term(d, tmp)
+
+
+class _BlockScorer:
+    """Writes the score rows of blocks of up to ``max_queries`` queries of one model.
+
+    TransE reads an entity-major ``(dim, |E|)`` copy of the entity embeddings
+    made here, so a scorer must not outlive a change to the model (training
+    updates embeddings in place).  For each dim it forms the block's
+    differences against every candidate at once and adds them up with
+    :func:`_pairwise_sum`, so each row equals the plain expression
+    ``-abs((anchor + r) - ent).sum(axis=1)`` (tail queries) or
+    ``-abs((ent + r) - anchor).sum(axis=1)`` (head queries) bit for bit; L2
+    squares with ``multiply`` and takes ``sqrt``.  DistMult and ComplEx
+    score one query at a time with a gemv.
+    """
+
+    def __init__(self, model: EmbeddingModel, max_queries: int):
+        self.model = model
+        if model.kind == "transe":
+            self.ent_t = np.ascontiguousarray(model.entity_embeddings.T)
+            self.spare = np.empty((_pairwise_buffers(model.dim), max_queries, model.n_entities))
+
+    def __call__(self, queries: np.ndarray, out: np.ndarray) -> None:
+        """Row ``i`` of ``out`` scores ``queries[i]``, a (direction, anchor, predicate) row.
+
+        Raises FloatingPointError on a non-finite score.
+        """
+        model = self.model
+        if model.kind == "transe":
+            # one run of equal directions at a time
+            cuts = [0, *(np.flatnonzero(np.diff(queries[:, 0])) + 1).tolist(), queries.shape[0]]
+            for start, stop in zip(cuts[:-1], cuts[1:]):
+                self._transe(queries[start:stop], out[start:stop])
+        else:
+            for i, (d, a, p) in enumerate(queries.tolist()):
+                out[i] = _bilinear_row(model, DIRECTIONS[d], a, p)
+        if not np.all(np.isfinite(out)):
+            raise FloatingPointError("non-finite score")
+
+    def _transe(self, queries: np.ndarray, out: np.ndarray) -> None:
+        model, ent_t = self.model, self.ent_t
+        anchor = model.entity_embeddings[queries[:, 1]]
+        r = model.predicate_embeddings[queries[:, 2]]
+        square = model.norm == 2
+        if DIRECTIONS[queries[0, 0]] is Direction.TAIL:
+            shift = (anchor + r).T[:, :, None]  # (dim, m, 1)
+
+            def term(d, buf):
+                np.subtract(shift[d], ent_t[d], out=buf)
+                return np.multiply(buf, buf, out=buf) if square else np.abs(buf, out=buf)
+        else:
+            r_t, anchor_t = r.T[:, :, None], anchor.T[:, :, None]
+
+            def term(d, buf):
+                np.add(ent_t[d], r_t[d], out=buf)
+                np.subtract(buf, anchor_t[d], out=buf)
+                return np.multiply(buf, buf, out=buf) if square else np.abs(buf, out=buf)
+
+        _pairwise_sum(term, 0, model.dim, out, self.spare[:, : queries.shape[0]])
+        if square:
+            np.sqrt(out, out=out)
+        np.negative(out, out=out)
+
+
+def _bilinear_row(model: EmbeddingModel, direction: Direction, a: int, p: int) -> np.ndarray:
+    """DistMult or ComplEx scores of every candidate; a gemv on the strided ``[real | imag]`` views."""
+    ent = model.entity_embeddings
+    anchor, r = ent[a], model.predicate_embeddings[p]
+    if model.kind == "distmult":
+        return ent @ (anchor * r)
+    d = model.dim
+    ar, ai = anchor[:d], anchor[d:]
+    rr, ri = r[:d], r[d:]
+    er, ei = _complex_parts(ent, d)
+    if direction is Direction.TAIL:
+        # Re(<h, r, conj(t)>) with h = anchor, t = candidates
+        return er @ (ar * rr - ai * ri) + ei @ (ar * ri + ai * rr)
+    # candidates fill h, t = anchor
+    return er @ (rr * ar + ri * ai) + ei @ (rr * ai - ri * ar)
+
+
 def score(model: EmbeddingModel, query: Query) -> np.ndarray:
     """Plausibility score of every candidate entity in the missing slot.
 
-    TransE writes its ``|E| x dim`` difference into the model's workspace, so
-    a call allocates only the returned row.  The ufuncs and the C-contiguous
-    layout are those of the plain expression ``-abs(diff).sum(axis=1)``, so
-    the row is the same to the last bit.  Calls on one model must not run
-    concurrently.
+    The one-query form of the block scorer that ``ScoreMatrix.from_model``
+    and the in-memory runs use, so a row is the same whichever computes it.
+    Raises FloatingPointError on a non-finite score.
     """
-    ent = model.entity_embeddings
-    r = model.predicate_embeddings[query.predicate]
-    anchor = ent[query.anchor]
-
-    if model.kind == "transe":
-        diff = model._scratch
-        if diff is None or diff.shape != ent.shape:
-            diff = model._scratch = np.empty(ent.shape)
-        if query.direction is Direction.TAIL:
-            np.subtract(anchor + r, ent, out=diff)
-        else:
-            np.add(ent, r, out=diff)
-            np.subtract(diff, anchor, out=diff)
-        out = np.empty(ent.shape[0])
-        if model.norm == 1:
-            np.abs(diff, out=diff)
-            diff.sum(axis=1, out=out)
-        else:
-            np.multiply(diff, diff, out=diff)
-            diff.sum(axis=1, out=out)
-            np.sqrt(out, out=out)
-        np.negative(out, out=out)
-    elif model.kind == "distmult":
-        out = ent @ (anchor * r)
-    else:  # complex: gemv on the strided [real | imag] views needs no |E| x dim temporary
-        d = model.dim
-        ar, ai = anchor[:d], anchor[d:]
-        rr, ri = r[:d], r[d:]
-        er, ei = _complex_parts(ent, d)
-        if query.direction is Direction.TAIL:
-            # Re(<h, r, conj(t)>) with h = anchor, t = candidates
-            out = er @ (ar * rr - ai * ri) + ei @ (ar * ri + ai * rr)
-        else:
-            # candidates fill h, t = anchor
-            out = er @ (rr * ar + ri * ai) + ei @ (rr * ai - ri * ar)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("non-finite score")
-    return out
+    out = np.empty((1, model.n_entities))
+    _BlockScorer(model, 1)(np.array([[DIRECTIONS.index(query.direction), query.anchor, query.predicate]]), out)
+    return out[0]
 
 
 def predicate_vector(model: EmbeddingModel, r: int) -> np.ndarray:
@@ -433,8 +534,36 @@ def _query_key(query) -> str:
     return str(Query(DIRECTIONS[d], a, p).key())
 
 
+class RowSource:
+    """Score rows keyed by query: ``queries`` holds one (direction, anchor, predicate) row per score row.
+
+    The rows are sorted by :func:`kg.query_keys` with no key twice.  A source
+    has ``n_entities``, ``source`` (what its error messages name),
+    :meth:`rows` and :meth:`fill`.
+    """
+
+    queries: np.ndarray
+    source: str
+
+    def rows(self, *sets) -> list[np.ndarray]:
+        """Row of each pair's query, one array per query-answer set; KGError names missing ones."""
+        queries = np.concatenate([qa.queries() for qa in sets])
+        own, wanted = query_keys(self.queries), query_keys(queries)
+        pos = np.searchsorted(own, wanted)
+        missing = np.append(own, -1)[pos] != wanted  # keys are nonnegative
+        if missing.any():
+            _, first = np.unique(wanted[missing], return_index=True)
+            preview = ", ".join(_query_key(q) for q in queries[missing][np.sort(first)][:5])
+            raise KGError(f"{self.source}: missing scores for {first.size} queries: {preview}")
+        return np.split(pos, np.cumsum([len(qa) for qa in sets])[:-1])
+
+    def fill(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Write score row ``rows[i]`` to ``out[i]``."""
+        raise NotImplementedError
+
+
 @dataclass
-class ScoreMatrix:
+class ScoreMatrix(RowSource):
     """Row ``i`` of ``scores`` holds the ``|E|`` scores of query ``queries[i]`` (direction, anchor, predicate).
 
     Construction sorts the rows by :func:`kg.query_keys`, copying only rows out of order; a query given
@@ -460,27 +589,49 @@ class ScoreMatrix:
     def n_entities(self) -> int:
         return self.scores.shape[1]
 
-    def rows(self, *sets) -> list[np.ndarray]:
-        """Row in ``scores`` of each pair's query, one array per query-answer set; KGError names missing ones."""
-        queries = np.concatenate([qa.queries() for qa in sets])
-        own, wanted = query_keys(self.queries), query_keys(queries)
-        pos = np.searchsorted(own, wanted)
-        missing = np.append(own, -1)[pos] != wanted  # keys are nonnegative
-        if missing.any():
-            _, first = np.unique(wanted[missing], return_index=True)
-            preview = ", ".join(_query_key(q) for q in queries[missing][np.sort(first)][:5])
-            raise KGError(f"{self.source}: missing scores for {first.size} queries: {preview}")
-        return np.split(pos, np.cumsum([len(qa) for qa in sets])[:-1])
+    def fill(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Copy row ``rows[i]`` of ``scores`` to ``out[i]``, one row at a time.
+
+        A gather from an imported file's strided record view would copy all of it.
+        """
+        for i, row in enumerate(rows.tolist()):
+            out[i] = self.scores[row]
 
     @classmethod
     def from_model(cls, model: EmbeddingModel, *sets) -> "ScoreMatrix":
         """Score every distinct query of the given query-answer sets."""
+        rows = ModelScores(model, *sets)
+        scores = np.empty((rows.queries.shape[0], model.n_entities))
+        rows.fill(np.arange(scores.shape[0]), scores)
+        return cls(queries=rows.queries, scores=scores)
+
+
+class ModelScores(RowSource):
+    """The distinct queries of the given query-answer sets, scored by ``model`` when a row is asked for.
+
+    Holds no score row between calls; the block scorer (and its entity-major
+    copy of the embeddings) is made here, so train the model first.
+    """
+
+    source = "model"
+
+    def __init__(self, model: EmbeddingModel, *sets):
         queries = np.concatenate([qa.queries() for qa in sets])
-        queries = queries[np.unique(query_keys(queries), return_index=True)[1]]
-        scores = np.empty((queries.shape[0], model.n_entities))
-        for i, (d, a, p) in enumerate(queries.tolist()):
-            scores[i] = score(model, Query(DIRECTIONS[d], a, p))
-        return cls(queries=queries, scores=scores)
+        self.queries = queries[np.unique(query_keys(queries), return_index=True)[1]]
+        self.n_entities = model.n_entities
+        self._scorer = _BlockScorer(model, SCORE_BLOCK_QUERIES)
+        self._scored = np.empty((SCORE_BLOCK_QUERIES, model.n_entities))
+
+    def fill(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Score each run of equal rows once, ``SCORE_BLOCK_QUERIES`` runs at a time, and copy it to the run's pairs."""
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        stops = np.append(starts[1:], rows.size)
+        for lo in range(0, starts.size, SCORE_BLOCK_QUERIES):
+            first, last = starts[lo : lo + SCORE_BLOCK_QUERIES], stops[lo : lo + SCORE_BLOCK_QUERIES]
+            scored = self._scored[: first.size]
+            self._scorer(self.queries[rows[first]], scored)
+            for row, a, b in zip(scored, first.tolist(), last.tolist()):
+                out[a:b] = row
 
 
 def _score_record(n_ent: int) -> np.dtype:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import conformal, experiment
+from . import conformal, experiment, models
 from .kg import KnowledgeGraph, QueryAnswerSet, Vocab, rank_of
 from .scores import softmax_scores
 
@@ -93,7 +93,7 @@ def _pool(rng, n_parts: int, pool_size: int, n_entities: int) -> tuple[experimen
         test=pairs,
         calib_nonconf=nonconf[np.arange(n), answer],
         calib_ranks=np.array([rank_of(row, a) for row, a in zip(raw, answer.tolist())], dtype=np.int64),
-        scores=raw,
+        score_rows=models.ScoreMatrix(queries=pairs.queries(), scores=raw),
         test_rows=np.arange(n),
         mask_indptr=np.zeros(n + 1, dtype=np.int64),
         mask_indices=np.empty(0, dtype=np.int64),
@@ -112,7 +112,7 @@ def _outcomes(pool: experiment.RunData, nonconf: np.ndarray, fitted, test_idx) -
     """Set size and answer hit of each test pair under each fitted model, as the evaluation pass reduces them."""
     filters = [conformal.query_filters(model, pool.test.predicate[test_idx], pool.kg.vocab.n_entities)
                for model in fitted]
-    return conformal.set_outcomes(nonconf[test_idx], pool.scores[test_idx], pool.test.answer[test_idx],
+    return conformal.set_outcomes(nonconf[test_idx], pool.score_rows.scores[test_idx], pool.test.answer[test_idx],
                                   np.stack([t for t, _ in filters]), np.stack([k for _, k in filters]))
 
 

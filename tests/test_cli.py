@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgconformal import cli
+from kgconformal import cli, models
 from kgconformal.experiment import ExperimentConfig, load_or_generate_kg
 from kgconformal.kg import DIRECTIONS, Query, make_queries
-from kgconformal.models import ScoreMatrix, export_scores, import_scores, load_model, save_model
+from kgconformal.models import (ScoreMatrix, export_predicate_vectors, export_scores, import_predicate_vectors,
+                                import_scores, load_model, save_model)
 from kgconformal.verify import CheckResult
 
 
@@ -140,16 +141,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "non-finite loss" in err and "'train' stage" in err
 
-    def test_non_finite_scores_name_stage(self, tmp_path, dataset, capsys):
+    @pytest.mark.parametrize("stage", ["score", "run"])
+    def test_non_finite_scores_name_stage(self, tmp_path, dataset, capsys, monkeypatch, stage):
+        """Overflowing scores exit 2 naming the stage, also when ``run`` meets them mid-pass."""
         config = write_config(tmp_path, dataset)
-        assert cli.main(["train", "--config", str(config)]) == 0
-        model_file = tmp_path / "out" / "model_s0.npz"
-        model = load_model(model_file)
-        model.entity_embeddings *= 1e200  # finite, but every DistMult score overflows
-        save_model(model, model_file)
-        assert cli.main(["score", "--config", str(config)]) == cli.EXIT_CONFIG
+        if stage == "score":
+            assert cli.main(["train", "--config", str(config)]) == 0
+            model_file = tmp_path / "out" / "model_s0.npz"
+            model = load_model(model_file)
+            model.entity_embeddings *= 1e200  # finite, but every DistMult score overflows
+            save_model(model, model_file)
+        else:
+            real_train = models.train
+
+            def overflowing_train(*args, **kw):
+                model = real_train(*args, **kw)
+                model.entity_embeddings *= 1e200
+                return model
+
+            monkeypatch.setattr(models, "train", overflowing_train)
+        assert cli.main([stage, "--config", str(config)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "non-finite score" in err and "'score' stage" in err
+        assert "non-finite score" in err and f"'{stage}' stage" in err
+
+    @pytest.mark.parametrize("keep", [slice(0, 2), slice(None)], ids=["truncated", "extra-row"])
+    def test_predicate_vector_sidecar_row_count_names_file(self, tmp_path, dataset, capsys, keep):
+        config = write_config(tmp_path, dataset)
+        for stage in ("train", "score"):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        sidecar = tmp_path / "out" / "predvecs_s0.bin"
+        vectors = import_predicate_vectors(sidecar)[keep]
+        if keep == slice(None):
+            vectors = np.vstack([vectors, vectors[:1]])
+        export_predicate_vectors(vectors, sidecar)
+        capsys.readouterr()
+        for stage in ("calibrate", "evaluate"):
+            assert cli.main([stage, "--config", str(config)]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert (f"{sidecar}: {len(vectors)} predicate vectors, but the KG has 3 predicates "
+                    "(rerun the 'score' stage)") in err
 
     def test_non_finite_imported_score_names_file_and_query(self, tmp_path, dataset, capsys):
         config = write_config(tmp_path, dataset)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from kgconformal import conformal, experiment, scores
+from kgconformal import conformal, experiment, models, scores
 from kgconformal.experiment import (
     ExperimentConfig,
     calibrate,
@@ -10,9 +12,9 @@ from kgconformal.experiment import (
     run_single,
     tune_condkgcp,
 )
-from kgconformal.kg import KGError, filter_masks, make_queries, rank_of
+from kgconformal.kg import DIRECTIONS, KGError, Query, filter_masks, make_queries, rank_of
 from kgconformal.metrics import EF_FAILURE
-from kgconformal.models import ScoreMatrix
+from kgconformal.models import ModelScores, ScoreMatrix, score
 
 
 def tiny_config(**kw):
@@ -59,7 +61,11 @@ class TestPrepareRun:
         assert data.calib_nonconf.shape == (n_cal,)
         assert data.calib_ranks.shape == (n_cal,)
         assert data.test_rows.shape == (n_test,) and data.mask_indptr.shape == (n_test + 1,)
-        assert data.scores[data.test_rows].shape == (n_test, 40)
+        assert isinstance(data.score_rows, ModelScores) and data.score_rows.n_entities == 40
+        rows = np.empty((n_test, 40))
+        data.score_rows.fill(data.test_rows, rows)
+        for row, (d, a, p) in zip(rows, data.test.queries().tolist()):
+            assert np.array_equal(row, score(data.model, Query(DIRECTIONS[d], a, p)))
         assert np.all(data.calib_ranks >= 1)
         assert data.predicate_vectors.shape[0] == 3
 
@@ -106,6 +112,34 @@ class TestPrepareRun:
     def test_unfiltered_masks_empty(self):
         data = prepare_run(tiny_config(filtered=False), 0)
         assert not data.mask_indptr.any() and data.mask_indices.size == 0
+
+
+class TestMemory:
+    def test_traced_peak_does_not_grow_with_the_splits(self):
+        """prepare_run + run_single with a trained model holds no array that grows with |Q| x |E|.
+
+        Four times the triples (|E| = 2000) must raise the traced peak by less than 10%: the score rows of
+        the calibration and the test queries are scored block by block, not kept for the run.
+        """
+        def config(scale):
+            counts = [scale * c for c in (600, 400, 300, 200)]
+            return tiny_config(synthetic={"n_entities": 2000, "n_predicates": 4, "triple_counts": counts,
+                                          "noise_rates": 0.2, "n_clusters": 8}, model_kind="transe", dim=16,
+                               epochs=1, phi=50)
+
+        small = config(1)
+        model = models.train(experiment.load_or_generate_kg(small, 0), "transe", small.train_config(0), dim=16)
+        peaks = []
+        for scale in (1, 4):
+            cfg = config(scale)
+            kg = experiment.load_or_generate_kg(cfg, 0)
+            tracemalloc.start()
+            try:
+                run_single(cfg, 0, data=prepare_run(cfg, 0, model=model, kg=kg))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], [f"{p / 1e6:.1f} MB" for p in peaks]
 
 
 class TestRunSingle:

@@ -9,6 +9,7 @@ from kgconformal import models
 from kgconformal.kg import DIRECTIONS, Direction, KGError, KnowledgeGraph, Query, QueryAnswerSet, Triple, Vocab, rank_of
 from kgconformal.models import (
     EmbeddingModel,
+    ModelScores,
     ScoreMatrix,
     TrainConfig,
     export_predicate_vectors,
@@ -167,9 +168,13 @@ SCORED_KINDS = [pytest.param("transe", 1, id="transe-l1"), pytest.param("transe"
 
 
 class TestScoreExactness:
-    """``score`` and every ``ScoreMatrix.from_model`` row equal the oracle bit for bit."""
+    """``score``, every ``ScoreMatrix.from_model`` row and every ``ModelScores`` row equal the oracle bit for bit.
 
-    @pytest.mark.parametrize("dim", [8, 32, 200])
+    The dims cover each branch of numpy's pairwise row sum that the TransE block scorer reproduces: below 8,
+    8 lanes with and without a remainder, 128, and one or two halvings above it.
+    """
+
+    @pytest.mark.parametrize("dim", [1, 5, 8, 13, 32, 128, 129, 200, 257])
     @pytest.mark.parametrize("kind,norm", SCORED_KINDS)
     def test_rows_equal_oracle(self, kind, norm, dim):
         model = make_model(kind, dim, n_ent=301, n_pred=3, seed=dim, norm=norm)
@@ -182,6 +187,26 @@ class TestScoreExactness:
         (rows,) = matrix.rows(query_set(queries))
         for q, row in zip(queries, rows):
             assert np.array_equal(matrix.scores[row], oracle_score(model, q))
+
+    @pytest.mark.parametrize("norm", [1, 2])
+    def test_row_does_not_depend_on_its_block(self, monkeypatch, norm):
+        """A query scores the same alone, in a block mixing head and tail queries, and across block boundaries."""
+        model = make_model("transe", 21, n_ent=40, n_pred=3, seed=6, norm=norm)
+        queries = [Query(d, a, p) for d in (Direction.HEAD, Direction.TAIL) for a in (0, 5, 17, 39) for p in (0, 2)]
+        pairs = query_set(queries)
+        wanted = {q: oracle_score(model, q) for q in queries}
+        for block in (3, 5, 8, 16):  # 16 holds all 8 head and 8 tail queries; 3 and 5 split them unevenly
+            monkeypatch.setattr(models, "SCORE_BLOCK_QUERIES", block)
+            source = ModelScores(model, pairs)
+            (rows,) = source.rows(pairs)
+            order = np.argsort(rows, kind="stable")
+            repeated = np.repeat(rows[order], 2)  # every query asked by two adjacent pairs
+            out = np.empty((repeated.size, 40))
+            source.fill(repeated, out)
+            for q, got in zip(np.repeat(np.array(queries, dtype=object)[order], 2), out):
+                assert np.array_equal(got, wanted[q])
+        for q in queries:
+            assert np.array_equal(score(model, q), wanted[q])
 
     @pytest.mark.parametrize("kind,norm", SCORED_KINDS)
     def test_scratch_does_not_leak_between_calls(self, kind, norm):
@@ -201,14 +226,14 @@ class TestScoreExactness:
         for q in (Query(Direction.TAIL, 3, 1), Query(Direction.HEAD, 11, 0)):
             for model in (small, large, small):
                 assert np.array_equal(score(model, q), oracle_score(model, q))
-        large.entity_embeddings = large.entity_embeddings[:60].copy()  # a new shape reallocates the scratch
+        large.entity_embeddings = large.entity_embeddings[:60].copy()  # a new shape, read at the next call
         q = Query(Direction.TAIL, 2, 0)
         assert np.array_equal(score(large, q), oracle_score(large, q))
 
     def test_scratch_not_saved_or_shown(self, tmp_path):
         model = make_model("transe", 4, n_ent=6)
         score(model, Query(Direction.TAIL, 0, 0))
-        assert "_scratch" not in repr(model)
+        assert "_scratch" not in repr(model) and not hasattr(model, "_scratch")
         save_model(model, tmp_path / "model.npz")
         assert sorted(np.load(tmp_path / "model.npz").files) == [
             "dim", "entity_embeddings", "kind", "norm", "predicate_embeddings"]

@@ -1,6 +1,6 @@
 """Property tests: ranks and rank cuts under tied scores, the calibration rank cutoff, the conformal
-quantile, the predicate partition under tied distances, the calibrated-model file (round trip and
-truncation), the negative sampler against its per-candidate loop, and the columnar queries, filter
+quantile, the predicate partition under tied distances, the calibrated-model and predicate-vector
+files (round trip and truncation), the negative sampler against its per-candidate loop, and the columnar queries, filter
 masks and score export against their per-pair versions."""
 
 import math
@@ -16,12 +16,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kgconformal import models
 from kgconformal.conformal import (CalibratedModel, PartCalibration, PredicatePartition, build_partition,
                                    fit_condkgcp, quantile, rank_threshold)
-from kgconformal.kg import DIRECTIONS, Query, Triple, candidate_ranks, filter_masks, make_queries, rank_cuts, rank_of
-from kgconformal.models import ScoreMatrix, _sample_negatives, _triple_keys, export_scores
+from kgconformal.kg import (DIRECTIONS, KGError, Query, Triple, candidate_ranks, filter_masks, make_queries, rank_cuts,
+                            rank_of)
+from kgconformal.models import (ScoreMatrix, _sample_negatives, _triple_keys, export_predicate_vectors, export_scores,
+                                import_predicate_vectors)
 
 import query_oracle
 import train_oracle
@@ -168,6 +171,26 @@ def test_every_truncation_of_a_calibrated_file_names_it(tmp_path):
         path.write_bytes(text[:cut])
         with pytest.raises(ValueError, match=re.escape(str(path))):
             CalibratedModel.load(path)
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+                  elements=st.floats(width=64)))
+def test_predicate_vector_sidecar_round_trip(vectors):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "predvecs_s0.bin"
+        export_predicate_vectors(vectors, path)
+        restored = import_predicate_vectors(path)
+    assert restored.shape == vectors.shape and restored.tobytes() == vectors.tobytes()
+
+
+def test_every_truncation_of_a_predicate_vector_file_names_it(tmp_path):
+    path = tmp_path / "predvecs_s0.bin"
+    export_predicate_vectors(np.random.default_rng(0).normal(size=(5, 3)), path)
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(KGError, match=re.escape(str(path))):
+            import_predicate_vectors(path)
 
 
 @st.composite
