@@ -407,6 +407,26 @@ class TestTrainExactness:
             for got, i in zip(pool.map(run, [0, 1, 2, 1, 0]), [0, 1, 2, 1, 0]):
                 assert_same_model(got, alone[i])
 
+    @pytest.mark.parametrize("layout", ["column-sliced", "fortran"])
+    def test_scatter_refuses_a_matrix_it_would_copy(self, layout):
+        base = np.arange(40.0).reshape(5, 8)
+        mat = base[:, :4] if layout == "column-sliced" else np.asfortranarray(base)
+        before = mat.copy()
+        idx = np.array([0, 2, 2])
+        grad, rows = np.ones((3, mat.shape[1])), np.ones((3, mat.shape[1]))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            models._scatter_update(mat, idx, grad, rows, TrainConfig())
+        assert np.array_equal(mat, before)
+
+    def test_scatter_updates_a_c_contiguous_matrix_in_place(self):
+        mat = np.zeros((4, 3))
+        address = mat.__array_interface__["data"][0]
+        idx = np.array([1, 3, 1])
+        grad = np.arange(9.0).reshape(3, 3)
+        models._scatter_update(mat, idx, grad, np.zeros((3, 3)), TrainConfig(lr=1.0, l2=0.0))
+        assert mat.__array_interface__["data"][0] == address
+        assert mat.tolist() == [[0, 0, 0], [-6, -8, -10], [0, 0, 0], [-3, -4, -5]]
+
     def test_triple_key_range_and_overflow(self):
         last = np.array([2**31 - 1], dtype=np.int64)
         assert models._triple_keys(last, np.array([1]), last, 2**31, 2).tolist() == [2**63 - 1]
@@ -436,6 +456,7 @@ class TestTrainLogging:
         for epoch, record in enumerate(records):
             assert np.isfinite(record.args[1])
             assert record.args[1] == sum(batch_losses[4 * epoch:4 * epoch + 4]) / 60
+            assert np.isfinite(record.args[2]) and record.args[2] >= 0  # the epoch's wall time in seconds
 
     def test_no_record_without_epochs(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="kgconformal.models"):

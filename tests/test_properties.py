@@ -217,6 +217,36 @@ def test_sample_negatives_matches_per_candidate_loop(case):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+@st.composite
+def scatter_case(draw):
+    """A matrix, an index array (any, all one row, two rows, or empty), gradients, rows and a config."""
+    n_rows, width, m = draw(st.integers(1, 50)), draw(st.integers(1, 70)), draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["any", "one row", "two rows", "empty"]))
+    if kind == "any":
+        idx = rng.integers(0, n_rows, size=m)
+    elif kind == "one row":
+        idx = np.full(m, rng.integers(0, n_rows), dtype=np.int64)
+    elif kind == "two rows":
+        idx = rng.choice(rng.integers(0, n_rows, size=2), size=m)
+    else:
+        idx = np.zeros(0, dtype=np.int64)
+    scale = 10.0 ** draw(st.integers(-3, 3))  # terms of different magnitudes, so the order of sums shows
+    mat = rng.normal(size=(n_rows, width))
+    grad, rows = rng.normal(scale=scale, size=(2, idx.size, width))
+    cfg = models.TrainConfig(lr=draw(st.sampled_from([0.05, 0.3, 1.0])), l2=draw(st.sampled_from([0.0, 1e-6, 0.1])))
+    return mat, idx, grad, rows, cfg
+
+
+@given(scatter_case())
+def test_flat_scatter_equals_the_2d_subtract_at(case):
+    mat, idx, grad, rows, cfg = case
+    want = mat.copy()
+    train_oracle._scatter_update(want, idx, grad.copy(), rows.copy(), cfg)
+    models._scatter_update(mat, idx, grad, rows, cfg)
+    assert mat.tobytes() == want.tobytes()
+
+
 # few entities and predicates, so triples repeat within and across splits
 triple_lists = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 5)), max_size=30)
 
