@@ -49,26 +49,23 @@ def _calibrated_path(out: Path, seed: int, method: str, direction: str | None, e
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.load(args.config)
-    else:
-        config = ExperimentConfig(dataset=getattr(args, "dataset", None))
+    """The ``--config`` file (or the defaults) with the flags applied, validated once."""
+    doc = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     for attr in ("dataset", "output_dir", "gamma", "phi"):
         value = getattr(args, attr, None)
         if value is not None:
-            setattr(config, attr, value)
+            doc[attr] = value
     if getattr(args, "methods", None):
-        config.methods = args.methods.split(",")
+        doc["methods"] = args.methods.split(",")
     if getattr(args, "epsilons", None):
-        config.epsilons = [float(e) for e in args.epsilons.split(",")]
+        doc["epsilons"] = [float(e) for e in args.epsilons.split(",")]
     if getattr(args, "seeds", None):
-        config.seeds = [int(s) for s in args.seeds.split(",")]
+        doc["seeds"] = [int(s) for s in args.seeds.split(",")]
     if getattr(args, "split_directions", False):
-        config.split_directions = True
+        doc["split_directions"] = True
     if getattr(args, "raw_ranking", False):
-        config.filtered = False
-    config.validate()
-    return config
+        doc["filtered"] = False
+    return ExperimentConfig(**doc)
 
 
 def _echo_config(config: ExperimentConfig, out: Path) -> None:

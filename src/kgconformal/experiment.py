@@ -23,8 +23,8 @@ from .kg import (
 )
 from .synth import SyntheticKGSpec, synthetic_kg
 
-__all__ = ["METHODS", "ExperimentConfig", "RunData", "calibrate", "calibration_keys", "evaluate", "load_or_generate_kg",
-           "prepare_run", "run_experiment", "run_single", "tune_condkgcp"]
+__all__ = ["METHODS", "ExperimentConfig", "RunData", "answer_nonconf_and_ranks", "calibrate", "calibration_keys",
+           "evaluate", "load_or_generate_kg", "prepare_run", "run_experiment", "run_single", "tune_condkgcp"]
 
 DEFAULT_GAMMA_GRID = (0.01, 0.1, 0.5)
 DEFAULT_PHI_GRID = (20, 50, 100, 200)
@@ -181,14 +181,8 @@ def prepare_run(config: ExperimentConfig, seed: int,
         raise KGError(f"{named}: {pred_vecs.shape[0]} predicate vectors, but the KG has {n_pred} predicates "
                       "(rerun the 'score' stage)")
 
-    calib_nonconf = np.empty(len(calib))
-    calib_ranks = np.empty(len(calib), dtype=np.int64)
-    for block, nonconf, masked in _score_blocks(config.scorer_config(seed), source, calib_rows,
-                                                *filter_masks(calib, known), offset=0):
-        at_answer = (np.arange(masked.shape[0]), calib.answer[block])
-        calib_nonconf[block] = nonconf[at_answer]
-        calib_ranks[block] = np.count_nonzero(masked >= masked[at_answer][:, None], axis=1)  # as kg.rank_of
-
+    calib_nonconf, calib_ranks = answer_nonconf_and_ranks(config.scorer_config(seed), source, calib_rows,
+                                                          calib.answer, *filter_masks(calib, known))
     mask_indptr, mask_indices = filter_masks(test, known)
     return RunData(
         kg=kg,
@@ -203,6 +197,23 @@ def prepare_run(config: ExperimentConfig, seed: int,
         predicate_vectors=pred_vecs,
         model=model,
     )
+
+
+def answer_nonconf_and_ranks(scorer: scores.ScorerConfig, source: models.RowSource, rows: np.ndarray,
+                             answers: np.ndarray, indptr: np.ndarray,
+                             indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonconformity and filtered rank of each pair's answer, in one blocked pass (see :func:`_score_blocks`).
+
+    Pair ``j`` reads score row ``rows[j]``, masks its CSR slice of ``indices`` and draws as query ``j``.  Its
+    rank is pessimistic: the number of unmasked candidates that score ``>=`` the answer, the answer included.
+    """
+    nonconf_at = np.empty(rows.shape[0])
+    ranks = np.empty(rows.shape[0], dtype=np.int64)
+    for block, nonconf, masked in _score_blocks(scorer, source, rows, indptr, indices, offset=0):
+        at_answer = (np.arange(block.size), answers[block])
+        nonconf_at[block] = nonconf[at_answer]
+        ranks[block] = np.count_nonzero(masked >= masked[at_answer][:, None], axis=1)
+    return nonconf_at, ranks
 
 
 def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: np.ndarray,
@@ -271,15 +282,13 @@ METHODS = {
 }
 
 
-def calibrate(config: ExperimentConfig, seed: int, data: RunData,
-              gamma: float | None = None, phi: int | None = None) -> dict[tuple, conformal.CalibratedModel]:
+def calibrate(config: ExperimentConfig, seed: int, data: RunData) -> dict[tuple, conformal.CalibratedModel]:
     """Fit every model of :func:`calibration_keys` on its direction group's calibration pairs.
 
-    (gamma, phi) default to the config's; with ``config.tune`` they are
+    condkgcp uses the config's (gamma, phi); with ``config.tune`` they are
     grid-selected by :func:`tune_condkgcp` instead.
     """
-    gamma = config.gamma if gamma is None else gamma
-    phi = config.phi if phi is None else phi
+    gamma, phi = config.gamma, config.phi
     if config.tune and "condkgcp" in config.methods:
         gamma, phi = tune_condkgcp(config, seed, data)
     cal_idx = {direction: idx for direction, idx, _ in _direction_groups(data, config.split_directions)}
@@ -306,6 +315,19 @@ def _outcomes(config: ExperimentConfig, seed: int, data: RunData,
         sizes[:, block], hits[:, block] = conformal.set_outcomes(nonconf, masked, data.test.answer[block],
                                                                  thresholds[:, block], cutoffs[:, block])
     return sizes, hits
+
+
+def _filters(data: RunData, groups: list,
+             group_models: list[conformal.CalibratedModel]) -> tuple[np.ndarray, np.ndarray]:
+    """The per-test-pair filter of one model per direction group of ``groups`` (see :func:`_direction_groups`)."""
+    n_entities = data.kg.vocab.n_entities
+    # NaN: a pair outside every direction group gets an empty set
+    thresholds = np.full(len(data.test), np.nan)
+    cutoffs = np.full(len(data.test), n_entities, dtype=np.int64)
+    for (_, _, test_idx), model in zip(groups, group_models):
+        thresholds[test_idx], cutoffs[test_idx] = conformal.query_filters(model, data.test.predicate[test_idx],
+                                                                          n_entities)
+    return thresholds, cutoffs
 
 
 def _prop1_bound_checks(model: conformal.CalibratedModel, data: RunData, direction: str | None,
@@ -353,16 +375,7 @@ def evaluate(config: ExperimentConfig, seed: int, data: RunData,
                 for (_, cal_idx, _), cond in zip(groups, per_group[("condkgcp", epsilon)])
             ]
 
-    filters = []
-    for group_models in per_group.values():
-        # NaN: a pair outside every direction group gets an empty set
-        thresholds = np.full(len(data.test), np.nan)
-        cutoffs = np.full(len(data.test), n_entities, dtype=np.int64)
-        for (_, _, test_idx), model in zip(groups, group_models):
-            thresholds[test_idx], cutoffs[test_idx] = conformal.query_filters(
-                model, data.test.predicate[test_idx], n_entities)
-        filters.append((thresholds, cutoffs))
-    sizes, hits = _outcomes(config, seed, data, filters)
+    sizes, hits = _outcomes(config, seed, data, [_filters(data, groups, fits) for fits in per_group.values()])
     outcome = {key: (sizes[f], hits[f]) for f, key in enumerate(per_group)}
 
     reports: list[metrics.EvaluationReport] = []
@@ -391,12 +404,11 @@ def evaluate(config: ExperimentConfig, seed: int, data: RunData,
     return reports
 
 
-def run_single(config: ExperimentConfig, seed: int, data: RunData | None = None,
-               gamma: float | None = None, phi: int | None = None) -> list[metrics.EvaluationReport]:
+def run_single(config: ExperimentConfig, seed: int, data: RunData | None = None) -> list[metrics.EvaluationReport]:
     """Calibrate every configured method for one seed and evaluate on the test split."""
     if data is None:
         data = prepare_run(config, seed)
-    return evaluate(config, seed, data, calibrate(config, seed, data, gamma, phi))
+    return evaluate(config, seed, data, calibrate(config, seed, data))
 
 
 def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData,
@@ -404,9 +416,13 @@ def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData,
     """Grid-select (gamma, phi) on a held-out slice of the training split, at the first epsilon.
 
     Two disjoint samples of training triples, each sized like the calibration
-    set, stand in for calibration and test; the objective is EF with a CovGap
-    tiebreak (failures sort last), measured at ``config.epsilons[0]`` only, and
-    the selected pair serves every epsilon.
+    set, stand in for calibration and test.  kgcp, the EF reference, and
+    condkgcp at every grid point with phi at most the largest predicate count
+    are fitted per direction group at ``config.epsilons[0]`` only, and one
+    :func:`_outcomes` pass evaluates all their filters.  Points rank by
+    ``config.tune_objective`` (by default EF against kgcp with a CovGap
+    tiebreak, failures last); the first best point, in phi-then-gamma order,
+    serves every epsilon.
     """
     rng = np.random.default_rng(seed + 7)
     train_triples = list(data.kg.splits.get("train", []))
@@ -414,39 +430,37 @@ def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData,
         raise KGError("tuning needs a non-empty training split")
     want = max(2, min(len(data.kg.splits.get("valid", [])), len(train_triples) // 2))
     order = rng.permutation(len(train_triples))
-    tune_cal = [train_triples[i] for i in order[:want]]
-    tune_test = [train_triples[i] for i in order[want : 2 * want]]
-
-    sub = ExperimentConfig(**{**asdict(config), "tune": False, "methods": ["kgcp", "condkgcp"],
-                              "epsilons": config.epsilons[:1]})
-    sub_kg = KnowledgeGraph(vocab=data.kg.vocab, splits={
-        "train": data.kg.splits["train"], "valid": tune_cal, "test": tune_test,
+    tune_kg = KnowledgeGraph(vocab=data.kg.vocab, splits={
+        "train": data.kg.splits["train"],
+        "valid": [train_triples[i] for i in order[:want]],
+        "test": [train_triples[i] for i in order[want : 2 * want]],
     })
     if data.model is None and config.score_matrix is None:
         raise KGError("tuning needs a trained model or an importable score matrix")
-    sub_data = prepare_run(sub, seed, model=data.model, kg=sub_kg, predicate_vectors=data.predicate_vectors)
+    tune_data = prepare_run(config, seed, model=data.model, kg=tune_kg, predicate_vectors=data.predicate_vectors)
 
-    max_count = int(np.bincount(sub_data.calib.predicate, minlength=data.kg.vocab.n_predicates).max())
-    candidates = []
-    for phi in phi_grid:
-        if phi > max_count:
-            continue
-        for gamma in gamma_grid:
-            reps = run_single(sub, seed, data=sub_data, gamma=gamma, phi=phi)
-            rep = next(r for r in reps if r.method == "condkgcp")
-            ef = rep.ef if isinstance(rep.ef, float) else math.inf
-            if config.tune_objective == "covgap":
-                key = (rep.covgap, rep.avesize)
-            elif config.tune_objective == "avesize":
-                key = (rep.avesize, rep.covgap)
-            else:
-                key = (ef, rep.covgap)
-            candidates.append((key, gamma, phi))
-    if not candidates:
+    max_count = int(np.bincount(tune_data.calib.predicate, minlength=data.kg.vocab.n_predicates).max())
+    grid = [(gamma, phi) for phi in phi_grid if phi <= max_count for gamma in gamma_grid]
+    if not grid:
         return config.gamma, config.phi
-    candidates.sort(key=lambda c: c[0])
-    _, gamma, phi = candidates[0]
-    return gamma, phi
+    epsilon = config.epsilons[0]
+    groups = list(_direction_groups(tune_data, config.split_directions))
+    fitted = [[conformal.fit_kgcp(tune_data.calib_nonconf[cal_idx], epsilon) for _, cal_idx, _ in groups]]
+    fitted += [[_fit_condkgcp(tune_data, cal_idx, epsilon, gamma, phi) for _, cal_idx, _ in groups]
+               for gamma, phi in grid]
+    sizes, hits = _outcomes(config, seed, tune_data, [_filters(tune_data, groups, fits) for fits in fitted])
+    reference, *reps = [metrics.evaluate_outcomes("tune", epsilon, seed, tune_data.test.predicate, size, hit,
+                                                  config.macro_avesize) for size, hit in zip(sizes, hits)]
+
+    def objective(rep: metrics.EvaluationReport) -> tuple[float, float]:
+        if config.tune_objective == "covgap":
+            return rep.covgap, rep.avesize
+        if config.tune_objective == "avesize":
+            return rep.avesize, rep.covgap
+        ef = metrics.efficiency_rate(rep.covgap, rep.avesize, reference.covgap, reference.avesize)
+        return (ef if isinstance(ef, float) else math.inf), rep.covgap
+
+    return grid[min(range(len(grid)), key=lambda i: objective(reps[i]))]
 
 
 def run_experiment(config: ExperimentConfig):

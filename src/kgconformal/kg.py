@@ -293,26 +293,6 @@ def rank_of(scores: np.ndarray, answer: int, filter_mask=None) -> int:
     return int(np.count_nonzero(scores[keep] >= target))
 
 
-def candidate_ranks(scores: np.ndarray, filter_mask=None) -> np.ndarray:
-    """Pessimistic rank of every entity at once (masked entities get rank 0).
-
-    rank(e) counts unmasked candidates whose score is >= score(e); for
-    unmasked e this matches :func:`rank_of`.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    n = scores.shape[0]
-    keep = np.ones(n, dtype=bool)
-    if filter_mask is not None:
-        keep[list(filter_mask)] = False
-    kept_sorted = np.sort(scores[keep])
-    m = kept_sorted.shape[0]
-    # rank = number of kept scores >= s  =  m - (number strictly below s)
-    below = np.searchsorted(kept_sorted, scores, side="left")
-    ranks = m - below
-    ranks[~keep] = 0
-    return ranks.astype(np.int64)
-
-
 def rank_cuts(masked_scores: np.ndarray, cutoffs) -> np.ndarray:
     """Score cuts equivalent to top-``k`` rank filters, one per (row, cutoff).
 
@@ -320,8 +300,8 @@ def rank_cuts(masked_scores: np.ndarray, cutoffs) -> np.ndarray:
     entities, which are -inf; ``cutoffs`` holds each row's rank cutoffs
     (shape ``(rows, m)``).  The cut for cutoff ``k`` is the (k+1)-th largest
     unmasked score, or -inf when ``k`` is at least the number of unmasked
-    entities.  For an unmasked entity ``e``,
-    ``candidate_ranks(scores, mask)[e] <= k`` holds exactly when
+    entities.  For an unmasked entity ``e``, its filtered rank
+    ``rank_of(scores, e, mask) <= k`` holds exactly when
     ``scores[e] > cut``, ties included: a pessimistic rank counts the
     candidates scoring ``>= scores[e]``, and at most ``k`` of them do exactly
     when the (k+1)-th largest score lies below ``scores[e]``.  Masked

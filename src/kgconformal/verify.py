@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conformal, experiment, models
-from .kg import KnowledgeGraph, QueryAnswerSet, Vocab, rank_of
-from .scores import softmax_scores
+from .kg import KnowledgeGraph, QueryAnswerSet, Vocab
+from .scores import ScorerConfig, softmax_scores
 
 __all__ = [
     "CheckResult",
@@ -74,7 +74,8 @@ def _pool(rng, n_parts: int, pool_size: int, n_entities: int) -> tuple[experimen
     Scores are standard normal with the answer boosted by a per-predicate
     quality from 3 down to 0.75.  Every pair is both a calibration and a test
     pair of the run, so a resample is a pair of index arrays.  Predicate
-    vectors are one-hot.
+    vectors are one-hot.  The answers' nonconformity and ranks come from
+    ``experiment.answer_nonconf_and_ranks``, as in ``prepare_run``.
     """
     raw = np.empty((n_parts, pool_size, n_entities))
     answer = np.empty((n_parts, pool_size), dtype=np.int64)
@@ -84,21 +85,25 @@ def _pool(rng, n_parts: int, pool_size: int, n_entities: int) -> tuple[experimen
         raw[g, np.arange(pool_size), answer[g]] += quality
     raw, answer = raw.reshape(-1, n_entities), answer.ravel()
     n = answer.size
-    nonconf = np.array([softmax_scores(row) for row in raw])
     pairs = QueryAnswerSet(direction=np.zeros(n, dtype=np.int64), anchor=np.arange(n),
                            predicate=np.repeat(np.arange(n_parts), pool_size), answer=answer)
+    score_rows = models.ScoreMatrix(queries=pairs.queries(), scores=raw)
+    indptr, indices = np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)  # no masks
+    calib_nonconf, calib_ranks = experiment.answer_nonconf_and_ranks(ScorerConfig(), score_rows, np.arange(n),
+                                                                     answer, indptr, indices)
     pool = experiment.RunData(
         kg=KnowledgeGraph(Vocab.from_identifiers(range(n_entities), range(n_parts)), splits={}),
         calib=pairs,
         test=pairs,
-        calib_nonconf=nonconf[np.arange(n), answer],
-        calib_ranks=np.array([rank_of(row, a) for row, a in zip(raw, answer.tolist())], dtype=np.int64),
-        score_rows=models.ScoreMatrix(queries=pairs.queries(), scores=raw),
+        calib_nonconf=calib_nonconf,
+        calib_ranks=calib_ranks,
+        score_rows=score_rows,
         test_rows=np.arange(n),
-        mask_indptr=np.zeros(n + 1, dtype=np.int64),
-        mask_indices=np.empty(0, dtype=np.int64),
+        mask_indptr=indptr,
+        mask_indices=indices,
         predicate_vectors=np.eye(n_parts),
     )
+    nonconf = np.array([softmax_scores(row) for row in raw])
     return pool, nonconf
 
 

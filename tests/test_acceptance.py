@@ -5,6 +5,7 @@ Each test prints a ``criterion N`` line so a full run doubles as a checklist.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,7 +233,7 @@ class TestCriterion10:
         for seed, data, _ in runs:
             sizes = []
             for phi in PHI_GRID:
-                rep = next(r for r in run_single(config, seed, data=data, phi=phi)
+                rep = next(r for r in run_single(replace(config, phi=phi), seed, data=data)
                            if r.method == "condkgcp")
                 sizes.append(rep.avesize)
             monotone += int(all(a >= b - 1e-9 for a, b in zip(sizes, sizes[1:])))
@@ -245,7 +246,7 @@ class TestCriterion10:
         for seed, data, _ in runs:
             sizes = []
             for gamma in GAMMA_GRID:
-                rep = next(r for r in run_single(config, seed, data=data, gamma=gamma)
+                rep = next(r for r in run_single(replace(config, gamma=gamma), seed, data=data)
                            if r.method == "condkgcp")
                 sizes.append(rep.avesize)
             monotone += int(all(a <= b + 1e-9 for a, b in zip(sizes, sizes[1:])))

@@ -31,6 +31,14 @@ def write_config(tmp_path, dataset, **kw):
     return path
 
 
+def without_dataset(config):
+    """Drop the ``dataset`` field from a config file written by :func:`write_config`."""
+    doc = json.loads(config.read_text())
+    del doc["dataset"]
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    return config
+
+
 def _with_parts(parts):
     """An edit of a saved mcp file (parts [[0], [1], [2]]) that lists ``parts``, one per_part entry each."""
     def edit(text):
@@ -98,6 +106,12 @@ class TestPipeline:
         assert cli.main(["run", "--config", str(config), "--epsilons", "0.2,0.3"]) == 0
         echoed = json.loads((tmp_path / "out" / "config.json").read_text())
         assert echoed["epsilons"] == [0.2, 0.3]
+
+    def test_dataset_flag_completes_a_config_without_one(self, tmp_path, dataset):
+        config = without_dataset(write_config(tmp_path, dataset, methods=["kgcp"]))
+        assert cli.main(["train", "--config", str(config), "--dataset", str(dataset)]) == 0
+        assert (tmp_path / "out" / "model_s0.npz").exists()
+        assert json.loads((tmp_path / "out" / "config.json").read_text())["dataset"] == str(dataset)
 
 
 class TestStagedMatchesRun:
@@ -283,6 +297,11 @@ class TestExitCodes:
         config = write_config(tmp_path, tmp_path / "nope.json")
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    def test_config_without_a_data_source(self, tmp_path, dataset, capsys):
+        config = without_dataset(write_config(tmp_path, dataset))
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "error: need a dataset path, a synthetic spec, or a score matrix" in capsys.readouterr().err
 
     def test_unknown_tune_objective(self, tmp_path, dataset, capsys):
         config = write_config(tmp_path, dataset)

@@ -19,7 +19,8 @@ from kgconformal.conformal import (
     set_outcomes,
     verify_shrinkage,
 )
-from kgconformal.kg import candidate_ranks
+
+from rank_oracle import candidate_ranks
 
 
 def thresholds(model):

@@ -16,6 +16,8 @@ from kgconformal.kg import DIRECTIONS, KGError, Query, filter_masks, make_querie
 from kgconformal.metrics import EF_FAILURE
 from kgconformal.models import ModelScores, ScoreMatrix, score
 
+import tune_oracle
+
 
 def tiny_config(**kw):
     base = dict(
@@ -201,6 +203,24 @@ class TestRunSingle:
         assert by_eps[0.3].avesize <= by_eps[0.1].avesize
 
 
+GAMMA_GRID, PHI_GRID = (0.01, 0.1, 0.5), (5, 10, 15, 25)  # phi within every direction group's largest count
+
+
+@pytest.fixture(scope="module")
+def tuning_runs():
+    """Prepared runs by (scorer kind, seed), trained once per seed."""
+    runs, trained = {}, {}
+
+    def get(kind: str, seed: int):
+        if (kind, seed) not in runs:
+            config = tiny_config(tune=True, scorer={"kind": kind}, seeds=[seed])
+            if seed not in trained:
+                trained[seed] = prepare_run(config, seed).model
+            runs[(kind, seed)] = prepare_run(config, seed, model=trained[seed])
+        return runs[(kind, seed)]
+    return get
+
+
 class TestTuning:
     def test_grid_selection_returns_grid_point(self):
         config = tiny_config(tune=True)
@@ -209,21 +229,52 @@ class TestTuning:
         assert gamma in (0.1, 0.5)
         assert phi in (5, 10)
 
-    def test_grid_is_evaluated_at_the_first_epsilon_only(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["softmax", "raps"])
+    @pytest.mark.parametrize("split_directions", [False, True], ids=["pooled", "split"])
+    @pytest.mark.parametrize("objective", ["ef", "covgap", "avesize"])
+    def test_selection_equals_the_per_grid_point_oracle(self, tuning_runs, objective, split_directions, kind, seed):
+        config = tiny_config(tune=True, tune_objective=objective, split_directions=split_directions,
+                             scorer={"kind": kind}, seeds=[seed], epsilons=[0.2, 0.1])
+        data = tuning_runs(kind, seed)
+        assert tune_condkgcp(config, seed, data, GAMMA_GRID, PHI_GRID) == tune_oracle.tune_condkgcp(
+            config, seed, data, GAMMA_GRID, PHI_GRID)
+
+    def test_grid_is_evaluated_at_the_first_epsilon_only(self, monkeypatch, tuning_runs):
         config = tiny_config(tune=True, epsilons=[0.2, 0.1, 0.3])
-        data = prepare_run(config, 0)
-        evaluated = []
-        real_run_single = experiment.run_single
+        data = tuning_runs("softmax", 0)
+        fitted = []
+        for name in ("fit_kgcp", "fit_condkgcp"):
+            real = getattr(conformal, name)
 
-        def recording_run_single(sub, seed, **kw):
-            evaluated.append(sub.epsilons)
-            return real_run_single(sub, seed, **kw)
+            def recording(*args, real=real, name=name, **kw):
+                model = real(*args, **kw)
+                fitted.append((name, model.epsilon))
+                return model
+            monkeypatch.setattr(conformal, name, recording)
+        chosen = tune_condkgcp(config, 0, data, GAMMA_GRID, PHI_GRID)
+        assert {name for name, _ in fitted} == {"fit_kgcp", "fit_condkgcp"}
+        assert all(epsilon == 0.2 for _, epsilon in fitted)
+        monkeypatch.undo()
+        assert chosen == tune_condkgcp(tiny_config(tune=True, epsilons=[0.2]), 0, data, GAMMA_GRID, PHI_GRID)
 
-        monkeypatch.setattr(experiment, "run_single", recording_run_single)
-        chosen = tune_condkgcp(config, 0, data, gamma_grid=(0.1, 0.5), phi_grid=(5, 10))
-        assert evaluated and all(eps == [0.2] for eps in evaluated)
-        assert chosen == tune_condkgcp(tiny_config(tune=True, epsilons=[0.2]), 0, data,
-                                       gamma_grid=(0.1, 0.5), phi_grid=(5, 10))
+    def test_one_outcomes_pass_and_no_run_single(self, monkeypatch, tuning_runs):
+        config = tiny_config(tune=True, split_directions=True)
+        data = tuning_runs("softmax", 0)
+        calls = {"_outcomes": [], "run_single": 0}
+        real_outcomes = experiment._outcomes
+
+        def recording_outcomes(config, seed, data, filters):
+            calls["_outcomes"].append(len(filters))
+            return real_outcomes(config, seed, data, filters)
+
+        def no_run_single(*args, **kw):
+            calls["run_single"] += 1
+            raise AssertionError("tuning called run_single")
+        monkeypatch.setattr(experiment, "_outcomes", recording_outcomes)
+        monkeypatch.setattr(experiment, "run_single", no_run_single)
+        tune_condkgcp(config, 0, data, GAMMA_GRID, PHI_GRID)
+        assert calls == {"_outcomes": [1 + len(GAMMA_GRID) * len(PHI_GRID)], "run_single": 0}
 
 
 def test_run_experiment_aggregates_across_seeds():

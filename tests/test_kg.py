@@ -7,13 +7,14 @@ from kgconformal.kg import (
     Query,
     SplitConfig,
     Triple,
-    candidate_ranks,
     filter_masks,
     load_kg,
     make_queries,
     rank_of,
     split_triples,
 )
+
+from rank_oracle import candidate_ranks
 
 
 def write_tsv(path, rows):

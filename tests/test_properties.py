@@ -18,16 +18,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kgconformal import models
+from kgconformal import experiment, models
 from kgconformal.conformal import (CalibratedModel, PartCalibration, PredicatePartition, build_partition,
                                    fit_condkgcp, quantile, rank_threshold)
-from kgconformal.kg import (DIRECTIONS, KGError, Query, Triple, candidate_ranks, filter_masks, make_queries, rank_cuts,
-                            rank_of)
+from kgconformal.kg import DIRECTIONS, KGError, Query, Triple, filter_masks, make_queries, rank_cuts, rank_of
 from kgconformal.models import (ScoreMatrix, _sample_negatives, _triple_keys, export_predicate_vectors, export_scores,
                                 import_predicate_vectors)
+from kgconformal.scores import ScorerConfig, softmax_scores
 
 import query_oracle
 import train_oracle
+from rank_oracle import candidate_ranks
 
 
 @st.composite
@@ -48,6 +49,28 @@ def test_candidate_ranks_match_rank_of_and_brute_force_under_ties(case):
             assert ranks[e] == 0
         else:
             assert ranks[e] == rank_of(scores, e, mask) == sum(scores[c] >= scores[e] for c in kept)
+
+
+@given(st.lists(tied_scores_and_mask(), min_size=1, max_size=9), st.data())
+def test_block_answer_ranks_match_rank_of_and_brute_force_under_ties(cases, data):
+    """The calibration ranks of ``prepare_run`` and ``verify``: pairs in shuffled row order, over several blocks."""
+    n, width = len(cases), max(scores.size for scores, _ in cases)
+    raw = np.full((n, width), -5.0)  # padding scores below every drawn one
+    for i, (scores, _) in enumerate(cases):
+        raw[i, : scores.size] = scores
+    rows = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)  # pair j reads row rows[j]
+    answers = np.array(data.draw(st.lists(st.integers(0, width - 1), min_size=n, max_size=n)), dtype=np.int64)
+    masks = [sorted(cases[row][1] - {a}) for row, a in zip(rows.tolist(), answers.tolist())]
+    indptr = np.cumsum([0] + [len(m) for m in masks])
+    indices = np.array([e for m in masks for e in m], dtype=np.int64)
+    queries = np.column_stack((np.zeros(n, dtype=np.int64), np.arange(n), np.zeros(n, dtype=np.int64)))
+    with mock.patch.object(experiment, "EVAL_BLOCK_ROWS", 2):  # several blocks
+        nonconf, ranks = experiment.answer_nonconf_and_ranks(ScorerConfig(), ScoreMatrix(queries=queries, scores=raw),
+                                                             rows, answers, indptr, indices)
+    for j, (row, a, mask) in enumerate(zip(rows.tolist(), answers.tolist(), masks)):
+        kept = [e for e in range(width) if e not in mask]
+        assert ranks[j] == rank_of(raw[row], a, mask) == sum(raw[row, c] >= raw[row, a] for c in kept)
+        assert nonconf[j] == softmax_scores(raw[row])[a]
 
 
 @given(tied_scores_and_mask())
