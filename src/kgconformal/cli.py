@@ -110,12 +110,12 @@ def cmd_score(args) -> int:
             raise StageError(f"missing model artifact {model_file}", rerun="train")
         model = models.load_model(model_file)
         kg = load_or_generate_kg(config, seed)
-        matrix = models.ScoreMatrix.from_model(model, *(make_queries(kg.splits.get(name, []), config.both_directions)
-                                                         for name in ("valid", "test")))
-        models.export_scores(matrix, _scores_path(out, seed))
+        rows = models.ModelScores(model, *(make_queries(kg.splits.get(name, []), config.both_directions)
+                                           for name in ("valid", "test")))
+        models.export_scores(rows, _scores_path(out, seed))
         vectors = np.stack([models.predicate_vector(model, r) for r in range(kg.vocab.n_predicates)])
         models.export_predicate_vectors(vectors, _predvecs_path(out, seed))
-        print(f"seed {seed}: scored {len(matrix.queries)} queries -> {_scores_path(out, seed)}")
+        print(f"seed {seed}: scored {len(rows.queries)} queries -> {_scores_path(out, seed)}")
     return 0
 
 
@@ -123,11 +123,11 @@ def _run_data_from_artifacts(config: ExperimentConfig, out: Path, seed: int):
     scores_file = _scores_path(out, seed)
     if not scores_file.exists():
         raise StageError(f"missing score artifact {scores_file}", rerun="score")
-    matrix = models.import_scores(scores_file)
+    source = models.import_scores(scores_file)
     model_file = _model_path(out, seed)
     model = models.load_model(model_file) if model_file.exists() else None
     kg = load_or_generate_kg(config, seed)
-    return prepare_run(config, seed, score_matrix=matrix, model=model,
+    return prepare_run(config, seed, score_matrix=source, model=model,
                        kg=kg, predicate_vectors=_predvecs_path(out, seed))
 
 

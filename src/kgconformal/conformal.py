@@ -103,19 +103,25 @@ class PredicatePartition:
             raise ValueError(f"partition names predicate {self.part_of.size - 1}, but there are {n_predicates}")
 
 
-def build_partition(calib_predicates, predicate_vectors: np.ndarray, phi: int) -> PredicatePartition:
+def build_partition(calib_predicates, predicate_vectors: np.ndarray, phi: int,
+                    group: str | None = None) -> PredicatePartition:
     """Merge data-poor predicates into the part of their most similar rich predicate.
 
     Similarity is negative Manhattan distance between predicate vectors;
-    argmax ties break toward the lowest predicate index.
+    argmax ties break toward the lowest predicate index.  ``group`` names the
+    direction group of the calibration pairs in the error raised when phi
+    exceeds every predicate's count.
     """
     predicate_vectors = np.asarray(predicate_vectors, dtype=np.float64)
     n_pred = predicate_vectors.shape[0]
     counts = np.bincount(np.asarray(calib_predicates, dtype=np.int64), minlength=n_pred)
     if phi < 1:
         raise ValueError("phi must be >= 1")
-    if counts.size == 0 or phi > counts.max():
-        raise ValueError("phi exceeds max per-predicate calibration count")
+    largest = int(counts.max()) if counts.size else 0
+    if phi > largest:
+        where = "" if group is None else f" in direction group '{group}'"
+        raise ValueError(f"phi exceeds max per-predicate calibration count: phi {phi}, "
+                         f"largest count {largest}{where}")
 
     rich = [r for r in range(n_pred) if counts[r] >= phi]
     poor = [r for r in range(n_pred) if counts[r] < phi]

@@ -132,16 +132,17 @@ def load_or_generate_kg(config: ExperimentConfig, seed: int) -> KnowledgeGraph:
 
 
 def prepare_run(config: ExperimentConfig, seed: int,
-                score_matrix: models.ScoreMatrix | None = None,
+                score_matrix: models.RowSource | None = None,
                 model: models.EmbeddingModel | None = None,
                 kg: KnowledgeGraph | None = None,
                 predicate_vectors: np.ndarray | str | Path | None = None) -> RunData:
     """Generate/load data, train or import scores, and score the calibration pairs.
 
     Test pairs keep only their score rows and filter masks; :func:`evaluate`
-    does their per-entity work.  The scores come from ``score_matrix``, else ``model``, else
-    ``config.score_matrix``, else a newly trained model; a model's rows are scored when a pass
-    reads them (:class:`models.ModelScores`), so no run holds all of them.  The predicate
+    does their per-entity work.  The scores come from ``score_matrix`` (any row source), else ``model``,
+    else ``config.score_matrix``, else a newly trained model; a model's rows are scored when a pass
+    reads them (:class:`models.ModelScores`), and a binary score file's are read from it
+    (:class:`models.ScoreFile`), so no run holds all of them.  The predicate
     vectors come from ``predicate_vectors`` (an array, or a sidecar file to import), else the
     model, else ``config.predicate_vectors``; KGError unless there is one per KG predicate.
     """
@@ -264,19 +265,20 @@ def calibration_keys(config: ExperimentConfig, data: RunData) -> list[tuple[str,
     return [(m, d, eps) for eps in config.epsilons for d in groups for m in _fitted_methods(config)]
 
 
-def _fit_condkgcp(data: RunData, cal_idx: np.ndarray, epsilon: float,
-                  gamma: float, phi: int) -> conformal.CalibratedModel:
+def _fit_condkgcp(data: RunData, cal_idx: np.ndarray, epsilon: float, gamma: float, phi: int,
+                  direction: str | None = None) -> conformal.CalibratedModel:
     preds = data.calib.predicate[cal_idx]
-    partition = conformal.build_partition(preds, data.predicate_vectors, phi)
+    partition = conformal.build_partition(preds, data.predicate_vectors, phi, group=direction or "pooled")
     return conformal.fit_condkgcp(preds, data.calib_nonconf[cal_idx], data.calib_ranks[cal_idx],
                                   partition, epsilon, gamma)
 
 
 # The one place a method name selects code: each entry fits one model on
-# (data, calibration indices, epsilon, gamma, phi).
+# (data, calibration indices, epsilon, gamma, phi, direction group or None when pooled).
 METHODS = {
-    "kgcp": lambda data, cal_idx, epsilon, gamma, phi: conformal.fit_kgcp(data.calib_nonconf[cal_idx], epsilon),
-    "mcp": lambda data, cal_idx, epsilon, gamma, phi: conformal.fit_mcp(
+    "kgcp": lambda data, cal_idx, epsilon, gamma, phi, direction=None: conformal.fit_kgcp(
+        data.calib_nonconf[cal_idx], epsilon),
+    "mcp": lambda data, cal_idx, epsilon, gamma, phi, direction=None: conformal.fit_mcp(
         data.calib.predicate[cal_idx], data.calib_nonconf[cal_idx], epsilon, data.kg.vocab.n_predicates),
     "condkgcp": _fit_condkgcp,
 }
@@ -293,7 +295,7 @@ def calibrate(config: ExperimentConfig, seed: int, data: RunData) -> dict[tuple,
         gamma, phi = tune_condkgcp(config, seed, data)
     cal_idx = {direction: idx for direction, idx, _ in _direction_groups(data, config.split_directions)}
     return {
-        (method, direction, epsilon): METHODS[method](data, cal_idx[direction], epsilon, gamma, phi)
+        (method, direction, epsilon): METHODS[method](data, cal_idx[direction], epsilon, gamma, phi, direction)
         for method, direction, epsilon in calibration_keys(config, data)
     }
 
@@ -446,8 +448,8 @@ def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData,
     epsilon = config.epsilons[0]
     groups = list(_direction_groups(tune_data, config.split_directions))
     fitted = [[conformal.fit_kgcp(tune_data.calib_nonconf[cal_idx], epsilon) for _, cal_idx, _ in groups]]
-    fitted += [[_fit_condkgcp(tune_data, cal_idx, epsilon, gamma, phi) for _, cal_idx, _ in groups]
-               for gamma, phi in grid]
+    fitted += [[_fit_condkgcp(tune_data, cal_idx, epsilon, gamma, phi, direction)
+                for direction, cal_idx, _ in groups] for gamma, phi in grid]
     sizes, hits = _outcomes(config, seed, tune_data, [_filters(tune_data, groups, fits) for fits in fitted])
     reference, *reps = [metrics.evaluate_outcomes("tune", epsilon, seed, tune_data.test.predicate, size, hit,
                                                   config.macro_avesize) for size, hit in zip(sizes, hits)]

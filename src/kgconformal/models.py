@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 import struct
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,7 @@ __all__ = [
     "EmbeddingModel",
     "ModelScores",
     "RowSource",
+    "ScoreFile",
     "ScoreMatrix",
     "TrainConfig",
     "TrainingDiverged",
@@ -38,7 +40,7 @@ MODEL_KINDS = ("transe", "distmult", "complex")
 
 SCORE_MAGIC = b"KGSC"
 VEC_MAGIC = b"KGPV"
-EXPORT_BLOCK_ROWS = 64  # score rows per packed block that export_scores writes
+EXPORT_BLOCK_ROWS = 64  # score rows per block that export_scores writes and a ScoreFile scans
 SCORE_BLOCK_QUERIES = 16  # queries the TransE block scorer scores at once
 
 logger = logging.getLogger(__name__)
@@ -232,8 +234,9 @@ def _bilinear_row(model: EmbeddingModel, direction: Direction, a: int, p: int) -
 def score(model: EmbeddingModel, query: Query) -> np.ndarray:
     """Plausibility score of every candidate entity in the missing slot.
 
-    The one-query form of the block scorer that ``ScoreMatrix.from_model``
-    and the in-memory runs use, so a row is the same whichever computes it.
+    The one-query form of the block scorer that :class:`ModelScores` runs for
+    the staged ``score`` stage and for in-memory runs, so a row is the same
+    whichever computes it.
     Raises FloatingPointError on a non-finite score.
     """
     out = np.empty((1, model.n_entities))
@@ -573,6 +576,23 @@ class RowSource:
         raise NotImplementedError
 
 
+def _key_order(queries: np.ndarray, source: str) -> np.ndarray | None:
+    """The stable order that sorts ``queries`` by :func:`kg.query_keys`, or None if they are sorted already.
+
+    Raises KGError naming ``source`` on an anchor or predicate outside ``[0, 2**31)`` or a query given twice.
+    """
+    if np.any(queries[:, 1:] >> 31):  # negative, or 2**31 and above
+        raise KGError(f"{source}: anchors and predicates must lie in [0, 2**31)")
+    keys = query_keys(queries)
+    if not np.any(keys[1:] <= keys[:-1]):
+        return None
+    order = np.argsort(keys, kind="stable")
+    repeated = np.flatnonzero(np.diff(keys[order]) == 0)
+    if repeated.size:
+        raise KGError(f"{source}: scores for query {_query_key(queries[order[repeated[0]]])} repeated")
+    return order
+
+
 @dataclass
 class ScoreMatrix(RowSource):
     """Row ``i`` of ``scores`` holds the ``|E|`` scores of query ``queries[i]`` (direction, anchor, predicate).
@@ -586,35 +606,18 @@ class ScoreMatrix(RowSource):
     source: str = "score matrix"  # the file it was imported from, for error messages
 
     def __post_init__(self):
-        if np.any(self.queries[:, 1:] >> 31):  # negative, or 2**31 and above
-            raise KGError(f"{self.source}: anchors and predicates must lie in [0, 2**31)")
-        keys = query_keys(self.queries)
-        if np.any(keys[1:] <= keys[:-1]):
-            order = np.argsort(keys, kind="stable")
-            keys, self.queries, self.scores = keys[order], self.queries[order], self.scores[order]
-            repeated = np.flatnonzero(keys[1:] == keys[:-1])
-            if repeated.size:
-                raise KGError(f"{self.source}: scores for query {_query_key(self.queries[repeated[0]])} repeated")
+        order = _key_order(self.queries, self.source)
+        if order is not None:
+            self.queries, self.scores = self.queries[order], self.scores[order]
 
     @property
     def n_entities(self) -> int:
         return self.scores.shape[1]
 
     def fill(self, rows: np.ndarray, out: np.ndarray) -> None:
-        """Copy row ``rows[i]`` of ``scores`` to ``out[i]``, one row at a time.
-
-        A gather from an imported file's strided record view would copy all of it.
-        """
+        """Copy row ``rows[i]`` of ``scores`` to ``out[i]``."""
         for i, row in enumerate(rows.tolist()):
             out[i] = self.scores[row]
-
-    @classmethod
-    def from_model(cls, model: EmbeddingModel, *sets) -> "ScoreMatrix":
-        """Score every distinct query of the given query-answer sets."""
-        rows = ModelScores(model, *sets)
-        scores = np.empty((rows.queries.shape[0], model.n_entities))
-        rows.fill(np.arange(scores.shape[0]), scores)
-        return cls(queries=rows.queries, scores=scores)
 
 
 class ModelScores(RowSource):
@@ -645,67 +648,134 @@ class ModelScores(RowSource):
                 out[a:b] = row
 
 
+SCORE_HEADER_BYTES = 12  # magic, |E| and the record count
+SCORE_FIELDS = ("direction", "anchor", "predicate")
+
+
 def _score_record(n_ent: int) -> np.dtype:
     """One packed record of the binary score file: direction code, anchor, predicate, ``|E|`` scores."""
     return np.dtype([("direction", "u1"), ("anchor", "<u4"), ("predicate", "<u4"), ("scores", "<f8", (n_ent,))])
 
 
-def export_scores(matrix: ScoreMatrix, path: str | Path, fmt: str = "binary") -> None:
-    """Write the rows in key order: a CSV table, or packed binary records one block at a time."""
+class ScoreFile(RowSource):
+    """The rows of a binary score file, read from the file when a block asks for them.
+
+    Construction scans the file one block of ``EXPORT_BLOCK_ROWS`` records at a
+    time and keeps only the ``(n, 3)`` query columns, in key order, and the
+    record index of each sorted row, so a file out of key order costs a
+    permutation and no row copy.  It raises KGError naming the file, in this
+    order, on a bad magic, a short header, a length that does not match the
+    header, a direction code other than 0 or 1, a non-finite score (the first
+    in file order), an anchor or predicate outside ``[0, 2**31)``, and a
+    repeated query.  Rows are read with ``seek`` and ``readinto``, not through a
+    memory map: mapped file pages count toward the resident set.
+    """
+
+    def __init__(self, path: str | Path):
+        self.source = str(path)
+        size = Path(path).stat().st_size
+        with open(path, "rb") as fh:
+            header = fh.read(SCORE_HEADER_BYTES)
+            if header[:4] != SCORE_MAGIC:
+                raise KGError(f"{path}: bad magic, not a score-matrix file")
+            if len(header) < SCORE_HEADER_BYTES:
+                raise KGError(f"{path}: truncated header")
+            n_ent, n_queries = struct.unpack_from("<II", header, 4)
+            record = _score_record(n_ent)
+            expected = SCORE_HEADER_BYTES + n_queries * record.itemsize
+            if size < expected:
+                raise KGError(f"{path}: truncated record (length mismatch vs |E|={n_ent})")
+            if size > expected:
+                raise KGError(f"{path}: trailing bytes (length mismatch vs |E|={n_ent})")
+            queries = np.empty((n_queries, 3), dtype=np.int64)
+            non_finite = None  # file index of the first record with a non-finite score
+            buffer = np.empty(min(EXPORT_BLOCK_ROWS, n_queries), dtype=record)
+            for start in range(0, n_queries, EXPORT_BLOCK_ROWS):
+                block = buffer[: min(EXPORT_BLOCK_ROWS, n_queries - start)]
+                if fh.readinto(block) != block.nbytes:
+                    raise KGError(f"{path}: truncated record (length mismatch vs |E|={n_ent})")
+                for col, name in enumerate(SCORE_FIELDS):
+                    queries[start : start + block.size, col] = block[name]
+                if non_finite is None:
+                    bad = np.flatnonzero(~np.isfinite(block["scores"]).all(axis=1))
+                    non_finite = start + int(bad[0]) if bad.size else None
+        codes = queries[:, 0]
+        if np.any(codes > 1):
+            raise KGError(f"{path}: direction code {int(codes[codes > 1][0])} is neither 0 (tail) nor 1 (head)")
+        if non_finite is not None:
+            raise KGError(f"{path}: non-finite score for query {_query_key(queries[non_finite])}")
+        order = _key_order(queries, self.source)
+        self.queries = queries if order is None else queries[order]
+        self._records = np.arange(n_queries) if order is None else order
+        self._first_score = SCORE_HEADER_BYTES + record.fields["scores"][1]  # file offset of record 0's scores
+        self._record_bytes = record.itemsize
+        self.n_entities = n_ent
+
+    def fill(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Read score row ``rows[i]`` into ``out[i]``: one positioned read per run of equal rows, copied along the run.
+
+        KGError names the file when a read comes up short (the file shrank after import).
+        """
+        offsets = self._first_score + self._records[rows] * self._record_bytes
+        row_bytes = 8 * self.n_entities
+        last = -1
+        with open(self.source, "rb", buffering=0) as fh:
+            for i, (row, offset) in enumerate(zip(rows.tolist(), offsets.tolist())):
+                if row == last:
+                    out[i] = out[i - 1]
+                    continue
+                fh.seek(offset)
+                if fh.readinto(out[i]) != row_bytes:
+                    raise KGError(f"{self.source}: score row of query {_query_key(self.queries[row])} cut short; "
+                                  "the file changed after it was imported (rerun the 'score' stage)")
+                last = row
+        if sys.byteorder == "big":  # the file's scores are little-endian
+            out[: rows.size].byteswap(inplace=True)
+
+
+def export_scores(source: RowSource, path: str | Path, fmt: str = "binary") -> None:
+    """Write every row of ``source`` in key order, ``EXPORT_BLOCK_ROWS`` rows at a time: a CSV table, or packed
+    binary records.  Only one block of rows is held, so a :class:`ModelScores` source is exported without
+    ever holding its whole matrix.
+    """
     path = Path(path)
+    n, n_ent = source.queries.shape[0], source.n_entities
+    rows = np.empty((min(EXPORT_BLOCK_ROWS, n), n_ent))
+
+    def blocks():
+        for start in range(0, n, EXPORT_BLOCK_ROWS):
+            block = rows[: min(EXPORT_BLOCK_ROWS, n - start)]
+            source.fill(np.arange(start, start + block.shape[0]), block)
+            yield source.queries[start : start + block.shape[0]], block
+
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["direction", "anchor", "predicate"] + [f"s{i}" for i in range(matrix.n_entities)])
-            for (d, a, p), row in zip(matrix.queries.tolist(), matrix.scores):
-                writer.writerow([DIRECTIONS[d].value, a, p] + [repr(float(v)) for v in row])
+            writer.writerow(["direction", "anchor", "predicate"] + [f"s{i}" for i in range(n_ent)])
+            for queries, block in blocks():
+                for (d, a, p), row in zip(queries.tolist(), block):
+                    writer.writerow([DIRECTIONS[d].value, a, p] + [repr(float(v)) for v in row])
         return
-    n = matrix.queries.shape[0]
+    records = np.empty(rows.shape[0], dtype=_score_record(n_ent))
     with open(path, "wb") as fh:
         fh.write(SCORE_MAGIC)
-        fh.write(struct.pack("<II", matrix.n_entities, n))
-        for start in range(0, n, EXPORT_BLOCK_ROWS):
-            block = np.empty(min(EXPORT_BLOCK_ROWS, n - start), dtype=_score_record(matrix.n_entities))
-            block["direction"], block["anchor"], block["predicate"] = matrix.queries[start : start + block.size].T
-            block["scores"] = matrix.scores[start : start + block.size]
-            fh.write(block.tobytes())
+        fh.write(struct.pack("<II", n_ent, n))
+        for queries, block in blocks():
+            part = records[: block.shape[0]]
+            for col, name in enumerate(SCORE_FIELDS):
+                part[name] = queries[:, col]
+            part["scores"] = block
+            fh.write(part)
 
 
-def import_scores(path: str | Path) -> ScoreMatrix:
+def import_scores(path: str | Path) -> RowSource:
+    """A :class:`ScoreFile` for a binary score file; a CSV table (``.csv``) is read into a :class:`ScoreMatrix`."""
     path = Path(path)
     if not path.exists():
         raise KGError(f"no such file: {path}")
     if path.suffix == ".csv":
         return _import_scores_csv(path)
-    return _import_scores_binary(path)
-
-
-def _import_scores_binary(path: Path) -> ScoreMatrix:
-    """Read the file into one array of packed records; ``scores`` is a view of their score fields."""
-    size = path.stat().st_size
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-        if header[:4] != SCORE_MAGIC:
-            raise KGError(f"{path}: bad magic, not a score-matrix file")
-        if len(header) < 12:
-            raise KGError(f"{path}: truncated header")
-        n_ent, n_queries = struct.unpack_from("<II", header, 4)
-        record = _score_record(n_ent)
-        expected = 12 + n_queries * record.itemsize
-        if size < expected:
-            raise KGError(f"{path}: truncated record (length mismatch vs |E|={n_ent})")
-        if size > expected:
-            raise KGError(f"{path}: trailing bytes (length mismatch vs |E|={n_ent})")
-        records = np.fromfile(fh, dtype=record, count=n_queries)
-    codes = records["direction"]
-    if np.any(codes > 1):
-        raise KGError(f"{path}: direction code {int(codes[codes > 1][0])} is neither 0 (tail) nor 1 (head)")
-    queries = np.column_stack((codes, records["anchor"], records["predicate"])).astype(np.int64)
-    rows = records["scores"]
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
-        raise KGError(f"{path}: non-finite score for query {_query_key(queries[bad[0]])}")
-    return ScoreMatrix(queries=queries, scores=rows, source=str(path))
+    return ScoreFile(path)
 
 
 def _import_scores_csv(path: Path) -> ScoreMatrix:

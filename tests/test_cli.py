@@ -11,6 +11,8 @@ from kgconformal.models import (ScoreMatrix, export_predicate_vectors, export_sc
                                 import_scores, load_model, save_model)
 from kgconformal.verify import CheckResult
 
+from score_rows import in_memory
+
 
 def write_config(tmp_path, dataset, **kw):
     base = dict(
@@ -201,7 +203,7 @@ class TestExitCodes:
             assert cli.main([stage, "--config", str(config)]) == 0
         kg = load_or_generate_kg(ExperimentConfig.load(config), 0)
         scores_file = tmp_path / "out" / "scores_s0.bin"
-        matrix = import_scores(scores_file)
+        matrix = in_memory(import_scores(scores_file))
         calib_rows, test_rows = matrix.rows(make_queries(kg.splits["valid"]), make_queries(kg.splits["test"]))
         # a query only test pairs ask: no calibration score or rank ever reads its row
         calib = set(calib_rows.tolist())
@@ -224,7 +226,7 @@ class TestExitCodes:
         test = make_queries(kg.splits["test"])
         key = test.pairs[0][0].key()
         scores_file = tmp_path / "out" / "scores_s0.bin"
-        matrix = import_scores(scores_file)
+        matrix = in_memory(import_scores(scores_file))
         row = matrix.rows(test)[0][0]
         export_scores(ScoreMatrix(queries=np.delete(matrix.queries, row, axis=0),
                                   scores=np.delete(matrix.scores, row, axis=0)), scores_file)
@@ -259,7 +261,7 @@ class TestExitCodes:
         for stage in ("train", "score"):
             assert cli.main([stage, "--config", str(config)]) == 0
         scores_file = tmp_path / "out" / "scores_s0.bin"
-        matrix = import_scores(scores_file)
+        matrix = in_memory(import_scores(scores_file))
         width = matrix.n_entities + extra
         resized = np.stack([np.resize(vec, width) for vec in matrix.scores])
         export_scores(ScoreMatrix(queries=matrix.queries, scores=resized), scores_file)
@@ -268,6 +270,38 @@ class TestExitCodes:
             assert cli.main([stage, "--config", str(config)]) == cli.EXIT_CONFIG
             err = capsys.readouterr().err
             assert f"{scores_file}: {width} score columns, but the KG has 40 entities" in err
+
+    def test_score_file_cut_short_after_import_names_file(self, tmp_path, dataset, capsys, monkeypatch):
+        """The staged import reads no score row, so a file that shrinks after it fails at the first row read."""
+        config = write_config(tmp_path, dataset)
+        for stage in ("train", "score", "calibrate"):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        scores_file = tmp_path / "out" / "scores_s0.bin"
+        real_import = models.import_scores
+
+        def import_then_cut(path):
+            source = real_import(path)
+            Path(path).write_bytes(Path(path).read_bytes()[:12])
+            return source
+
+        monkeypatch.setattr(models, "import_scores", import_then_cut)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {scores_file}: score row of query" in err and "cut short" in err
+
+    def test_tune_with_split_directions_names_phi_count_and_group(self, tmp_path, capsys):
+        """On the parity dataset the pooled grid keeps phi 50, which the tail group's 35 pairs cannot reach."""
+        root = tmp_path / "data"
+        assert cli.main(["generate", "--entities", "100", "--counts", "200", "100", "60", "40", "30",
+                         "--seed", "0", "--out", str(root)]) == 0
+        config = write_config(tmp_path, root / "manifest.json", tune=True, phi=20)
+        for stage in ("train", "score"):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert cli.main(["calibrate", "--config", str(config), "--split-directions"]) == cli.EXIT_CONFIG
+        assert ("error: phi exceeds max per-predicate calibration count: phi 50, largest count 35 "
+                "in direction group 'tail'") in capsys.readouterr().err
 
     @pytest.mark.parametrize("method, edit, message", [
         ("kgcp", lambda text: '{"epsilon": 0.1}', "missing key"),

@@ -14,9 +14,10 @@ from kgconformal.experiment import (
 )
 from kgconformal.kg import DIRECTIONS, KGError, Query, filter_masks, make_queries, rank_of
 from kgconformal.metrics import EF_FAILURE
-from kgconformal.models import ModelScores, ScoreMatrix, score
+from kgconformal.models import ModelScores, score
 
 import tune_oracle
+from score_rows import in_memory
 
 
 def tiny_config(**kw):
@@ -81,7 +82,7 @@ class TestPrepareRun:
     def test_score_matrix_width_must_match_kg(self):
         config = tiny_config()
         data = prepare_run(config, 0)
-        matrix = ScoreMatrix.from_model(data.model, data.calib, data.test)
+        matrix = in_memory(ModelScores(data.model, data.calib, data.test))
         matrix.scores = matrix.scores[:, :-1]
         with pytest.raises(KGError, match="^score matrix: 39 score columns, but the KG has 40 entities$"):
             prepare_run(config, 0, score_matrix=matrix, model=data.model)
@@ -92,7 +93,7 @@ class TestPrepareRun:
         """Each calibration pair's nonconformity and rank equal the per-pair primitives, on tied scores."""
         config = tiny_config(scorer={"kind": kind}, filtered=filtered)
         trained = prepare_run(config, 0)
-        matrix = ScoreMatrix.from_model(trained.model, trained.calib, trained.test)
+        matrix = in_memory(ModelScores(trained.model, trained.calib, trained.test))
         matrix.scores = np.round(matrix.scores)  # a few distinct values per row: ties everywhere
         monkeypatch.setattr(experiment, "EVAL_BLOCK_ROWS", 7)
         data = prepare_run(config, 0, score_matrix=matrix, model=trained.model)
@@ -117,30 +118,56 @@ class TestPrepareRun:
 
 
 class TestMemory:
-    def test_traced_peak_does_not_grow_with_the_splits(self):
-        """prepare_run + run_single with a trained model holds no array that grows with |Q| x |E|.
+    """Four times the triples (|E| = 2000) must raise the traced peak by less than 10%, from a trained model and
+    from a score file: no path holds an array that grows with |Q| x |E|."""
 
-        Four times the triples (|E| = 2000) must raise the traced peak by less than 10%: the score rows of
-        the calibration and the test queries are scored block by block, not kept for the run.
-        """
-        def config(scale):
-            counts = [scale * c for c in (600, 400, 300, 200)]
-            return tiny_config(synthetic={"n_entities": 2000, "n_predicates": 4, "triple_counts": counts,
-                                          "noise_rates": 0.2, "n_clusters": 8}, model_kind="transe", dim=16,
-                               epochs=1, phi=50)
+    @staticmethod
+    def config(scale):
+        counts = [scale * c for c in (600, 400, 300, 200)]
+        return tiny_config(synthetic={"n_entities": 2000, "n_predicates": 4, "triple_counts": counts,
+                                      "noise_rates": 0.2, "n_clusters": 8}, model_kind="transe", dim=16,
+                           epochs=1, phi=50)
 
-        small = config(1)
+    def traced_peaks(self, run, before=lambda cfg, kg, model: None):
+        """Traced peak of ``run(config, kg, model)`` at x1 and x4, after an untraced ``before`` with the same
+        arguments; the model is trained at x1 beforehand."""
+        small = self.config(1)
         model = models.train(experiment.load_or_generate_kg(small, 0), "transe", small.train_config(0), dim=16)
         peaks = []
         for scale in (1, 4):
-            cfg = config(scale)
+            cfg = self.config(scale)
             kg = experiment.load_or_generate_kg(cfg, 0)
+            before(cfg, kg, model)
             tracemalloc.start()
             try:
-                run_single(cfg, 0, data=prepare_run(cfg, 0, model=model, kg=kg))
+                run(cfg, kg, model)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        return peaks
+
+    def test_traced_peak_does_not_grow_with_the_splits(self):
+        """prepare_run + run_single with a trained model: score rows are scored block by block, not kept."""
+        def in_memory_run(cfg, kg, model):
+            run_single(cfg, 0, data=prepare_run(cfg, 0, model=model, kg=kg))
+
+        peaks = self.traced_peaks(in_memory_run)
+        assert peaks[1] < 1.1 * peaks[0], [f"{p / 1e6:.1f} MB" for p in peaks]
+
+    def test_staged_traced_peak_does_not_grow_with_the_splits(self, tmp_path):
+        """import_scores + prepare_run + run_single from a score file: the import keeps the query columns only,
+        and each block reads its rows from the file."""
+        path = tmp_path / "scores_s0.bin"
+
+        def write_scores(cfg, kg, model):
+            models.export_scores(ModelScores(model, *(make_queries(kg.splits[name], cfg.both_directions)
+                                                      for name in ("valid", "test"))), path)
+
+        def staged_run(cfg, kg, model):
+            source = models.import_scores(path)
+            run_single(cfg, 0, data=prepare_run(cfg, 0, score_matrix=source, model=model, kg=kg))
+
+        peaks = self.traced_peaks(staged_run, before=write_scores)
         assert peaks[1] < 1.1 * peaks[0], [f"{p / 1e6:.1f} MB" for p in peaks]
 
 

@@ -10,7 +10,7 @@ from kgconformal.kg import DIRECTIONS, Direction, KGError, KnowledgeGraph, Query
 from kgconformal.models import (
     EmbeddingModel,
     ModelScores,
-    ScoreMatrix,
+    ScoreFile,
     TrainConfig,
     export_predicate_vectors,
     export_scores,
@@ -26,6 +26,7 @@ from kgconformal.models import (
 
 import train_oracle
 from gradcheck import check_bce, check_transe
+from score_rows import in_memory
 
 
 def make_model(kind, dim, n_ent=5, n_pred=2, seed=0, norm=1):
@@ -168,7 +169,7 @@ SCORED_KINDS = [pytest.param("transe", 1, id="transe-l1"), pytest.param("transe"
 
 
 class TestScoreExactness:
-    """``score``, every ``ScoreMatrix.from_model`` row and every ``ModelScores`` row equal the oracle bit for bit.
+    """``score`` and every ``ModelScores`` row, alone or filled for a whole set, equal the oracle bit for bit.
 
     The dims cover each branch of numpy's pairwise row sum that the TransE block scorer reproduces: below 8,
     8 lanes with and without a remainder, 128, and one or two halvings above it.
@@ -182,7 +183,7 @@ class TestScoreExactness:
         queries += queries[::3]  # repeats
         for q in queries:
             assert np.array_equal(score(model, q), oracle_score(model, q))
-        matrix = ScoreMatrix.from_model(model, query_set(queries))
+        matrix = in_memory(ModelScores(model, query_set(queries)))
         assert len(matrix.queries) == 12
         (rows,) = matrix.rows(query_set(queries))
         for q, row in zip(queries, rows):
@@ -481,17 +482,17 @@ class TestPersistence:
         model = make_model("distmult", 4, n_ent=7, seed=seed)
         queries = [Query(Direction.TAIL, a, p) for a in range(3) for p in range(2)]
         queries += [Query(Direction.HEAD, 1, 0)]
-        return ScoreMatrix.from_model(model, query_set(queries)), queries
+        return in_memory(ModelScores(model, query_set(queries))), queries
 
     def test_binary_round_trip_exact(self, tmp_path):
         matrix, queries = self.score_matrix()
         path = tmp_path / "scores.bin"
         export_scores(matrix, path)
         loaded = import_scores(path)
-        assert loaded.n_entities == matrix.n_entities
+        assert isinstance(loaded, ScoreFile) and loaded.n_entities == matrix.n_entities
         loaded.rows(query_set(queries))  # raises if a query is missing
         assert np.array_equal(loaded.queries, matrix.queries)
-        assert np.array_equal(loaded.scores, matrix.scores)
+        assert np.array_equal(in_memory(loaded).scores, matrix.scores)
 
     def test_csv_round_trip_exact(self, tmp_path):
         matrix, _ = self.score_matrix(seed=1)
@@ -575,6 +576,21 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(KGError, match=rf"{path.name}:4: malformed row .*{value}"):
             import_scores(path)
+
+    def test_file_cut_short_after_import_names_file_and_query(self, tmp_path):
+        """Import reads no score row; a row read after the file shrank raises KGError naming both."""
+        matrix, _ = self.score_matrix()
+        path = tmp_path / "scores.bin"
+        export_scores(matrix, path)
+        source = import_scores(path)
+        path.write_bytes(path.read_bytes()[:-1])  # the last record, the last row in key order, loses a byte
+        out = np.empty((7, 7))
+        source.fill(np.arange(6), out)
+        assert np.array_equal(out[:6], matrix.scores[:6])
+        d, a, p = matrix.queries[6].tolist()
+        key = re.escape(str(Query(DIRECTIONS[d], a, p).key()))
+        with pytest.raises(KGError, match=rf"^{re.escape(str(path))}: score row of query {key} cut short"):
+            source.fill(np.array([5, 6]), out)
 
     def test_missing_required_query(self, tmp_path):
         matrix, _ = self.score_matrix()

@@ -1,7 +1,7 @@
 """Property tests: ranks and rank cuts under tied scores, the calibration rank cutoff, the conformal
 quantile, the predicate partition under tied distances, the calibrated-model and predicate-vector
-files (round trip and truncation), the negative sampler against its per-candidate loop, and the columnar queries, filter
-masks and score export against their per-pair versions."""
+files (round trip and truncation), the negative sampler against its per-candidate loop, the columnar queries, filter
+masks and score export against their per-pair versions, and score-file rows read on demand against the matrix."""
 
 import math
 import re
@@ -22,8 +22,8 @@ from kgconformal import experiment, models
 from kgconformal.conformal import (CalibratedModel, PartCalibration, PredicatePartition, build_partition,
                                    fit_condkgcp, quantile, rank_threshold)
 from kgconformal.kg import DIRECTIONS, KGError, Query, Triple, filter_masks, make_queries, rank_cuts, rank_of
-from kgconformal.models import (ScoreMatrix, _sample_negatives, _triple_keys, export_predicate_vectors, export_scores,
-                                import_predicate_vectors)
+from kgconformal.models import (ScoreFile, ScoreMatrix, _sample_negatives, _triple_keys, export_predicate_vectors,
+                                export_scores, import_predicate_vectors, import_scores)
 from kgconformal.scores import ScorerConfig, softmax_scores
 
 import query_oracle
@@ -323,3 +323,29 @@ def test_export_matches_per_record_oracle(case):
             export_scores(matrix, got, fmt=fmt)
             query_oracle.export_scores(oracle, want, fmt=fmt)
             assert got.read_bytes() == want.read_bytes(), fmt
+
+
+@given(score_rows(), st.data())
+def test_score_file_fills_rows_equal_to_the_matrix(case, data):
+    """Records written out of key order (raw bytes) fill every asked row, repeats included, bit for bit."""
+    queries, scores, order = case
+    n, n_ent = order.size, scores.shape[1]
+    record = np.dtype([("direction", "u1"), ("anchor", "<u4"), ("predicate", "<u4"), ("scores", "<f8", (n_ent,))])
+    records = np.empty(n, dtype=record)
+    for col, name in enumerate(("direction", "anchor", "predicate")):
+        records[name] = queries[order, col]
+    records["scores"] = scores[order]
+    matrix = ScoreMatrix(queries=queries, scores=scores)
+    rows = data.draw(st.lists(st.integers(0, n - 1), max_size=12) if n else st.just([]))
+    if data.draw(st.booleans()):
+        rows.sort()  # the order a block asks in: runs of equal rows
+    rows = np.array(rows, dtype=np.int64)
+    got, want = np.empty((rows.size, n_ent)), np.empty((rows.size, n_ent))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(models, "EXPORT_BLOCK_ROWS", 3):  # several blocks
+        path = Path(tmp) / "scores.bin"
+        path.write_bytes(b"KGSC" + n_ent.to_bytes(4, "little") + n.to_bytes(4, "little") + records.tobytes())
+        source = import_scores(path)
+        assert isinstance(source, ScoreFile) and np.array_equal(source.queries, matrix.queries)
+        source.fill(rows, got)
+    matrix.fill(rows, want)
+    assert got.tobytes() == want.tobytes()
