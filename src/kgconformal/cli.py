@@ -51,21 +51,15 @@ def _calibrated_path(out: Path, seed: int, method: str, direction: str | None, e
 def _load_config(args) -> ExperimentConfig:
     """The ``--config`` file (or the defaults) with the flags applied, validated once."""
     doc = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
-    for attr in ("dataset", "output_dir", "gamma", "phi"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            doc[attr] = value
-    if getattr(args, "methods", None):
-        doc["methods"] = args.methods.split(",")
-    if getattr(args, "epsilons", None):
-        doc["epsilons"] = [float(e) for e in args.epsilons.split(",")]
-    if getattr(args, "seeds", None):
-        doc["seeds"] = [int(s) for s in args.seeds.split(",")]
-    if getattr(args, "split_directions", False):
-        doc["split_directions"] = True
-    if getattr(args, "raw_ranking", False):
-        doc["filtered"] = False
-    return ExperimentConfig(**doc)
+    flags = {attr: getattr(args, attr) for attr in ("dataset", "output_dir", "gamma", "phi")}
+    for attr, parse in (("methods", str), ("epsilons", float), ("seeds", int)):
+        if getattr(args, attr):
+            flags[attr] = [parse(v) for v in getattr(args, attr).split(",")]
+    if args.split_directions:
+        flags["split_directions"] = True
+    if args.raw_ranking:
+        flags["filtered"] = False
+    return ExperimentConfig.from_dict(doc, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _echo_config(config: ExperimentConfig, out: Path) -> None:
@@ -119,16 +113,17 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _run_data_from_artifacts(config: ExperimentConfig, out: Path, seed: int):
-    scores_file = _scores_path(out, seed)
-    if not scores_file.exists():
-        raise StageError(f"missing score artifact {scores_file}", rerun="score")
-    source = models.import_scores(scores_file)
-    model_file = _model_path(out, seed)
-    model = models.load_model(model_file) if model_file.exists() else None
-    kg = load_or_generate_kg(config, seed)
-    return prepare_run(config, seed, score_matrix=source, model=model,
-                       kg=kg, predicate_vectors=_predvecs_path(out, seed))
+def _run_data_from_artifacts(config: ExperimentConfig, out: Path, seed: int, tuning: bool = False):
+    """The seed's run from its score file and predicate-vector sidecar, and its model when ``tuning``."""
+    needed = [("score", _scores_path(out, seed), "score"), ("predicate-vector", _predvecs_path(out, seed), "score")]
+    if tuning:  # tuning scores training queries, so it needs the model
+        needed.append(("model", _model_path(out, seed), "train"))
+    for what, path, stage in needed:
+        if not path.exists():
+            raise StageError(f"missing {what} artifact {path}", rerun=stage)
+    return prepare_run(config, seed, score_matrix=models.import_scores(_scores_path(out, seed)),
+                       model=models.load_model(_model_path(out, seed)) if tuning else None,
+                       kg=load_or_generate_kg(config, seed), predicate_vectors=_predvecs_path(out, seed))
 
 
 def cmd_calibrate(args) -> int:
@@ -136,7 +131,7 @@ def cmd_calibrate(args) -> int:
     out = Path(config.output_dir)
     _echo_config(config, out)
     for seed in config.seeds:
-        data = _run_data_from_artifacts(config, out, seed)
+        data = _run_data_from_artifacts(config, out, seed, tuning=config.tune and "condkgcp" in config.methods)
         fitted = calibrate(config, seed, data)
         for key, model in fitted.items():
             model.save(_calibrated_path(out, seed, *key))

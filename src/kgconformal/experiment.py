@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +44,6 @@ class ExperimentConfig:
     margin: float = 1.0
     l2: float = 1e-6
     batch_size: int = 256
-    score_matrix: str | None = None
-    predicate_vectors: str | None = None
     scorer: dict = field(default_factory=lambda: {"kind": "softmax"})
     methods: list[str] = field(default_factory=lambda: ["kgcp", "mcp", "condkgcp"])
     epsilons: list[float] = field(default_factory=lambda: [0.1])
@@ -64,20 +62,28 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        """Reject what calibration would reject, before any training; ValueError names the setting."""
         if not self.methods or not self.epsilons or not self.seeds:
             raise ValueError("need at least one method, epsilon, and seed")
-        if self.dataset is None and self.synthetic is None and self.score_matrix is None:
-            raise ValueError("need a dataset path, a synthetic spec, or a score matrix")
+        if self.dataset is None and self.synthetic is None:
+            raise ValueError("need a dataset path or a synthetic spec")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method: {m} ({', '.join(METHODS)})")
         if self.tune_objective not in ("ef", "covgap", "avesize"):
             raise ValueError(f"unknown tune_objective: {self.tune_objective} (ef, covgap or avesize)")
+        if not all(0.0 < epsilon < 1.0 for epsilon in self.epsilons):
+            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilons}")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+        if self.phi < 1:
+            raise ValueError(f"phi must be >= 1, got {self.phi}")
+        self.scorer_config(0)
+        if self.synthetic is not None:
+            SyntheticKGSpec(**_known_keys(SyntheticKGSpec, self.synthetic, "synthetic"))
 
     def scorer_config(self, seed: int) -> scores.ScorerConfig:
-        doc = dict(self.scorer)
-        doc.setdefault("rng_seed", seed)
-        return scores.ScorerConfig(**doc)
+        return scores.ScorerConfig(**{"rng_seed": seed, **_known_keys(scores.ScorerConfig, self.scorer, "scorer")})
 
     def train_config(self, seed: int) -> models.TrainConfig:
         return models.TrainConfig(
@@ -89,12 +95,27 @@ class ExperimentConfig:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
+    def from_dict(cls, doc, **overrides) -> "ExperimentConfig":
+        """The config a parsed JSON document describes, with ``overrides`` applied; ValueError names unknown keys."""
+        return cls(**{**_known_keys(cls, doc, "config"), **overrides})
+
+    @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
+        return cls.from_dict(json.loads(text))
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
+
+
+def _known_keys(cls, doc, what: str) -> dict:
+    """``doc``, checked to be a dict whose keys are all fields of dataclass ``cls``; ValueError names ``what``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{what} has unknown keys: {', '.join(map(str, unknown))}")
+    return doc
 
 
 @dataclass
@@ -120,11 +141,7 @@ def load_or_generate_kg(config: ExperimentConfig, seed: int) -> KnowledgeGraph:
     A bare TSV (a single ``"all"`` split) is split with ``SplitConfig(seed=seed)``.
     """
     if config.synthetic is not None:
-        spec_doc = dict(config.synthetic)
-        spec_doc["seed"] = spec_doc.get("seed", 0) + seed
-        return synthetic_kg(SyntheticKGSpec(**spec_doc))
-    if config.dataset is None:
-        raise KGError("no dataset configured")
+        return synthetic_kg(SyntheticKGSpec(**{**config.synthetic, "seed": config.synthetic.get("seed", 0) + seed}))
     kg = load_kg(config.dataset)
     if set(kg.splits) == {"all"}:
         kg = KnowledgeGraph(vocab=kg.vocab, splits=split_triples(kg.splits["all"], SplitConfig(seed=seed)))
@@ -139,12 +156,12 @@ def prepare_run(config: ExperimentConfig, seed: int,
     """Generate/load data, train or import scores, and score the calibration pairs.
 
     Test pairs keep only their score rows and filter masks; :func:`evaluate`
-    does their per-entity work.  The scores come from ``score_matrix`` (any row source), else ``model``,
-    else ``config.score_matrix``, else a newly trained model; a model's rows are scored when a pass
-    reads them (:class:`models.ModelScores`), and a binary score file's are read from it
-    (:class:`models.ScoreFile`), so no run holds all of them.  The predicate
-    vectors come from ``predicate_vectors`` (an array, or a sidecar file to import), else the
-    model, else ``config.predicate_vectors``; KGError unless there is one per KG predicate.
+    does their per-entity work.  The scores come from ``score_matrix`` (any row source, such as
+    :func:`models.import_scores` of a file), else from ``model``, trained here if none is given; a model's
+    rows are scored when a pass reads them (:class:`models.ModelScores`), and a binary score file's are read
+    from it (:class:`models.ScoreFile`), so no run holds all of them.  The predicate vectors come from
+    ``predicate_vectors`` (an array, or a sidecar file to import), else the model; KGError unless there is
+    one per KG predicate.
     """
     if kg is None:
         kg = load_or_generate_kg(config, seed)
@@ -155,8 +172,6 @@ def prepare_run(config: ExperimentConfig, seed: int,
     known = [make_queries(kg.splits.get("train", []), config.both_directions), calib, test] if config.filtered else []
 
     source = score_matrix
-    if source is None and model is None and config.score_matrix is not None:
-        source = models.import_scores(config.score_matrix)
     if source is None:
         if model is None:
             model = models.train(kg, config.model_kind, config.train_config(seed),
@@ -168,8 +183,6 @@ def prepare_run(config: ExperimentConfig, seed: int,
                       f"but the KG has {kg.vocab.n_entities} entities")
 
     n_pred = kg.vocab.n_predicates
-    if predicate_vectors is None and model is None:
-        predicate_vectors = config.predicate_vectors
     if isinstance(predicate_vectors, (str, Path)):
         named, pred_vecs = str(predicate_vectors), models.import_predicate_vectors(predicate_vectors)
     elif predicate_vectors is not None:
@@ -419,8 +432,8 @@ def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData,
 
     Two disjoint samples of training triples, each sized like the calibration
     set, stand in for calibration and test.  kgcp, the EF reference, and
-    condkgcp at every grid point with phi at most the largest predicate count
-    are fitted per direction group at ``config.epsilons[0]`` only, and one
+    condkgcp at every grid point with phi at most each direction group's
+    largest predicate count are fitted per direction group at ``config.epsilons[0]`` only, and one
     :func:`_outcomes` pass evaluates all their filters.  Points rank by
     ``config.tune_objective`` (by default EF against kgcp with a CovGap
     tiebreak, failures last); the first best point, in phi-then-gamma order,
@@ -437,16 +450,17 @@ def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData,
         "valid": [train_triples[i] for i in order[:want]],
         "test": [train_triples[i] for i in order[want : 2 * want]],
     })
-    if data.model is None and config.score_matrix is None:
-        raise KGError("tuning needs a trained model or an importable score matrix")
+    if data.model is None:
+        raise KGError("tuning scores training queries, so it needs the trained model")
     tune_data = prepare_run(config, seed, model=data.model, kg=tune_kg, predicate_vectors=data.predicate_vectors)
 
-    max_count = int(np.bincount(tune_data.calib.predicate, minlength=data.kg.vocab.n_predicates).max())
+    groups = list(_direction_groups(tune_data, config.split_directions))
+    max_count = min((int(np.bincount(tune_data.calib.predicate[cal_idx]).max()) for _, cal_idx, _ in groups),
+                    default=0)
     grid = [(gamma, phi) for phi in phi_grid if phi <= max_count for gamma in gamma_grid]
     if not grid:
         return config.gamma, config.phi
     epsilon = config.epsilons[0]
-    groups = list(_direction_groups(tune_data, config.split_directions))
     fitted = [[conformal.fit_kgcp(tune_data.calib_nonconf[cal_idx], epsilon) for _, cal_idx, _ in groups]]
     fitted += [[_fit_condkgcp(tune_data, cal_idx, epsilon, gamma, phi, direction)
                 for direction, cal_idx, _ in groups] for gamma, phi in grid]

@@ -733,37 +733,24 @@ class ScoreFile(RowSource):
             out[: rows.size].byteswap(inplace=True)
 
 
-def export_scores(source: RowSource, path: str | Path, fmt: str = "binary") -> None:
-    """Write every row of ``source`` in key order, ``EXPORT_BLOCK_ROWS`` rows at a time: a CSV table, or packed
-    binary records.  Only one block of rows is held, so a :class:`ModelScores` source is exported without
-    ever holding its whole matrix.
+def export_scores(source: RowSource, path: str | Path) -> None:
+    """Write every row of ``source`` in key order as packed binary records, ``EXPORT_BLOCK_ROWS`` rows at a time.
+
+    Only one block of rows is held, so a :class:`ModelScores` source is exported without ever holding its
+    whole matrix.
     """
-    path = Path(path)
     n, n_ent = source.queries.shape[0], source.n_entities
     rows = np.empty((min(EXPORT_BLOCK_ROWS, n), n_ent))
-
-    def blocks():
-        for start in range(0, n, EXPORT_BLOCK_ROWS):
-            block = rows[: min(EXPORT_BLOCK_ROWS, n - start)]
-            source.fill(np.arange(start, start + block.shape[0]), block)
-            yield source.queries[start : start + block.shape[0]], block
-
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["direction", "anchor", "predicate"] + [f"s{i}" for i in range(n_ent)])
-            for queries, block in blocks():
-                for (d, a, p), row in zip(queries.tolist(), block):
-                    writer.writerow([DIRECTIONS[d].value, a, p] + [repr(float(v)) for v in row])
-        return
     records = np.empty(rows.shape[0], dtype=_score_record(n_ent))
     with open(path, "wb") as fh:
         fh.write(SCORE_MAGIC)
         fh.write(struct.pack("<II", n_ent, n))
-        for queries, block in blocks():
-            part = records[: block.shape[0]]
+        for start in range(0, n, EXPORT_BLOCK_ROWS):
+            stop = min(start + EXPORT_BLOCK_ROWS, n)
+            block, part = rows[: stop - start], records[: stop - start]
+            source.fill(np.arange(start, stop), block)
             for col, name in enumerate(SCORE_FIELDS):
-                part[name] = queries[:, col]
+                part[name] = source.queries[start:stop, col]
             part["scores"] = block
             fh.write(part)
 

@@ -4,12 +4,13 @@
 agree with the functions here: ``make_queries``, ``build_answer_index`` and
 ``export_scores`` are verbatim copies of the versions that built one
 ``Query`` object per pair, one ``set`` of known answers per query and one
-``struct.pack`` call per score record.  Used by ``test_properties.py``.
+``struct.pack`` call per score record (``export_scores`` without its CSV arm,
+since the pipeline writes only the binary format).  Used by
+``test_properties.py``.
 """
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,17 +69,8 @@ def build_answer_index(sets: list[QueryAnswerSet]) -> dict[tuple[str, int, int],
     return index
 
 
-def export_scores(matrix: ScoreMatrix, path: str | Path, fmt: str = "binary") -> None:
-    path = Path(path)
+def export_scores(matrix: ScoreMatrix, path: str | Path) -> None:
     keys = sorted(matrix.vectors)
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["direction", "anchor", "predicate"] + [f"s{i}" for i in range(matrix.n_entities)])
-            for key in keys:
-                d, a, p = key
-                writer.writerow([d, a, p] + [repr(float(v)) for v in matrix.vectors[key]])
-        return
     with open(path, "wb") as fh:
         fh.write(SCORE_MAGIC)
         fh.write(struct.pack("<II", matrix.n_entities, len(keys)))

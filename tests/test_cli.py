@@ -33,6 +33,14 @@ def write_config(tmp_path, dataset, **kw):
     return path
 
 
+def edited(config, **changes):
+    """Apply ``changes`` to a config file written by :func:`write_config`, without validating them."""
+    doc = json.loads(config.read_text())
+    doc.update(changes)
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    return config
+
+
 def without_dataset(config):
     """Drop the ``dataset`` field from a config file written by :func:`write_config`."""
     doc = json.loads(config.read_text())
@@ -59,6 +67,15 @@ def dataset(tmp_path_factory):
         "--noise", "0.2", "--clusters", "4", "--seed", "0", "--out", str(root),
     ])
     assert rc == 0
+    return root / "manifest.json"
+
+
+@pytest.fixture(scope="module")
+def parity_dataset(tmp_path_factory):
+    """The dataset of ``tools/parity.py``."""
+    root = tmp_path_factory.mktemp("parity-data")
+    assert cli.main(["generate", "--entities", "100", "--counts", "200", "100", "60", "40", "30",
+                     "--seed", "0", "--out", str(root)]) == 0
     return root / "manifest.json"
 
 
@@ -136,6 +153,31 @@ class TestStagedMatchesRun:
             for direction in ("tail", "head"):
                 assert (outputs["staged"] / f"calibrated_condkgcp_{direction}_e0.1_s0.json").exists()
             assert not (outputs["staged"] / "calibrated_condkgcp_e0.1_s0.json").exists()
+
+
+class TestImportedScores:
+    def test_exported_matrix_and_sidecar_give_the_reports_of_run(self, tmp_path, dataset):
+        """Score and sidecar files written from Python into a directory with no model: staged ``calibrate`` and
+        ``evaluate`` write what ``run`` writes on the model the scores came from."""
+        roots = {name: tmp_path / name for name in ("trained", "imported", "run")}
+        for root in roots.values():
+            root.mkdir()
+        assert cli.main(["train", "--config", str(write_config(roots["trained"], dataset))]) == 0
+        model = load_model(roots["trained"] / "out" / "model_s0.npz")
+        config = write_config(roots["imported"], dataset)
+        kg = load_or_generate_kg(ExperimentConfig.load(config), 0)
+        out = roots["imported"] / "out"
+        out.mkdir()
+        export_scores(in_memory(models.ModelScores(model, make_queries(kg.splits["valid"]),
+                                                   make_queries(kg.splits["test"]))), out / "scores_s0.bin")
+        export_predicate_vectors(np.stack([models.predicate_vector(model, r) for r in range(kg.vocab.n_predicates)]),
+                                 out / "predvecs_s0.bin")
+        for stage in ("calibrate", "evaluate"):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        assert not (out / "model_s0.npz").exists()
+        assert cli.main(["run", "--config", str(write_config(roots["run"], dataset))]) == 0
+        for name in ("reports.csv", "summary.json"):
+            assert (out / name).read_bytes() == (roots["run"] / "out" / name).read_bytes(), name
 
 
 class TestExitCodes:
@@ -290,18 +332,84 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {scores_file}: score row of query" in err and "cut short" in err
 
-    def test_tune_with_split_directions_names_phi_count_and_group(self, tmp_path, capsys):
-        """On the parity dataset the pooled grid keeps phi 50, which the tail group's 35 pairs cannot reach."""
-        root = tmp_path / "data"
-        assert cli.main(["generate", "--entities", "100", "--counts", "200", "100", "60", "40", "30",
-                         "--seed", "0", "--out", str(root)]) == 0
-        config = write_config(tmp_path, root / "manifest.json", tune=True, phi=20)
+    def test_tune_with_split_directions_exits_0_with_a_phi_every_group_reaches(self, tmp_path, parity_dataset):
+        """On the parity dataset the pooled tuning pairs admit phi 50, which the tail group's 35 cannot reach."""
+        config = write_config(tmp_path, parity_dataset, tune=True, phi=20)
+        for stage in ("train", "score", "calibrate"):
+            assert cli.main([stage, "--config", str(config), "--split-directions"]) == 0
+        calib = make_queries(load_or_generate_kg(ExperimentConfig.load(config), 0).splits["valid"])
+        phis = set()
+        for code, direction in enumerate(DIRECTIONS):
+            saved = json.loads((tmp_path / "out" / f"calibrated_condkgcp_{direction.value}_e0.1_s0.json").read_text())
+            phis.add(saved["partition"]["phi"])
+            assert saved["partition"]["phi"] <= np.bincount(calib.predicate[calib.direction == code]).max()
+        assert len(phis) == 1 and phis <= {20, 50, 100, 200}
+
+    def test_split_directions_phi_past_a_group_names_phi_count_and_group(self, tmp_path, parity_dataset, capsys):
+        config = write_config(tmp_path, parity_dataset, phi=20)
         for stage in ("train", "score"):
             assert cli.main([stage, "--config", str(config)]) == 0
         capsys.readouterr()
-        assert cli.main(["calibrate", "--config", str(config), "--split-directions"]) == cli.EXIT_CONFIG
-        assert ("error: phi exceeds max per-predicate calibration count: phi 50, largest count 35 "
+        assert cli.main(["calibrate", "--config", str(config), "--split-directions", "--phi", "50"]) == cli.EXIT_CONFIG
+        assert ("error: phi exceeds max per-predicate calibration count: phi 50, largest count 41 "
                 "in direction group 'tail'") in capsys.readouterr().err
+
+    def test_missing_predicate_vector_sidecar_names_the_score_stage(self, tmp_path, dataset, capsys):
+        config = write_config(tmp_path, dataset, methods=["kgcp"])
+        for stage in ("train", "score"):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        sidecar = tmp_path / "out" / "predvecs_s0.bin"
+        sidecar.unlink()
+        capsys.readouterr()
+        for stage in ("calibrate", "evaluate"):
+            assert cli.main([stage, "--config", str(config)]) == cli.EXIT_CONFIG
+            assert f"error: missing predicate-vector artifact {sidecar} (rerun the 'score' stage)" in capsys.readouterr().err
+
+    def test_tune_without_a_model_names_the_model_and_the_train_stage(self, tmp_path, dataset, capsys):
+        config = write_config(tmp_path, dataset, tune=True)
+        for stage in ("train", "score"):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        model_file = tmp_path / "out" / "model_s0.npz"
+        model_file.unlink()
+        capsys.readouterr()
+        assert cli.main(["calibrate", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert f"error: missing model artifact {model_file} (rerun the 'train' stage)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"foo": 1}, "config has unknown keys: foo"),
+        ({"scorer": {"kind": "softmax", "bogus": 1}}, "scorer has unknown keys: bogus"),
+        ({"synthetic": {"n_entities": 40, "bogus": 1}}, "synthetic has unknown keys: bogus"),
+        ({"score_matrix": None, "predicate_vectors": None}, "config has unknown keys: predicate_vectors, score_matrix"),
+    ], ids=["top-level", "scorer", "synthetic", "echoed-with-score-import"])
+    def test_unknown_config_keys_are_named(self, tmp_path, dataset, capsys, changes, message):
+        config = edited(write_config(tmp_path, dataset), **changes)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("what", ["config", "scorer"])
+    def test_config_that_is_not_an_object(self, tmp_path, dataset, capsys, what):
+        config = write_config(tmp_path, dataset)
+        if what == "config":
+            config.write_text("[1, 2]", encoding="utf-8")
+        else:
+            edited(config, scorer=["softmax"])
+        assert cli.main(["run", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {what} must be a JSON object, got list\n"
+
+    def test_bad_scorer_kind_exits_before_training(self, tmp_path, dataset, capsys):
+        config = edited(write_config(tmp_path, dataset), scorer={"kind": "apss"})
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "error: unknown nonconformity kind: apss" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model_s0.npz").exists()
+
+    def test_epsilon_outside_zero_one_exits_before_training(self, tmp_path, dataset, capsys, monkeypatch):
+        def no_training(*args, **kw):
+            raise AssertionError("trained a model for a config that calibration rejects")
+        monkeypatch.setattr(models, "train", no_training)
+        config = edited(write_config(tmp_path, dataset), epsilons=[1.5])
+        assert cli.main(["run", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "error: epsilon must be in (0, 1), got [1.5]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method, edit, message", [
         ("kgcp", lambda text: '{"epsilon": 0.1}', "missing key"),
@@ -335,13 +443,10 @@ class TestExitCodes:
     def test_config_without_a_data_source(self, tmp_path, dataset, capsys):
         config = without_dataset(write_config(tmp_path, dataset))
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
-        assert "error: need a dataset path, a synthetic spec, or a score matrix" in capsys.readouterr().err
+        assert "error: need a dataset path or a synthetic spec" in capsys.readouterr().err
 
     def test_unknown_tune_objective(self, tmp_path, dataset, capsys):
-        config = write_config(tmp_path, dataset)
-        doc = json.loads(config.read_text())
-        doc["tune_objective"] = "EF"
-        config.write_text(json.dumps(doc), encoding="utf-8")
+        config = edited(write_config(tmp_path, dataset), tune_objective="EF")
         assert cli.main(["calibrate", "--config", str(config)]) == cli.EXIT_CONFIG
         assert "unknown tune_objective: EF" in capsys.readouterr().err
 

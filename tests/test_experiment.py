@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -49,6 +50,17 @@ class TestConfig:
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(epsilons=[])
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"epsilons": [0.1, 0.0]}, "epsilon must be in (0, 1), got [0.1, 0.0]"),
+        ({"gamma": 1.5}, "gamma must be in [0, 1], got 1.5"),
+        ({"phi": 0}, "phi must be >= 1, got 0"),
+        ({"scorer": {"kind": "raps", "raps_k_reg": 0}}, "raps_k_reg must be >= 1"),
+        ({"synthetic": {"n_predicates": 2, "triple_counts": [10]}}, "need one triple count per predicate"),
+    ], ids=["epsilon-zero", "gamma", "phi", "raps-k-reg", "synthetic"])
+    def test_rejects_what_calibration_would_reject(self, setting, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tiny_config(**setting)
 
     def test_json_round_trip(self):
         config = tiny_config(methods=["kgcp"], epsilons=[0.05, 0.2])
@@ -266,6 +278,19 @@ class TestTuning:
         data = tuning_runs(kind, seed)
         assert tune_condkgcp(config, seed, data, GAMMA_GRID, PHI_GRID) == tune_oracle.tune_condkgcp(
             config, seed, data, GAMMA_GRID, PHI_GRID)
+
+    def test_default_grid_under_split_directions_keeps_the_phi_every_group_reaches(self, tuning_runs):
+        """The pooled count admits a default phi that one direction group cannot reach; tuning skips that phi."""
+        config = tiny_config(tune=True, split_directions=True)
+        data = tuning_runs("softmax", 0)
+        cal = make_queries(tune_oracle.held_out_triples(data.kg, 0)[0])
+        pooled = np.bincount(cal.predicate).max()
+        reach = min(np.bincount(cal.predicate[cal.direction == code]).max() for code in range(len(DIRECTIONS)))
+        admissible = tuple(phi for phi in experiment.DEFAULT_PHI_GRID if phi <= reach)
+        assert admissible and any(reach < phi <= pooled for phi in experiment.DEFAULT_PHI_GRID)
+        chosen = tune_condkgcp(config, 0, data)
+        assert chosen == tune_oracle.tune_condkgcp(config, 0, data, phi_grid=admissible)
+        assert chosen[1] in admissible
 
     def test_grid_is_evaluated_at_the_first_epsilon_only(self, monkeypatch, tuning_runs):
         config = tiny_config(tune=True, epsilons=[0.2, 0.1, 0.3])

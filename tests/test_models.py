@@ -26,7 +26,7 @@ from kgconformal.models import (
 
 import train_oracle
 from gradcheck import check_bce, check_transe
-from score_rows import in_memory
+from score_rows import in_memory, write_csv
 
 
 def make_model(kind, dim, n_ent=5, n_pred=2, seed=0, norm=1):
@@ -162,6 +162,7 @@ def oracle_score(model, query):
     return er @ (rr * ar + ri * ai) + ei @ (rr * ai - ri * ar)
 
 
+WRITERS = {"binary": export_scores, "csv": write_csv}  # the pipeline's score file, and a CSV table made elsewhere
 SCORE_FILE_BYTES = 12 + 7 * (9 + 8 * 7)  # TestPersistence.score_matrix: header, then 7 records of |E| = 7
 
 SCORED_KINDS = [pytest.param("transe", 1, id="transe-l1"), pytest.param("transe", 2, id="transe-l2"),
@@ -497,7 +498,7 @@ class TestPersistence:
     def test_csv_round_trip_exact(self, tmp_path):
         matrix, _ = self.score_matrix(seed=1)
         path = tmp_path / "scores.csv"
-        export_scores(matrix, path, fmt="csv")
+        write_csv(matrix, path)
         loaded = import_scores(path)
         assert np.array_equal(loaded.queries, matrix.queries)
         assert np.array_equal(loaded.scores, matrix.scores)
@@ -539,7 +540,7 @@ class TestPersistence:
     def test_repeated_query_names_file_and_query(self, tmp_path, fmt, suffix):
         matrix, _ = self.score_matrix()
         path = tmp_path / f"scores{suffix}"
-        export_scores(matrix, path, fmt=fmt)
+        WRITERS[fmt](matrix, path)
         data = path.read_bytes()
         tail_0_0 = int(np.flatnonzero((matrix.queries == [0, 0, 0]).all(axis=1))[0])
         if fmt == "csv":
@@ -558,7 +559,7 @@ class TestPersistence:
         matrix, queries = self.score_matrix()
         matrix.scores[matrix.rows(query_set(queries[4:5]))[0][0], 2] = bad
         path = tmp_path / f"scores{suffix}"
-        export_scores(matrix, path, fmt=fmt)
+        WRITERS[fmt](matrix, path)
         key = re.escape(str(queries[4].key()))
         with pytest.raises(KGError, match=rf"{path.name}.*non-finite score for query {key}"):
             import_scores(path)
@@ -568,13 +569,24 @@ class TestPersistence:
     def test_malformed_csv_row_names_file_and_line(self, tmp_path, field, value):
         matrix, _ = self.score_matrix()
         path = tmp_path / "scores.csv"
-        export_scores(matrix, path, fmt="csv")
+        write_csv(matrix, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         row = lines[3].split(",")
         row[field] = value
         lines[3] = ",".join(row)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(KGError, match=rf"{path.name}:4: malformed row .*{value}"):
+            import_scores(path)
+
+    @pytest.mark.parametrize("cut", [1, -1], ids=["short", "long"])
+    def test_csv_row_length_names_file_and_line(self, tmp_path, cut):
+        matrix, _ = self.score_matrix()
+        path = tmp_path / "scores.csv"
+        write_csv(matrix, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] if cut > 0 else lines[2] + ",0.5"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(KGError, match=rf"^{re.escape(str(path))}:3: length mismatch vs \|E\|=7$"):
             import_scores(path)
 
     def test_file_cut_short_after_import_names_file_and_query(self, tmp_path):
