@@ -17,7 +17,7 @@ import numpy as np
 
 from . import conformal, metrics, models, verify
 from .experiment import (METHODS, ExperimentConfig, calibrate, calibration_keys, evaluate, load_or_generate_kg,
-                         prepare_run, run_experiment)
+                         prepare_run, prepare_test, run_experiment)
 from .kg import KGError, make_queries
 from .synth import SyntheticKGSpec, write_dataset
 
@@ -46,6 +46,13 @@ def _predvecs_path(out: Path, seed: int) -> Path:
 def _calibrated_path(out: Path, seed: int, method: str, direction: str | None, epsilon: float) -> Path:
     group = "" if direction is None else f"_{direction}"
     return out / f"calibrated_{method}{group}_e{epsilon:g}_s{seed}.json"
+
+
+def _artifact(what: str, path: Path, stage: str) -> Path:
+    """``path``; StageError naming the ``stage`` that writes it when it is missing."""
+    if not path.exists():
+        raise StageError(f"missing {what} artifact {path}", rerun=stage)
+    return path
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -99,10 +106,7 @@ def cmd_score(args) -> int:
     out = Path(config.output_dir)
     _echo_config(config, out)
     for seed in config.seeds:
-        model_file = _model_path(out, seed)
-        if not model_file.exists():
-            raise StageError(f"missing model artifact {model_file}", rerun="train")
-        model = models.load_model(model_file)
+        model = models.load_model(_artifact("model", _model_path(out, seed), "train"))
         kg = load_or_generate_kg(config, seed)
         rows = models.ModelScores(model, *(make_queries(kg.splits.get(name, []), config.both_directions)
                                            for name in ("valid", "test")))
@@ -113,44 +117,37 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _run_data_from_artifacts(config: ExperimentConfig, out: Path, seed: int, tuning: bool = False):
-    """The seed's run from its score file and predicate-vector sidecar, and its model when ``tuning``."""
-    needed = [("score", _scores_path(out, seed), "score"), ("predicate-vector", _predvecs_path(out, seed), "score")]
-    if tuning:  # tuning scores training queries, so it needs the model
-        needed.append(("model", _model_path(out, seed), "train"))
-    for what, path, stage in needed:
-        if not path.exists():
-            raise StageError(f"missing {what} artifact {path}", rerun=stage)
-    return prepare_run(config, seed, score_matrix=models.import_scores(_scores_path(out, seed)),
-                       model=models.load_model(_model_path(out, seed)) if tuning else None,
-                       kg=load_or_generate_kg(config, seed), predicate_vectors=_predvecs_path(out, seed))
-
-
 def cmd_calibrate(args) -> int:
     config = _load_config(args)
     out = Path(config.output_dir)
     _echo_config(config, out)
+    merging = "condkgcp" in config.methods  # only condkgcp reads predicate vectors, and only it is tuned
     for seed in config.seeds:
-        data = _run_data_from_artifacts(config, out, seed, tuning=config.tune and "condkgcp" in config.methods)
+        scores_file = _artifact("score", _scores_path(out, seed), "score")
+        vectors = _artifact("predicate-vector", _predvecs_path(out, seed), "score") if merging else None
+        model = None
+        if merging and config.tune:  # tuning scores training queries, so it needs the model
+            model = models.load_model(_artifact("model", _model_path(out, seed), "train"))
+        data = prepare_run(config, seed, score_matrix=models.import_scores(scores_file), model=model,
+                           predicate_vectors=vectors)
         fitted = calibrate(config, seed, data)
-        for key, model in fitted.items():
-            model.save(_calibrated_path(out, seed, *key))
+        for key, calibrated in fitted.items():
+            calibrated.save(_calibrated_path(out, seed, *key))
         print(f"seed {seed}: calibrated {sorted({m for m, _, _ in fitted})} at eps {config.epsilons}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    """Evaluate the calibrated models on the test pairs' score rows; no model, sidecar or calibration row is read."""
     config = _load_config(args)
     out = Path(config.output_dir)
     _echo_config(config, out)
     reports: list[metrics.EvaluationReport] = []
     for seed in config.seeds:
-        data = _run_data_from_artifacts(config, out, seed)
+        data = prepare_test(config, seed, models.import_scores(_artifact("score", _scores_path(out, seed), "score")))
         fitted = {}
         for key in calibration_keys(config, data):
-            path = _calibrated_path(out, seed, *key)
-            if not path.exists():
-                raise StageError(f"missing calibrated model {path}", rerun="calibrate")
+            path = _artifact("calibrated-model", _calibrated_path(out, seed, *key), "calibrate")
             fitted[key] = model = conformal.CalibratedModel.load(path)
             if model.partition is not None:
                 try:

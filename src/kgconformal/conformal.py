@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "quantile",
     "query_filters",
     "rank_threshold",
+    "score_only",
     "set_outcomes",
     "verify_shrinkage",
 ]
@@ -163,12 +164,19 @@ def rank_threshold(ranks, epsilon: float) -> tuple[int, float]:
 
 @dataclass
 class PartCalibration:
-    """One part's calibration; ``rank_cutoff`` None means no rank filter."""
+    """One part's calibration; ``rank_cutoff`` None means no rank filter.
+
+    ``n_cal`` counts the part's calibration pairs (Prop 1's n_g), and
+    ``score_only_threshold`` is the part's quantile at the full error rate:
+    the score-only filter that the shrinkage ratio sigma_g compares against.
+    """
 
     rank_cutoff: int | None
     rank_miscoverage: float
     adjusted_epsilon: float
     score_threshold: float
+    n_cal: int
+    score_only_threshold: float
 
 
 _METHOD_LABELS = ("kgcp", "mcp", "condkgcp")  # the labels the fit_* functions write
@@ -201,6 +209,8 @@ class CalibratedModel:
                     "rank_miscoverage": pc.rank_miscoverage,
                     "adjusted_epsilon": pc.adjusted_epsilon,
                     "score_threshold": enc(pc.score_threshold),
+                    "n_cal": pc.n_cal,
+                    "score_only_threshold": enc(pc.score_only_threshold),
                 }
                 for g, pc in self.per_part.items()
             },
@@ -228,6 +238,8 @@ class CalibratedModel:
                 rank_miscoverage=float(pc["rank_miscoverage"]),
                 adjusted_epsilon=float(pc["adjusted_epsilon"]),
                 score_threshold=dec(pc["score_threshold"]),
+                n_cal=int(pc["n_cal"]),
+                score_only_threshold=dec(pc["score_only_threshold"]),
             )
             for g, pc in doc["per_part"].items()
         }
@@ -263,21 +275,25 @@ def _fit_parts(method: str, epsilon: float, nonconf_true, calib_predicates,
 
     ``rank_filter(in_part)`` gives a part's (rank cutoff, rank miscoverage);
     without it no part has a rank filter.  The score threshold is the part's
-    conformal quantile at ``epsilon - gamma * miscoverage``.  A part without
-    calibration pairs gets threshold +inf, no rank filter, and a warning.
+    conformal quantile at ``epsilon - gamma * miscoverage``, and the score-only
+    threshold its quantile at ``epsilon``.  A part without calibration pairs
+    gets both thresholds +inf, no rank filter, and a warning.
     """
     nonconf_true = np.asarray(nonconf_true, dtype=np.float64)
     model = CalibratedModel(method=method, epsilon=epsilon, per_part={}, partition=partition, gamma=gamma)
     part_ids = model.part_ids(calib_predicates)
     for g in range(1 if partition is None else len(partition.parts)):
         in_g = part_ids == g
-        if not np.any(in_g):
-            model.per_part[g] = PartCalibration(None, 0.0, epsilon, math.inf)
+        n_cal = int(np.count_nonzero(in_g))
+        if not n_cal:
+            model.per_part[g] = PartCalibration(None, 0.0, epsilon, math.inf, 0, math.inf)
             model.warnings.append(f"part {g} has no calibration pairs; threshold +inf")
             continue
         rank_cutoff, miscoverage = (None, 0.0) if rank_filter is None else rank_filter(in_g)
         adjusted = epsilon - gamma * miscoverage
-        model.per_part[g] = PartCalibration(rank_cutoff, miscoverage, adjusted, quantile(nonconf_true[in_g], adjusted))
+        values = nonconf_true[in_g]
+        model.per_part[g] = PartCalibration(rank_cutoff, miscoverage, adjusted, quantile(values, adjusted),
+                                            n_cal, quantile(values, epsilon))
     return model
 
 
@@ -310,12 +326,21 @@ def fit_condkgcp(
 
 def fit_part_mcp(calib_predicates, nonconf_true, partition: PredicatePartition,
                  epsilon: float, n_entities: int) -> CalibratedModel:
-    """Part-level score-only calibration at the full error rate.
+    """Part-level score-only calibration at the full error rate, refitted from the calibration pairs.
 
-    Every part keeps all ``n_entities`` ranks, so its rank miscoverage is 0.
+    Every part keeps all ``n_entities`` ranks, so its rank miscoverage is 0.  Its
+    thresholds equal the ``score_only_threshold`` a fit over the same partition
+    stores; the pipeline reads those (:func:`score_only`), and this refit is the
+    reference they are tested against.
     """
     return _fit_parts("condkgcp", epsilon, nonconf_true, calib_predicates, partition,
                       lambda in_g: (int(n_entities), 0.0))
+
+
+def score_only(model: CalibratedModel) -> CalibratedModel:
+    """``model`` with each part's stored score-only threshold and no rank filter: sigma_g's reference filter."""
+    return replace(model, per_part={g: replace(pc, rank_cutoff=None, score_threshold=pc.score_only_threshold)
+                                    for g, pc in model.per_part.items()})
 
 
 def predict_set(model: CalibratedModel, predicate: int, nonconf: np.ndarray,

@@ -23,8 +23,9 @@ from .kg import (
 )
 from .synth import SyntheticKGSpec, synthetic_kg
 
-__all__ = ["METHODS", "ExperimentConfig", "RunData", "answer_nonconf_and_ranks", "calibrate", "calibration_keys",
-           "evaluate", "load_or_generate_kg", "prepare_run", "run_experiment", "run_single", "tune_condkgcp"]
+__all__ = ["METHODS", "EvalData", "ExperimentConfig", "RunData", "answer_nonconf_and_ranks", "calibrate",
+           "calibration_keys", "evaluate", "load_or_generate_kg", "prepare_run", "prepare_test", "run_experiment",
+           "run_single", "tune_condkgcp"]
 
 DEFAULT_GAMMA_GRID = (0.01, 0.1, 0.5)
 DEFAULT_PHI_GRID = (20, 50, 100, 200)
@@ -119,19 +120,25 @@ def _known_keys(cls, doc, what: str) -> dict:
 
 
 @dataclass
-class RunData:
-    """Everything one seed needs for calibration and evaluation."""
+class EvalData:
+    """What :func:`evaluate` reads: the KG, the query sets, and the test pairs' score rows and filter masks."""
 
     kg: KnowledgeGraph
-    calib: QueryAnswerSet
+    calib: QueryAnswerSet         # read for its size and directions only
     test: QueryAnswerSet
-    calib_nonconf: np.ndarray     # nonconformity of the true calibration answers
-    calib_ranks: np.ndarray       # filtered rank of the true calibration answers
-    score_rows: models.RowSource  # raw score rows of the calibration and test queries
+    score_rows: models.RowSource  # raw score rows of the test queries (and, in a RunData, the calibration ones)
     test_rows: np.ndarray         # row of each test pair's query in ``score_rows``
     mask_indptr: np.ndarray       # CSR filter masks of the test pairs: pair j masks
     mask_indices: np.ndarray      # mask_indices[mask_indptr[j]:mask_indptr[j + 1]]
-    predicate_vectors: np.ndarray
+
+
+@dataclass
+class RunData(EvalData):
+    """An :class:`EvalData` plus what :func:`calibrate` reads: the calibration answers' scores."""
+
+    calib_nonconf: np.ndarray     # nonconformity of the true calibration answers
+    calib_ranks: np.ndarray       # filtered rank of the true calibration answers
+    predicate_vectors: np.ndarray | None = None  # None unless condkgcp is configured
     model: models.EmbeddingModel | None = None
 
 
@@ -148,40 +155,73 @@ def load_or_generate_kg(config: ExperimentConfig, seed: int) -> KnowledgeGraph:
     return kg
 
 
-def prepare_run(config: ExperimentConfig, seed: int,
-                score_matrix: models.RowSource | None = None,
-                model: models.EmbeddingModel | None = None,
-                kg: KnowledgeGraph | None = None,
-                predicate_vectors: np.ndarray | str | Path | None = None) -> RunData:
-    """Generate/load data, train or import scores, and score the calibration pairs.
-
-    Test pairs keep only their score rows and filter masks; :func:`evaluate`
-    does their per-entity work.  The scores come from ``score_matrix`` (any row source, such as
-    :func:`models.import_scores` of a file), else from ``model``, trained here if none is given; a model's
-    rows are scored when a pass reads them (:class:`models.ModelScores`), and a binary score file's are read
-    from it (:class:`models.ScoreFile`), so no run holds all of them.  The predicate vectors come from
-    ``predicate_vectors`` (an array, or a sidecar file to import), else the model; KGError unless there is
-    one per KG predicate.
-    """
-    if kg is None:
-        kg = load_or_generate_kg(config, seed)
+def _query_sets(config: ExperimentConfig, kg: KnowledgeGraph):
+    """The calibration and test query sets, and the known sets that filter masks are built from."""
     calib = make_queries(kg.splits.get("valid", []), config.both_directions)
     test = make_queries(kg.splits.get("test", []), config.both_directions)
     if not len(calib) or not len(test):
         raise KGError("calibration or test split is empty")
     known = [make_queries(kg.splits.get("train", []), config.both_directions), calib, test] if config.filtered else []
+    return calib, test, known
 
+
+def _rows(source: models.RowSource, kg: KnowledgeGraph, *sets) -> list[np.ndarray]:
+    """``source.rows(*sets)``; KGError unless ``source`` has one score column per KG entity."""
+    rows = source.rows(*sets)
+    if source.n_entities != kg.vocab.n_entities:
+        raise KGError(f"{source.source}: {source.n_entities} score columns, "
+                      f"but the KG has {kg.vocab.n_entities} entities")
+    return rows
+
+
+def prepare_test(config: ExperimentConfig, seed: int, score_matrix: models.RowSource,
+                 kg: KnowledgeGraph | None = None) -> EvalData:
+    """What :func:`evaluate` reads, with no calibration pass: the test pairs' rows of ``score_matrix`` and masks.
+
+    Only the test queries must have rows in ``score_matrix``; :func:`evaluate` reads no other.
+    """
+    if kg is None:
+        kg = load_or_generate_kg(config, seed)
+    calib, test, known = _query_sets(config, kg)
+    (test_rows,) = _rows(score_matrix, kg, test)
+    return EvalData(kg, calib, test, score_matrix, test_rows, *filter_masks(test, known))
+
+
+def prepare_run(config: ExperimentConfig, seed: int,
+                score_matrix: models.RowSource | None = None,
+                model: models.EmbeddingModel | None = None,
+                kg: KnowledgeGraph | None = None,
+                predicate_vectors: np.ndarray | str | Path | None = None) -> RunData:
+    """What :func:`prepare_test` prepares, plus the calibration pass: everything calibration and evaluation read.
+
+    The scores come from ``score_matrix`` (any row source, such as
+    :func:`models.import_scores` of a file), else from ``model``, trained here if none is given; a model's
+    rows are scored when a pass reads them (:class:`models.ModelScores`), and a binary score file's are read
+    from it (:class:`models.ScoreFile`), so no run holds all of them.  Only condkgcp merges predicates, so
+    predicate vectors are read only when it is configured: from ``predicate_vectors`` (an array, or a
+    sidecar file to import), else the model; KGError unless there is one per KG predicate.
+    """
+    if kg is None:
+        kg = load_or_generate_kg(config, seed)
+    calib, test, known = _query_sets(config, kg)
     source = score_matrix
     if source is None:
         if model is None:
             model = models.train(kg, config.model_kind, config.train_config(seed),
                                  dim=config.dim, norm=config.transe_norm)
         source = models.ModelScores(model, calib, test)
-    calib_rows, test_rows = source.rows(calib, test)
-    if source.n_entities != kg.vocab.n_entities:
-        raise KGError(f"{source.source}: {source.n_entities} score columns, "
-                      f"but the KG has {kg.vocab.n_entities} entities")
+    calib_rows, test_rows = _rows(source, kg, calib, test)
+    pred_vecs = _predicate_vectors(kg, predicate_vectors, model) if "condkgcp" in config.methods else None
+    calib_nonconf, calib_ranks = answer_nonconf_and_ranks(config.scorer_config(seed), source, calib_rows,
+                                                          calib.answer, *filter_masks(calib, known))
+    # the test masks are built after the calibration pass, so the two are never held together
+    return RunData(kg, calib, test, source, test_rows, *filter_masks(test, known),
+                   calib_nonconf=calib_nonconf, calib_ranks=calib_ranks, predicate_vectors=pred_vecs, model=model)
 
+
+def _predicate_vectors(kg: KnowledgeGraph, predicate_vectors: np.ndarray | str | Path | None,
+                       model: models.EmbeddingModel | None) -> np.ndarray:
+    """One vector per KG predicate: ``predicate_vectors`` (an array, or a sidecar file to import), else the model's."""
     n_pred = kg.vocab.n_predicates
     if isinstance(predicate_vectors, (str, Path)):
         named, pred_vecs = str(predicate_vectors), models.import_predicate_vectors(predicate_vectors)
@@ -194,23 +234,7 @@ def prepare_run(config: ExperimentConfig, seed: int,
     if pred_vecs.shape[0] != n_pred:
         raise KGError(f"{named}: {pred_vecs.shape[0]} predicate vectors, but the KG has {n_pred} predicates "
                       "(rerun the 'score' stage)")
-
-    calib_nonconf, calib_ranks = answer_nonconf_and_ranks(config.scorer_config(seed), source, calib_rows,
-                                                          calib.answer, *filter_masks(calib, known))
-    mask_indptr, mask_indices = filter_masks(test, known)
-    return RunData(
-        kg=kg,
-        calib=calib,
-        test=test,
-        calib_nonconf=calib_nonconf,
-        calib_ranks=calib_ranks,
-        score_rows=source,
-        test_rows=test_rows,
-        mask_indptr=mask_indptr,
-        mask_indices=mask_indices,
-        predicate_vectors=pred_vecs,
-        model=model,
-    )
+    return pred_vecs
 
 
 def answer_nonconf_and_ranks(scorer: scores.ScorerConfig, source: models.RowSource, rows: np.ndarray,
@@ -255,7 +279,7 @@ def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: n
         yield block, nonconf, masked
 
 
-def _direction_groups(data: RunData, split_directions: bool):
+def _direction_groups(data: EvalData, split_directions: bool):
     """(direction, calib indices, test indices): one pool (direction None), or one per direction."""
     if not split_directions:
         yield None, np.arange(len(data.calib)), np.arange(len(data.test))
@@ -272,7 +296,7 @@ def _fitted_methods(config: ExperimentConfig) -> list[str]:
     return sorted(set(config.methods) | {"kgcp"})
 
 
-def calibration_keys(config: ExperimentConfig, data: RunData) -> list[tuple[str, str | None, float]]:
+def calibration_keys(config: ExperimentConfig, data: EvalData) -> list[tuple[str, str | None, float]]:
     """``(method, direction, epsilon)`` of every model :func:`calibrate` fits (direction None when pooled)."""
     groups = [direction for direction, _, _ in _direction_groups(data, config.split_directions)]
     return [(m, d, eps) for eps in config.epsilons for d in groups for m in _fitted_methods(config)]
@@ -313,7 +337,7 @@ def calibrate(config: ExperimentConfig, seed: int, data: RunData) -> dict[tuple,
     }
 
 
-def _outcomes(config: ExperimentConfig, seed: int, data: RunData,
+def _outcomes(config: ExperimentConfig, seed: int, data: EvalData,
               filters: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """Set size and answer hit of every test pair under each filter, in one blocked pass.
 
@@ -332,7 +356,7 @@ def _outcomes(config: ExperimentConfig, seed: int, data: RunData,
     return sizes, hits
 
 
-def _filters(data: RunData, groups: list,
+def _filters(data: EvalData, groups: list,
              group_models: list[conformal.CalibratedModel]) -> tuple[np.ndarray, np.ndarray]:
     """The per-test-pair filter of one model per direction group of ``groups`` (see :func:`_direction_groups`)."""
     n_entities = data.kg.vocab.n_entities
@@ -345,50 +369,44 @@ def _filters(data: RunData, groups: list,
     return thresholds, cutoffs
 
 
-def _prop1_bound_checks(model: conformal.CalibratedModel, data: RunData, direction: str | None,
-                        cal_idx: np.ndarray, test_idx: np.ndarray,
+def _prop1_bound_checks(model: conformal.CalibratedModel, direction: str | None, test_predicates: np.ndarray,
                         hits: np.ndarray) -> dict[tuple[str | None, int], bool]:
     """Point check of the per-part conditional coverage bounds on one direction group's test pairs.
 
     ``hits`` flags the group's test pairs whose set holds the answer.  Keyed
-    ``(direction, part)``; n_g counts the group's own calibration pairs.
+    ``(direction, part)``; n_g is the part's stored calibration count.
     """
-    calib_part = model.part_ids(data.calib.predicate[cal_idx])
-    test_part = model.part_ids(data.test.predicate[test_idx])
+    test_part = model.part_ids(test_predicates)
     checks: dict[tuple[str | None, int], bool] = {}
     for g in np.unique(test_part).tolist():
         flags = hits[test_part == g]
         pc = model.per_part[g]
-        n_g = int(np.count_nonzero(calib_part == g))
-        lower, upper = conformal.prop1_bounds(model.epsilon, model.gamma, pc.rank_miscoverage, n_g)
+        lower, upper = conformal.prop1_bounds(model.epsilon, model.gamma, pc.rank_miscoverage, pc.n_cal)
         slack = 3.0 * math.sqrt(0.25 / flags.size)  # binomial half-width at 3 SE
         cov = float(np.mean(flags))
         checks[(direction, g)] = (lower - slack) <= cov <= (upper + slack)
     return checks
 
 
-def evaluate(config: ExperimentConfig, seed: int, data: RunData,
+def evaluate(config: ExperimentConfig, seed: int, data: EvalData,
              fitted: dict[tuple, conformal.CalibratedModel]) -> list[metrics.EvaluationReport]:
     """Reports of the models :func:`calibrate` fitted, one per (epsilon, method).
 
     Each method's sets are scored against kgcp's (EF); condkgcp reports also
-    carry the shrinkage diagnostics, against the part-level mcp on the same
-    partition, and the Prop-1 bound checks.  No set is materialised: every
+    carry the shrinkage diagnostics, against each part's stored score-only
+    threshold (:func:`conformal.score_only`), and the Prop-1 bound checks.
+    Everything but the test pairs comes from the models, so ``data`` needs no
+    calibration pass (:func:`prepare_test`).  No set is materialised: every
     test pair reduces to its set size and answer hit (:func:`_outcomes`).
     """
     groups = list(_direction_groups(data, config.split_directions))
-    n_entities = data.kg.vocab.n_entities
-    # (label, epsilon) -> the model of each direction group; "part-mcp" is condkgcp's score-only reference
+    # (label, epsilon) -> the model of each direction group; "score-only" is condkgcp's sigma_g reference
     per_group: dict[tuple[str, float], list[conformal.CalibratedModel]] = {}
     for epsilon in config.epsilons:
         for method in _fitted_methods(config):
             per_group[(method, epsilon)] = [fitted[(method, direction, epsilon)] for direction, _, _ in groups]
         if "condkgcp" in config.methods:
-            per_group[("part-mcp", epsilon)] = [
-                conformal.fit_part_mcp(data.calib.predicate[cal_idx], data.calib_nonconf[cal_idx],
-                                       cond.partition, epsilon, n_entities)
-                for (_, cal_idx, _), cond in zip(groups, per_group[("condkgcp", epsilon)])
-            ]
+            per_group[("score-only", epsilon)] = [conformal.score_only(m) for m in per_group[("condkgcp", epsilon)]]
 
     sizes, hits = _outcomes(config, seed, data, [_filters(data, groups, fits) for fits in per_group.values()])
     outcome = {key: (sizes[f], hits[f]) for f, key in enumerate(per_group)}
@@ -405,13 +423,13 @@ def evaluate(config: ExperimentConfig, seed: int, data: RunData,
                 rep.ef = metrics.efficiency_rate(rep.covgap, rep.avesize, reference.covgap, reference.avesize)
             if method == "condkgcp":
                 dual_sizes, dual_hits = outcome[("condkgcp", epsilon)]
-                score_only_sizes = outcome[("part-mcp", epsilon)][0]
+                score_only_sizes = outcome[("score-only", epsilon)][0]
                 shrinkage = []
-                for (direction, cal_idx, test_idx), model in zip(groups, per_group[("condkgcp", epsilon)]):
-                    shrinkage.append(conformal.verify_shrinkage(
-                        model.partition, data.test.predicate[test_idx],
-                        dual_sizes[test_idx], score_only_sizes[test_idx]))
-                    rep.bound_checks.update(_prop1_bound_checks(model, data, direction, cal_idx, test_idx,
+                for (direction, _, test_idx), model in zip(groups, per_group[("condkgcp", epsilon)]):
+                    test_predicates = data.test.predicate[test_idx]
+                    shrinkage.append(conformal.verify_shrinkage(model.partition, test_predicates,
+                                                                dual_sizes[test_idx], score_only_sizes[test_idx]))
+                    rep.bound_checks.update(_prop1_bound_checks(model, direction, test_predicates,
                                                                 dual_hits[test_idx]))
                 rep.csr = float(np.nanmean([s.csr for s in shrinkage]))
                 rep.sigma_bar = float(np.nanmean([s.sigma_bar for s in shrinkage]))

@@ -162,11 +162,12 @@ def shrinkage_check(gamma: float = 0.5, epsilon: float = 0.1, n_resamples: int =
                     pool_size: int = 1500, phi: int = 50, seed: int = 2) -> CheckResult:
     """Whenever sigma_g <= 1 for every part, the dual-filter sets must be smaller on average.
 
-    The dual sets are condkgcp's; the score-only sets are the part-level mcp's
-    on the same partition, as in the evaluation.  sigma_bar is an unweighted
-    mean of the per-part ratios, so sigma_bar <= 1 does not imply a smaller
-    AveSize: how often the sign of (dual AveSize - score-only AveSize) agrees
-    with the sign of (sigma_bar - 1), and their correlation, are only reported.
+    The dual sets are condkgcp's; the score-only sets use each part's stored
+    full-rate threshold (``conformal.score_only``), as in the evaluation.
+    sigma_bar is an unweighted mean of the per-part ratios, so sigma_bar <= 1
+    does not imply a smaller AveSize: how often the sign of (dual AveSize -
+    score-only AveSize) agrees with the sign of (sigma_bar - 1), and their
+    correlation, are only reported.
     """
     rng = np.random.default_rng(seed)
     pool, nonconf = _pool(rng, n_parts, pool_size, n_entities)
@@ -175,9 +176,7 @@ def shrinkage_check(gamma: float = 0.5, epsilon: float = 0.1, n_resamples: int =
     for t in range(n_resamples):
         cal_idx, test_idx = _resample(rng, n_parts, pool_size, part_size)
         cond = experiment.METHODS["condkgcp"](pool, cal_idx, epsilon, gamma, phi)
-        mcp_star = conformal.fit_part_mcp(pool.calib.predicate[cal_idx], pool.calib_nonconf[cal_idx],
-                                          cond.partition, epsilon, n_entities)
-        sizes, _ = _outcomes(pool, nonconf, [cond, mcp_star], test_idx)
+        sizes, _ = _outcomes(pool, nonconf, [cond, conformal.score_only(cond)], test_idx)
         report = conformal.verify_shrinkage(cond.partition, pool.test.predicate[test_idx], *sizes)
         sigma_bars[t] = report.sigma_bar
         gaps[t] = np.mean(sizes[0]) - np.mean(sizes[1])

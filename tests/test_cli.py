@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgconformal import cli, models
+from kgconformal import cli, experiment, models
 from kgconformal.experiment import ExperimentConfig, load_or_generate_kg
 from kgconformal.kg import DIRECTIONS, Query, make_queries
 from kgconformal.models import (ScoreMatrix, export_predicate_vectors, export_scores, import_predicate_vectors,
@@ -57,6 +57,40 @@ def _with_parts(parts):
         doc["per_part"] = {str(g): doc["per_part"]["0"] for g in range(len(parts))}
         return json.dumps(doc)
     return edit
+
+
+def _without_part_counts(text):
+    """A saved model in the format before each part stored ``n_cal`` and ``score_only_threshold``."""
+    doc = json.loads(text)
+    for part in doc["per_part"].values():
+        del part["n_cal"], part["score_only_threshold"]
+    return json.dumps(doc)
+
+
+def evaluate_from_test_rows_only(config, monkeypatch):
+    """Staged ``evaluate`` on ``config`` (seed 0) with no model or sidecar file and a calibration pass that raises;
+    every score row it reads must be a test pair's, one read per test pair."""
+    out = Path(json.loads(config.read_text())["output_dir"])
+    for name in ("model_s0.npz", "predvecs_s0.bin"):
+        (out / name).unlink()
+
+    def no_calibration_pass(*args, **kw):
+        raise AssertionError("staged evaluate ran a calibration pass")
+
+    read = []
+    real_fill = models.ScoreFile.fill
+
+    def recording_fill(self, rows, buffer):
+        read.append(rows.copy())
+        return real_fill(self, rows, buffer)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiment, "answer_nonconf_and_ranks", no_calibration_pass)
+        patch.setattr(models.ScoreFile, "fill", recording_fill)
+        assert cli.main(["evaluate", "--config", str(config)]) == 0
+    kg = load_or_generate_kg(ExperimentConfig.load(config), 0)
+    (test_rows,) = import_scores(out / "scores_s0.bin").rows(make_queries(kg.splits["test"]))
+    assert np.array_equal(np.sort(np.concatenate(read)), np.sort(test_rows))
 
 
 @pytest.fixture(scope="module")
@@ -134,18 +168,21 @@ class TestPipeline:
 
 
 class TestStagedMatchesRun:
-    """generate -> train -> score -> calibrate -> evaluate writes what `run` writes."""
+    """generate -> train -> score -> calibrate -> evaluate writes what `run` writes; `evaluate` reads only the
+    calibrated files and the test pairs' score rows."""
 
     @pytest.mark.parametrize("extra", [{}, {"split_directions": True}, {"tune": True}],
                              ids=["pooled", "split-directions", "tune"])
-    def test_reports_byte_identical(self, tmp_path, dataset, extra):
+    def test_reports_byte_identical(self, tmp_path, dataset, monkeypatch, extra):
         outputs = {}
-        for mode, stages in (("staged", ("train", "score", "calibrate", "evaluate")), ("run", ("run",))):
+        for mode, stages in (("staged", ("train", "score", "calibrate")), ("run", ("run",))):
             root = tmp_path / mode
             root.mkdir()
             config = write_config(root, dataset, **extra)
             for stage in stages:
                 assert cli.main([stage, "--config", str(config)]) == 0
+            if mode == "staged":
+                evaluate_from_test_rows_only(config, monkeypatch)
             outputs[mode] = root / "out"
         for name in ("reports.csv", "summary.json"):
             assert (outputs["staged"] / name).read_bytes() == (outputs["run"] / name).read_bytes(), name
@@ -224,20 +261,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("keep", [slice(0, 2), slice(None)], ids=["truncated", "extra-row"])
     def test_predicate_vector_sidecar_row_count_names_file(self, tmp_path, dataset, capsys, keep):
+        """``calibrate`` names the sidecar; ``evaluate`` reads none, so its reports stay as they were."""
         config = write_config(tmp_path, dataset)
-        for stage in ("train", "score"):
+        for stage in ("train", "score", "calibrate", "evaluate"):
             assert cli.main([stage, "--config", str(config)]) == 0
+        reports = (tmp_path / "out" / "reports.csv").read_bytes()
         sidecar = tmp_path / "out" / "predvecs_s0.bin"
         vectors = import_predicate_vectors(sidecar)[keep]
         if keep == slice(None):
             vectors = np.vstack([vectors, vectors[:1]])
         export_predicate_vectors(vectors, sidecar)
         capsys.readouterr()
-        for stage in ("calibrate", "evaluate"):
-            assert cli.main([stage, "--config", str(config)]) == cli.EXIT_CONFIG
-            err = capsys.readouterr().err
-            assert (f"{sidecar}: {len(vectors)} predicate vectors, but the KG has 3 predicates "
-                    "(rerun the 'score' stage)") in err
+        assert cli.main(["calibrate", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert (f"{sidecar}: {len(vectors)} predicate vectors, but the KG has 3 predicates "
+                "(rerun the 'score' stage)") in capsys.readouterr().err
+        assert cli.main(["evaluate", "--config", str(config)]) == 0
+        assert (tmp_path / "out" / "reports.csv").read_bytes() == reports
 
     def test_non_finite_imported_score_names_file_and_query(self, tmp_path, dataset, capsys):
         config = write_config(tmp_path, dataset)
@@ -355,15 +394,33 @@ class TestExitCodes:
                 "in direction group 'tail'") in capsys.readouterr().err
 
     def test_missing_predicate_vector_sidecar_names_the_score_stage(self, tmp_path, dataset, capsys):
-        config = write_config(tmp_path, dataset, methods=["kgcp"])
-        for stage in ("train", "score"):
+        """condkgcp's ``calibrate`` names the missing sidecar; ``evaluate`` reads none, so its reports stay."""
+        config = write_config(tmp_path, dataset)
+        for stage in ("train", "score", "calibrate", "evaluate"):
             assert cli.main([stage, "--config", str(config)]) == 0
+        reports = (tmp_path / "out" / "reports.csv").read_bytes()
         sidecar = tmp_path / "out" / "predvecs_s0.bin"
         sidecar.unlink()
         capsys.readouterr()
-        for stage in ("calibrate", "evaluate"):
-            assert cli.main([stage, "--config", str(config)]) == cli.EXIT_CONFIG
-            assert f"error: missing predicate-vector artifact {sidecar} (rerun the 'score' stage)" in capsys.readouterr().err
+        assert cli.main(["calibrate", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert f"error: missing predicate-vector artifact {sidecar} (rerun the 'score' stage)" in capsys.readouterr().err
+        assert cli.main(["evaluate", "--config", str(config)]) == 0
+        assert (tmp_path / "out" / "reports.csv").read_bytes() == reports
+
+    def test_kgcp_and_mcp_need_no_predicate_vector_sidecar(self, tmp_path, dataset):
+        """Only condkgcp merges predicates: without it, staged stages with no sidecar write what ``run`` writes."""
+        outputs = {}
+        for mode, stages in (("staged", ("train", "score", "calibrate", "evaluate")), ("run", ("run",))):
+            root = tmp_path / mode
+            root.mkdir()
+            config = write_config(root, dataset, methods=["kgcp", "mcp"])
+            for stage in stages:
+                if stage == "calibrate":
+                    (root / "out" / "predvecs_s0.bin").unlink()
+                assert cli.main([stage, "--config", str(config)]) == 0
+            outputs[mode] = root / "out"
+        for name in ("reports.csv", "summary.json"):
+            assert (outputs["staged"] / name).read_bytes() == (outputs["run"] / name).read_bytes(), name
 
     def test_tune_without_a_model_names_the_model_and_the_train_stage(self, tmp_path, dataset, capsys):
         config = write_config(tmp_path, dataset, tune=True)
@@ -417,12 +474,13 @@ class TestExitCodes:
                               '"per_part": {"0": {"k_h', "current format"),
         ("kgcp", lambda text: '{"method": "kgcp", "epsilon": 0.1, "gamma": 0.0, "global_threshold": 0.5}',
          "older format"),
+        ("condkgcp", _without_part_counts, "missing key 'n_cal'"),
         ("mcp", _with_parts([[0], [1]]), "partition misses predicate 2 of 3"),
         ("mcp", _with_parts([[0], [2]]), "partition misses predicate 1"),
         ("mcp", _with_parts([[0], [1], [2], [3]]), "partition names predicate 3, but there are 3"),
         ("mcp", _with_parts([[0, 1], [1], [2]]), "partition parts overlap on predicates [1]"),
         ("mcp", _with_parts([[0], [1], [2], [-1]]), "partition lists negative predicate -1"),
-    ], ids=["missing-key", "truncated", "old-format", "part-dropped", "predicate-skipped", "predicate-past-kg",
+    ], ids=["missing-key", "truncated", "old-format", "without-part-counts", "part-dropped", "predicate-skipped", "predicate-past-kg",
             "predicate-repeated", "predicate-negative"])
     def test_malformed_calibrated_model_names_file(self, tmp_path, dataset, capsys, method, edit, message):
         config = write_config(tmp_path, dataset, methods=[method])

@@ -29,7 +29,7 @@ def thresholds(model):
 
 def pooled_score_only(threshold):
     """A kgcp-shaped model: one pooled part with a score threshold and no rank filter."""
-    return CalibratedModel(method="kgcp", epsilon=0.1, per_part={0: PartCalibration(None, 0.0, 0.1, threshold)})
+    return CalibratedModel(method="kgcp", epsilon=0.1, per_part={0: PartCalibration(None, 0.0, 0.1, threshold, 1, threshold)})
 
 
 def oracle_quantile(values, epsilon):

@@ -8,7 +8,9 @@ from kgconformal import conformal, experiment, models, scores
 from kgconformal.experiment import (
     ExperimentConfig,
     calibrate,
+    evaluate,
     prepare_run,
+    prepare_test,
     run_experiment,
     run_single,
     tune_condkgcp,
@@ -127,6 +129,33 @@ class TestPrepareRun:
     def test_unfiltered_masks_empty(self):
         data = prepare_run(tiny_config(filtered=False), 0)
         assert not data.mask_indptr.any() and data.mask_indices.size == 0
+
+    def test_kgcp_and_mcp_need_no_predicate_vectors(self):
+        """Only condkgcp merges predicates, so imported scores with no model or vectors serve kgcp and mcp."""
+        trained = prepare_run(tiny_config(), 0)
+        matrix = in_memory(ModelScores(trained.model, trained.calib, trained.test))
+        config = tiny_config(methods=["kgcp", "mcp"])
+        data = prepare_run(config, 0, score_matrix=matrix)
+        assert data.predicate_vectors is None
+        reports = run_single(config, 0, data=data)
+        assert [repr(r) for r in reports] == [repr(r) for r in run_single(config, 0, data=trained)]
+        with pytest.raises(KGError, match="^condkgcp merging needs a trained model or a predicate-vector sidecar"):
+            prepare_run(tiny_config(), 0, score_matrix=matrix)
+
+
+class TestPrepareTest:
+    @pytest.mark.parametrize("split_directions", [False, True], ids=["pooled", "split"])
+    def test_test_rows_alone_evaluate_as_the_full_run(self, split_directions):
+        """Scores of the test queries only: no calibration pass can run, and the reports equal the full run's."""
+        config = tiny_config(split_directions=split_directions, scorer={"kind": "aps"})
+        data = prepare_run(config, 0)
+        fitted = calibrate(config, 0, data)
+        test_only = in_memory(ModelScores(data.model, data.test))
+        assert len(test_only.queries) < len(data.score_rows.queries)
+        with pytest.raises(KGError, match="^score matrix: missing scores for"):
+            prepare_run(config, 0, score_matrix=test_only, model=data.model)
+        reports = evaluate(config, 0, prepare_test(config, 0, test_only), fitted)
+        assert [repr(r) for r in reports] == [repr(r) for r in evaluate(config, 0, data, fitted)]
 
 
 class TestMemory:

@@ -1,7 +1,8 @@
 """Property tests: ranks and rank cuts under tied scores, the calibration rank cutoff, the conformal
-quantile, the predicate partition under tied distances, the calibrated-model and predicate-vector
-files (round trip and truncation), the negative sampler against its per-candidate loop, the columnar queries, filter
-masks and score export against their per-pair versions, and score-file rows read on demand against the matrix."""
+quantile, the predicate partition under tied distances, the stored per-part counts and score-only
+thresholds against their refit, the calibrated-model and predicate-vector files (round trip and
+truncation), the negative sampler against its per-candidate loop, the columnar queries, filter masks
+and score export against their per-pair versions, and score-file rows read on demand against the matrix."""
 
 import math
 import re
@@ -20,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 from kgconformal import experiment, models
 from kgconformal.conformal import (CalibratedModel, PartCalibration, PredicatePartition, build_partition,
-                                   fit_condkgcp, quantile, rank_threshold)
+                                   fit_condkgcp, fit_part_mcp, quantile, query_filters, rank_threshold, score_only)
 from kgconformal.kg import DIRECTIONS, KGError, Query, Triple, filter_masks, make_queries, rank_cuts, rank_of
 from kgconformal.models import (ScoreFile, ScoreMatrix, _sample_negatives, _triple_keys, export_predicate_vectors,
                                 export_scores, import_predicate_vectors, import_scores)
@@ -143,6 +144,16 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
+def shuffled_partitions(draw, n_pred: int):
+    """A partition of predicates ``0..n_pred-1`` into consecutive runs of a shuffled order."""
+    order = draw(st.permutations(range(n_pred)))
+    splits = draw(st.lists(st.booleans(), min_size=n_pred - 1, max_size=n_pred - 1))
+    cuts = [i for i, split in enumerate(splits, start=1) if split]
+    parts = [sorted(order[a:b]) for a, b in zip([0] + cuts, cuts + [n_pred])]
+    return PredicatePartition(parts=parts, phi=draw(st.integers(1, 500)))
+
+
+@st.composite
 def calibrated_models(draw):
     """A kgcp, mcp or condkgcp model: a shuffled partition, +inf thresholds, None cutoffs and warnings."""
     method = draw(st.sampled_from(["kgcp", "mcp", "condkgcp"]))
@@ -152,17 +163,15 @@ def calibrated_models(draw):
     elif method == "mcp":
         partition = PredicatePartition(parts=[[r] for r in range(n_pred)], phi=0)
     else:
-        order = draw(st.permutations(range(n_pred)))
-        splits = draw(st.lists(st.booleans(), min_size=n_pred - 1, max_size=n_pred - 1))
-        cuts = [i for i, split in enumerate(splits, start=1) if split]
-        parts = [sorted(order[a:b]) for a, b in zip([0] + cuts, cuts + [n_pred])]
-        partition = PredicatePartition(parts=parts, phi=draw(st.integers(1, 500)))
+        partition = draw(shuffled_partitions(n_pred))
     per_part = {
         g: PartCalibration(
             rank_cutoff=None if method != "condkgcp" else draw(st.none() | st.integers(1, 10**6)),
             rank_miscoverage=draw(_finite),
             adjusted_epsilon=draw(_finite),
             score_threshold=draw(_finite | st.just(math.inf)),
+            n_cal=draw(st.integers(0, 10**9)),
+            score_only_threshold=draw(_finite | st.just(math.inf)),
         )
         for g in range(1 if partition is None else len(partition.parts))
     }
@@ -177,6 +186,38 @@ def test_calibrated_model_json_round_trip(model):
     if model.partition is not None:
         for g, part in enumerate(model.partition.parts):
             assert restored.part_ids(part).tolist() == [g] * len(part)
+
+
+@st.composite
+def calibration_case(draw):
+    """Calibration predicates (some predicates with no pair, so parts can be empty), tied nonconformity values,
+    ranks, a partition of the predicates, epsilon and gamma."""
+    n_pred = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 40))
+    predicates = np.array(draw(st.lists(st.integers(0, n_pred - 1), min_size=n, max_size=n)), dtype=np.int64)
+    nonconf = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=np.float64) / 4
+    ranks = np.array(draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)), dtype=np.int64)
+    epsilon = draw(st.integers(1, 999)) / 1000
+    gamma = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return predicates, nonconf, ranks, draw(shuffled_partitions(n_pred)), epsilon, gamma
+
+
+@given(calibration_case())
+def test_stored_part_counts_and_score_only_thresholds_equal_the_part_mcp_refit(case):
+    """What evaluation reads from a condkgcp model, ``n_cal`` and the score-only filter, equals what it used to
+    recount and refit: each part's calibration pairs and ``fit_part_mcp`` on the same partition."""
+    predicates, nonconf, ranks, partition, epsilon, gamma = case
+    n_entities = 12
+    cond = fit_condkgcp(predicates, nonconf, ranks, partition, epsilon, gamma)
+    star = fit_part_mcp(predicates, nonconf, partition, epsilon, n_entities)
+    counts = np.bincount(partition.part_of[predicates], minlength=len(partition.parts))
+    for g, pc in cond.per_part.items():
+        assert pc.n_cal == counts[g]
+        assert pc.score_only_threshold == star.per_part[g].score_threshold
+    every = np.arange(partition.part_of.size)
+    for ours, reference in zip(query_filters(score_only(cond), every, n_entities),
+                               query_filters(star, every, n_entities)):
+        assert np.array_equal(ours, reference)
 
 
 def test_every_truncation_of_a_calibrated_file_names_it(tmp_path):
