@@ -121,15 +121,11 @@ def cmd_calibrate(args) -> int:
     config = _load_config(args)
     out = Path(config.output_dir)
     _echo_config(config, out)
-    merging = "condkgcp" in config.methods  # only condkgcp reads predicate vectors, and only it is tuned
+    merging = "condkgcp" in config.methods  # only condkgcp reads predicate vectors
     for seed in config.seeds:
         scores_file = _artifact("score", _scores_path(out, seed), "score")
         vectors = _artifact("predicate-vector", _predvecs_path(out, seed), "score") if merging else None
-        model = None
-        if merging and config.tune:  # tuning scores training queries, so it needs the model
-            model = models.load_model(_artifact("model", _model_path(out, seed), "train"))
-        data = prepare_run(config, seed, score_matrix=models.import_scores(scores_file), model=model,
-                           predicate_vectors=vectors)
+        data = prepare_run(config, seed, score_matrix=models.import_scores(scores_file), predicate_vectors=vectors)
         fitted = calibrate(config, seed, data)
         for key, calibrated in fitted.items():
             calibrated.save(_calibrated_path(out, seed, *key))
@@ -146,14 +142,16 @@ def cmd_evaluate(args) -> int:
     for seed in config.seeds:
         data = prepare_test(config, seed, models.import_scores(_artifact("score", _scores_path(out, seed), "score")))
         fitted = {}
-        for key in calibration_keys(config, data):
-            path = _artifact("calibrated-model", _calibrated_path(out, seed, *key), "calibrate")
-            fitted[key] = model = conformal.CalibratedModel.load(path)
-            if model.partition is not None:
-                try:
+        for method, direction, epsilon in calibration_keys(config, data):
+            path = _artifact("calibrated-model", _calibrated_path(out, seed, method, direction, epsilon), "calibrate")
+            fitted[(method, direction, epsilon)] = model = conformal.CalibratedModel.load(path)
+            try:
+                if (model.method, model.epsilon) != (method, epsilon):
+                    raise ValueError(f"holds {model.method} at epsilon {model.epsilon:g}, not {method} at {epsilon:g}")
+                if model.partition is not None:
                     model.partition.validate(data.kg.vocab.n_predicates)
-                except ValueError as exc:
-                    raise StageError(f"{path}: {exc}", rerun="calibrate") from exc
+            except ValueError as exc:
+                raise StageError(f"{path}: {exc}", rerun="calibrate") from exc
         reports.extend(evaluate(config, seed, data, fitted))
 
     rows = metrics.aggregate_rows(reports)
@@ -253,10 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KGError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except StageError as exc:
+    except (KGError, ValueError, FileNotFoundError, StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (models.TrainingDiverged, FloatingPointError) as exc:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ __all__ = ["METHODS", "EvalData", "ExperimentConfig", "RunData", "answer_nonconf
 DEFAULT_GAMMA_GRID = (0.01, 0.1, 0.5)
 DEFAULT_PHI_GRID = (20, 50, 100, 200)
 EVAL_BLOCK_ROWS = 256  # pairs per block of the calibration and the evaluation pass (see _score_blocks)
+TUNE_CUTS = (0.25, 0.5)  # under tune, the shares of a direction group's calibration pairs that fit, then score the grid
 
 
 @dataclass
@@ -139,7 +140,6 @@ class RunData(EvalData):
     calib_nonconf: np.ndarray     # nonconformity of the true calibration answers
     calib_ranks: np.ndarray       # filtered rank of the true calibration answers
     predicate_vectors: np.ndarray | None = None  # None unless condkgcp is configured
-    model: models.EmbeddingModel | None = None
 
 
 def load_or_generate_kg(config: ExperimentConfig, seed: int) -> KnowledgeGraph:
@@ -191,15 +191,15 @@ def prepare_run(config: ExperimentConfig, seed: int,
                 score_matrix: models.RowSource | None = None,
                 model: models.EmbeddingModel | None = None,
                 kg: KnowledgeGraph | None = None,
-                predicate_vectors: np.ndarray | str | Path | None = None) -> RunData:
+                predicate_vectors: str | Path | None = None) -> RunData:
     """What :func:`prepare_test` prepares, plus the calibration pass: everything calibration and evaluation read.
 
     The scores come from ``score_matrix`` (any row source, such as
     :func:`models.import_scores` of a file), else from ``model``, trained here if none is given; a model's
     rows are scored when a pass reads them (:class:`models.ModelScores`), and a binary score file's are read
     from it (:class:`models.ScoreFile`), so no run holds all of them.  Only condkgcp merges predicates, so
-    predicate vectors are read only when it is configured: from ``predicate_vectors`` (an array, or a
-    sidecar file to import), else the model; KGError unless there is one per KG predicate.
+    predicate vectors are read only when it is configured: from the ``predicate_vectors`` sidecar file,
+    else the model; KGError unless there is one per KG predicate.
     """
     if kg is None:
         kg = load_or_generate_kg(config, seed)
@@ -216,17 +216,15 @@ def prepare_run(config: ExperimentConfig, seed: int,
                                                           calib.answer, *filter_masks(calib, known))
     # the test masks are built after the calibration pass, so the two are never held together
     return RunData(kg, calib, test, source, test_rows, *filter_masks(test, known),
-                   calib_nonconf=calib_nonconf, calib_ranks=calib_ranks, predicate_vectors=pred_vecs, model=model)
+                   calib_nonconf=calib_nonconf, calib_ranks=calib_ranks, predicate_vectors=pred_vecs)
 
 
-def _predicate_vectors(kg: KnowledgeGraph, predicate_vectors: np.ndarray | str | Path | None,
+def _predicate_vectors(kg: KnowledgeGraph, sidecar: str | Path | None,
                        model: models.EmbeddingModel | None) -> np.ndarray:
-    """One vector per KG predicate: ``predicate_vectors`` (an array, or a sidecar file to import), else the model's."""
+    """One vector per KG predicate: the ``sidecar`` file's, else the model's."""
     n_pred = kg.vocab.n_predicates
-    if isinstance(predicate_vectors, (str, Path)):
-        named, pred_vecs = str(predicate_vectors), models.import_predicate_vectors(predicate_vectors)
-    elif predicate_vectors is not None:
-        named, pred_vecs = "predicate vectors", predicate_vectors
+    if sidecar is not None:
+        named, pred_vecs = str(sidecar), models.import_predicate_vectors(sidecar)
     elif model is not None:
         named, pred_vecs = "model", np.stack([models.predicate_vector(model, r) for r in range(n_pred)])
     else:
@@ -247,7 +245,7 @@ def answer_nonconf_and_ranks(scorer: scores.ScorerConfig, source: models.RowSour
     """
     nonconf_at = np.empty(rows.shape[0])
     ranks = np.empty(rows.shape[0], dtype=np.int64)
-    for block, nonconf, masked in _score_blocks(scorer, source, rows, indptr, indices, offset=0):
+    for block, nonconf, masked in _score_blocks(scorer, source, rows, indptr, indices, np.arange(rows.shape[0])):
         at_answer = (np.arange(block.size), answers[block])
         nonconf_at[block] = nonconf[at_answer]
         ranks[block] = np.count_nonzero(masked >= masked[at_answer][:, None], axis=1)
@@ -255,13 +253,13 @@ def answer_nonconf_and_ranks(scorer: scores.ScorerConfig, source: models.RowSour
 
 
 def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: np.ndarray,
-                  indptr: np.ndarray, indices: np.ndarray, offset: int):
+                  indptr: np.ndarray, indices: np.ndarray, draws: np.ndarray):
     """Yield ``(block, nonconf, masked)`` per block of ``EVAL_BLOCK_ROWS`` pairs; pair ``j`` reads row ``rows[j]``.
 
     The pairs are visited in stable ``rows`` order, so the pairs of one query are adjacent and a model source
     scores each query once per block.  ``block`` holds the block's pair indices.  ``nonconf`` row ``i`` draws as
-    query ``offset + block[i]``, so every APS/RAPS pair draws its own u; ``masked`` rows have the pair's CSR mask
-    at -inf.  Both are views of one buffer the next block overwrites.
+    query ``draws[block[i]]``, so a pair keeps its APS/RAPS u in every pass that gives it the same draw index;
+    ``masked`` rows have the pair's CSR mask at -inf.  Both are views of one buffer the next block overwrites.
     """
     n = rows.shape[0]
     order = np.argsort(rows, kind="stable")
@@ -270,8 +268,8 @@ def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: n
         block = order[start : start + EVAL_BLOCK_ROWS]
         masked, nonconf = buffers[:, : block.size]
         source.fill(rows[block], masked)
-        for i, j in enumerate(block.tolist()):
-            nonconf[i] = scores.nonconformity(masked[i], scorer, query_index=offset + j)
+        for i, q in enumerate(draws[block].tolist()):
+            nonconf[i] = scores.nonconformity(masked[i], scorer, query_index=q)
         lo, counts = indptr[block], indptr[block + 1] - indptr[block]
         # position of each masked entity in ``indices``: pair i's slice lo[i] + 0, 1, ..., counts[i] - 1
         at = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
@@ -324,25 +322,26 @@ METHODS = {
 def calibrate(config: ExperimentConfig, seed: int, data: RunData) -> dict[tuple, conformal.CalibratedModel]:
     """Fit every model of :func:`calibration_keys` on its direction group's calibration pairs.
 
-    condkgcp uses the config's (gamma, phi); with ``config.tune`` they are
-    grid-selected by :func:`tune_condkgcp` instead.
+    condkgcp uses the config's (gamma, phi).  With ``config.tune`` and condkgcp,
+    :func:`tune_condkgcp` selects them on held-out calibration pairs, and every
+    method calibrates on the pairs it leaves over.
     """
     gamma, phi = config.gamma, config.phi
-    if config.tune and "condkgcp" in config.methods:
-        gamma, phi = tune_condkgcp(config, seed, data)
     cal_idx = {direction: idx for direction, idx, _ in _direction_groups(data, config.split_directions)}
+    if config.tune and "condkgcp" in config.methods:
+        gamma, phi, cal_idx = tune_condkgcp(config, seed, data)
     return {
         (method, direction, epsilon): METHODS[method](data, cal_idx[direction], epsilon, gamma, phi, direction)
         for method, direction, epsilon in calibration_keys(config, data)
     }
 
 
-def _outcomes(config: ExperimentConfig, seed: int, data: EvalData,
-              filters: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+def _outcomes(config: ExperimentConfig, seed: int, data: EvalData, filters: list[tuple[np.ndarray, np.ndarray]],
+              draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Set size and answer hit of every test pair under each filter, in one blocked pass.
 
     A filter is a per-test-pair (score threshold, rank cutoff) pair of arrays.
-    Each block of :func:`_score_blocks` (test pair ``j`` draws as query ``len(calib) + j``) is reduced
+    Each block of :func:`_score_blocks` (test pair ``j`` draws as query ``draws[j]``) is reduced
     by :func:`conformal.set_outcomes`.  Returns ``(sizes, hits)``, each shaped ``(len(filters), n_test)``.
     """
     thresholds = np.stack([t for t, _ in filters])
@@ -350,7 +349,7 @@ def _outcomes(config: ExperimentConfig, seed: int, data: EvalData,
     sizes = np.empty(thresholds.shape, dtype=np.int64)
     hits = np.empty(thresholds.shape, dtype=bool)
     for block, nonconf, masked in _score_blocks(config.scorer_config(seed), data.score_rows, data.test_rows,
-                                                data.mask_indptr, data.mask_indices, offset=len(data.calib)):
+                                                data.mask_indptr, data.mask_indices, draws):
         sizes[:, block], hits[:, block] = conformal.set_outcomes(nonconf, masked, data.test.answer[block],
                                                                  thresholds[:, block], cutoffs[:, block])
     return sizes, hits
@@ -408,7 +407,8 @@ def evaluate(config: ExperimentConfig, seed: int, data: EvalData,
         if "condkgcp" in config.methods:
             per_group[("score-only", epsilon)] = [conformal.score_only(m) for m in per_group[("condkgcp", epsilon)]]
 
-    sizes, hits = _outcomes(config, seed, data, [_filters(data, groups, fits) for fits in per_group.values()])
+    sizes, hits = _outcomes(config, seed, data, [_filters(data, groups, fits) for fits in per_group.values()],
+                            len(data.calib) + np.arange(len(data.test)))
     outcome = {key: (sizes[f], hits[f]) for f, key in enumerate(per_group)}
 
     reports: list[metrics.EvaluationReport] = []
@@ -444,46 +444,49 @@ def run_single(config: ExperimentConfig, seed: int, data: RunData | None = None)
     return evaluate(config, seed, data, calibrate(config, seed, data))
 
 
-def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData,
-                  gamma_grid=DEFAULT_GAMMA_GRID, phi_grid=DEFAULT_PHI_GRID) -> tuple[float, int]:
-    """Grid-select (gamma, phi) on a held-out slice of the training split, at the first epsilon.
-
-    Two disjoint samples of training triples, each sized like the calibration
-    set, stand in for calibration and test.  kgcp, the EF reference, and
-    condkgcp at every grid point with phi at most each direction group's
-    largest predicate count are fitted per direction group at ``config.epsilons[0]`` only, and one
-    :func:`_outcomes` pass evaluates all their filters.  Points rank by
-    ``config.tune_objective`` (by default EF against kgcp with a CovGap
-    tiebreak, failures last); the first best point, in phi-then-gamma order,
-    serves every epsilon.
-    """
+def _tuning_split(groups: list, seed: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each direction group's calibration indices, permuted once in group order by one ``default_rng(seed + 7)``
+    and cut at ``TUNE_CUTS`` into sorted (fitting, scored, calibrating) index sets."""
     rng = np.random.default_rng(seed + 7)
-    train_triples = list(data.kg.splits.get("train", []))
-    if not train_triples:
-        raise KGError("tuning needs a non-empty training split")
-    want = max(2, min(len(data.kg.splits.get("valid", [])), len(train_triples) // 2))
-    order = rng.permutation(len(train_triples))
-    tune_kg = KnowledgeGraph(vocab=data.kg.vocab, splits={
-        "train": data.kg.splits["train"],
-        "valid": [train_triples[i] for i in order[:want]],
-        "test": [train_triples[i] for i in order[want : 2 * want]],
-    })
-    if data.model is None:
-        raise KGError("tuning scores training queries, so it needs the trained model")
-    tune_data = prepare_run(config, seed, model=data.model, kg=tune_kg, predicate_vectors=data.predicate_vectors)
+    return [tuple(np.sort(part) for part in np.split(rng.permutation(idx), [int(idx.size * f) for f in TUNE_CUTS]))
+            for _, idx, _ in groups]
 
-    groups = list(_direction_groups(tune_data, config.split_directions))
-    max_count = min((int(np.bincount(tune_data.calib.predicate[cal_idx]).max()) for _, cal_idx, _ in groups),
-                    default=0)
-    grid = [(gamma, phi) for phi in phi_grid if phi <= max_count for gamma in gamma_grid]
+
+def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData, gamma_grid=DEFAULT_GAMMA_GRID,
+                  phi_grid=DEFAULT_PHI_GRID) -> tuple[float, int, dict[str | None, np.ndarray]]:
+    """Grid-select (gamma, phi) on held-out calibration pairs; return it and each group's pairs to calibrate on.
+
+    The grid keeps the phi every group reaches in both its fitting and its
+    calibrating pairs (:func:`_tuning_split`); with none left, the config's
+    (gamma, phi) and all pairs come back.  kgcp, the EF reference, and condkgcp
+    at each grid point are fitted on the fitting pairs at ``config.epsilons[0]``,
+    and one :func:`_outcomes` pass scores their filters on the scored pairs,
+    each drawing as its calibration index.  Points rank by ``config.tune_objective``
+    (by default EF with a CovGap tiebreak, failures last); the first best, in
+    phi-then-gamma order, serves every epsilon.
+    """
+    groups = list(_direction_groups(data, config.split_directions))
+    split = _tuning_split(groups, seed)
+    predicates = data.calib.predicate
+    reach = min(np.bincount(predicates[idx], minlength=1).max() for fit, _, cal in split for idx in (fit, cal))
+    grid = [(gamma, phi) for phi in phi_grid if phi <= reach for gamma in gamma_grid]
     if not grid:
-        return config.gamma, config.phi
+        return config.gamma, config.phi, {direction: idx for direction, idx, _ in groups}
     epsilon = config.epsilons[0]
-    fitted = [[conformal.fit_kgcp(tune_data.calib_nonconf[cal_idx], epsilon) for _, cal_idx, _ in groups]]
-    fitted += [[_fit_condkgcp(tune_data, cal_idx, epsilon, gamma, phi, direction)
-                for direction, cal_idx, _ in groups] for gamma, phi in grid]
-    sizes, hits = _outcomes(config, seed, tune_data, [_filters(tune_data, groups, fits) for fits in fitted])
-    reference, *reps = [metrics.evaluate_outcomes("tune", epsilon, seed, tune_data.test.predicate, size, hit,
+    fitted = [[conformal.fit_kgcp(data.calib_nonconf[fit], epsilon) for fit, _, _ in split]]
+    fitted += [[_fit_condkgcp(data, fit, epsilon, gamma, phi, direction)
+                for (direction, _, _), (fit, _, _) in zip(groups, split)] for gamma, phi in grid]
+
+    # a view whose test pairs are the scored pairs, so its direction groups are theirs, in the same order
+    scored = np.concatenate([held for _, held, _ in split])
+    pairs = QueryAnswerSet(*(getattr(data.calib, f.name)[scored] for f in fields(QueryAnswerSet)))
+    (rows,) = _rows(data.score_rows, data.kg, pairs)
+    indptr, indices = filter_masks(pairs, _query_sets(config, data.kg)[2])
+    held_out = replace(data, test=pairs, test_rows=rows, mask_indptr=indptr, mask_indices=indices)
+    scored_groups = list(_direction_groups(held_out, config.split_directions))
+    sizes, hits = _outcomes(config, seed, held_out, [_filters(held_out, scored_groups, fits) for fits in fitted],
+                            scored)
+    reference, *reps = [metrics.evaluate_outcomes("tune", epsilon, seed, pairs.predicate, size, hit,
                                                   config.macro_avesize) for size, hit in zip(sizes, hits)]
 
     def objective(rep: metrics.EvaluationReport) -> tuple[float, float]:
@@ -494,7 +497,8 @@ def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData,
         ef = metrics.efficiency_rate(rep.covgap, rep.avesize, reference.covgap, reference.avesize)
         return (ef if isinstance(ef, float) else math.inf), rep.covgap
 
-    return grid[min(range(len(grid)), key=lambda i: objective(reps[i]))]
+    gamma, phi = grid[min(range(len(grid)), key=lambda i: objective(reps[i]))]
+    return gamma, phi, {direction: cal for (direction, _, _), (_, _, cal) in zip(groups, split)}
 
 
 def run_experiment(config: ExperimentConfig):

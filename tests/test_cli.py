@@ -72,7 +72,7 @@ def evaluate_from_test_rows_only(config, monkeypatch):
     every score row it reads must be a test pair's, one read per test pair."""
     out = Path(json.loads(config.read_text())["output_dir"])
     for name in ("model_s0.npz", "predvecs_s0.bin"):
-        (out / name).unlink()
+        (out / name).unlink(missing_ok=True)
 
     def no_calibration_pass(*args, **kw):
         raise AssertionError("staged evaluate ran a calibration pass")
@@ -167,21 +167,37 @@ class TestPipeline:
         assert json.loads((tmp_path / "out" / "config.json").read_text())["dataset"] == str(dataset)
 
 
+def assert_tuned(config):
+    """The pooled calibrated files of ``config`` (seed 0) count the calibrating half of the calibration pairs alone,
+    as they do when the tuning grid keeps a point."""
+    out = Path(json.loads(config.read_text())["output_dir"])
+    n_calib = 2 * len(load_or_generate_kg(ExperimentConfig.load(config), 0).splits["valid"])
+    for method in ("kgcp", "mcp", "condkgcp"):
+        saved = json.loads((out / f"calibrated_{method}_e0.1_s0.json").read_text())
+        assert sum(part["n_cal"] for part in saved["per_part"].values()) == n_calib - n_calib // 2, method
+
+
 class TestStagedMatchesRun:
-    """generate -> train -> score -> calibrate -> evaluate writes what `run` writes; `evaluate` reads only the
-    calibrated files and the test pairs' score rows."""
+    """generate -> train -> score -> calibrate -> evaluate writes what `run` writes; `calibrate` reads no model,
+    and `evaluate` reads only the calibrated files and the test pairs' score rows."""
 
     @pytest.mark.parametrize("extra", [{}, {"split_directions": True}, {"tune": True}],
                              ids=["pooled", "split-directions", "tune"])
-    def test_reports_byte_identical(self, tmp_path, dataset, monkeypatch, extra):
+    def test_reports_byte_identical(self, tmp_path, request, monkeypatch, extra):
+        """``tune`` runs on the parity dataset, where the default grid keeps phi 20 and half the pairs calibrate."""
+        dataset = request.getfixturevalue("parity_dataset" if extra.get("tune") else "dataset")
         outputs = {}
         for mode, stages in (("staged", ("train", "score", "calibrate")), ("run", ("run",))):
             root = tmp_path / mode
             root.mkdir()
             config = write_config(root, dataset, **extra)
             for stage in stages:
+                if stage == "calibrate":
+                    (root / "out" / "model_s0.npz").unlink()
                 assert cli.main([stage, "--config", str(config)]) == 0
             if mode == "staged":
+                if extra.get("tune"):
+                    assert_tuned(config)
                 evaluate_from_test_rows_only(config, monkeypatch)
             outputs[mode] = root / "out"
         for name in ("reports.csv", "summary.json"):
@@ -196,12 +212,20 @@ class TestImportedScores:
     def test_exported_matrix_and_sidecar_give_the_reports_of_run(self, tmp_path, dataset):
         """Score and sidecar files written from Python into a directory with no model: staged ``calibrate`` and
         ``evaluate`` write what ``run`` writes on the model the scores came from."""
+        self.imported_matches_run(tmp_path, dataset)
+
+    def test_tune_needs_no_model_either(self, tmp_path, parity_dataset):
+        """Under ``tune``, on a dataset where the default grid keeps a point, the imported files still suffice."""
+        assert_tuned(self.imported_matches_run(tmp_path, parity_dataset, tune=True))
+
+    @staticmethod
+    def imported_matches_run(tmp_path, dataset, **extra):
         roots = {name: tmp_path / name for name in ("trained", "imported", "run")}
         for root in roots.values():
             root.mkdir()
-        assert cli.main(["train", "--config", str(write_config(roots["trained"], dataset))]) == 0
+        assert cli.main(["train", "--config", str(write_config(roots["trained"], dataset, **extra))]) == 0
         model = load_model(roots["trained"] / "out" / "model_s0.npz")
-        config = write_config(roots["imported"], dataset)
+        config = write_config(roots["imported"], dataset, **extra)
         kg = load_or_generate_kg(ExperimentConfig.load(config), 0)
         out = roots["imported"] / "out"
         out.mkdir()
@@ -212,9 +236,10 @@ class TestImportedScores:
         for stage in ("calibrate", "evaluate"):
             assert cli.main([stage, "--config", str(config)]) == 0
         assert not (out / "model_s0.npz").exists()
-        assert cli.main(["run", "--config", str(write_config(roots["run"], dataset))]) == 0
+        assert cli.main(["run", "--config", str(write_config(roots["run"], dataset, **extra))]) == 0
         for name in ("reports.csv", "summary.json"):
             assert (out / name).read_bytes() == (roots["run"] / "out" / name).read_bytes(), name
+        return config
 
 
 class TestExitCodes:
@@ -372,7 +397,8 @@ class TestExitCodes:
         assert f"error: {scores_file}: score row of query" in err and "cut short" in err
 
     def test_tune_with_split_directions_exits_0_with_a_phi_every_group_reaches(self, tmp_path, parity_dataset):
-        """On the parity dataset the pooled tuning pairs admit phi 50, which the tail group's 35 cannot reach."""
+        """On the parity dataset each direction group's fitting quarter reaches at most 11 pairs of a predicate, so
+        the default grid keeps no phi and every group calibrates on all its pairs with the config's phi 20."""
         config = write_config(tmp_path, parity_dataset, tune=True, phi=20)
         for stage in ("train", "score", "calibrate"):
             assert cli.main([stage, "--config", str(config), "--split-directions"]) == 0
@@ -421,16 +447,6 @@ class TestExitCodes:
             outputs[mode] = root / "out"
         for name in ("reports.csv", "summary.json"):
             assert (outputs["staged"] / name).read_bytes() == (outputs["run"] / name).read_bytes(), name
-
-    def test_tune_without_a_model_names_the_model_and_the_train_stage(self, tmp_path, dataset, capsys):
-        config = write_config(tmp_path, dataset, tune=True)
-        for stage in ("train", "score"):
-            assert cli.main([stage, "--config", str(config)]) == 0
-        model_file = tmp_path / "out" / "model_s0.npz"
-        model_file.unlink()
-        capsys.readouterr()
-        assert cli.main(["calibrate", "--config", str(config)]) == cli.EXIT_CONFIG
-        assert f"error: missing model artifact {model_file} (rerun the 'train' stage)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("changes, message", [
         ({"foo": 1}, "config has unknown keys: foo"),
@@ -492,6 +508,21 @@ class TestExitCodes:
         assert cli.main(["evaluate", "--config", str(config)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(artifact) in err and "rerun the 'calibrate' stage" in err and message in err
+
+    @pytest.mark.parametrize("source, target", [("kgcp_e0.1", "kgcp_e0.3"), ("mcp_e0.1", "kgcp_e0.1")],
+                             ids=["epsilon", "method"])
+    def test_calibrated_file_of_another_key_names_file(self, tmp_path, dataset, capsys, source, target):
+        config = write_config(tmp_path, dataset, methods=["kgcp", "mcp"], epsilons=[0.1, 0.3])
+        for stage in ("train", "score", "calibrate"):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        artifact = tmp_path / "out" / f"calibrated_{target}_s0.json"
+        artifact.write_bytes((tmp_path / "out" / f"calibrated_{source}_s0.json").read_bytes())
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        method, epsilon = source.split("_e")
+        assert f"error: {artifact}: holds {method} at epsilon {epsilon}, not " in err
+        assert "rerun the 'calibrate' stage" in err
 
     def test_missing_dataset_path(self, tmp_path, capsys):
         config = write_config(tmp_path, tmp_path / "nope.json")

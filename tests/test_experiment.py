@@ -9,13 +9,14 @@ from kgconformal.experiment import (
     ExperimentConfig,
     calibrate,
     evaluate,
+    load_or_generate_kg,
     prepare_run,
     prepare_test,
     run_experiment,
     run_single,
     tune_condkgcp,
 )
-from kgconformal.kg import DIRECTIONS, KGError, Query, filter_masks, make_queries, rank_of
+from kgconformal.kg import DIRECTIONS, KGError, Query, QueryAnswerSet, filter_masks, make_queries, rank_of
 from kgconformal.metrics import EF_FAILURE
 from kgconformal.models import ModelScores, score
 
@@ -38,6 +39,12 @@ def tiny_config(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def trained_model(config, seed=0):
+    """The model :func:`prepare_run` trains for ``config`` and ``seed`` when given none."""
+    return models.train(load_or_generate_kg(config, seed), config.model_kind, config.train_config(seed),
+                        dim=config.dim, norm=config.transe_norm)
 
 
 class TestConfig:
@@ -73,7 +80,8 @@ class TestConfig:
 class TestPrepareRun:
     def test_arrays_consistent(self):
         config = tiny_config()
-        data = prepare_run(config, 0)
+        model = trained_model(config)
+        data = prepare_run(config, 0, model=model)
         n_cal, n_test = len(data.calib.pairs), len(data.test.pairs)
         assert data.calib_nonconf.shape == (n_cal,)
         assert data.calib_ranks.shape == (n_cal,)
@@ -82,7 +90,7 @@ class TestPrepareRun:
         rows = np.empty((n_test, 40))
         data.score_rows.fill(data.test_rows, rows)
         for row, (d, a, p) in zip(rows, data.test.queries().tolist()):
-            assert np.array_equal(row, score(data.model, Query(DIRECTIONS[d], a, p)))
+            assert np.array_equal(row, score(model, Query(DIRECTIONS[d], a, p)))
         assert np.all(data.calib_ranks >= 1)
         assert data.predicate_vectors.shape[0] == 3
 
@@ -95,22 +103,24 @@ class TestPrepareRun:
 
     def test_score_matrix_width_must_match_kg(self):
         config = tiny_config()
-        data = prepare_run(config, 0)
-        matrix = in_memory(ModelScores(data.model, data.calib, data.test))
+        model = trained_model(config)
+        data = prepare_run(config, 0, model=model)
+        matrix = in_memory(ModelScores(model, data.calib, data.test))
         matrix.scores = matrix.scores[:, :-1]
         with pytest.raises(KGError, match="^score matrix: 39 score columns, but the KG has 40 entities$"):
-            prepare_run(config, 0, score_matrix=matrix, model=data.model)
+            prepare_run(config, 0, score_matrix=matrix, model=model)
 
     @pytest.mark.parametrize("filtered", [True, False], ids=["filtered", "raw"])
     @pytest.mark.parametrize("kind", ["softmax", "aps"])
     def test_calibration_equals_the_per_pair_oracle(self, monkeypatch, kind, filtered):
         """Each calibration pair's nonconformity and rank equal the per-pair primitives, on tied scores."""
         config = tiny_config(scorer={"kind": kind}, filtered=filtered)
-        trained = prepare_run(config, 0)
-        matrix = in_memory(ModelScores(trained.model, trained.calib, trained.test))
+        model = trained_model(config)
+        trained = prepare_run(config, 0, model=model)
+        matrix = in_memory(ModelScores(model, trained.calib, trained.test))
         matrix.scores = np.round(matrix.scores)  # a few distinct values per row: ties everywhere
         monkeypatch.setattr(experiment, "EVAL_BLOCK_ROWS", 7)
-        data = prepare_run(config, 0, score_matrix=matrix, model=trained.model)
+        data = prepare_run(config, 0, score_matrix=matrix, model=model)
         kg = data.kg
         known = [make_queries(kg.splits["train"]), data.calib, data.test] if filtered else []
         indptr, indices = filter_masks(data.calib, known)
@@ -132,8 +142,9 @@ class TestPrepareRun:
 
     def test_kgcp_and_mcp_need_no_predicate_vectors(self):
         """Only condkgcp merges predicates, so imported scores with no model or vectors serve kgcp and mcp."""
-        trained = prepare_run(tiny_config(), 0)
-        matrix = in_memory(ModelScores(trained.model, trained.calib, trained.test))
+        model = trained_model(tiny_config())
+        trained = prepare_run(tiny_config(), 0, model=model)
+        matrix = in_memory(ModelScores(model, trained.calib, trained.test))
         config = tiny_config(methods=["kgcp", "mcp"])
         data = prepare_run(config, 0, score_matrix=matrix)
         assert data.predicate_vectors is None
@@ -148,12 +159,13 @@ class TestPrepareTest:
     def test_test_rows_alone_evaluate_as_the_full_run(self, split_directions):
         """Scores of the test queries only: no calibration pass can run, and the reports equal the full run's."""
         config = tiny_config(split_directions=split_directions, scorer={"kind": "aps"})
-        data = prepare_run(config, 0)
+        model = trained_model(config)
+        data = prepare_run(config, 0, model=model)
         fitted = calibrate(config, 0, data)
-        test_only = in_memory(ModelScores(data.model, data.test))
+        test_only = in_memory(ModelScores(model, data.test))
         assert len(test_only.queries) < len(data.score_rows.queries)
         with pytest.raises(KGError, match="^score matrix: missing scores for"):
-            prepare_run(config, 0, score_matrix=test_only, model=data.model)
+            prepare_run(config, 0, score_matrix=test_only, model=model)
         reports = evaluate(config, 0, prepare_test(config, 0, test_only), fitted)
         assert [repr(r) for r in reports] == [repr(r) for r in evaluate(config, 0, data, fitted)]
 
@@ -254,13 +266,14 @@ class TestRunSingle:
     def test_reports_do_not_depend_on_the_evaluation_block(self, monkeypatch, kind):
         """Each test pair keeps its own mask and APS draw however the pass splits the pairs into blocks."""
         config = tiny_config(scorer={"kind": kind})
-        data = prepare_run(config, 0)
+        model = trained_model(config)
+        data = prepare_run(config, 0, model=model)
         assert len(data.calib) > 2 * 7 and len(data.test) > 2 * 7
         whole = run_single(config, 0, data=data)
         monkeypatch.setattr(experiment, "EVAL_BLOCK_ROWS", 7)
         blocked = run_single(config, 0, data=data)
         assert [(r.row(), r.coverage) for r in blocked] == [(r.row(), r.coverage) for r in whole]
-        rerun = prepare_run(config, 0, model=data.model)
+        rerun = prepare_run(config, 0, model=model)
         assert np.array_equal(rerun.calib_nonconf, data.calib_nonconf)
         assert np.array_equal(rerun.calib_ranks, data.calib_ranks)
 
@@ -271,29 +284,39 @@ class TestRunSingle:
         assert by_eps[0.3].avesize <= by_eps[0.1].avesize
 
 
-GAMMA_GRID, PHI_GRID = (0.01, 0.1, 0.5), (5, 10, 15, 25)  # phi within every direction group's largest count
+def tuning_config(**kw):
+    """:func:`tiny_config` on 80 entities and four times its triples: 432 calibration pairs, and the
+    default phi grid keeps 20 and 50 pooled, and 20 alone with split directions."""
+    return tiny_config(synthetic={"n_entities": 80, "n_predicates": 3, "triple_counts": [600, 320, 160],
+                                  "noise_rates": 0.2, "n_clusters": 4}, tune=True, **kw)
+
+
+GAMMA_GRID, PHI_GRID = (0.01, 0.1, 0.5), (10, 20, 30, 70)  # 70 past every group's reach, 30 past none
 
 
 @pytest.fixture(scope="module")
 def tuning_runs():
-    """Prepared runs by (scorer kind, seed), trained once per seed."""
+    """Prepared :func:`tuning_config` runs by (scorer kind, seed), trained once per seed."""
     runs, trained = {}, {}
 
     def get(kind: str, seed: int):
         if (kind, seed) not in runs:
-            config = tiny_config(tune=True, scorer={"kind": kind}, seeds=[seed])
+            config = tuning_config(scorer={"kind": kind}, seeds=[seed])
             if seed not in trained:
-                trained[seed] = prepare_run(config, seed).model
+                trained[seed] = trained_model(config, seed)
             runs[(kind, seed)] = prepare_run(config, seed, model=trained[seed])
         return runs[(kind, seed)]
     return get
 
 
+def pair_set(qa: QueryAnswerSet, idx=slice(None)) -> set:
+    return set(map(tuple, np.column_stack((qa.queries(), qa.answer))[idx].tolist()))
+
+
 class TestTuning:
-    def test_grid_selection_returns_grid_point(self):
-        config = tiny_config(tune=True)
-        data = prepare_run(config, 0)
-        gamma, phi = tune_condkgcp(config, 0, data, gamma_grid=(0.1, 0.5), phi_grid=(5, 10))
+    def test_grid_selection_returns_grid_point(self, tuning_runs):
+        config = tuning_config()
+        gamma, phi, _ = tune_condkgcp(config, 0, tuning_runs("softmax", 0), gamma_grid=(0.1, 0.5), phi_grid=(5, 10))
         assert gamma in (0.1, 0.5)
         assert phi in (5, 10)
 
@@ -302,27 +325,31 @@ class TestTuning:
     @pytest.mark.parametrize("split_directions", [False, True], ids=["pooled", "split"])
     @pytest.mark.parametrize("objective", ["ef", "covgap", "avesize"])
     def test_selection_equals_the_per_grid_point_oracle(self, tuning_runs, objective, split_directions, kind, seed):
-        config = tiny_config(tune=True, tune_objective=objective, split_directions=split_directions,
-                             scorer={"kind": kind}, seeds=[seed], epsilons=[0.2, 0.1])
+        """Scored pairs draw as their calibration index, so the per-pair RAPS oracle picks the same point."""
+        config = tuning_config(tune_objective=objective, split_directions=split_directions,
+                               scorer={"kind": kind}, seeds=[seed], epsilons=[0.2, 0.1])
         data = tuning_runs(kind, seed)
-        assert tune_condkgcp(config, seed, data, GAMMA_GRID, PHI_GRID) == tune_oracle.tune_condkgcp(
+        assert tune_condkgcp(config, seed, data, GAMMA_GRID, PHI_GRID)[:2] == tune_oracle.tune_condkgcp(
             config, seed, data, GAMMA_GRID, PHI_GRID)
 
     def test_default_grid_under_split_directions_keeps_the_phi_every_group_reaches(self, tuning_runs):
-        """The pooled count admits a default phi that one direction group cannot reach; tuning skips that phi."""
-        config = tiny_config(tune=True, split_directions=True)
+        """The pooled cuts admit a default phi that a direction group's cuts cannot reach; tuning skips that phi."""
         data = tuning_runs("softmax", 0)
-        cal = make_queries(tune_oracle.held_out_triples(data.kg, 0)[0])
-        pooled = np.bincount(cal.predicate).max()
-        reach = min(np.bincount(cal.predicate[cal.direction == code]).max() for code in range(len(DIRECTIONS)))
-        admissible = tuple(phi for phi in experiment.DEFAULT_PHI_GRID if phi <= reach)
-        assert admissible and any(reach < phi <= pooled for phi in experiment.DEFAULT_PHI_GRID)
-        chosen = tune_condkgcp(config, 0, data)
-        assert chosen == tune_oracle.tune_condkgcp(config, 0, data, phi_grid=admissible)
+        pred = data.calib.predicate
+
+        def reach(split_directions):
+            cuts = tune_oracle.calibration_cuts(data, split_directions, 0)
+            return min(np.bincount(pred[idx]).max() for fit, _, cal in cuts for idx in (fit, cal))
+
+        admissible = tuple(phi for phi in experiment.DEFAULT_PHI_GRID if phi <= reach(True))
+        assert admissible and any(reach(True) < phi <= reach(False) for phi in experiment.DEFAULT_PHI_GRID)
+        config = tuning_config(split_directions=True)
+        chosen = tune_condkgcp(config, 0, data)[:2]
+        assert chosen == tune_oracle.tune_condkgcp(config, 0, data, experiment.DEFAULT_GAMMA_GRID, admissible)
         assert chosen[1] in admissible
 
     def test_grid_is_evaluated_at_the_first_epsilon_only(self, monkeypatch, tuning_runs):
-        config = tiny_config(tune=True, epsilons=[0.2, 0.1, 0.3])
+        config = tuning_config(epsilons=[0.2, 0.1, 0.3])
         data = tuning_runs("softmax", 0)
         fitted = []
         for name in ("fit_kgcp", "fit_condkgcp"):
@@ -333,21 +360,21 @@ class TestTuning:
                 fitted.append((name, model.epsilon))
                 return model
             monkeypatch.setattr(conformal, name, recording)
-        chosen = tune_condkgcp(config, 0, data, GAMMA_GRID, PHI_GRID)
+        chosen = tune_condkgcp(config, 0, data, GAMMA_GRID, PHI_GRID)[:2]
         assert {name for name, _ in fitted} == {"fit_kgcp", "fit_condkgcp"}
         assert all(epsilon == 0.2 for _, epsilon in fitted)
         monkeypatch.undo()
-        assert chosen == tune_condkgcp(tiny_config(tune=True, epsilons=[0.2]), 0, data, GAMMA_GRID, PHI_GRID)
+        assert chosen == tune_condkgcp(tuning_config(epsilons=[0.2]), 0, data, GAMMA_GRID, PHI_GRID)[:2]
 
     def test_one_outcomes_pass_and_no_run_single(self, monkeypatch, tuning_runs):
-        config = tiny_config(tune=True, split_directions=True)
+        config = tuning_config(split_directions=True)
         data = tuning_runs("softmax", 0)
         calls = {"_outcomes": [], "run_single": 0}
         real_outcomes = experiment._outcomes
 
-        def recording_outcomes(config, seed, data, filters):
+        def recording_outcomes(config, seed, data, filters, draws):
             calls["_outcomes"].append(len(filters))
-            return real_outcomes(config, seed, data, filters)
+            return real_outcomes(config, seed, data, filters, draws)
 
         def no_run_single(*args, **kw):
             calls["run_single"] += 1
@@ -355,7 +382,58 @@ class TestTuning:
         monkeypatch.setattr(experiment, "_outcomes", recording_outcomes)
         monkeypatch.setattr(experiment, "run_single", no_run_single)
         tune_condkgcp(config, 0, data, GAMMA_GRID, PHI_GRID)
-        assert calls == {"_outcomes": [1 + len(GAMMA_GRID) * len(PHI_GRID)], "run_single": 0}
+        assert calls == {"_outcomes": [1 + len(GAMMA_GRID) * (len(PHI_GRID) - 1)], "run_single": 0}
+
+    @pytest.mark.parametrize("split_directions", [False, True], ids=["pooled", "split"])
+    def test_tuning_scores_held_out_calibration_pairs_and_needs_no_model(self, tmp_path, monkeypatch,
+                                                                          split_directions):
+        """From imported scores and no model, tuning trains, scores and prepares nothing.  Its scored pairs are
+        calibration pairs, each drawing as its calibration index, held out from training and from the pairs
+        every method calibrates on; each calibrated model counts those pairs alone."""
+        config = tuning_config(split_directions=split_directions, scorer={"kind": "raps"})
+        model = trained_model(config)
+        kg = load_or_generate_kg(config, 0)
+        models.export_predicate_vectors(np.stack([models.predicate_vector(model, r)
+                                                  for r in range(kg.vocab.n_predicates)]), tmp_path / "vectors.bin")
+        matrix = in_memory(ModelScores(model, *(make_queries(kg.splits[name]) for name in ("valid", "test"))))
+        data = prepare_run(config, 0, score_matrix=matrix, kg=kg, predicate_vectors=tmp_path / "vectors.bin")
+        seen = []
+        real_outcomes = experiment._outcomes
+
+        def recording_outcomes(config, seed, view, filters, draws):
+            seen.append((view.test, draws))
+            return real_outcomes(config, seed, view, filters, draws)
+
+        def forbidden(*args, **kw):
+            raise AssertionError("tuning trained or scored a model, or prepared a run")
+        for owner, name in ((models, "train"), (models, "ModelScores"), (experiment, "prepare_run")):
+            monkeypatch.setattr(owner, name, forbidden)
+        monkeypatch.setattr(experiment, "_outcomes", recording_outcomes)
+        gamma, phi, cal_idx = tune_condkgcp(config, 0, data)
+        (scored, draws), = seen
+        calibrating = np.concatenate(list(cal_idx.values()))
+        assert pair_set(scored) == pair_set(data.calib, draws) and np.unique(draws).size == draws.size
+        assert not np.intersect1d(draws, calibrating).size
+        assert not pair_set(scored) & pair_set(make_queries(kg.splits["train"]))
+        groups = list(experiment._direction_groups(data, split_directions))
+        assert draws.size == sum(idx.size // 2 - idx.size // 4 for _, idx, _ in groups)
+        assert calibrating.size == sum(idx.size - idx.size // 2 for _, idx, _ in groups)
+        for (method, direction, _), fit in calibrate(config, 0, data).items():
+            assert sum(pc.n_cal for pc in fit.per_part.values()) == cal_idx[direction].size
+            if method == "condkgcp":
+                assert (fit.gamma, fit.partition.phi) == (gamma, phi)
+
+    def test_an_empty_grid_tunes_nothing(self):
+        """On tiny_config no cut reaches phi 20: every method calibrates on all pairs with the config's (gamma,
+        phi), and the reports equal those of tune false."""
+        config = tiny_config(tune=True, split_directions=True, gamma=0.5, phi=5)
+        data = prepare_run(config, 0)
+        gamma, phi, cal_idx = tune_condkgcp(config, 0, data)
+        assert (gamma, phi) == (0.5, 5)
+        assert sum(idx.size for idx in cal_idx.values()) == len(data.calib)
+        untuned = tiny_config(split_directions=True, gamma=0.5, phi=5)
+        reports = run_single(config, 0, data=data)
+        assert [repr(r) for r in reports] == [repr(r) for r in run_single(untuned, 0, data=data)]
 
 
 def test_run_experiment_aggregates_across_seeds():

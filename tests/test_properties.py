@@ -1,5 +1,5 @@
-"""Property tests: ranks and rank cuts under tied scores, the calibration rank cutoff, the conformal
-quantile, the predicate partition under tied distances, the stored per-part counts and score-only
+"""Property tests: ranks and rank cuts under tied scores, the calibration rank cutoff, the tuning cut of
+the calibration pairs, the conformal quantile, the predicate partition under tied distances, the stored per-part counts and score-only
 thresholds against their refit, the calibrated-model and predicate-vector files (round trip and
 truncation), the negative sampler against its per-candidate loop, the columnar queries, filter masks
 and score export against their per-pair versions, and score-file rows read on demand against the matrix."""
@@ -9,6 +9,7 @@ import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,8 @@ from hypothesis.extra import numpy as hnp
 from kgconformal import experiment, models
 from kgconformal.conformal import (CalibratedModel, PartCalibration, PredicatePartition, build_partition,
                                    fit_condkgcp, fit_part_mcp, quantile, query_filters, rank_threshold, score_only)
-from kgconformal.kg import DIRECTIONS, KGError, Query, Triple, filter_masks, make_queries, rank_cuts, rank_of
+from kgconformal.kg import (DIRECTIONS, KGError, Query, QueryAnswerSet, Triple, filter_masks, make_queries, rank_cuts,
+                            rank_of)
 from kgconformal.models import (ScoreFile, ScoreMatrix, _sample_negatives, _triple_keys, export_predicate_vectors,
                                 export_scores, import_predicate_vectors, import_scores)
 from kgconformal.scores import ScorerConfig, softmax_scores
@@ -98,6 +100,30 @@ def test_rank_threshold_is_smallest_cutoff_below_epsilon(ranks, per_mille):
     k_hat, misc = rank_threshold(ranks, epsilon)
     assert k_hat == min(k for k in range(int(ranks.max()) + 1) if miscoverage(k) < epsilon)
     assert misc == miscoverage(k_hat)
+
+
+def _pairs_with_directions(directions) -> QueryAnswerSet:
+    d = np.array(directions, dtype=np.int64)
+    return QueryAnswerSet(direction=d, anchor=np.zeros_like(d), predicate=np.zeros_like(d), answer=np.zeros_like(d))
+
+
+@given(st.lists(st.integers(0, 1), max_size=300), st.lists(st.integers(0, 1), min_size=1, max_size=4),
+       st.integers(0, 2**31), st.booleans())
+def test_tuning_split_cuts_each_direction_group_into_disjoint_sets_fixed_by_the_seed(calib, test, seed,
+                                                                                      split_directions):
+    """Each group's fitting, scored and calibrating indices are disjoint, sorted, sized a quarter, a quarter and the
+    rest, and cover the group exactly; the same seed cuts the same way."""
+    data = SimpleNamespace(calib=_pairs_with_directions(calib), test=_pairs_with_directions(test))
+    groups = list(experiment._direction_groups(data, split_directions))
+    cuts = experiment._tuning_split(groups, seed)
+    assert len(cuts) == len(groups)
+    for (_, idx, _), (fit, scored, cal) in zip(groups, cuts):
+        n = idx.size
+        assert (fit.size, scored.size, cal.size) == (n // 4, n // 2 - n // 4, n - n // 2)
+        assert all(np.all(np.diff(part) > 0) for part in (fit, scored, cal))
+        assert np.array_equal(np.sort(np.concatenate([fit, scored, cal])), idx)
+    again = experiment._tuning_split(groups, seed)
+    assert all(np.array_equal(a, b) for cut, other in zip(cuts, again) for a, b in zip(cut, other))
 
 
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=60), st.integers(0, 999))

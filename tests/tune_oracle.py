@@ -1,67 +1,91 @@
-"""The (gamma, phi) grid search as it ran before it became one pass, kept as an oracle.
+"""The (gamma, phi) grid search on held-out calibration pairs, pair by pair, kept as an oracle.
 
-``tune_condkgcp`` runs one ``run_single`` of a kgcp + condkgcp sub-config on
-the held-out run per (gamma, phi) grid point and ranks the condkgcp reports
-with a stable sort.  ``experiment.tune_condkgcp`` must pick the same grid
-point; the caller passes only phi values that every direction group reaches.
-Used by ``test_experiment.py``.
+``tune_condkgcp`` cuts each direction group's calibration pairs the way
+``experiment._tuning_split`` does (a copy, not a call), fits kgcp and
+condkgcp per grid point on the fitting pairs, and builds every scored pair's
+set with ``conformal.predict_set`` from the pair's own score row, its
+``scores.nonconformity`` drawn as its calibration index, and ``kg.rank_of``
+per entity.  ``metrics.evaluate_predictions`` reports each grid point, and a
+stable sort ranks them.  ``experiment.tune_condkgcp`` must pick the same
+point.  Used by ``test_experiment.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, replace
 
 import numpy as np
 
-from kgconformal import experiment
-from kgconformal.kg import KGError, KnowledgeGraph
+from kgconformal import conformal, metrics, scores
+from kgconformal.kg import DIRECTIONS, Query, make_queries, rank_of
 
 
-def held_out_triples(kg: KnowledgeGraph, seed: int) -> tuple[list, list]:
-    """The two disjoint samples of training triples that stand in for the calibration and the test split."""
+def calibration_cuts(data, split_directions: bool, seed: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per direction group with calibration and test pairs, in direction order: its calibration indices permuted
+    by one ``default_rng(seed + 7)`` and cut into sorted (first quarter, second quarter, last half)."""
+    groups = [np.arange(len(data.calib))]
+    if split_directions:
+        groups = [np.flatnonzero(data.calib.direction == code) for code in range(len(DIRECTIONS))
+                  if np.any(data.calib.direction == code) and np.any(data.test.direction == code)]
     rng = np.random.default_rng(seed + 7)
-    train_triples = list(kg.splits.get("train", []))
-    if not train_triples:
-        raise KGError("tuning needs a non-empty training split")
-    want = max(2, min(len(kg.splits.get("valid", [])), len(train_triples) // 2))
-    order = rng.permutation(len(train_triples))
-    return [train_triples[i] for i in order[:want]], [train_triples[i] for i in order[want : 2 * want]]
+    cuts = []
+    for idx in groups:
+        order, n = rng.permutation(idx), idx.size
+        cuts.append((np.sort(order[: n // 4]), np.sort(order[n // 4 : n // 2]), np.sort(order[n // 2 :])))
+    return cuts
 
 
-def tune_condkgcp(config: experiment.ExperimentConfig, seed: int, data: experiment.RunData,
-                  gamma_grid=experiment.DEFAULT_GAMMA_GRID,
-                  phi_grid=experiment.DEFAULT_PHI_GRID) -> tuple[float, int]:
-    """(gamma, phi) chosen by one ``run_single`` of a kgcp + condkgcp sub-config per grid point."""
-    tune_cal, tune_test = held_out_triples(data.kg, seed)
-    sub = experiment.ExperimentConfig(**{**asdict(config), "tune": False, "methods": ["kgcp", "condkgcp"],
-                                         "epsilons": config.epsilons[:1]})
-    sub_kg = KnowledgeGraph(vocab=data.kg.vocab, splits={
-        "train": data.kg.splits["train"], "valid": tune_cal, "test": tune_test,
-    })
-    if data.model is None:
-        raise KGError("tuning scores training queries, so it needs the trained model")
-    sub_data = experiment.prepare_run(sub, seed, model=data.model, kg=sub_kg,
-                                      predicate_vectors=data.predicate_vectors)
-
-    max_count = int(np.bincount(sub_data.calib.predicate, minlength=data.kg.vocab.n_predicates).max())
-    candidates = []
-    for phi in phi_grid:
-        if phi > max_count:
-            continue
-        for gamma in gamma_grid:
-            reps = experiment.run_single(replace(sub, gamma=gamma, phi=phi), seed, data=sub_data)
-            rep = next(r for r in reps if r.method == "condkgcp")
-            ef = rep.ef if isinstance(rep.ef, float) else math.inf
-            if config.tune_objective == "covgap":
-                key = (rep.covgap, rep.avesize)
-            elif config.tune_objective == "avesize":
-                key = (rep.avesize, rep.covgap)
-            else:
-                key = (ef, rep.covgap)
-            candidates.append((key, gamma, phi))
-    if not candidates:
+def tune_condkgcp(config, seed: int, data, gamma_grid, phi_grid) -> tuple[float, int]:
+    """(gamma, phi) chosen on the scored quarter, pair by pair; the config's when no phi is reached."""
+    cuts = calibration_cuts(data, config.split_directions, seed)
+    predicates = data.calib.predicate
+    reach = min(np.bincount(predicates[idx], minlength=1).max() for fit, _, cal in cuts for idx in (fit, cal))
+    grid = [(gamma, phi) for phi in phi_grid if phi <= reach for gamma in gamma_grid]
+    if not grid:
         return config.gamma, config.phi
+    epsilon = config.epsilons[0]
+    known: dict[tuple, set] = {}
+    if config.filtered:
+        for name in ("train", "valid", "test"):
+            for q, a in make_queries(data.kg.splits[name], config.both_directions).pairs:
+                known.setdefault(q.key(), set()).add(a)
+    scorer = config.scorer_config(seed)
+    (rows,) = data.score_rows.rows(data.calib)
+    raw = np.empty((1, data.score_rows.n_entities))
+    items = []  # (group, predicate, answer, nonconformity, entity ranks, mask) of each scored pair
+    for group, (_, scored, _) in enumerate(cuts):
+        for i in scored.tolist():
+            d, a, p, answer = (int(c[i]) for c in (data.calib.direction, data.calib.anchor, predicates,
+                                                    data.calib.answer))
+            data.score_rows.fill(rows[[i]], raw)
+            mask = known.get(Query(DIRECTIONS[d], a, p).key(), set()) - {answer}
+            ranks = np.array([0 if e in mask else rank_of(raw[0], e, mask) for e in range(raw.shape[1])])
+            items.append((group, p, answer, scores.nonconformity(raw[0], scorer, query_index=i), ranks, mask))
+    item_predicates = np.array([it[1] for it in items])
+    item_answers = np.array([it[2] for it in items])
+
+    def report(group_models):
+        sets = [conformal.predict_set(group_models[g], p, nc, rk, m) for g, p, _, nc, rk, m in items]
+        return metrics.evaluate_predictions("tune", epsilon, seed, item_predicates, item_answers, sets,
+                                            config.macro_avesize)
+
+    reference = report([conformal.fit_kgcp(data.calib_nonconf[fit], epsilon) for fit, _, _ in cuts])
+    candidates = []
+    for gamma, phi in grid:
+        group_models = []
+        for fit, _, _ in cuts:
+            partition = conformal.build_partition(predicates[fit], data.predicate_vectors, phi)
+            group_models.append(conformal.fit_condkgcp(predicates[fit], data.calib_nonconf[fit],
+                                                       data.calib_ranks[fit], partition, epsilon, gamma))
+        rep = report(group_models)
+        ef = metrics.efficiency_rate(rep.covgap, rep.avesize, reference.covgap, reference.avesize)
+        if config.tune_objective == "covgap":
+            key = (rep.covgap, rep.avesize)
+        elif config.tune_objective == "avesize":
+            key = (rep.avesize, rep.covgap)
+        else:
+            key = (ef if isinstance(ef, float) else math.inf, rep.covgap)
+        candidates.append((key, gamma, phi))
     candidates.sort(key=lambda c: c[0])
     _, gamma, phi = candidates[0]
     return gamma, phi
