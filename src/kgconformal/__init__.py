@@ -26,7 +26,7 @@ from .kg import (
     make_queries,
     rank_of,
 )
-from .metrics import EvaluationReport, avesize, coverage_per_predicate, covgap, efficiency_rate
+from .metrics import EvaluationReport, covgap, efficiency_rate
 from .models import EmbeddingModel, ScoreMatrix, TrainConfig, import_scores, predicate_vector, score, train
 from .scores import ScorerConfig, aps_scores, raps_scores, softmax_scores
 from .synth import SyntheticKGSpec
@@ -51,9 +51,7 @@ __all__ = [
     "Triple",
     "Vocab",
     "aps_scores",
-    "avesize",
     "build_partition",
-    "coverage_per_predicate",
     "covgap",
     "efficiency_rate",
     "fit_condkgcp",

@@ -48,6 +48,10 @@ def _calibrated_path(out: Path, seed: int, method: str, direction: str | None, e
     return out / f"calibrated_{method}{group}_e{epsilon:g}_s{seed}.json"
 
 
+def _group(direction) -> str:
+    return "" if direction is None else f" in direction group '{direction}'"
+
+
 def _artifact(what: str, path: Path, stage: str) -> Path:
     """``path``; StageError naming the ``stage`` that writes it when it is missing."""
     if not path.exists():
@@ -146,8 +150,9 @@ def cmd_evaluate(args) -> int:
             path = _artifact("calibrated-model", _calibrated_path(out, seed, method, direction, epsilon), "calibrate")
             fitted[(method, direction, epsilon)] = model = conformal.CalibratedModel.load(path)
             try:
-                if (model.method, model.epsilon) != (method, epsilon):
-                    raise ValueError(f"holds {model.method} at epsilon {model.epsilon:g}, not {method} at {epsilon:g}")
+                if (model.method, model.direction, model.epsilon) != (method, direction, epsilon):
+                    raise ValueError(f"holds {model.method} at epsilon {model.epsilon:g}{_group(model.direction)}, "
+                                     f"not {method} at {epsilon:g}{_group(direction)}")
                 if model.partition is not None:
                     model.partition.validate(data.kg.vocab.n_predicates)
             except ValueError as exc:

@@ -184,7 +184,11 @@ _METHOD_LABELS = ("kgcp", "mcp", "condkgcp")  # the labels the fit_* functions w
 
 @dataclass
 class CalibratedModel:
-    """Per-part calibration over a predicate partition (None: one part, index 0, for every predicate)."""
+    """Per-part calibration over a predicate partition (None: one part, index 0, for every predicate).
+
+    ``direction`` names the direction group whose calibration pairs fitted it
+    (None when the directions are pooled).
+    """
 
     method: str
     epsilon: float
@@ -192,6 +196,7 @@ class CalibratedModel:
     partition: PredicatePartition | None = None
     gamma: float = 0.0
     warnings: list[str] = field(default_factory=list)
+    direction: str | None = None
 
     def to_json(self) -> str:
         def enc(x):
@@ -201,6 +206,7 @@ class CalibratedModel:
         doc = {
             "method": self.method,
             "epsilon": self.epsilon,
+            "direction": self.direction,
             "gamma": self.gamma,
             "partition": None if partition is None else {"parts": partition.parts, "phi": partition.phi},
             "per_part": {
@@ -247,7 +253,8 @@ class CalibratedModel:
         if sorted(per_part) != list(range(n_parts)):
             raise ValueError(f"per_part holds parts {sorted(per_part)}, the partition has {n_parts}")
         return cls(method=doc["method"], epsilon=float(doc["epsilon"]), per_part=per_part,
-                   partition=partition, gamma=float(doc["gamma"]), warnings=list(doc["warnings"]))
+                   partition=partition, gamma=float(doc["gamma"]), warnings=list(doc["warnings"]),
+                   direction=doc["direction"])
 
     def part_ids(self, predicates) -> np.ndarray:
         """The part index of each predicate (0 for every predicate without a partition)."""

@@ -324,16 +324,26 @@ def calibrate(config: ExperimentConfig, seed: int, data: RunData) -> dict[tuple,
 
     condkgcp uses the config's (gamma, phi).  With ``config.tune`` and condkgcp,
     :func:`tune_condkgcp` selects them on held-out calibration pairs, and every
-    method calibrates on the pairs it leaves over.
+    method calibrates on the pairs it leaves over; when the grid keeps no
+    point, each condkgcp model carries a warning naming the config's values.
     """
     gamma, phi = config.gamma, config.phi
     cal_idx = {direction: idx for direction, idx, _ in _direction_groups(data, config.split_directions)}
+    tune_warnings = []
     if config.tune and "condkgcp" in config.methods:
-        gamma, phi, cal_idx = tune_condkgcp(config, seed, data)
-    return {
-        (method, direction, epsilon): METHODS[method](data, cal_idx[direction], epsilon, gamma, phi, direction)
-        for method, direction, epsilon in calibration_keys(config, data)
-    }
+        tuned = tune_condkgcp(config, seed, data)
+        if tuned is None:
+            tune_warnings.append(f"tune kept no grid point; condkgcp uses the config's gamma {gamma:g} and phi {phi}")
+        else:
+            gamma, phi, cal_idx = tuned
+    fitted = {}
+    for method, direction, epsilon in calibration_keys(config, data):
+        model = METHODS[method](data, cal_idx[direction], epsilon, gamma, phi, direction)
+        model.direction = direction
+        if method == "condkgcp":
+            model.warnings.extend(tune_warnings)
+        fitted[(method, direction, epsilon)] = model
+    return fitted
 
 
 def _outcomes(config: ExperimentConfig, seed: int, data: EvalData, filters: list[tuple[np.ndarray, np.ndarray]],
@@ -453,12 +463,12 @@ def _tuning_split(groups: list, seed: int) -> list[tuple[np.ndarray, np.ndarray,
 
 
 def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData, gamma_grid=DEFAULT_GAMMA_GRID,
-                  phi_grid=DEFAULT_PHI_GRID) -> tuple[float, int, dict[str | None, np.ndarray]]:
+                  phi_grid=DEFAULT_PHI_GRID) -> tuple[float, int, dict[str | None, np.ndarray]] | None:
     """Grid-select (gamma, phi) on held-out calibration pairs; return it and each group's pairs to calibrate on.
 
     The grid keeps the phi every group reaches in both its fitting and its
-    calibrating pairs (:func:`_tuning_split`); with none left, the config's
-    (gamma, phi) and all pairs come back.  kgcp, the EF reference, and condkgcp
+    calibrating pairs (:func:`_tuning_split`); with none left, nothing is
+    tuned and None comes back.  kgcp, the EF reference, and condkgcp
     at each grid point are fitted on the fitting pairs at ``config.epsilons[0]``,
     and one :func:`_outcomes` pass scores their filters on the scored pairs,
     each drawing as its calibration index.  Points rank by ``config.tune_objective``
@@ -471,7 +481,7 @@ def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData, gamma_grid
     reach = min(np.bincount(predicates[idx], minlength=1).max() for fit, _, cal in split for idx in (fit, cal))
     grid = [(gamma, phi) for phi in phi_grid if phi <= reach for gamma in gamma_grid]
     if not grid:
-        return config.gamma, config.phi, {direction: idx for direction, idx, _ in groups}
+        return None
     epsilon = config.epsilons[0]
     fitted = [[conformal.fit_kgcp(data.calib_nonconf[fit], epsilon) for fit, _, _ in split]]
     fitted += [[_fit_condkgcp(data, fit, epsilon, gamma, phi, direction)

@@ -9,8 +9,6 @@ import numpy as np
 __all__ = [
     "EF_FAILURE",
     "EvaluationReport",
-    "avesize",
-    "coverage_per_predicate",
     "covgap",
     "efficiency_rate",
     "evaluate_outcomes",
@@ -18,11 +16,6 @@ __all__ = [
 ]
 
 EF_FAILURE = "failure"
-
-
-def coverage_per_predicate(predicates, answers, prediction_sets) -> dict[int, float]:
-    """Empirical coverage per predicate: fraction of test answers inside their set."""
-    return _coverage(predicates, _hits(answers, prediction_sets))
 
 
 def _hits(answers, prediction_sets) -> list[bool]:
@@ -42,11 +35,6 @@ def covgap(coverage: dict[int, float], epsilon: float) -> float:
         raise ValueError("empty coverage map")
     target = 1.0 - epsilon
     return float(np.mean([abs(c - target) for c in coverage.values()]))
-
-
-def avesize(prediction_sets, predicates=None, macro: bool = False) -> float:
-    """Mean prediction-set size over test pairs (or macro-averaged over predicates)."""
-    return _mean_size([len(m) for m in prediction_sets], predicates, macro)
 
 
 def _mean_size(sizes, predicates, macro: bool) -> float:

@@ -95,82 +95,26 @@ def _complex_parts(mat: np.ndarray, dim: int):
     return mat[..., :dim], mat[..., dim:]
 
 
-def _pairwise_buffers(n: int) -> int:
-    """Blocks :func:`_pairwise_sum` needs for ``n`` dims besides its output."""
-    if n < 8:
-        return 1
-    if n <= 128:
-        return 4
-    half = n // 2 - (n // 2) % 8
-    return max(_pairwise_buffers(half), 1 + _pairwise_buffers(n - half))
-
-
-def _pairwise_sum(term, lo: int, n: int, out: np.ndarray, spare: np.ndarray) -> None:
-    """``out`` = the sum over dims ``lo <= d < lo + n`` of ``term(d, buf)``, added as numpy adds a row.
-
-    numpy's float64 row sum adds fewer than 8 values in order.  Up to 128 it
-    keeps eight partial sums, ``r_j`` over the values ``j, j + 8, ...`` of the
-    first ``n - n % 8``, combined as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
-    (r6 + r7))``, and adds the rest after.  Above 128 it adds the sums of the
-    halves split at ``n // 2 - (n // 2) % 8``.  Here each addition acts on
-    whole blocks, so every element of ``out`` is its row sum to the last bit.
-    ``term`` writes one dim's (non-negative) terms into a block and returns
-    it; ``spare`` holds :func:`_pairwise_buffers` blocks shaped like ``out``.
-    """
-    if n < 8:
-        term(lo, out)
-        for d in range(lo + 1, lo + n):
-            out += term(d, spare[0])
-        return
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        _pairwise_sum(term, lo, half, out, spare)
-        _pairwise_sum(term, lo + half, n - half, spare[0], spare[1:])
-        out += spare[0]
-        return
-    stop = lo + n - n % 8
-    s, t, u, tmp = spare[:4]
-
-    def lane(j, acc):
-        term(lo + j, acc)
-        for d in range(lo + j + 8, stop, 8):
-            acc += term(d, tmp)
-        return acc
-
-    lane(0, out)
-    out += lane(1, s)
-    lane(2, s)
-    s += lane(3, t)
-    out += s
-    lane(4, s)
-    s += lane(5, t)
-    lane(6, t)
-    t += lane(7, u)
-    s += t
-    out += s
-    for d in range(stop, lo + n):
-        out += term(d, tmp)
-
-
 class _BlockScorer:
     """Writes the score rows of blocks of up to ``max_queries`` queries of one model.
 
     TransE reads an entity-major ``(dim, |E|)`` copy of the entity embeddings
     made here, so a scorer must not outlive a change to the model (training
-    updates embeddings in place).  For each dim it forms the block's
-    differences against every candidate at once and adds them up with
-    :func:`_pairwise_sum`, so each row equals the plain expression
-    ``-abs((anchor + r) - ent).sum(axis=1)`` (tail queries) or
-    ``-abs((ent + r) - anchor).sum(axis=1)`` (head queries) bit for bit; L2
-    squares with ``multiply`` and takes ``sqrt``.  DistMult and ComplEx
-    score one query at a time with a gemv.
+    updates embeddings in place).  A head query ``(?, r, t)`` is the tail
+    query ``(t, -r, ?)``, so every query of a block has one shift, ``anchor +
+    r`` or ``anchor - r``.  For each dim in order the block's terms
+    ``|shift_d - ent_d|`` (squared for L2) against every candidate are formed
+    at once and added to the rows, so a row is
+    ``-sum_d |shift_d - ent[:, d]|`` summed in dim order; L2 takes ``sqrt``
+    of its sum of squares.  DistMult and ComplEx score one query at a time
+    with a gemv.
     """
 
     def __init__(self, model: EmbeddingModel, max_queries: int):
         self.model = model
         if model.kind == "transe":
             self.ent_t = np.ascontiguousarray(model.entity_embeddings.T)
-            self.spare = np.empty((_pairwise_buffers(model.dim), max_queries, model.n_entities))
+            self.spare = np.empty((max_queries, model.n_entities))
 
     def __call__(self, queries: np.ndarray, out: np.ndarray) -> None:
         """Row ``i`` of ``out`` scores ``queries[i]``, a (direction, anchor, predicate) row.
@@ -179,10 +123,7 @@ class _BlockScorer:
         """
         model = self.model
         if model.kind == "transe":
-            # one run of equal directions at a time
-            cuts = [0, *(np.flatnonzero(np.diff(queries[:, 0])) + 1).tolist(), queries.shape[0]]
-            for start, stop in zip(cuts[:-1], cuts[1:]):
-                self._transe(queries[start:stop], out[start:stop])
+            self._transe(queries, out)
         else:
             for i, (d, a, p) in enumerate(queries.tolist()):
                 out[i] = _bilinear_row(model, DIRECTIONS[d], a, p)
@@ -190,26 +131,21 @@ class _BlockScorer:
             raise FloatingPointError("non-finite score")
 
     def _transe(self, queries: np.ndarray, out: np.ndarray) -> None:
-        model, ent_t = self.model, self.ent_t
-        anchor = model.entity_embeddings[queries[:, 1]]
+        model = self.model
         r = model.predicate_embeddings[queries[:, 2]]
-        square = model.norm == 2
-        if DIRECTIONS[queries[0, 0]] is Direction.TAIL:
-            shift = (anchor + r).T[:, :, None]  # (dim, m, 1)
-
-            def term(d, buf):
-                np.subtract(shift[d], ent_t[d], out=buf)
-                return np.multiply(buf, buf, out=buf) if square else np.abs(buf, out=buf)
-        else:
-            r_t, anchor_t = r.T[:, :, None], anchor.T[:, :, None]
-
-            def term(d, buf):
-                np.add(ent_t[d], r_t[d], out=buf)
-                np.subtract(buf, anchor_t[d], out=buf)
-                return np.multiply(buf, buf, out=buf) if square else np.abs(buf, out=buf)
-
-        _pairwise_sum(term, 0, model.dim, out, self.spare[:, : queries.shape[0]])
-        if square:
+        r[queries[:, 0] == DIRECTIONS.index(Direction.HEAD)] *= -1.0
+        shift = (model.entity_embeddings[queries[:, 1]] + r).T[:, :, None]  # (dim, m, 1)
+        spare = self.spare[: queries.shape[0]]
+        for d in range(model.dim):
+            term = out if d == 0 else spare
+            np.subtract(shift[d], self.ent_t[d], out=term)
+            if model.norm == 2:
+                np.multiply(term, term, out=term)
+            else:
+                np.abs(term, out=term)
+            if d:
+                out += term
+        if model.norm == 2:
             np.sqrt(out, out=out)
         np.negative(out, out=out)
 
@@ -223,12 +159,11 @@ def _bilinear_row(model: EmbeddingModel, direction: Direction, a: int, p: int) -
     d = model.dim
     ar, ai = anchor[:d], anchor[d:]
     rr, ri = r[:d], r[d:]
+    if direction is Direction.HEAD:
+        ri = -ri  # a head query scores as the tail query with conj(r)
     er, ei = _complex_parts(ent, d)
-    if direction is Direction.TAIL:
-        # Re(<h, r, conj(t)>) with h = anchor, t = candidates
-        return er @ (ar * rr - ai * ri) + ei @ (ar * ri + ai * rr)
-    # candidates fill h, t = anchor
-    return er @ (rr * ar + ri * ai) + ei @ (rr * ai - ri * ar)
+    # Re(<h, r, conj(t)>) with h = anchor, t = candidates
+    return er @ (ar * rr - ai * ri) + ei @ (ar * ri + ai * rr)
 
 
 def score(model: EmbeddingModel, query: Query) -> np.ndarray:

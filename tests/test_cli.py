@@ -67,6 +67,13 @@ def _without_part_counts(text):
     return json.dumps(doc)
 
 
+def _without_direction(text):
+    """A saved model in the format before it stored its direction group."""
+    doc = json.loads(text)
+    del doc["direction"]
+    return json.dumps(doc)
+
+
 def evaluate_from_test_rows_only(config, monkeypatch):
     """Staged ``evaluate`` on ``config`` (seed 0) with no model or sidecar file and a calibration pass that raises;
     every score row it reads must be a test pair's, one read per test pair."""
@@ -398,7 +405,8 @@ class TestExitCodes:
 
     def test_tune_with_split_directions_exits_0_with_a_phi_every_group_reaches(self, tmp_path, parity_dataset):
         """On the parity dataset each direction group's fitting quarter reaches at most 11 pairs of a predicate, so
-        the default grid keeps no phi and every group calibrates on all its pairs with the config's phi 20."""
+        the default grid keeps no phi, every group calibrates on all its pairs with the config's phi 20, and each
+        condkgcp file says so in its warnings."""
         config = write_config(tmp_path, parity_dataset, tune=True, phi=20)
         for stage in ("train", "score", "calibrate"):
             assert cli.main([stage, "--config", str(config), "--split-directions"]) == 0
@@ -408,7 +416,9 @@ class TestExitCodes:
             saved = json.loads((tmp_path / "out" / f"calibrated_condkgcp_{direction.value}_e0.1_s0.json").read_text())
             phis.add(saved["partition"]["phi"])
             assert saved["partition"]["phi"] <= np.bincount(calib.predicate[calib.direction == code]).max()
-        assert len(phis) == 1 and phis <= {20, 50, 100, 200}
+            assert (f"tune kept no grid point; condkgcp uses the config's gamma {saved['gamma']:g} and phi 20"
+                    in saved["warnings"])
+        assert phis == {20}
 
     def test_split_directions_phi_past_a_group_names_phi_count_and_group(self, tmp_path, parity_dataset, capsys):
         config = write_config(tmp_path, parity_dataset, phi=20)
@@ -491,13 +501,14 @@ class TestExitCodes:
         ("kgcp", lambda text: '{"method": "kgcp", "epsilon": 0.1, "gamma": 0.0, "global_threshold": 0.5}',
          "older format"),
         ("condkgcp", _without_part_counts, "missing key 'n_cal'"),
+        ("kgcp", _without_direction, "missing key 'direction'"),
         ("mcp", _with_parts([[0], [1]]), "partition misses predicate 2 of 3"),
         ("mcp", _with_parts([[0], [2]]), "partition misses predicate 1"),
         ("mcp", _with_parts([[0], [1], [2], [3]]), "partition names predicate 3, but there are 3"),
         ("mcp", _with_parts([[0, 1], [1], [2]]), "partition parts overlap on predicates [1]"),
         ("mcp", _with_parts([[0], [1], [2], [-1]]), "partition lists negative predicate -1"),
-    ], ids=["missing-key", "truncated", "old-format", "without-part-counts", "part-dropped", "predicate-skipped", "predicate-past-kg",
-            "predicate-repeated", "predicate-negative"])
+    ], ids=["missing-key", "truncated", "old-format", "without-part-counts", "without-direction", "part-dropped",
+            "predicate-skipped", "predicate-past-kg", "predicate-repeated", "predicate-negative"])
     def test_malformed_calibrated_model_names_file(self, tmp_path, dataset, capsys, method, edit, message):
         config = write_config(tmp_path, dataset, methods=[method])
         for stage in ("train", "score", "calibrate"):
@@ -523,6 +534,17 @@ class TestExitCodes:
         method, epsilon = source.split("_e")
         assert f"error: {artifact}: holds {method} at epsilon {epsilon}, not " in err
         assert "rerun the 'calibrate' stage" in err
+
+    def test_calibrated_file_of_another_direction_group_names_file(self, tmp_path, dataset, capsys):
+        config = write_config(tmp_path, dataset, methods=["kgcp", "mcp"])
+        for stage in ("train", "score", "calibrate"):
+            assert cli.main([stage, "--config", str(config), "--split-directions"]) == 0
+        head = tmp_path / "out" / "calibrated_mcp_head_e0.1_s0.json"
+        head.write_bytes((tmp_path / "out" / "calibrated_mcp_tail_e0.1_s0.json").read_bytes())
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(config), "--split-directions"]) == cli.EXIT_CONFIG
+        assert (f"error: {head}: holds mcp at epsilon 0.1 in direction group 'tail', "
+                "not mcp at 0.1 in direction group 'head' (rerun the 'calibrate' stage)") in capsys.readouterr().err
 
     def test_missing_dataset_path(self, tmp_path, capsys):
         config = write_config(tmp_path, tmp_path / "nope.json")

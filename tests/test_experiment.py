@@ -425,12 +425,18 @@ class TestTuning:
 
     def test_an_empty_grid_tunes_nothing(self):
         """On tiny_config no cut reaches phi 20: every method calibrates on all pairs with the config's (gamma,
-        phi), and the reports equal those of tune false."""
+        phi), each condkgcp model warns that tuning kept no point, and the reports equal those of tune false."""
         config = tiny_config(tune=True, split_directions=True, gamma=0.5, phi=5)
         data = prepare_run(config, 0)
-        gamma, phi, cal_idx = tune_condkgcp(config, 0, data)
-        assert (gamma, phi) == (0.5, 5)
-        assert sum(idx.size for idx in cal_idx.values()) == len(data.calib)
+        assert tune_condkgcp(config, 0, data) is None
+        warning = "tune kept no grid point; condkgcp uses the config's gamma 0.5 and phi 5"
+        fitted = calibrate(config, 0, data)
+        assert sum(sum(pc.n_cal for pc in fit.per_part.values())
+                   for (method, _, eps), fit in fitted.items() if (method, eps) == ("kgcp", 0.1)) == len(data.calib)
+        for (method, _, _), fit in fitted.items():
+            assert (warning in fit.warnings) == (method == "condkgcp")
+            if method == "condkgcp":
+                assert (fit.gamma, fit.partition.phi) == (0.5, 5)
         untuned = tiny_config(split_directions=True, gamma=0.5, phi=5)
         reports = run_single(config, 0, data=data)
         assert [repr(r) for r in reports] == [repr(r) for r in run_single(untuned, 0, data=data)]

@@ -4,8 +4,6 @@ import pytest
 from kgconformal.metrics import (
     EF_FAILURE,
     aggregate_rows,
-    avesize,
-    coverage_per_predicate,
     covgap,
     efficiency_rate,
     evaluate_predictions,
@@ -13,23 +11,23 @@ from kgconformal.metrics import (
 )
 
 
+def report(predicates, answers, sets, macro=False):
+    return evaluate_predictions("kgcp", 0.1, 0, predicates, answers, sets, macro)
+
+
 class TestCoverage:
     def test_hand_counts(self):
         preds = [0, 0, 0, 1]
         answers = [1, 2, 3, 4]
         sets = [{1, 5}, {9}, {3}, {4}]
-        cov = coverage_per_predicate(preds, answers, sets)
-        assert cov == {0: pytest.approx(2 / 3), 1: 1.0}
+        assert report(preds, answers, sets).coverage == {0: pytest.approx(2 / 3), 1: 1.0}
 
     def test_empty_sets_zero_coverage(self):
-        cov = coverage_per_predicate([0, 0], [1, 2], [set(), set()])
-        assert cov == {0: 0.0}
+        assert report([0, 0], [1, 2], [set(), set()]).coverage == {0: 0.0}
 
     def test_numpy_array_inputs(self):
-        cov = coverage_per_predicate(
-            np.array([0, 1]), np.array([3, 4]), [np.array([3]), np.array([9])]
-        )
-        assert cov == {0: 1.0, 1: 0.0}
+        rep = report(np.array([0, 1]), np.array([3, 4]), [np.array([3]), np.array([9])])
+        assert rep.coverage == {0: 1.0, 1: 0.0}
 
 
 class TestCovGap:
@@ -47,16 +45,16 @@ class TestCovGap:
 
 class TestAveSize:
     def test_global_mean(self):
-        assert avesize([{1, 2}, {1}, set()]) == pytest.approx(1.0)
+        assert report([0, 0, 1], [1, 1, 1], [{1, 2}, {1}, set()]).avesize == pytest.approx(1.0)
 
     def test_macro_mean(self):
         # predicate 0 sizes (2, 0) -> 1; predicate 1 size 4 -> macro mean 2.5
         sets = [{1, 2}, set(), {1, 2, 3, 4}]
-        assert avesize(sets, [0, 0, 1], macro=True) == pytest.approx(2.5)
+        assert report([0, 0, 1], [1, 1, 1], sets, macro=True).avesize == pytest.approx(2.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            avesize([])
+            report([], [], [])
 
 
 class TestEfficiencyRate:

@@ -1,8 +1,9 @@
 """Property tests: ranks and rank cuts under tied scores, the calibration rank cutoff, the tuning cut of
-the calibration pairs, the conformal quantile, the predicate partition under tied distances, the stored per-part counts and score-only
-thresholds against their refit, the calibrated-model and predicate-vector files (round trip and
-truncation), the negative sampler against its per-candidate loop, the columnar queries, filter masks
-and score export against their per-pair versions, and score-file rows read on demand against the matrix."""
+the calibration pairs, the conformal quantile, the leave-one-out coverage of kgcp and mcp, the predicate
+partition under tied distances, the stored per-part counts and score-only thresholds against their refit,
+the calibrated-model and predicate-vector files (round trip and truncation), the negative sampler against
+its per-candidate loop, the columnar queries, filter masks and score export against their per-pair
+versions, and score-file rows read on demand against the matrix."""
 
 import math
 import re
@@ -22,7 +23,8 @@ from hypothesis.extra import numpy as hnp
 
 from kgconformal import experiment, models
 from kgconformal.conformal import (CalibratedModel, PartCalibration, PredicatePartition, build_partition,
-                                   fit_condkgcp, fit_part_mcp, quantile, query_filters, rank_threshold, score_only)
+                                   fit_condkgcp, fit_kgcp, fit_mcp, fit_part_mcp, quantile, query_filters,
+                                   rank_threshold, score_only)
 from kgconformal.kg import (DIRECTIONS, KGError, Query, QueryAnswerSet, Triple, filter_masks, make_queries, rank_cuts,
                             rank_of)
 from kgconformal.models import (ScoreFile, ScoreMatrix, _sample_negatives, _triple_keys, export_predicate_vectors,
@@ -137,6 +139,58 @@ def test_quantile_matches_exact_order_statistic(values, per_mille):
     assert quantile(np.array(values, dtype=np.float64), epsilon) == expected
 
 
+def _leave_one_out_hits(fit, predicates: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Whether each score is within the threshold that ``fit(predicates, scores)`` calibrates on all the others."""
+    hits = np.empty(scores.size, dtype=bool)
+    for i in range(scores.size):
+        rest = np.arange(scores.size) != i
+        (threshold,), _ = query_filters(fit(predicates[rest], scores[rest]), predicates[i:i + 1], n_entities=1)
+        hits[i] = scores[i] <= threshold
+    return hits
+
+
+def _assert_exact_coverage(hits: np.ndarray, scores: np.ndarray, per_mille: int) -> None:
+    """Split-conformal coverage over the n + 1 held-out choices: exactly k = ceil((n+1)(1-eps)) of them on
+    distinct scores, at least k with ties.  k = n + 1 (coverage 1) is the case k > n, a threshold of +inf."""
+    k = math.ceil(scores.size * (1 - Fraction(per_mille, 1000)))
+    covered = int(np.count_nonzero(hits))
+    assert covered == k if np.unique(scores).size == scores.size else covered >= k
+
+
+@st.composite
+def scores_with_or_without_ties(draw, size: int):
+    if draw(st.booleans()):
+        return np.array(draw(st.permutations(range(size))), dtype=np.float64)
+    return np.array(draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)), dtype=np.float64)
+
+
+@given(st.integers(1, 200).flatmap(lambda n: scores_with_or_without_ties(n + 1)), st.integers(1, 999))
+@example(np.arange(2.0), 1)  # n = 1: k = 2 > n, so every held-out score is covered by +inf
+@example(np.arange(100.0), 100)  # n = 99, eps 0.1: exactly 90 of 100
+def test_kgcp_leave_one_out_coverage_is_exact(scores, per_mille):
+    pooled = np.zeros(scores.size, dtype=np.int64)
+    hits = _leave_one_out_hits(lambda _, rest: fit_kgcp(rest, per_mille / 1000), pooled, scores)
+    _assert_exact_coverage(hits, scores, per_mille)
+
+
+@st.composite
+def predicates_and_scores(draw):
+    n_pred = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(0, 60), min_size=n_pred, max_size=n_pred).filter(lambda c: 2 <= sum(c) <= 201))
+    predicates = np.repeat(np.arange(n_pred), counts)
+    scores = np.concatenate([draw(scores_with_or_without_ties(c)) for c in counts])
+    order = draw(st.permutations(range(predicates.size)))
+    return n_pred, predicates[order], scores[order]
+
+
+@given(predicates_and_scores(), st.integers(1, 999))
+def test_mcp_leave_one_out_coverage_is_exact_per_predicate(case, per_mille):
+    n_pred, predicates, scores = case
+    hits = _leave_one_out_hits(lambda preds, rest: fit_mcp(preds, rest, per_mille / 1000, n_pred), predicates, scores)
+    for r in np.unique(predicates):
+        _assert_exact_coverage(hits[predicates == r], scores[predicates == r], per_mille)
+
+
 @st.composite
 def partition_case(draw):
     """Per-predicate calibration counts, small integer predicate vectors (so distances tie) and phi."""
@@ -181,7 +235,8 @@ def shuffled_partitions(draw, n_pred: int):
 
 @st.composite
 def calibrated_models(draw):
-    """A kgcp, mcp or condkgcp model: a shuffled partition, +inf thresholds, None cutoffs and warnings."""
+    """A kgcp, mcp or condkgcp model: a shuffled partition, +inf thresholds, None cutoffs, warnings and a
+    direction group or None."""
     method = draw(st.sampled_from(["kgcp", "mcp", "condkgcp"]))
     n_pred = draw(st.integers(1, 8))
     if method == "kgcp":
@@ -202,7 +257,8 @@ def calibrated_models(draw):
         for g in range(1 if partition is None else len(partition.parts))
     }
     return CalibratedModel(method=method, epsilon=draw(_finite), per_part=per_part, partition=partition,
-                           gamma=draw(_finite), warnings=draw(st.lists(st.text(max_size=20), max_size=3)))
+                           gamma=draw(_finite), warnings=draw(st.lists(st.text(max_size=20), max_size=3)),
+                           direction=draw(st.sampled_from([None, "head", "tail"])))
 
 
 @given(calibrated_models())
