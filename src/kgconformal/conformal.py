@@ -397,20 +397,35 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, answers, threshold
     :func:`query_filters`).  A set is ``(nonconf <= threshold) & (raw > cut)``
     with the rank cutoff as a score cut (:func:`kg.rank_cuts`), so sizes and
     hits equal those of :func:`predict_set` given candidate ranks and the mask.
-    A filter whose every cut is -inf (no rank filter, as in kgcp and mcp)
-    shares one ``raw > -inf`` compare, the mask, with the other such filters.
+    A NaN threshold gives an empty set.  Neither input is modified.
+
+    A filter whose every cut is -inf (no rank filter, as in kgcp and mcp) is
+    sized by sorting each row's unmasked nonconformity values at or below the
+    row's largest such threshold: the row's size under all such filters is
+    one ``searchsorted(side="right")`` into them.  The values above that
+    threshold are in none of the row's sets and are not sorted.  Only a
+    filter with a rank cut compares the whole block.
     Returns ``(sizes, hits)`` shaped like ``thresholds``.
     """
     cuts = rank_cuts(masked_raw, cutoffs.T).T
     at_answer = (np.arange(masked_raw.shape[0]), np.asarray(answers))
     hits = (nonconf[at_answer] <= thresholds) & (masked_raw[at_answer] > cuts)
     ranked = np.isfinite(cuts).any(axis=1)
-    unmasked = masked_raw > -np.inf
     sizes = np.empty(thresholds.shape, dtype=np.int64)
-    for f in range(thresholds.shape[0]):
+    if not ranked.all():
+        row_thresholds = np.ascontiguousarray(thresholds[~ranked].T)
+        counts = np.empty(row_thresholds.shape, dtype=np.int64)
+        # fmax skips NaN thresholds; an entity above the row's largest threshold is in none of its sets
+        for i, top in enumerate(np.fmax.reduce(row_thresholds, axis=1).tolist()):
+            below = nonconf[i][(nonconf[i] <= top) & (masked_raw[i] > -np.inf)]
+            below.sort()
+            counts[i] = np.searchsorted(below, row_thresholds[i], side="right")
+        counts[np.isnan(row_thresholds)] = 0
+        sizes[~ranked] = counts.T
+    for f in np.flatnonzero(ranked):
         member = nonconf <= thresholds[f, :, None]
-        member &= (masked_raw > cuts[f, :, None]) if ranked[f] else unmasked
-        sizes[f] = np.count_nonzero(member, axis=1)
+        member &= masked_raw > cuts[f, :, None]
+        sizes[f] = member.sum(axis=1, dtype=np.int32)
     return sizes, hits
 
 

@@ -248,7 +248,7 @@ def answer_nonconf_and_ranks(scorer: scores.ScorerConfig, source: models.RowSour
     for block, nonconf, masked in _score_blocks(scorer, source, rows, indptr, indices, np.arange(rows.shape[0])):
         at_answer = (np.arange(block.size), answers[block])
         nonconf_at[block] = nonconf[at_answer]
-        ranks[block] = np.count_nonzero(masked >= masked[at_answer][:, None], axis=1)
+        ranks[block] = (masked >= masked[at_answer][:, None]).sum(axis=1, dtype=np.int32)
     return nonconf_at, ranks
 
 

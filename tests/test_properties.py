@@ -1,9 +1,9 @@
-"""Property tests: ranks and rank cuts under tied scores, the calibration rank cutoff, the tuning cut of
-the calibration pairs, the conformal quantile, the leave-one-out coverage of kgcp and mcp, the predicate
-partition under tied distances, the stored per-part counts and score-only thresholds against their refit,
-the calibrated-model and predicate-vector files (round trip and truncation), the negative sampler against
-its per-candidate loop, the columnar queries, filter masks and score export against their per-pair
-versions, and score-file rows read on demand against the matrix."""
+"""Property tests: ranks and rank cuts under tied scores, set sizes and hits against brute-force sets, the
+calibration rank cutoff, the tuning cut of the calibration pairs, the conformal quantile, the leave-one-out
+coverage of kgcp and mcp, the predicate partition under tied distances, the stored per-part counts and
+score-only thresholds against their refit, the calibrated-model and predicate-vector files (round trip and
+truncation), the negative sampler against its per-candidate loop, the columnar queries, filter masks and score
+export against their per-pair versions, and score-file rows read on demand against the matrix."""
 
 import math
 import re
@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 from kgconformal import experiment, models
 from kgconformal.conformal import (CalibratedModel, PartCalibration, PredicatePartition, build_partition,
                                    fit_condkgcp, fit_kgcp, fit_mcp, fit_part_mcp, quantile, query_filters,
-                                   rank_threshold, score_only)
+                                   rank_threshold, score_only, set_outcomes)
 from kgconformal.kg import (DIRECTIONS, KGError, Query, QueryAnswerSet, Triple, filter_masks, make_queries, rank_cuts,
                             rank_of)
 from kgconformal.models import (ScoreFile, ScoreMatrix, _sample_negatives, _triple_keys, export_predicate_vectors,
@@ -89,6 +89,49 @@ def test_rank_cut_selects_exactly_the_ranks_within_the_cutoff_under_ties(case):
     for k in range(n + 2):
         within = {e for e in range(n) if e not in mask and ranks[e] <= k}
         assert {e for e in range(n) if masked[e] > cuts[k]} == within
+
+
+@st.composite
+def set_outcome_cases(draw):
+    """A block of tied raw scores and nonconformity values on a quarter grid, masks (some rows keep only the
+    answer), and several filters per call: thresholds on the grid, +inf or NaN; cutoffs of a filter without a
+    rank cut all at least the row width, those of a ranked filter anywhere in 0..width+1."""
+    n_rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    raw = draw(hnp.arrays(np.float64, (n_rows, width), elements=st.integers(-2, 2)))
+    nonconf = draw(hnp.arrays(np.float64, (n_rows, width), elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0,
+                                                                                      math.inf])))
+    answers = np.array(draw(st.lists(st.integers(0, width - 1), min_size=n_rows, max_size=n_rows)), dtype=np.int64)
+    masked = raw.copy()
+    for i, a in enumerate(answers.tolist()):
+        mask = set(range(width)) if draw(st.booleans()) else draw(st.sets(st.integers(0, width - 1)))
+        masked[i, sorted(mask - {a})] = -np.inf
+    thresholds, cutoffs = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        thresholds.append(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf, math.nan]),
+                                        min_size=n_rows, max_size=n_rows)))
+        low = 0 if draw(st.booleans()) else width
+        cutoffs.append(draw(st.lists(st.integers(low, width + 1), min_size=n_rows, max_size=n_rows)))
+    return nonconf, masked, answers, np.array(thresholds), np.array(cutoffs, dtype=np.int64)
+
+
+@given(set_outcome_cases())
+# a tie at the threshold, a NaN threshold beside a finite one, a masked entity under the threshold, a ranked filter
+@example((np.array([[0.5, 0.5, 0.0]]), np.array([[1.0, -np.inf, 0.0]]), np.array([0]),
+          np.array([[0.5], [math.nan], [0.5]]), np.array([[3], [3], [1]])))
+def test_set_outcomes_match_brute_force_sets_with_many_filters_per_call(case):
+    """Each (filter, row) size and hit equals the brute-force set: unmasked entities with ``nonconf <= threshold``
+    and a pessimistic filtered rank within the cutoff.  The inputs come back unchanged."""
+    nonconf, masked, answers, thresholds, cutoffs = case
+    inputs = (nonconf.copy(), masked.copy(), answers.copy(), thresholds.copy(), cutoffs.copy())
+    sizes, hits = set_outcomes(nonconf, masked, answers, thresholds, cutoffs)
+    for got, before in zip((nonconf, masked, answers, thresholds, cutoffs), inputs):
+        assert np.array_equal(got, before, equal_nan=got.dtype.kind == "f")
+    for f, i in np.ndindex(thresholds.shape):
+        kept = [e for e in range(masked.shape[1]) if masked[i, e] > -np.inf]
+        members = {e for e in kept if nonconf[i, e] <= thresholds[f, i]
+                   and sum(masked[i, c] >= masked[i, e] for c in kept) <= cutoffs[f, i]}
+        assert sizes[f, i] == len(members)
+        assert hits[f, i] == (answers[i] in members)
 
 
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=60), st.integers(1, 999))
