@@ -13,11 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import conformal, metrics, models, verify
-from .experiment import (METHODS, ExperimentConfig, calibrate, calibration_keys, evaluate, load_or_generate_kg,
-                         prepare_run, prepare_test, run_experiment)
+from .experiment import (METHODS, ExperimentConfig, _predicate_vectors, calibrate, calibration_keys, evaluate,
+                         load_or_generate_kg, prepare_run, prepare_test, run_experiment)
 from .kg import KGError, make_queries
 from .synth import SyntheticKGSpec, write_dataset
 
@@ -115,8 +113,7 @@ def cmd_score(args) -> int:
         rows = models.ModelScores(model, *(make_queries(kg.splits.get(name, []), config.both_directions)
                                            for name in ("valid", "test")))
         models.export_scores(rows, _scores_path(out, seed))
-        vectors = np.stack([models.predicate_vector(model, r) for r in range(kg.vocab.n_predicates)])
-        models.export_predicate_vectors(vectors, _predvecs_path(out, seed))
+        models.export_predicate_vectors(_predicate_vectors(kg, None, model), _predvecs_path(out, seed))
         print(f"seed {seed}: scored {len(rows.queries)} queries -> {_scores_path(out, seed)}")
     return 0
 

@@ -80,6 +80,13 @@ class ExperimentConfig:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.phi < 1:
             raise ValueError(f"phi must be >= 1, got {self.phi}")
+        if self.model_kind not in models.MODEL_KINDS:
+            raise ValueError(f"unknown model_kind: {self.model_kind} ({', '.join(models.MODEL_KINDS)})")
+        if self.transe_norm not in (1, 2):
+            raise ValueError(f"transe_norm must be 1 or 2, got {self.transe_norm}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        self.train_config(0)
         self.scorer_config(0)
         if self.synthetic is not None:
             SyntheticKGSpec(**_known_keys(SyntheticKGSpec, self.synthetic, "synthetic"))

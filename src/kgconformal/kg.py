@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -215,9 +214,9 @@ def load_kg(path: str | Path) -> KnowledgeGraph:
 
 
 def split_triples(triples: list[Triple], cfg: SplitConfig) -> dict[str, list[Triple]]:
-    """Seeded, reproducible three-way split of a triple list."""
+    """Seeded, reproducible three-way split of a triple list: a numpy shuffle with ``cfg.seed``, then two cuts."""
     order = list(triples)
-    random.Random(cfg.seed).shuffle(order)
+    np.random.default_rng(cfg.seed).shuffle(order)
     n = len(order)
     n_train = int(round(n * cfg.train_fraction))
     n_calib = int(round(n * cfg.calib_fraction))

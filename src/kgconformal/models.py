@@ -61,10 +61,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.lr <= 0 or self.negatives < 1 or self.margin <= 0:
-            raise ValueError("invalid training configuration")
-        if self.l2 < 0 or self.batch_size < 1:
-            raise ValueError("invalid training configuration")
+        for name, ok, rule in (("epochs", self.epochs >= 0, ">= 0"), ("lr", self.lr > 0, "> 0"),
+                               ("negatives", self.negatives >= 1, ">= 1"), ("margin", self.margin > 0, "> 0"),
+                               ("l2", self.l2 >= 0, ">= 0"), ("batch_size", self.batch_size >= 1, ">= 1")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -78,6 +79,8 @@ class EmbeddingModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind: {self.kind}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
         width = 2 * self.dim if self.kind == "complex" else self.dim
         if self.entity_embeddings.shape[1] != width or self.predicate_embeddings.shape[1] != width:
             raise ValueError("embedding width inconsistent with model kind")
@@ -218,26 +221,26 @@ def _gather(mat, idx, out):
     return np.take(mat, idx, axis=0, out=out, mode="clip")
 
 
-def transe_loss_grad(ent, pred, h, r, t, hn, tn, margin: float, p: int, ws: _Workspace | None = None):
+def transe_loss_grad(E, R, margin: float, p: int, ws: _Workspace | None = None):
     """Margin ranking loss of a batch of (h, r, t) / (hn, r, tn) pairs with analytic gradients.
 
-    Takes the embedding matrices and one index per pair in each of ``h``,
-    ``r``, ``t``, ``hn`` and ``tn``; nothing is modified.  Returns the summed
-    loss and the gradient of each gathered row, keyed by those names.
-    Inactive pairs (loss <= 0) get zero gradients.  The rows, distances and
-    gradients live in ``ws`` (a fresh workspace when None), so the gradients
-    are valid until its next use.
+    ``E`` stacks the gathered entity rows of the pairs as ``[h; t; hn; tn]``
+    (``4m`` rows) and ``R`` holds their ``m`` relation rows; nothing is
+    modified.  Returns the summed loss and the gradients of those rows, laid
+    out as ``E`` and ``R``.  Inactive pairs (loss <= 0) get zero gradients.
+    The distances and gradients live in ``ws`` (a fresh workspace when None),
+    so the gradients are valid until its next use.
     """
     ws = _Workspace() if ws is None else ws
-    m, width = h.shape[0], ent.shape[1]
-    g_pos, g_neg, tmp = ws("g_h", m, width), ws("g_tn", m, width), ws("tmp", m, width)
+    m, width = R.shape
+    g_ent, tmp = ws("g_ent", 4 * m, width), ws("tmp", m, width)
     d_pos, d_neg = ws("d_pos", m), ws("d_neg", m)
-    rel = _gather(pred, r, ws("rel", m, width))
-    for v, d, a, b in ((g_pos, d_pos, h, t), (g_neg, d_neg, hn, tn)):
-        # v = ent[a] + pred[r] - ent[b], then d = ||v||_p and v becomes dd/dv
-        _gather(ent, a, v)
-        np.add(v, rel, out=v)
-        np.subtract(v, _gather(ent, b, tmp), out=v)
+    h, t, hn, tn = (E[i * m : (i + 1) * m] for i in range(4))
+    g_h, g_t, g_hn, g_tn = (g_ent[i * m : (i + 1) * m] for i in range(4))
+    for v, d, a, b in ((g_h, d_pos, h, t), (g_tn, d_neg, hn, tn)):
+        # v = a + r - b, then d = ||v||_p and v becomes dd/dv
+        np.add(a, R, out=v)
+        np.subtract(v, b, out=v)
         if p == 1:
             np.abs(v, out=tmp)
             tmp.sum(axis=1, out=d)
@@ -249,12 +252,11 @@ def transe_loss_grad(ent, pred, h, r, t, hn, tn, margin: float, p: int, ws: _Wor
             np.divide(v, np.maximum(d, 1e-12)[:, None], out=v)
     margin_loss = margin + d_pos - d_neg
     active = margin_loss > 0
-    np.multiply(g_pos, active[:, None], out=g_pos)
-    np.multiply(g_neg, active[:, None], out=g_neg)
-    grads = {"h": g_pos, "r": np.subtract(g_pos, g_neg, out=ws("g_r", m, width)),
-             "t": np.negative(g_pos, out=ws("g_t", m, width)),
-             "hn": np.negative(g_neg, out=ws("g_hn", m, width)), "tn": g_neg}
-    return float(margin_loss[active].sum()), grads
+    np.multiply(g_h, active[:, None], out=g_h)
+    np.multiply(g_tn, active[:, None], out=g_tn)
+    np.negative(g_h, out=g_t)
+    np.negative(g_tn, out=g_hn)
+    return float(margin_loss[active].sum()), g_ent, np.subtract(g_h, g_tn, out=ws("g_pred", m, width))
 
 
 def _bce_loss_weights(s, labels):
@@ -263,20 +265,23 @@ def _bce_loss_weights(s, labels):
     return loss, (_sigmoid(s) - labels)[:, None]
 
 
-def bilinear_bce_loss_grad(kind: str, dim: int, H, R, T, labels, ws: _Workspace | None = None):
+def bilinear_bce_loss_grad(kind: str, dim: int, E, R, labels, ws: _Workspace | None = None):
     """Binary cross-entropy of a batch of labelled triples for DistMult/ComplEx with gradients.
 
-    ``H``, ``R`` and ``T`` hold one embedding row per triple.  Returns the
-    summed loss and the gradients of those rows, keyed 'h', 'r' and 't'.
-    The products and gradients live in ``ws`` (a fresh workspace when None),
-    so the gradients are valid until its next use.  ComplEx copies the real
-    and imaginary halves into contiguous blocks first: the products are
+    ``E`` stacks the gathered head and tail rows of the ``m`` triples as
+    ``[H; T]`` and ``R`` holds their relation rows.  Returns the summed loss
+    and the gradients of those rows, laid out as ``E`` and ``R``.  The
+    products and gradients live in ``ws`` (a fresh workspace when None), so
+    the gradients are valid until its next use.  ComplEx copies the real and
+    imaginary halves into contiguous blocks first: the products are
     elementwise, so the layout changes no bit of them, and a contiguous
     block is several times faster to read than a strided half.
     """
     ws = _Workspace() if ws is None else ws
-    m, width = H.shape
-    g_h, g_r, g_t, s = ws("g_h", m, width), ws("g_r", m, width), ws("g_t", m, width), ws("s", m)
+    m, width = R.shape
+    H, T = E[:m], E[m:]
+    g_ent, g_r, s = ws("g_ent", 2 * m, width), ws("g_pred", m, width), ws("s", m)
+    g_h, g_t = g_ent[:m], g_ent[m:]
     if kind == "distmult":
         np.multiply(H, R, out=g_t)
         np.multiply(g_t, T, out=g_h)
@@ -286,7 +291,7 @@ def bilinear_bce_loss_grad(kind: str, dim: int, H, R, T, labels, ws: _Workspace 
         np.multiply(H, T, out=g_r)
         for g in (g_h, g_r, g_t):
             g *= dl
-        return loss, {"h": g_h, "r": g_r, "t": g_t}
+        return loss, g_ent, g_r
     hr, hi, rr, ri, tr, ti = (ws(name, m, dim) for name in ("hr", "hi", "rr", "ri", "tr", "ti"))
     for mat, real, imag in ((H, hr, hi), (R, rr, ri), (T, tr, ti)):
         np.copyto(real, mat[:, :dim])
@@ -315,7 +320,7 @@ def bilinear_bce_loss_grad(kind: str, dim: int, H, R, T, labels, ws: _Workspace 
         np.multiply(x2, y2, out=tmp)
         op(acc, tmp, out=acc)
         np.multiply(acc, dl, out=out)
-    return loss, {"h": g_h, "r": g_r, "t": g_t}
+    return loss, g_ent, g_r
 
 
 def _init_model(kind: str, dim: int, n_ent: int, n_pred: int, rng: np.random.Generator, norm: int) -> EmbeddingModel:
@@ -401,10 +406,14 @@ def train(kg: KnowledgeGraph, kind: str, cfg: TrainConfig, dim: int = 16, norm: 
             idx = perm[start : start + cfg.batch_size]
             bh, br, bt = heads[idx], rels[idx], tails[idx]
             nh, nr, nt = _sample_negatives(rng, bh, br, bt, n_ent, n_pred, known, k)
-            if kind == "transe":
-                loss = _transe_batch_step(model, cfg, bh, br, bt, nh, nt, k, ws)
+            if kind == "transe":  # one (positive, negative) pair per negative, with the relation nr
+                ent_idx = np.concatenate([np.repeat(bh, k), np.repeat(bt, k), nh, nt])
+                loss = _batch_step(model, cfg, ent_idx, nr,
+                                   lambda E, R: transe_loss_grad(E, R, cfg.margin, norm, ws), ws)
             else:
-                loss = _bce_batch_step(model, cfg, bh, br, bt, nh, nr, nt, ws)
+                labels = np.concatenate([np.ones(bh.shape[0]), np.zeros(nh.shape[0])])
+                loss = _batch_step(model, cfg, np.concatenate([bh, nh, bt, nt]), np.concatenate([br, nr]),
+                                   lambda E, R: bilinear_bce_loss_grad(kind, dim, E, R, labels, ws), ws)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss
@@ -429,30 +438,19 @@ def _scatter_update(mat, idx, grad, rows, cfg):
     np.subtract.at(mat.reshape(-1), (idx[:, None] * width + np.arange(width)).ravel(), grad.ravel())
 
 
-def _transe_batch_step(model, cfg, bh, br, bt, nh, nt, k, ws):
-    ent, pred = model.entity_embeddings, model.predicate_embeddings
-    h, r, t = np.repeat(bh, k), np.repeat(br, k), np.repeat(bt, k)
-    loss, grads = transe_loss_grad(ent, pred, h, r, t, nh, nt, cfg.margin, model.norm, ws)
-    rows = ws("rows", h.shape[0], ent.shape[1])
-    # each L2 term reads its rows after the earlier updates of this step
-    for mat, name, idx in ((ent, "h", h), (ent, "t", t), (ent, "hn", nh), (ent, "tn", nt), (pred, "r", r)):
-        _scatter_update(mat, idx, grads[name], _gather(mat, idx, rows), cfg)
-    return loss
+def _batch_step(model, cfg, ent_idx, pred_idx, loss_grad, ws):
+    """One SGD step: gather every row, take ``loss_grad(E, R)``, scatter once per matrix; returns the loss.
 
-
-def _bce_batch_step(model, cfg, bh, br, bt, nh, nr, nt, ws):
+    ``loss_grad`` returns the loss and the gradients of the gathered rows
+    ``E = ent[ent_idx]`` and ``R = pred[pred_idx]``.  The L2 terms read those
+    rows as they were before the step.
+    """
     ent, pred = model.entity_embeddings, model.predicate_embeddings
-    h, r, t = np.concatenate([bh, nh]), np.concatenate([br, nr]), np.concatenate([bt, nt])
-    labels = np.concatenate([np.ones(bh.shape[0]), np.zeros(nh.shape[0])])
-    m, width = h.shape[0], ent.shape[1]
-    # the L2 terms read these rows as they were before the step
-    H = _gather(ent, h, ws("H", m, width))
-    R = _gather(pred, r, ws("R", m, width))
-    T = _gather(ent, t, ws("T", m, width))
-    loss, grads = bilinear_bce_loss_grad(model.kind, model.dim, H, R, T, labels, ws)
-    _scatter_update(ent, h, grads["h"], H, cfg)
-    _scatter_update(ent, t, grads["t"], T, cfg)
-    _scatter_update(pred, r, grads["r"], R, cfg)
+    E = _gather(ent, ent_idx, ws("E", ent_idx.shape[0], ent.shape[1]))
+    R = _gather(pred, pred_idx, ws("R", pred_idx.shape[0], pred.shape[1]))
+    loss, g_ent, g_pred = loss_grad(E, R)
+    _scatter_update(ent, ent_idx, g_ent, E, cfg)
+    _scatter_update(pred, pred_idx, g_pred, R, cfg)
     return loss
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kg import KnowledgeGraph, Triple, Vocab
+from .kg import KnowledgeGraph, SplitConfig, Triple, Vocab, split_triples
 
 __all__ = ["SyntheticKGSpec", "generate_triples", "synthetic_kg", "write_dataset"]
 
@@ -90,24 +90,16 @@ def generate_triples(spec: SyntheticKGSpec) -> list[Triple]:
 
 def synthetic_kg(spec: SyntheticKGSpec,
                  fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)) -> KnowledgeGraph:
-    """Generated triples shuffled with ``seed + 1`` and cut into train/valid/test.
+    """Generated triples split into train/valid/test by :func:`~kgconformal.kg.split_triples` with ``seed + 1``.
 
     Entities are named ``e00000, e00001, ...`` and predicates ``r000, ...``.
     """
-    order = generate_triples(spec)
-    np.random.default_rng(spec.seed + 1).shuffle(order)
-    n = len(order)
-    n_train = int(round(n * fractions[0]))
-    n_valid = int(round(n * fractions[1]))
     vocab = Vocab.from_identifiers(
         [f"e{i:05d}" for i in range(spec.n_entities)],
         [f"r{i:03d}" for i in range(spec.n_predicates)],
     )
-    return KnowledgeGraph(vocab=vocab, splits={
-        "train": order[:n_train],
-        "valid": order[n_train : n_train + n_valid],
-        "test": order[n_train + n_valid :],
-    })
+    return KnowledgeGraph(vocab=vocab, splits=split_triples(generate_triples(spec),
+                                                            SplitConfig(*fractions, seed=spec.seed + 1)))
 
 
 def write_dataset(spec: SyntheticKGSpec, out_dir: str | Path,

@@ -43,14 +43,15 @@ def check_transe(rng, p: int, margin: float, n_ent: int = 6, n_pred: int = 2, di
     ent, pred = rng.normal(size=(n_ent, dim)), rng.normal(size=(n_pred, dim))
     idx = {name: rng.integers(0, n_pred if name == "r" else n_ent, size=rows)
            for name in ("h", "r", "t", "hn", "tn")}
+    ent_idx, pred_idx = np.concatenate([idx["h"], idx["t"], idx["hn"], idx["tn"]]), idx["r"]
 
     def loss_grad():
-        return transe_loss_grad(ent, pred, idx["h"], idx["r"], idx["t"], idx["hn"], idx["tn"], margin, p)
+        return transe_loss_grad(ent[ent_idx], pred[pred_idx], margin, p)
 
-    loss, row_grads = loss_grad()
+    loss, g_ent, g_pred = loss_grad()
     grads = {"ent": np.zeros_like(ent), "pred": np.zeros_like(pred)}
-    for name, rows_of in idx.items():
-        np.add.at(grads["pred" if name == "r" else "ent"], rows_of, row_grads[name])
+    np.add.at(grads["ent"], ent_idx, g_ent)
+    np.add.at(grads["pred"], pred_idx, g_pred)
     assert_matches_fd(lambda: loss_grad()[0], {"ent": ent, "pred": pred}, grads)
     return loss
 
@@ -58,10 +59,12 @@ def check_transe(rng, p: int, margin: float, n_ent: int = 6, n_pred: int = 2, di
 def check_bce(rng, kind: str, first_label: float, dim: int = 3, rows: int = 4) -> None:
     """FD-check :func:`bilinear_bce_loss_grad` on a random batch whose labels alternate from ``first_label``."""
     width = 2 * dim if kind == "complex" else dim
-    params = {name: rng.normal(size=(rows, width)) for name in ("h", "r", "t")}
+    h, r, t = (rng.normal(size=(rows, width)) for _ in range(3))
+    params = {"E": np.concatenate([h, t]), "R": r}
     labels = (first_label + np.arange(rows)) % 2
 
     def loss_grad():
-        return bilinear_bce_loss_grad(kind, dim, params["h"], params["r"], params["t"], labels)
+        return bilinear_bce_loss_grad(kind, dim, params["E"], params["R"], labels)
 
-    assert_matches_fd(lambda: loss_grad()[0], params, loss_grad()[1])
+    _, g_ent, g_pred = loss_grad()
+    assert_matches_fd(lambda: loss_grad()[0], params, {"E": g_ent, "R": g_pred})

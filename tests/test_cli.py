@@ -486,6 +486,26 @@ class TestExitCodes:
         assert "error: unknown nonconformity kind: apss" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model_s0.npz").exists()
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"negatives": 0}, "negatives must be >= 1, got 0"),
+        ({"lr": 0}, "lr must be > 0, got 0"),
+        ({"epochs": -1}, "epochs must be >= 0, got -1"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"margin": 0}, "margin must be > 0, got 0"),
+        ({"l2": -1}, "l2 must be >= 0, got -1"),
+        ({"dim": 0}, "dim must be >= 1, got 0"),
+        ({"model_kind": "rescal"}, "unknown model_kind: rescal (transe, distmult, complex)"),
+    ], ids=["negatives", "lr", "epochs", "batch-size", "margin", "l2", "dim", "model-kind"])
+    def test_bad_training_setting_is_named_before_loading_the_kg(self, tmp_path, dataset, capsys, monkeypatch,
+                                                                 changes, message):
+        def no_kg(*args, **kw):
+            raise AssertionError("loaded the KG for a config that training rejects")
+        monkeypatch.setattr(cli, "load_or_generate_kg", no_kg)
+        config = edited(write_config(tmp_path, dataset), **changes)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()  # no config echo, so no model_s*.npz either
+
     def test_epsilon_outside_zero_one_exits_before_training(self, tmp_path, dataset, capsys, monkeypatch):
         def no_training(*args, **kw):
             raise AssertionError("trained a model for a config that calibration rejects")
@@ -562,7 +582,7 @@ class TestExitCodes:
         assert "unknown tune_objective: EF" in capsys.readouterr().err
 
     def test_transe_norm_outside_one_or_two(self, tmp_path, dataset, capsys):
-        config = write_config(tmp_path, dataset, model_kind="transe", transe_norm=3)
+        config = edited(write_config(tmp_path, dataset, model_kind="transe"), transe_norm=3)
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
         assert "norm must be 1 or 2, got 3" in capsys.readouterr().err
         # a model file written elsewhere is checked on load

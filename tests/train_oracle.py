@@ -1,10 +1,13 @@
-"""The training code as it was before the workspace and the vectorised collision check.
+"""The training code as plain expressions, without the workspace and the vectorised collision check.
 
 ``models.train`` must give bit-identical embeddings to :func:`train` here:
 the loss/gradient functions, the negative sampler with its per-candidate
-collision loop, the batch steps and the scatter are verbatim copies of the
-plain-expression versions, with fresh temporaries on every step.  Shared by
-``test_models.py`` and ``test_properties.py``.
+collision loop, the batch steps and the scatter use fresh temporaries on
+every step.  Each batch step encodes one order: it gathers every row of the
+step first, then scatters name by name, the entity rows in the order h, t
+(then hn, tn for TransE) and the relation rows last, each L2 term reading
+its row as it was before the step.  Shared by ``test_models.py`` and
+``test_properties.py``.
 """
 
 from __future__ import annotations
@@ -150,10 +153,14 @@ def _scatter_update(mat, idx, grad, rows, cfg):
 def _transe_batch_step(model, cfg, bh, br, bt, nh, nt, k):
     ent, pred = model.entity_embeddings, model.predicate_embeddings
     h, r, t = np.repeat(bh, k), np.repeat(br, k), np.repeat(bt, k)
+    # the L2 terms read these rows as they were before the step
+    H, R, T, HN, TN = ent[h], pred[r], ent[t], ent[nh], ent[nt]
     loss, grads = transe_loss_grad(ent, pred, h, r, t, nh, nt, cfg.margin, model.norm)
-    # each L2 term reads its rows after the earlier updates of this step
-    for mat, name, idx in ((ent, "h", h), (ent, "t", t), (ent, "hn", nh), (ent, "tn", nt), (pred, "r", r)):
-        _scatter_update(mat, idx, grads[name], mat[idx], cfg)
+    _scatter_update(ent, h, grads["h"], H, cfg)
+    _scatter_update(ent, t, grads["t"], T, cfg)
+    _scatter_update(ent, nh, grads["hn"], HN, cfg)
+    _scatter_update(ent, nt, grads["tn"], TN, cfg)
+    _scatter_update(pred, r, grads["r"], R, cfg)
     return loss
 
 
