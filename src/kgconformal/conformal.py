@@ -387,31 +387,49 @@ def prop1_bounds(epsilon: float, gamma: float, rank_miscoverage: float, n_cal: i
     return lower, upper
 
 
-def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, answers, thresholds: np.ndarray,
-                 cutoffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Set size and answer hit of each query under each filter, without building the sets.
+def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.ndarray, cutoffs: np.ndarray,
+                 rows: np.ndarray, answers: np.ndarray, answer_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Set size and answer hit of each (query, answer) pair under each filter, without building the sets.
 
-    Rows of ``nonconf`` and ``masked_raw`` are queries over all entities, with
-    masked entities at -inf in ``masked_raw``; ``thresholds`` and ``cutoffs``
-    hold one filter per row and one query per column (see
-    :func:`query_filters`).  A set is ``(nonconf <= threshold) & (raw > cut)``
-    with the rank cutoff as a score cut (:func:`kg.rank_cuts`), so sizes and
-    hits equal those of :func:`predict_set` given candidate ranks and the mask.
-    A NaN threshold gives an empty set.  Neither input is modified.
+    Rows of ``nonconf`` and ``masked_raw`` are query rows over all entities.
+    A row masks the union of its pairs' masks: its entities at -inf in
+    ``masked_raw``.  ``thresholds`` and ``cutoffs`` hold one filter per row
+    (see :func:`query_filters`) and one query row per column.  Pair ``j``
+    reads row ``rows[j]``; its answer ``answers[j]`` scored ``answer_raw[j]``
+    before masking.  Its candidates are the row's unmasked entities plus its
+    answer, which is added back when the row masks it (``e_j``).  A set is
+    ``(nonconf <= threshold) & (raw > cut)`` with the rank cutoff as a score
+    cut, so sizes and hits equal those of :func:`predict_set` given the pair's
+    candidate ranks and mask.  A NaN threshold gives an empty set.  No input is
+    modified.
+
+    With ``b_k`` the k-th largest unmasked score of the row (one sort of the
+    row, :func:`kg.rank_cuts`; ``b_0 = +inf``, -inf past the end), cutoff ``k``
+    gives pair ``j``:
+
+    * ``hit = nonconf[answer] <= threshold & x > (b_k if e_j else b_(k+1))``,
+      since an added-back answer is one more candidate at its own score ``x``;
+    * ``cut = b_k if (e_j and x >= b_k) else b_(k+1)``: the (k+1)-th largest
+      candidate score, as it acts on the row's own entities;
+    * ``size = #{row entities: nonconf <= threshold, raw > cut} + e_j * hit``.
 
     A filter whose every cut is -inf (no rank filter, as in kgcp and mcp) is
     sized by sorting each row's unmasked nonconformity values at or below the
-    row's largest such threshold: the row's size under all such filters is
-    one ``searchsorted(side="right")`` into them.  The values above that
-    threshold are in none of the row's sets and are not sorted.  Only a
-    filter with a rank cut compares the whole block.
-    Returns ``(sizes, hits)`` shaped like ``thresholds``.
+    row's largest such threshold: the row's count under all such filters is
+    one ``searchsorted(side="right")`` into them.  A filter with a rank cut
+    compares the whole block once, at one pair's cut per row; a row whose
+    other pairs have another cut counts that cut on its own.
+    Returns ``(sizes, hits)``, each shaped ``(len(thresholds), len(rows))``.
     """
-    cuts = rank_cuts(masked_raw, cutoffs.T).T
-    at_answer = (np.arange(masked_raw.shape[0]), np.asarray(answers))
-    hits = (nonconf[at_answer] <= thresholds) & (masked_raw[at_answer] > cuts)
+    n_filters = thresholds.shape[0]
+    both = rank_cuts(masked_raw, np.hstack((cutoffs.T - 1, cutoffs.T))).T  # b_k, then b_(k+1), per (filter, row)
+    b_k, b_next = both[:n_filters, rows], both[n_filters:, rows]
+    at = (rows, answers)
+    added = masked_raw[at] == -np.inf
+    hits = (nonconf[at] <= thresholds[:, rows]) & (answer_raw > np.where(added, b_k, b_next))
+    cuts = np.where(added & (answer_raw >= b_k), b_k, b_next)
     ranked = np.isfinite(cuts).any(axis=1)
-    sizes = np.empty(thresholds.shape, dtype=np.int64)
+    sizes = np.empty(cuts.shape, dtype=np.int64)
     if not ranked.all():
         row_thresholds = np.ascontiguousarray(thresholds[~ranked].T)
         counts = np.empty(row_thresholds.shape, dtype=np.int64)
@@ -421,11 +439,20 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, answers, threshold
             below.sort()
             counts[i] = np.searchsorted(below, row_thresholds[i], side="right")
         counts[np.isnan(row_thresholds)] = 0
-        sizes[~ranked] = counts.T
+        sizes[~ranked] = counts.T[:, rows]
     for f in np.flatnonzero(ranked):
+        row_cuts = np.full(masked_raw.shape[0], -np.inf)
+        row_cuts[rows] = cuts[f]  # the cut of one of each row's pairs
         member = nonconf <= thresholds[f, :, None]
-        member &= masked_raw > cuts[f, :, None]
-        sizes[f] = member.sum(axis=1, dtype=np.int32)
+        member &= masked_raw > row_cuts[:, None]
+        sizes[f] = member.sum(axis=1, dtype=np.int32)[rows]
+        counted = {}  # (row, cut) of the pairs whose cut is not their row's
+        for j in np.flatnonzero(cuts[f] != row_cuts[rows]).tolist():
+            row, cut = rows[j], cuts[f, j]
+            if (row, cut) not in counted:
+                counted[row, cut] = np.count_nonzero((nonconf[row] <= thresholds[f, row]) & (masked_raw[row] > cut))
+            sizes[f, j] = counted[row, cut]
+    sizes += added & hits
     return sizes, hits
 
 

@@ -249,39 +249,58 @@ def answer_nonconf_and_ranks(scorer: scores.ScorerConfig, source: models.RowSour
 
     Pair ``j`` reads score row ``rows[j]``, masks its CSR slice of ``indices`` and draws as query ``j``.  Its
     rank is pessimistic: the number of unmasked candidates that score ``>=`` the answer, the answer included.
+    On a query row masked with the union of its pairs' masks, that is the row's count of scores ``>=`` the
+    answer's, plus one when the row masks the answer itself.
     """
     nonconf_at = np.empty(rows.shape[0])
     ranks = np.empty(rows.shape[0], dtype=np.int64)
-    for block, nonconf, masked in _score_blocks(scorer, source, rows, indptr, indices, np.arange(rows.shape[0])):
-        at_answer = (np.arange(block.size), answers[block])
-        nonconf_at[block] = nonconf[at_answer]
-        ranks[block] = (masked >= masked[at_answer][:, None]).sum(axis=1, dtype=np.int32)
+    for block, unit, nonconf, masked, answer_raw in _score_blocks(scorer, source, rows, answers, indptr, indices,
+                                                                  np.arange(rows.shape[0])):
+        at = (unit, answers[block])
+        nonconf_at[block] = nonconf[at]
+        per_row = np.split(answer_raw, np.flatnonzero(np.diff(unit)) + 1)
+        ranks[block] = np.concatenate([(row >= x[:, None]).sum(axis=1) for row, x in zip(masked, per_row)])
+        ranks[block] += masked[at] == -np.inf
     return nonconf_at, ranks
 
 
-def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: np.ndarray,
+def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: np.ndarray, answers: np.ndarray,
                   indptr: np.ndarray, indices: np.ndarray, draws: np.ndarray):
-    """Yield ``(block, nonconf, masked)`` per block of ``EVAL_BLOCK_ROWS`` pairs; pair ``j`` reads row ``rows[j]``.
+    """Yield ``(block, unit, nonconf, masked, answer_raw)`` per block of ``EVAL_BLOCK_ROWS`` pairs.
 
-    The pairs are visited in stable ``rows`` order, so the pairs of one query are adjacent and a model source
-    scores each query once per block.  ``block`` holds the block's pair indices.  ``nonconf`` row ``i`` draws as
-    query ``draws[block[i]]``, so a pair keeps its APS/RAPS u in every pass that gives it the same draw index;
-    ``masked`` rows have the pair's CSR mask at -inf.  Both are views of one buffer the next block overwrites.
+    Pair ``j`` reads score row ``rows[j]``.  The pairs are visited in stable ``rows`` order, so the pairs of one
+    query are adjacent; a query may straddle two blocks.  ``block`` holds the block's pair indices, and pair
+    ``block[i]`` owns row ``unit[i]`` of ``nonconf`` and ``masked``.  Under softmax a row is a query's, shared by
+    its pairs in the block; APS and RAPS draw a u per pair, so each pair owns a row.  The source fills each
+    query row once; a pair's own row is a copy of it.  ``nonconf`` row ``u`` draws as query ``draws[j]`` of its
+    first pair ``j``, so a pair keeps its APS/RAPS u in every pass that gives it the same draw index.
+    ``answer_raw`` holds each pair's answer score, read before ``masked`` rows get the union of their pairs'
+    CSR masks at -inf.  The arrays of a block are views of one buffer the next block overwrites.
     """
     n = rows.shape[0]
     order = np.argsort(rows, kind="stable")
     buffers = np.empty((2, min(EVAL_BLOCK_ROWS, n), source.n_entities))
     for start in range(0, n, EVAL_BLOCK_ROWS):
         block = order[start : start + EVAL_BLOCK_ROWS]
-        masked, nonconf = buffers[:, : block.size]
-        source.fill(rows[block], masked)
-        for i, q in enumerate(draws[block].tolist()):
+        query_rows = rows[block]
+        first = np.ones(block.size, dtype=bool)  # the block's first pair of each query
+        first[1:] = query_rows[1:] != query_rows[:-1]
+        query = np.cumsum(first) - 1
+        unit = query if scorer.kind == "softmax" else np.arange(block.size)
+        masked, nonconf = buffers[:, : unit[-1] + 1]
+        source.fill(query_rows[first], masked[: query[-1] + 1])
+        # from the back, so each query row is copied to its pairs before a pair's copy overwrites it
+        for i in np.flatnonzero(unit != query)[::-1].tolist():
+            masked[i] = masked[query[i]]
+        owner = block[np.diff(unit, prepend=-1) > 0]
+        for i, q in enumerate(draws[owner].tolist()):
             nonconf[i] = scores.nonconformity(masked[i], scorer, query_index=q)
+        answer_raw = masked[unit, answers[block]]
         lo, counts = indptr[block], indptr[block + 1] - indptr[block]
         # position of each masked entity in ``indices``: pair i's slice lo[i] + 0, 1, ..., counts[i] - 1
         at = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        masked[np.repeat(np.arange(block.size), counts), indices[at]] = -np.inf
-        yield block, nonconf, masked
+        masked[np.repeat(unit, counts), indices[at]] = -np.inf
+        yield block, unit, nonconf, masked, answer_raw
 
 
 def _direction_groups(data: EvalData, split_directions: bool):
@@ -357,18 +376,22 @@ def _outcomes(config: ExperimentConfig, seed: int, data: EvalData, filters: list
               draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Set size and answer hit of every test pair under each filter, in one blocked pass.
 
-    A filter is a per-test-pair (score threshold, rank cutoff) pair of arrays.
-    Each block of :func:`_score_blocks` (test pair ``j`` draws as query ``draws[j]``) is reduced
-    by :func:`conformal.set_outcomes`.  Returns ``(sizes, hits)``, each shaped ``(len(filters), n_test)``.
+    A filter is a per-test-pair (score threshold, rank cutoff) pair of arrays, equal across the pairs of a
+    query, since :func:`_filters` looks it up by direction group and predicate.  Each block of
+    :func:`_score_blocks` (test pair ``j`` draws as query ``draws[j]``) is reduced by
+    :func:`conformal.set_outcomes`.  Returns ``(sizes, hits)``, each shaped ``(len(filters), n_test)``.
     """
     thresholds = np.stack([t for t, _ in filters])
     cutoffs = np.stack([k for _, k in filters])
     sizes = np.empty(thresholds.shape, dtype=np.int64)
     hits = np.empty(thresholds.shape, dtype=bool)
-    for block, nonconf, masked in _score_blocks(config.scorer_config(seed), data.score_rows, data.test_rows,
-                                                data.mask_indptr, data.mask_indices, draws):
-        sizes[:, block], hits[:, block] = conformal.set_outcomes(nonconf, masked, data.test.answer[block],
-                                                                 thresholds[:, block], cutoffs[:, block])
+    answers = data.test.answer
+    for block, unit, nonconf, masked, answer_raw in _score_blocks(config.scorer_config(seed), data.score_rows,
+                                                                  data.test_rows, answers, data.mask_indptr,
+                                                                  data.mask_indices, draws):
+        owner = block[np.diff(unit, prepend=-1) > 0]  # a row's filter is its query's: that of its first pair
+        sizes[:, block], hits[:, block] = conformal.set_outcomes(nonconf, masked, thresholds[:, owner],
+                                                                 cutoffs[:, owner], unit, answers[block], answer_raw)
     return sizes, hits
 
 

@@ -299,7 +299,9 @@ def rank_cuts(masked_scores: np.ndarray, cutoffs) -> np.ndarray:
     entities, which are -inf; ``cutoffs`` holds each row's rank cutoffs
     (shape ``(rows, m)``).  The cut for cutoff ``k`` is the (k+1)-th largest
     unmasked score, or -inf when ``k`` is at least the number of unmasked
-    entities.  For an unmasked entity ``e``, its filtered rank
+    entities; cutoff -1 (no rank is that small) cuts at +inf, so cutoffs
+    ``k - 1`` and ``k`` read the k-th and the (k+1)-th largest score from one
+    sort.  For an unmasked entity ``e``, its filtered rank
     ``rank_of(scores, e, mask) <= k`` holds exactly when
     ``scores[e] > cut``, ties included: a pessimistic rank counts the
     candidates scoring ``>= scores[e]``, and at most ``k`` of them do exactly
@@ -310,5 +312,5 @@ def rank_cuts(masked_scores: np.ndarray, cutoffs) -> np.ndarray:
     n = ordered.shape[1]
     cutoffs = np.asarray(cutoffs, dtype=np.int64)
     # the (k+1)-th largest is ascending position n-1-k; masked entries (-inf) fill the bottom
-    cuts = np.take_along_axis(ordered, np.clip(n - 1 - cutoffs, 0, None), axis=1)
-    return np.where(cutoffs < n, cuts, -np.inf)
+    cuts = np.take_along_axis(ordered, np.clip(n - 1 - cutoffs, 0, n - 1), axis=1)
+    return np.where(cutoffs < 0, np.inf, np.where(cutoffs < n, cuts, -np.inf))

@@ -567,18 +567,12 @@ class ModelScores(RowSource):
         self.queries = queries[np.unique(query_keys(queries), return_index=True)[1]]
         self.n_entities = model.n_entities
         self._scorer = _BlockScorer(model, SCORE_BLOCK_QUERIES)
-        self._scored = np.empty((SCORE_BLOCK_QUERIES, model.n_entities))
 
     def fill(self, rows: np.ndarray, out: np.ndarray) -> None:
-        """Score each run of equal rows once, ``SCORE_BLOCK_QUERIES`` runs at a time, and copy it to the run's pairs."""
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        stops = np.append(starts[1:], rows.size)
-        for lo in range(0, starts.size, SCORE_BLOCK_QUERIES):
-            first, last = starts[lo : lo + SCORE_BLOCK_QUERIES], stops[lo : lo + SCORE_BLOCK_QUERIES]
-            scored = self._scored[: first.size]
-            self._scorer(self.queries[rows[first]], scored)
-            for row, a, b in zip(scored, first.tolist(), last.tolist()):
-                out[a:b] = row
+        """Score row ``rows[i]`` into ``out[i]``, ``SCORE_BLOCK_QUERIES`` rows at a time."""
+        for lo in range(0, rows.size, SCORE_BLOCK_QUERIES):
+            block = rows[lo : lo + SCORE_BLOCK_QUERIES]
+            self._scorer(self.queries[block], out[lo : lo + block.size])
 
 
 SCORE_HEADER_BYTES = 12  # magic, |E| and the record count
@@ -645,23 +639,18 @@ class ScoreFile(RowSource):
         self.n_entities = n_ent
 
     def fill(self, rows: np.ndarray, out: np.ndarray) -> None:
-        """Read score row ``rows[i]`` into ``out[i]``: one positioned read per run of equal rows, copied along the run.
+        """Read score row ``rows[i]`` into ``out[i]``, one positioned read per row.
 
         KGError names the file when a read comes up short (the file shrank after import).
         """
         offsets = self._first_score + self._records[rows] * self._record_bytes
         row_bytes = 8 * self.n_entities
-        last = -1
         with open(self.source, "rb", buffering=0) as fh:
             for i, (row, offset) in enumerate(zip(rows.tolist(), offsets.tolist())):
-                if row == last:
-                    out[i] = out[i - 1]
-                    continue
                 fh.seek(offset)
                 if fh.readinto(out[i]) != row_bytes:
                     raise KGError(f"{self.source}: score row of query {_query_key(self.queries[row])} cut short; "
                                   "the file changed after it was imported (rerun the 'score' stage)")
-                last = row
         if sys.byteorder == "big":  # the file's scores are little-endian
             out[: rows.size].byteswap(inplace=True)
 

@@ -76,7 +76,7 @@ def _without_direction(text):
 
 def evaluate_from_test_rows_only(config, monkeypatch):
     """Staged ``evaluate`` on ``config`` (seed 0) with no model or sidecar file and a calibration pass that raises;
-    every score row it reads must be a test pair's, one read per test pair."""
+    every score row it reads must be a test query's, one read per test query and block."""
     out = Path(json.loads(config.read_text())["output_dir"])
     for name in ("model_s0.npz", "predvecs_s0.bin"):
         (out / name).unlink(missing_ok=True)
@@ -97,7 +97,10 @@ def evaluate_from_test_rows_only(config, monkeypatch):
         assert cli.main(["evaluate", "--config", str(config)]) == 0
     kg = load_or_generate_kg(ExperimentConfig.load(config), 0)
     (test_rows,) = import_scores(out / "scores_s0.bin").rows(make_queries(kg.splits["test"]))
-    assert np.array_equal(np.sort(np.concatenate(read)), np.sort(test_rows))
+    asked, wanted = np.concatenate(read), np.unique(test_rows)
+    assert all(np.unique(rows).size == rows.size for rows in read)
+    assert np.array_equal(np.unique(asked), wanted)
+    assert asked.size < wanted.size + len(read)  # only a query that straddles two blocks is read twice
 
 
 @pytest.fixture(scope="module")

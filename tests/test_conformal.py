@@ -321,7 +321,9 @@ class TestSetOutcomes:
         for i, mask in enumerate(masks):
             masked[i, list(mask)] = -np.inf
         thresholds_, cutoffs = query_filters(model, predicates, n_entities)
-        sizes, hits = set_outcomes(nonconf, masked, answers, thresholds_[None, :], cutoffs[None, :])
+        rows = np.arange(n_queries)  # one pair per query row
+        sizes, hits = set_outcomes(nonconf, masked, thresholds_[None, :], cutoffs[None, :], rows, answers,
+                                   raw[rows, answers])
 
         for i, mask in enumerate(masks):
             members = predict_set(model, int(predicates[i]), nonconf[i], candidate_ranks(raw[i], mask), mask)

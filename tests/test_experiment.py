@@ -277,6 +277,25 @@ class TestRunSingle:
         assert np.array_equal(rerun.calib_nonconf, data.calib_nonconf)
         assert np.array_equal(rerun.calib_ranks, data.calib_ranks)
 
+    @pytest.mark.parametrize("filtered", [True, False], ids=["filtered", "raw"])
+    @pytest.mark.parametrize("kind", ["softmax", "aps"])
+    def test_outcomes_do_not_change_when_a_query_straddles_blocks(self, monkeypatch, kind, filtered):
+        """Blocks of 2 and 3 pairs split the pairs of some test query; every (filter, pair) size and hit stays."""
+        config = tiny_config(scorer={"kind": kind}, filtered=filtered)
+        data = prepare_run(config, 0, model=trained_model(config))
+        fitted = calibrate(config, 0, data)
+        groups = list(experiment._direction_groups(data, False))
+        models_ = [*fitted.values(), conformal.score_only(fitted[("condkgcp", None, 0.1)])]
+        filters = [experiment._filters(data, groups, [model]) for model in models_]
+        draws = len(data.calib) + np.arange(len(data.test))
+        whole = experiment._outcomes(config, 0, data, filters, draws)
+        ordered = np.sort(data.test_rows)
+        for block in (2, 3):
+            assert np.any(ordered[block::block] == ordered[block - 1 : -1 : block])  # a query straddles two blocks
+            monkeypatch.setattr(experiment, "EVAL_BLOCK_ROWS", block)
+            for got, want in zip(experiment._outcomes(config, 0, data, filters, draws), whole):
+                assert np.array_equal(got, want)
+
     def test_multiple_epsilons(self):
         reports = run_single(tiny_config(methods=["kgcp"], epsilons=[0.1, 0.3]), 0)
         by_eps = {r.epsilon: r for r in reports}

@@ -1,9 +1,10 @@
-"""Property tests: ranks and rank cuts under tied scores, set sizes and hits against brute-force sets, the
-calibration rank cutoff, the tuning cut of the calibration pairs, the conformal quantile, the leave-one-out
-coverage of kgcp and mcp, the predicate partition under tied distances, the stored per-part counts and
-score-only thresholds against their refit, the calibrated-model and predicate-vector files (round trip and
-truncation), the negative sampler against its per-candidate loop, the columnar queries, filter masks and score
-export against their per-pair versions, and score-file rows read on demand against the matrix."""
+"""Property tests: ranks and rank cuts under tied scores, set sizes and hits of query rows shared by several pairs
+against brute-force sets on each pair's own mask, the calibration rank cutoff, the tuning cut of the calibration
+pairs, the conformal quantile, the leave-one-out coverage of kgcp and mcp, the predicate partition under tied
+distances, the stored per-part counts and score-only thresholds against their refit, the calibrated-model and
+predicate-vector files (round trip and truncation), the negative sampler against its per-candidate loop, the
+columnar queries, filter masks and score export against their per-pair versions, the one masked row the pairs of a
+query share, and score-file rows read on demand against the matrix."""
 
 import math
 import re
@@ -56,16 +57,35 @@ def test_candidate_ranks_match_rank_of_and_brute_force_under_ties(case):
             assert ranks[e] == rank_of(scores, e, mask) == sum(scores[c] >= scores[e] for c in kept)
 
 
-@given(st.lists(tied_scores_and_mask(), min_size=1, max_size=9), st.data())
-def test_block_answer_ranks_match_rank_of_and_brute_force_under_ties(cases, data):
-    """The calibration ranks of ``prepare_run`` and ``verify``: pairs in shuffled row order, over several blocks."""
+@st.composite
+def shared_rows(draw, scores):
+    """Query rows of ``scores`` (one per row) that 1-4 pairs share, and each pair's mask: the row's known answers
+    (its drawn mask plus every pair's answer) but the pair's own when filtered, nothing when raw (both forms
+    drawn).  Returns ``(rows, answers, masks)`` in pair order, one pair per list entry."""
+    filtered = draw(st.booleans())
+    rows, answers, masks = [], [], []
+    for row, (values, extra) in enumerate(scores):
+        own = draw(st.lists(st.integers(0, values.size - 1), min_size=1, max_size=min(4, values.size), unique=True))
+        known = set(extra) | set(own)
+        for a in own:
+            rows.append(row)
+            answers.append(a)
+            masks.append(known - {a} if filtered else set())
+    return rows, answers, masks
+
+
+@given(st.lists(tied_scores_and_mask(), min_size=1, max_size=9).flatmap(
+    lambda cases: st.tuples(st.just(cases), shared_rows(cases))), st.data())
+def test_block_answer_ranks_match_rank_of_and_brute_force_under_ties(case, data):
+    """The calibration ranks of ``prepare_run`` and ``verify``: query rows shared by 1-4 pairs, pairs in shuffled
+    order over blocks of 2, so a query's pairs straddle blocks; each pair is checked on its own mask."""
+    cases, (rows, answers, masks) = case
     n, width = len(cases), max(scores.size for scores, _ in cases)
     raw = np.full((n, width), -5.0)  # padding scores below every drawn one
     for i, (scores, _) in enumerate(cases):
         raw[i, : scores.size] = scores
-    rows = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)  # pair j reads row rows[j]
-    answers = np.array(data.draw(st.lists(st.integers(0, width - 1), min_size=n, max_size=n)), dtype=np.int64)
-    masks = [sorted(cases[row][1] - {a}) for row, a in zip(rows.tolist(), answers.tolist())]
+    order = data.draw(st.permutations(range(len(rows))))
+    rows, answers, masks = (np.array(rows)[order], np.array(answers)[order], [sorted(masks[j]) for j in order])
     indptr = np.cumsum([0] + [len(m) for m in masks])
     indices = np.array([e for m in masks for e in m], dtype=np.int64)
     queries = np.column_stack((np.zeros(n, dtype=np.int64), np.arange(n), np.zeros(n, dtype=np.int64)))
@@ -93,45 +113,55 @@ def test_rank_cut_selects_exactly_the_ranks_within_the_cutoff_under_ties(case):
 
 @st.composite
 def set_outcome_cases(draw):
-    """A block of tied raw scores and nonconformity values on a quarter grid, masks (some rows keep only the
-    answer), and several filters per call: thresholds on the grid, +inf or NaN; cutoffs of a filter without a
-    rank cut all at least the row width, those of a ranked filter anywhere in 0..width+1."""
-    n_rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    """Query rows of tied raw scores and nonconformity values on a quarter grid, each shared by 1-4 pairs whose
+    masks differ only by their answers (:func:`shared_rows`; some rows know every entity), and several filters per
+    call, one per row: thresholds on the grid, +inf or NaN; cutoffs of a filter without a rank cut all at least
+    the row width, those of a ranked filter anywhere in 0..width+1."""
+    n_rows, width = draw(st.integers(1, 5)), draw(st.integers(1, 10))
     raw = draw(hnp.arrays(np.float64, (n_rows, width), elements=st.integers(-2, 2)))
     nonconf = draw(hnp.arrays(np.float64, (n_rows, width), elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0,
                                                                                       math.inf])))
-    answers = np.array(draw(st.lists(st.integers(0, width - 1), min_size=n_rows, max_size=n_rows)), dtype=np.int64)
-    masked = raw.copy()
-    for i, a in enumerate(answers.tolist()):
-        mask = set(range(width)) if draw(st.booleans()) else draw(st.sets(st.integers(0, width - 1)))
-        masked[i, sorted(mask - {a})] = -np.inf
+    known = [set(range(width)) if draw(st.booleans()) else draw(st.sets(st.integers(0, width - 1)))
+             for _ in range(n_rows)]
+    rows, answers, masks = draw(shared_rows([(row, extra) for row, extra in zip(raw, known)]))
     thresholds, cutoffs = [], []
     for _ in range(draw(st.integers(1, 8))):
         thresholds.append(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf, math.nan]),
                                         min_size=n_rows, max_size=n_rows)))
         low = 0 if draw(st.booleans()) else width
         cutoffs.append(draw(st.lists(st.integers(low, width + 1), min_size=n_rows, max_size=n_rows)))
-    return nonconf, masked, answers, np.array(thresholds), np.array(cutoffs, dtype=np.int64)
+    return (nonconf, raw, np.array(rows), np.array(answers), masks, np.array(thresholds),
+            np.array(cutoffs, dtype=np.int64))
 
 
 @given(set_outcome_cases())
 # a tie at the threshold, a NaN threshold beside a finite one, a masked entity under the threshold, a ranked filter
-@example((np.array([[0.5, 0.5, 0.0]]), np.array([[1.0, -np.inf, 0.0]]), np.array([0]),
+@example((np.array([[0.5, 0.5, 0.0]]), np.array([[1.0, 2.0, 0.0]]), np.array([0]), np.array([0]), [{1}],
           np.array([[0.5], [math.nan], [0.5]]), np.array([[3], [3], [1]])))
+# two pairs whose answers the row masks: the first scores exactly b_1, the only unmasked score, the second below it
+@example((np.zeros((1, 3)), np.array([[1.0, 1.0, 0.0]]), np.array([0, 0]), np.array([0, 2]), [{2}, {0}],
+          np.array([[math.inf], [math.inf]]), np.array([[1], [2]])))
 def test_set_outcomes_match_brute_force_sets_with_many_filters_per_call(case):
-    """Each (filter, row) size and hit equals the brute-force set: unmasked entities with ``nonconf <= threshold``
-    and a pessimistic filtered rank within the cutoff.  The inputs come back unchanged."""
-    nonconf, masked, answers, thresholds, cutoffs = case
-    inputs = (nonconf.copy(), masked.copy(), answers.copy(), thresholds.copy(), cutoffs.copy())
-    sizes, hits = set_outcomes(nonconf, masked, answers, thresholds, cutoffs)
-    for got, before in zip((nonconf, masked, answers, thresholds, cutoffs), inputs):
-        assert np.array_equal(got, before, equal_nan=got.dtype.kind == "f")
-    for f, i in np.ndindex(thresholds.shape):
-        kept = [e for e in range(masked.shape[1]) if masked[i, e] > -np.inf]
-        members = {e for e in kept if nonconf[i, e] <= thresholds[f, i]
-                   and sum(masked[i, c] >= masked[i, e] for c in kept) <= cutoffs[f, i]}
-        assert sizes[f, i] == len(members)
-        assert hits[f, i] == (answers[i] in members)
+    """Each (filter, pair) size and hit equals the brute-force set on the pair's own mask: candidates with
+    ``nonconf <= threshold`` and a pessimistic filtered rank within the cutoff.  The query rows are masked with
+    the union of their pairs' masks.  The inputs come back unchanged."""
+    nonconf, raw, rows, answers, masks, thresholds, cutoffs = case
+    masked = raw.copy()
+    for row, mask in zip(rows.tolist(), masks):
+        masked[row, sorted(mask)] = -np.inf
+    answer_raw = raw[rows, answers]
+    inputs = (nonconf, masked, thresholds, cutoffs, rows, answers, answer_raw)
+    before = [x.copy() for x in inputs]
+    sizes, hits = set_outcomes(*inputs)
+    for got, was in zip(inputs, before):
+        assert np.array_equal(got, was, equal_nan=got.dtype.kind == "f")
+    for f, j in np.ndindex(sizes.shape):
+        row = rows[j]
+        kept = [e for e in range(raw.shape[1]) if e not in masks[j]]
+        members = {e for e in kept if nonconf[row, e] <= thresholds[f, row]
+                   and sum(raw[row, c] >= raw[row, e] for c in kept) <= cutoffs[f, row]}
+        assert sizes[f, j] == len(members)
+        assert hits[f, j] == (answers[j] in members)
 
 
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=60), st.integers(1, 999))
@@ -462,6 +492,23 @@ def test_filter_masks_match_answer_index(splits, both_directions):
             assert indices[indptr[i] : indptr[i + 1]].tolist() == sorted(index[q.key()] - {a})
         indptr, indices = filter_masks(qa, [])
         assert indptr.tolist() == [0] * (len(qa) + 1) and indices.size == 0
+
+
+@given(st.lists(triple_lists, min_size=3, max_size=3), st.booleans(), st.booleans())
+def test_pairs_of_a_query_share_one_filtered_row(splits, both_directions, filtered):
+    """What a shared query row rests on: filtered, every pair of query ``q`` masks ``K(q)`` but its own answer, so
+    its mask plus its answer is ``K(q)``, one set per query; raw, no pair masks anything."""
+    sets = [make_queries([Triple(*row) for row in rows], both_directions) for rows in splits]
+    known_answers: dict = {}
+    for qa in sets:
+        for q, a in qa.pairs:
+            known_answers.setdefault(q.key(), set()).add(a)
+    for qa in sets:
+        indptr, indices = filter_masks(qa, sets if filtered else [])
+        for i, (q, a) in enumerate(qa.pairs):
+            mask = set(indices[indptr[i] : indptr[i + 1]].tolist())
+            assert a not in mask
+            assert mask | {a} == known_answers[q.key()] if filtered else not mask
 
 
 @st.composite
