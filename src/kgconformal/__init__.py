@@ -20,7 +20,6 @@ from .kg import (
     Query,
     QueryAnswerSet,
     SplitConfig,
-    Triple,
     Vocab,
     load_kg,
     make_queries,
@@ -48,7 +47,6 @@ __all__ = [
     "SplitConfig",
     "SyntheticKGSpec",
     "TrainConfig",
-    "Triple",
     "Vocab",
     "aps_scores",
     "build_partition",

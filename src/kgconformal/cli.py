@@ -110,7 +110,7 @@ def cmd_score(args) -> int:
     for seed in config.seeds:
         model = models.load_model(_artifact("model", _model_path(out, seed), "train"))
         kg = load_or_generate_kg(config, seed)
-        rows = models.ModelScores(model, *(make_queries(kg.splits.get(name, []), config.both_directions)
+        rows = models.ModelScores(model, *(make_queries(kg.triples(name), config.both_directions)
                                            for name in ("valid", "test")))
         models.export_scores(rows, _scores_path(out, seed))
         models.export_predicate_vectors(_predicate_vectors(kg, None, model), _predvecs_path(out, seed))

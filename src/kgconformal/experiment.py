@@ -92,7 +92,9 @@ class ExperimentConfig:
             SyntheticKGSpec(**_known_keys(SyntheticKGSpec, self.synthetic, "synthetic"))
 
     def scorer_config(self, seed: int) -> scores.ScorerConfig:
-        return scores.ScorerConfig(**{"rng_seed": seed, **_known_keys(scores.ScorerConfig, self.scorer, "scorer")})
+        # each seed draws its own APS/RAPS stream, so a config cannot pin rng_seed
+        return scores.ScorerConfig(**_known_keys(scores.ScorerConfig, self.scorer, "scorer", fixed=("rng_seed",)),
+                                   rng_seed=seed)
 
     def train_config(self, seed: int) -> models.TrainConfig:
         return models.TrainConfig(
@@ -117,11 +119,12 @@ class ExperimentConfig:
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def _known_keys(cls, doc, what: str) -> dict:
-    """``doc``, checked to be a dict whose keys are all fields of dataclass ``cls``; ValueError names ``what``."""
+def _known_keys(cls, doc, what: str, fixed: tuple[str, ...] = ()) -> dict:
+    """``doc``, checked to be a dict whose keys are all fields of dataclass ``cls`` but ``fixed``; ValueError names
+    ``what``."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    unknown = sorted(set(doc) - ({f.name for f in fields(cls)} - set(fixed)))
     if unknown:
         raise ValueError(f"{what} has unknown keys: {', '.join(map(str, unknown))}")
     return doc
@@ -164,11 +167,11 @@ def load_or_generate_kg(config: ExperimentConfig, seed: int) -> KnowledgeGraph:
 
 def _query_sets(config: ExperimentConfig, kg: KnowledgeGraph):
     """The calibration and test query sets, and the known sets that filter masks are built from."""
-    calib = make_queries(kg.splits.get("valid", []), config.both_directions)
-    test = make_queries(kg.splits.get("test", []), config.both_directions)
+    calib = make_queries(kg.triples("valid"), config.both_directions)
+    test = make_queries(kg.triples("test"), config.both_directions)
     if not len(calib) or not len(test):
         raise KGError("calibration or test split is empty")
-    known = [make_queries(kg.splits.get("train", []), config.both_directions), calib, test] if config.filtered else []
+    known = [make_queries(kg.triples("train"), config.both_directions), calib, test] if config.filtered else []
     return calib, test, known
 
 

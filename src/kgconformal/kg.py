@@ -1,9 +1,9 @@
-"""Knowledge-graph data model: vocabularies, triples, queries, splits, ranking."""
+"""Knowledge-graph data model: vocabularies, triples as ``(n, 3)`` int64 rows, queries, splits, ranking."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -16,7 +16,6 @@ __all__ = [
     "Query",
     "QueryAnswerSet",
     "SplitConfig",
-    "Triple",
     "Vocab",
     "filter_masks",
     "load_kg",
@@ -40,23 +39,14 @@ class Direction(str, Enum):
 
 @dataclass(frozen=True)
 class Vocab:
-    """Dense, stable index maps for entity and predicate identifiers."""
+    """Entity and predicate identifiers; an id is a position in these tuples."""
 
     entities: tuple[str, ...]
     predicates: tuple[str, ...]
-    entity_index: dict[str, int] = field(repr=False, default_factory=dict)
-    predicate_index: dict[str, int] = field(repr=False, default_factory=dict)
 
     @classmethod
     def from_identifiers(cls, entities, predicates) -> "Vocab":
-        ents = tuple(sorted(set(entities)))
-        preds = tuple(sorted(set(predicates)))
-        return cls(
-            entities=ents,
-            predicates=preds,
-            entity_index={e: i for i, e in enumerate(ents)},
-            predicate_index={p: i for i, p in enumerate(preds)},
-        )
+        return cls(entities=tuple(sorted(set(entities))), predicates=tuple(sorted(set(predicates))))
 
     @property
     def n_entities(self) -> int:
@@ -65,13 +55,6 @@ class Vocab:
     @property
     def n_predicates(self) -> int:
         return len(self.predicates)
-
-
-@dataclass(frozen=True, order=True)
-class Triple:
-    head: int
-    predicate: int
-    tail: int
 
 
 @dataclass(frozen=True)
@@ -132,8 +115,38 @@ class SplitConfig:
 
 @dataclass
 class KnowledgeGraph:
+    """A vocabulary and named splits, each an ``(n, 3)`` int64 array of (head, predicate, tail) rows.
+
+    A split may be given as any sequence of 3-wide rows; it is converted here, once.  A split that
+    is not 3 wide, or an id outside ``[0, |E|)`` (head, tail) or ``[0, |R|)`` (predicate), raises
+    KGError naming the split.
+    """
+
     vocab: Vocab
-    splits: dict[str, list[Triple]]
+    splits: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        limits = np.array([self.vocab.n_entities, self.vocab.n_predicates, self.vocab.n_entities])
+        splits = {}
+        for name, rows in self.splits.items():
+            try:
+                rows = np.asarray(rows, dtype=np.int64)
+            except (TypeError, ValueError, OverflowError):
+                raise KGError(f"split '{name}': rows are not (head, predicate, tail) integer triples") from None
+            rows = rows.reshape(0, 3) if rows.shape == (0,) else rows
+            if rows.ndim != 2 or rows.shape[1] != 3:
+                raise KGError(f"split '{name}': rows must be (head, predicate, tail) triples, got shape {rows.shape}")
+            bad = np.argwhere((rows < 0) | (rows >= limits))
+            if bad.size:
+                i, j = bad[0]
+                raise KGError(f"split '{name}' row {i}: {('head', 'predicate', 'tail')[j]} id {rows[i, j]} "
+                              f"is outside [0, {limits[j]})")
+            splits[name] = rows
+        self.splits = splits
+
+    def triples(self, name: str) -> np.ndarray:
+        """Split ``name``'s rows; none, a ``(0, 3)`` array, when the KG has no such split."""
+        return self.splits.get(name, np.empty((0, 3), dtype=np.int64))
 
 
 def _parse_tsv(path: Path) -> list[tuple[str, str, str]]:
@@ -165,7 +178,7 @@ def load_kg(path: str | Path) -> KnowledgeGraph:
     path = Path(path)
     if not path.exists():
         raise KGError(f"no such file: {path}")
-    closed_entities = closed_predicates = None
+    declared = {}  # closed vocabularies, by manifest key
     if path.suffix != ".json":
         raw = {"all": _parse_tsv(path)}
     else:
@@ -176,47 +189,33 @@ def load_kg(path: str | Path) -> KnowledgeGraph:
                 raw[name] = _parse_tsv(path.parent / manifest[name])
         if not raw:
             raise KGError(f"{path}: manifest declares no splits")
-        if "entities" in manifest:
-            closed_entities = [
-                ln.strip() for ln in (path.parent / manifest["entities"]).read_text().splitlines() if ln.strip()
-            ]
-        if "relations" in manifest:
-            closed_predicates = [
-                ln.strip() for ln in (path.parent / manifest["relations"]).read_text().splitlines() if ln.strip()
-            ]
+        declared = {key: {ln.strip() for ln in (path.parent / manifest[key]).read_text(encoding="utf-8").splitlines()
+                          if ln.strip()} for key in ("entities", "relations") if key in manifest}
 
     all_rows = [row for rows in raw.values() for row in rows]
     if not all_rows:
         raise KGError(f"{path}: no triples")
 
-    ents = {h for h, _, t in all_rows} | {t for _, _, t in all_rows}
-    preds = {r for _, r, _ in all_rows}
-    if closed_entities is not None:
-        unknown = ents - set(closed_entities)
+    used = {"entities": {h for h, _, t in all_rows} | {t for _, _, t in all_rows},
+            "relations": {r for _, r, _ in all_rows}}
+    for key, names in declared.items():
+        unknown = used[key] - names
         if unknown:
-            raise KGError(f"entities not in declared vocabulary: {sorted(unknown)[:5]}")
-        ents |= set(closed_entities)
-    if closed_predicates is not None:
-        unknown = preds - set(closed_predicates)
-        if unknown:
-            raise KGError(f"relations not in declared vocabulary: {sorted(unknown)[:5]}")
-        preds |= set(closed_predicates)
+            raise KGError(f"{key} not in declared vocabulary: {sorted(unknown)[:5]}")
+        used[key] |= names
 
-    vocab = Vocab.from_identifiers(ents, preds)
-    splits = {
-        name: [
-            Triple(vocab.entity_index[h], vocab.predicate_index[r], vocab.entity_index[t])
-            for h, r, t in rows
-        ]
+    vocab = Vocab.from_identifiers(used["entities"], used["relations"])
+    entity_index = {e: i for i, e in enumerate(vocab.entities)}
+    predicate_index = {p: i for i, p in enumerate(vocab.predicates)}
+    return KnowledgeGraph(vocab=vocab, splits={
+        name: [(entity_index[h], predicate_index[r], entity_index[t]) for h, r, t in rows]
         for name, rows in raw.items()
-    }
-    return KnowledgeGraph(vocab=vocab, splits=splits)
+    })
 
 
-def split_triples(triples: list[Triple], cfg: SplitConfig) -> dict[str, list[Triple]]:
-    """Seeded, reproducible three-way split of a triple list: a numpy shuffle with ``cfg.seed``, then two cuts."""
-    order = list(triples)
-    np.random.default_rng(cfg.seed).shuffle(order)
+def split_triples(triples: np.ndarray, cfg: SplitConfig) -> dict[str, np.ndarray]:
+    """Seeded, reproducible three-way split of ``(n, 3)`` rows: a numpy permutation with ``cfg.seed``, then two cuts."""
+    order = triples[np.random.default_rng(cfg.seed).permutation(len(triples))]
     n = len(order)
     n_train = int(round(n * cfg.train_fraction))
     n_calib = int(round(n * cfg.calib_fraction))
@@ -227,13 +226,13 @@ def split_triples(triples: list[Triple], cfg: SplitConfig) -> dict[str, list[Tri
     }
 
 
-def make_queries(triples: list[Triple], both_directions: bool = True) -> QueryAnswerSet:
-    """Turn triples into (query, answer) pairs in input order: each triple's tail query, then its head query.
+def make_queries(triples: np.ndarray, both_directions: bool = True) -> QueryAnswerSet:
+    """Turn ``(n, 3)`` (head, predicate, tail) rows into (query, answer) pairs in input order: each
+    triple's tail query, then its head query.
 
     A repeated triple would repeat both of its pairs, so only its first occurrence counts.
     """
-    hrt = np.array([(t.head, t.predicate, t.tail) for t in triples], dtype=np.int64).reshape(-1, 3)
-    h, r, t = hrt[np.sort(np.unique(hrt, axis=0, return_index=True)[1])].T
+    h, r, t = triples[np.sort(np.unique(triples, axis=0, return_index=True)[1])].T
     tail = np.stack((np.zeros_like(h), h, r, t))  # rows: direction, anchor, predicate, answer
     head = np.stack((np.ones_like(h), t, r, h))
     pairs = np.stack((tail, head) if both_directions else (tail,), axis=2)  # (4, triples, pairs per triple)

@@ -382,14 +382,14 @@ def train(kg: KnowledgeGraph, kind: str, cfg: TrainConfig, dim: int = 16, norm: 
     Each epoch's mean loss per training triple and its wall time in seconds
     are logged at DEBUG on ``kgconformal.models``.
     """
-    triples = kg.splits.get("train") or []
-    if not triples:
+    triples = kg.triples("train")
+    if not len(triples):
         raise KGError("empty training split 'train'")
     rng = np.random.default_rng(cfg.seed)
     n_ent, n_pred = kg.vocab.n_entities, kg.vocab.n_predicates
     model = _init_model(kind, dim, n_ent, n_pred, rng, norm)
 
-    heads, rels, tails = np.array([(t.head, t.predicate, t.tail) for t in triples], dtype=np.int64).T
+    heads, rels, tails = triples.T
     known = np.unique(_triple_keys(heads, rels, tails, n_ent, n_pred))
     n = heads.shape[0]
     k = cfg.negatives

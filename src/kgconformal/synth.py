@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kg import KnowledgeGraph, SplitConfig, Triple, Vocab, split_triples
+from .kg import KnowledgeGraph, SplitConfig, Vocab, split_triples
 
 __all__ = ["SyntheticKGSpec", "generate_triples", "synthetic_kg", "write_dataset"]
 
@@ -49,7 +49,8 @@ class SyntheticKGSpec:
         return [float(x) for x in self.noise_rates]
 
 
-def generate_triples(spec: SyntheticKGSpec) -> list[Triple]:
+def generate_triples(spec: SyntheticKGSpec) -> np.ndarray:
+    """Distinct (head, predicate, tail) rows, an ``(n, 3)`` int64 array grouped by predicate in draw order."""
     rng = np.random.default_rng(spec.seed)
     clusters = rng.integers(0, spec.n_clusters, size=spec.n_entities)
     members = [np.flatnonzero(clusters == c) for c in range(spec.n_clusters)]
@@ -60,7 +61,7 @@ def generate_triples(spec: SyntheticKGSpec) -> list[Triple]:
     n_clusters = len(members)
     rates = spec.rates()
 
-    triples: list[Triple] = []
+    triples = np.empty((sum(spec.triple_counts), 3), dtype=np.int64)
     seen: set[tuple[int, int, int]] = set()
     for r in range(spec.n_predicates):
         if spec.rules is not None:
@@ -82,8 +83,8 @@ def generate_triples(spec: SyntheticKGSpec) -> list[Triple]:
             key = (h, r, t)
             if key in seen:
                 continue
+            triples[len(seen)] = key
             seen.add(key)
-            triples.append(Triple(h, r, t))
             produced += 1
     return triples
 
@@ -111,8 +112,8 @@ def write_dataset(spec: SyntheticKGSpec, out_dir: str | Path,
     ent_name, pred_name = kg.vocab.entities, kg.vocab.predicates
     for name, rows in kg.splits.items():
         with open(out_dir / f"{name}.tsv", "w", encoding="utf-8") as fh:
-            for tr in rows:
-                fh.write(f"{ent_name[tr.head]}\t{pred_name[tr.predicate]}\t{ent_name[tr.tail]}\n")
+            for h, r, t in rows.tolist():
+                fh.write(f"{ent_name[h]}\t{pred_name[r]}\t{ent_name[t]}\n")
     (out_dir / "entities.txt").write_text("\n".join(ent_name) + "\n", encoding="utf-8")
     (out_dir / "relations.txt").write_text("\n".join(pred_name) + "\n", encoding="utf-8")
     manifest = out_dir / "manifest.json"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kgconformal.kg import Direction, Query, Triple
+from kgconformal.kg import Direction, Query
 
 SCORE_MAGIC = b"KGSC"
 _DIR_CODE = {Direction.TAIL: 0, Direction.HEAD: 1}
@@ -44,14 +44,14 @@ class ScoreMatrix:
     source: str = "score matrix"  # the file it was imported from, for error messages
 
 
-def make_queries(triples: list[Triple], both_directions: bool = True, name: str = "") -> QueryAnswerSet:
+def make_queries(triples: list[tuple[int, int, int]], both_directions: bool = True, name: str = "") -> QueryAnswerSet:
     """Turn triples into (query, answer) pairs, preserving input order."""
     pairs: list[tuple[Query, int]] = []
     seen: set[tuple[tuple[str, int, int], int]] = set()
-    for tr in triples:
-        candidates = [(Query(Direction.TAIL, tr.head, tr.predicate), tr.tail)]
+    for h, r, t in triples:
+        candidates = [(Query(Direction.TAIL, h, r), t)]
         if both_directions:
-            candidates.append((Query(Direction.HEAD, tr.tail, tr.predicate), tr.head))
+            candidates.append((Query(Direction.HEAD, t, r), h))
         for q, a in candidates:
             k = (q.key(), a)
             if k not in seen:

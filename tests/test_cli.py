@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +132,20 @@ class TestGenerate:
         doc = json.loads(dataset.read_text())
         for key in ("train", "valid", "test", "entities", "relations"):
             assert (dataset.parent / doc[key]).exists()
+
+    def test_generate_and_run_open_text_files_as_utf8_only(self, tmp_path):
+        """Under ``-X warn_default_encoding -W error::EncodingWarning`` a text file opened without an encoding
+        is an error; ``generate`` then ``run`` open none."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                  "-m", "kgconformal.cli"]
+        config = write_config(tmp_path, "data/manifest.json", epochs=2, output_dir="out")
+        for args in (["generate", "--entities", "40", "--counts", "60", "30", "--seed", "0", "--out", "data"],
+                     ["run", "--config", str(config)]):
+            proc = subprocess.run([*strict, *args], cwd=tmp_path, env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "summary.json").exists()
 
 
 class TestPipeline:
@@ -464,9 +481,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("changes, message", [
         ({"foo": 1}, "config has unknown keys: foo"),
         ({"scorer": {"kind": "softmax", "bogus": 1}}, "scorer has unknown keys: bogus"),
+        ({"scorer": {"kind": "aps", "rng_seed": 3}}, "scorer has unknown keys: rng_seed"),
         ({"synthetic": {"n_entities": 40, "bogus": 1}}, "synthetic has unknown keys: bogus"),
         ({"score_matrix": None, "predicate_vectors": None}, "config has unknown keys: predicate_vectors, score_matrix"),
-    ], ids=["top-level", "scorer", "synthetic", "echoed-with-score-import"])
+    ], ids=["top-level", "scorer", "scorer-rng-seed", "synthetic", "echoed-with-score-import"])
     def test_unknown_config_keys_are_named(self, tmp_path, dataset, capsys, changes, message):
         config = edited(write_config(tmp_path, dataset), **changes)
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG

@@ -71,6 +71,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             tiny_config(**setting)
 
+    def test_scorer_rng_seed_is_rejected_at_load(self):
+        """Each seed draws its own APS/RAPS stream; a config may not pin them all to one."""
+        with pytest.raises(ValueError, match=re.escape("scorer has unknown keys: rng_seed")):
+            ExperimentConfig.from_json('{"synthetic": {}, "scorer": {"kind": "aps", "rng_seed": 3}}')
+        config = tiny_config(scorer={"kind": "aps"})
+        assert config.scorer_config(5) == scores.ScorerConfig(kind="aps", rng_seed=5) != config.scorer_config(0)
+
     def test_json_round_trip(self):
         config = tiny_config(methods=["kgcp"], epsilons=[0.05, 0.2])
         restored = ExperimentConfig.from_json(config.to_json())

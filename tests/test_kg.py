@@ -4,9 +4,10 @@ import pytest
 from kgconformal.kg import (
     Direction,
     KGError,
+    KnowledgeGraph,
     Query,
     SplitConfig,
-    Triple,
+    Vocab,
     filter_masks,
     load_kg,
     make_queries,
@@ -77,24 +78,60 @@ class TestLoadKG:
         assert kg.vocab.entities == ("a", "m", "z")
 
 
+class TestKnowledgeGraphRows:
+    vocab = Vocab(entities=("a", "b", "c"), predicates=("p", "q"))
+
+    def test_row_sequences_become_one_int64_array(self):
+        rows = np.array([(0, 1, 2), (2, 0, 1)])
+        kg = KnowledgeGraph(self.vocab, {"train": [(0, 1, 2), (2, 0, 1)], "valid": list(rows), "test": []})
+        for name in ("train", "valid"):
+            assert kg.splits[name].dtype == np.int64 and np.array_equal(kg.splits[name], rows)
+        assert kg.splits["test"].shape == (0, 3)
+        assert kg.triples("missing").shape == (0, 3)
+
+    def test_negative_id_names_the_split(self):
+        with pytest.raises(KGError, match=r"split 'valid' row 1: head id -1 is outside \[0, 3\)"):
+            KnowledgeGraph(self.vocab, {"train": [(0, 0, 1)], "valid": [(0, 0, 1), (-1, 0, 2)]})
+
+    def test_entity_id_past_the_vocabulary_names_the_split(self):
+        with pytest.raises(KGError, match=r"split 'test' row 0: tail id 3 is outside \[0, 3\)"):
+            KnowledgeGraph(self.vocab, {"train": [(0, 0, 1)], "test": [(0, 1, 3)]})
+
+    def test_predicate_id_past_the_vocabulary_names_the_split(self):
+        with pytest.raises(KGError, match=r"split 'train' row 0: predicate id 2 is outside \[0, 2\)"):
+            KnowledgeGraph(self.vocab, {"train": [(0, 2, 1)]})
+
+    @pytest.mark.parametrize("rows", [[(0, 0)], [(0, 0, 1), (0, 1)], [(0, 0, 1, 2)], np.array([0, 0, 1])],
+                             ids=["two-wide", "ragged", "four-wide", "flat"])
+    def test_row_not_three_wide_names_the_split(self, rows):
+        with pytest.raises(KGError, match="split 'train'"):
+            KnowledgeGraph(self.vocab, {"train": rows})
+
+    @pytest.mark.parametrize("row", [("a", 0, 1), (None, 0, 1), (2**70, 0, 1)],
+                             ids=["string", "none", "int64-overflow"])
+    def test_row_of_non_int64_ids_names_the_split(self, row):
+        with pytest.raises(KGError, match="split 'valid': rows are not"):
+            KnowledgeGraph(self.vocab, {"valid": [(0, 0, 1), row]})
+
+
 class TestMakeQueries:
     def test_both_directions(self):
-        qa = make_queries([Triple(0, 0, 1)], both_directions=True)
+        qa = make_queries(np.array([(0, 0, 1)]), both_directions=True)
         assert len(qa) == 2
         assert qa.pairs[0] == (Query(Direction.TAIL, 0, 0), 1)
         assert qa.pairs[1] == (Query(Direction.HEAD, 1, 0), 0)
 
     def test_tail_only(self):
-        qa = make_queries([Triple(0, 0, 1)], both_directions=False)
+        qa = make_queries(np.array([(0, 0, 1)]), both_directions=False)
         assert len(qa) == 1
         assert qa.pairs[0][0].direction is Direction.TAIL
 
     def test_two_per_triple(self):
-        triples = [Triple(i, 0, i + 1) for i in range(5)]
+        triples = np.array([(i, 0, i + 1) for i in range(5)])
         assert len(make_queries(triples, both_directions=True)) == 10
 
     def test_deterministic_order(self):
-        triples = [Triple(2, 1, 0), Triple(0, 0, 1)]
+        triples = np.array([(2, 1, 0), (0, 0, 1)])
         a = make_queries(triples).pairs
         b = make_queries(triples).pairs
         assert a == b
@@ -146,15 +183,16 @@ class TestRankOf:
 
 class TestSplits:
     def test_reproducible(self):
-        triples = [Triple(i, 0, (i + 1) % 20) for i in range(20)]
+        triples = np.array([(i, 0, (i + 1) % 20) for i in range(20)])
         cfg = SplitConfig(seed=42)
-        assert split_triples(triples, cfg) == split_triples(triples, cfg)
+        a, b = split_triples(triples, cfg), split_triples(triples, cfg)
+        assert a.keys() == b.keys() and all(np.array_equal(a[name], b[name]) for name in a)
 
     def test_disjoint_cover(self):
-        triples = [Triple(i, 0, (i + 1) % 30) for i in range(30)]
+        triples = np.array([(i, 0, (i + 1) % 30) for i in range(30)])
         splits = split_triples(triples, SplitConfig(seed=1))
-        merged = splits["train"] + splits["valid"] + splits["test"]
-        assert sorted(merged) == sorted(triples)
+        merged = np.concatenate([splits["train"], splits["valid"], splits["test"]])
+        assert sorted(merged.tolist()) == sorted(triples.tolist())
 
     def test_bad_fractions(self):
         with pytest.raises(KGError):
@@ -164,8 +202,8 @@ class TestSplits:
 
 
 def test_answer_index_collects_all_splits():
-    qa1 = make_queries([Triple(0, 0, 1)], both_directions=False)
-    qa2 = make_queries([Triple(0, 0, 2)], both_directions=False)
+    qa1 = make_queries(np.array([(0, 0, 1)]), both_directions=False)
+    qa2 = make_queries(np.array([(0, 0, 2)]), both_directions=False)
     # the index of query ('tail', 0, 0) holds {1, 2}; each pair masks the other answer
     indptr, indices = filter_masks(qa1, [qa1, qa2])
     assert indptr.tolist() == [0, 1] and indices.tolist() == [2]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kgconformal import models
-from kgconformal.kg import DIRECTIONS, Direction, KGError, KnowledgeGraph, Query, QueryAnswerSet, Triple, Vocab, rank_of
+from kgconformal.kg import DIRECTIONS, Direction, KGError, KnowledgeGraph, Query, QueryAnswerSet, Vocab, rank_of
 from kgconformal.models import (
     EmbeddingModel,
     ModelScores,
@@ -53,7 +53,7 @@ def toy_kg(n_ent=20, n_pred=2, n_triples=60, seed=0):
     seen = set()
     while len(seen) < n_triples:
         seen.add((int(rng.integers(n_ent)), int(rng.integers(n_pred)), int(rng.integers(n_ent))))
-    triples = [Triple(h, r, t) for h, r, t in sorted(seen)]
+    triples = sorted(seen)
     vocab = Vocab(
         entities=tuple(f"e{i}" for i in range(n_ent)),
         predicates=tuple(f"r{i}" for i in range(n_pred)),
@@ -301,9 +301,9 @@ class TestTrain:
 
         def mean_rank(model):
             ranks = []
-            for t in kg.splits["train"][:50]:
-                s = score(model, Query(Direction.TAIL, t.head, t.predicate))
-                ranks.append(rank_of(s, t.tail))
+            for h, r, t in kg.splits["train"][:50].tolist():
+                s = score(model, Query(Direction.TAIL, h, r))
+                ranks.append(rank_of(s, t))
             return float(np.mean(ranks))
 
         assert mean_rank(trained) < mean_rank(init)
@@ -331,8 +331,8 @@ def dense_kg():
     Every negative of a predicate-0 triple is a known positive, so it runs to
     the 100-try cap; predicate-1 negatives collide often and then resolve.
     """
-    triples = [Triple(h, 0, t) for h in range(6) for t in range(6)]
-    triples += [Triple(h, 1, (h + 1) % 6) for h in range(6)] + [Triple(0, 1, 3), Triple(2, 1, 2)]
+    triples = [(h, 0, t) for h in range(6) for t in range(6)]
+    triples += [(h, 1, (h + 1) % 6) for h in range(6)] + [(0, 1, 3), (2, 1, 2)]
     vocab = Vocab(entities=tuple(f"e{i}" for i in range(6)), predicates=("r0", "r1"))
     return KnowledgeGraph(vocab=vocab, splits={"train": triples})
 
@@ -395,7 +395,7 @@ class TestTrainExactness:
 
     def test_dense_kg_collides_and_reaches_the_cap(self):
         triples = dense_kg().splits["train"]
-        known = {(t.head, t.predicate, t.tail) for t in triples}
+        known = set(map(tuple, triples.tolist()))
         h, r, t = (np.array(col, dtype=np.int64) for col in zip(*sorted(known)))
         sampled = train_oracle._sample_negatives(np.random.default_rng(0), h, r, t, 6, known, 4)
         unchecked = train_oracle._sample_negatives(np.random.default_rng(0), h, r, t, 6, set(), 4)

@@ -26,13 +26,14 @@ from kgconformal import experiment, models
 from kgconformal.conformal import (CalibratedModel, PartCalibration, PredicatePartition, build_partition,
                                    fit_condkgcp, fit_kgcp, fit_mcp, fit_part_mcp, quantile, query_filters,
                                    rank_threshold, score_only, set_outcomes)
-from kgconformal.kg import (DIRECTIONS, KGError, Query, QueryAnswerSet, Triple, filter_masks, make_queries, rank_cuts,
-                            rank_of)
+from kgconformal.kg import (DIRECTIONS, KGError, Query, QueryAnswerSet, SplitConfig, filter_masks, make_queries,
+                            rank_cuts, rank_of, split_triples)
 from kgconformal.models import (ScoreFile, ScoreMatrix, _sample_negatives, _triple_keys, export_predicate_vectors,
                                 export_scores, import_predicate_vectors, import_scores)
 from kgconformal.scores import ScorerConfig, softmax_scores
 
 import query_oracle
+import split_oracle
 import train_oracle
 from rank_oracle import candidate_ranks
 
@@ -472,9 +473,8 @@ triple_lists = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integ
 
 @given(triple_lists, st.booleans())
 def test_make_queries_matches_per_pair_oracle(rows, both_directions):
-    triples = [Triple(*row) for row in rows]
-    qa = make_queries(triples, both_directions)
-    oracle = query_oracle.make_queries(triples, both_directions)
+    qa = make_queries(np.array(rows, dtype=np.int64).reshape(-1, 3), both_directions)
+    oracle = query_oracle.make_queries(rows, both_directions)
     assert qa.pairs == oracle.pairs
     assert len(qa) == len(oracle) and np.array_equal(qa.predicates(), oracle.predicates())
 
@@ -482,9 +482,8 @@ def test_make_queries_matches_per_pair_oracle(rows, both_directions):
 @given(st.lists(triple_lists, min_size=3, max_size=3), st.booleans())
 def test_filter_masks_match_answer_index(splits, both_directions):
     """Each pair masks its query's known answers across the splits but its own; unfiltered, nothing."""
-    triples = [[Triple(*row) for row in rows] for rows in splits]
-    sets = [make_queries(ts, both_directions) for ts in triples]
-    index = query_oracle.build_answer_index([query_oracle.make_queries(ts, both_directions) for ts in triples])
+    sets = [make_queries(np.array(rows, dtype=np.int64).reshape(-1, 3), both_directions) for rows in splits]
+    index = query_oracle.build_answer_index([query_oracle.make_queries(rows, both_directions) for rows in splits])
     for qa in sets:
         indptr, indices = filter_masks(qa, sets)
         assert indptr.shape == (len(qa) + 1,)
@@ -498,7 +497,7 @@ def test_filter_masks_match_answer_index(splits, both_directions):
 def test_pairs_of_a_query_share_one_filtered_row(splits, both_directions, filtered):
     """What a shared query row rests on: filtered, every pair of query ``q`` masks ``K(q)`` but its own answer, so
     its mask plus its answer is ``K(q)``, one set per query; raw, no pair masks anything."""
-    sets = [make_queries([Triple(*row) for row in rows], both_directions) for rows in splits]
+    sets = [make_queries(np.array(rows, dtype=np.int64).reshape(-1, 3), both_directions) for rows in splits]
     known_answers: dict = {}
     for qa in sets:
         for q, a in qa.pairs:
@@ -509,6 +508,19 @@ def test_pairs_of_a_query_share_one_filtered_row(splits, both_directions, filter
             mask = set(indices[indptr[i] : indptr[i + 1]].tolist())
             assert a not in mask
             assert mask | {a} == known_answers[q.key()] if filtered else not mask
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 5)), max_size=300),
+       st.integers(0, 2**32 - 1), st.sampled_from([(0.6, 0.2, 0.2), (0.8, 0.1, 0.1), (0.5, 0.3, 0.2)]))
+def test_split_triples_keeps_the_list_shuffle_order(rows, seed, fractions):
+    """Splitting ``(n, 3)`` rows puts every row, repeats included, where the list shuffle put it."""
+    cfg = SplitConfig(*fractions, seed=seed)
+    got = split_triples(np.array(rows, dtype=np.int64).reshape(-1, 3), cfg)
+    want = split_oracle.split_triples(rows, cfg)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].shape == (len(want[name]), 3)
+        assert list(map(tuple, got[name].tolist())) == want[name]
 
 
 @st.composite

@@ -18,25 +18,25 @@ def spec(**kw):
 class TestGenerate:
     def test_counts_per_predicate(self):
         triples = generate_triples(spec())
-        counts = np.bincount([t.predicate for t in triples], minlength=3)
+        counts = np.bincount(triples[:, 1], minlength=3)
         assert counts.tolist() == [120, 60, 20]
 
     def test_deterministic(self):
-        assert generate_triples(spec()) == generate_triples(spec())
+        assert np.array_equal(generate_triples(spec()), generate_triples(spec()))
 
     def test_seed_changes_output(self):
-        assert generate_triples(spec()) != generate_triples(spec(seed=1))
+        assert not np.array_equal(generate_triples(spec()), generate_triples(spec(seed=1)))
 
     def test_no_duplicates_and_in_range(self):
         triples = generate_triples(spec())
-        assert len(set(triples)) == len(triples)
-        assert all(0 <= t.head < 50 and 0 <= t.tail < 50 for t in triples)
+        assert len(np.unique(triples, axis=0)) == len(triples)
+        assert ((0 <= triples[:, [0, 2]]) & (triples[:, [0, 2]] < 50)).all()
 
     def test_noise_widens_tail_support(self):
         # with heavy noise the ruled predicate hits many more distinct tails
         clean = generate_triples(spec(noise_rates=0.0, n_clusters=2, triple_counts=[200, 60, 20]))
         noisy = generate_triples(spec(noise_rates=0.8, n_clusters=2, triple_counts=[200, 60, 20]))
-        tails = lambda ts: len({t.tail for t in ts if t.predicate == 0})
+        tails = lambda ts: len(set(ts[ts[:, 1] == 0, 2].tolist()))
         assert tails(noisy) > tails(clean)
 
     def test_validation(self):
@@ -89,4 +89,5 @@ class TestWriteDataset:
         config = ExperimentConfig(synthetic=asdict(spec()))
         in_memory = load_or_generate_kg(config, seed=0)
         assert written.vocab == in_memory.vocab
-        assert written.splits == in_memory.splits
+        assert written.splits.keys() == in_memory.splits.keys()
+        assert all(np.array_equal(written.splits[name], in_memory.splits[name]) for name in written.splits)

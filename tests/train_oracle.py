@@ -112,16 +112,16 @@ def _sample_negatives(rng, heads, rels, tails, n_ent, known: set, k: int):
 
 def train(kg: KnowledgeGraph, kind: str, cfg: TrainConfig, dim: int = 16, norm: int = 1) -> EmbeddingModel:
     """SGD training on the ``train`` split; margin ranking loss for TransE, BCE for DistMult/ComplEx."""
-    triples = kg.splits.get("train") or []
-    if not triples:
+    triples = kg.triples("train")
+    if not len(triples):
         raise KGError("empty training split 'train'")
     rng = np.random.default_rng(cfg.seed)
     model = _init_model(kind, dim, kg.vocab.n_entities, kg.vocab.n_predicates, rng, norm)
 
-    heads = np.array([t.head for t in triples], dtype=np.int64)
-    rels = np.array([t.predicate for t in triples], dtype=np.int64)
-    tails = np.array([t.tail for t in triples], dtype=np.int64)
-    known = {(t.head, t.predicate, t.tail) for t in triples}
+    heads = np.array(triples[:, 0], dtype=np.int64)
+    rels = np.array(triples[:, 1], dtype=np.int64)
+    tails = np.array(triples[:, 2], dtype=np.int64)
+    known = set(map(tuple, triples.tolist()))
     n = heads.shape[0]
     n_ent = kg.vocab.n_entities
     k = cfg.negatives

@@ -13,7 +13,9 @@ It generates one dataset (``generate --entities 100 --counts 200 100 60 40
 plus the settings in ``CONFIGS``.  Each config runs twice:
 ``train``, ``score``, ``calibrate`` and ``evaluate --plot-data`` into
 ``OUT_DIR/<name>/staged``, and ``run --plot-data`` into ``OUT_DIR/<name>/run``.
-The stdout of each stage is kept in ``OUT_DIR/<name>/<stage>.stdout``.  Every
+The stdout of each stage is kept in ``OUT_DIR/<name>/<stage>.stdout``.  Last,
+the stdout of ``verify-bounds --seed 0`` (its three check lines) goes to
+``OUT_DIR/verify-bounds.stdout``.  Every
 path is relative to ``OUT_DIR``, so the echoed ``config.json`` files match
 across trees too.  Each stage runs ``python -m kgconformal.cli`` from the
 tree's ``src`` (this repository's, or ``--src``) in a fresh process.  Exit
@@ -81,6 +83,8 @@ def main(argv=None) -> int:
         _cli(out, src, ["run", "--config", config, "--output-dir", f"{name}/run", "--plot-data"],
              out / name / "run.stdout")
         print(f"parity: {name} done")
+    _cli(out, src, ["verify-bounds", "--seed", "0"], out / "verify-bounds.stdout")
+    print("parity: verify-bounds done")
     return 0
 
 
