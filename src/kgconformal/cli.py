@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot-data", action="store_true")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("verify-bounds", help="run the Monte-Carlo coverage/shrinkage suites")
+    p = sub.add_parser("verify-bounds", help="run the marginal coverage, conditional coverage and shrinkage checks")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_bounds)
     return parser
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KGError, ValueError, FileNotFoundError, StageError) as exc:
+    except (KGError, ValueError, OSError, StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (models.TrainingDiverged, FloatingPointError) as exc:

@@ -117,9 +117,9 @@ class SplitConfig:
 class KnowledgeGraph:
     """A vocabulary and named splits, each an ``(n, 3)`` int64 array of (head, predicate, tail) rows.
 
-    A split may be given as any sequence of 3-wide rows; it is converted here, once.  A split that
-    is not 3 wide, or an id outside ``[0, |E|)`` (head, tail) or ``[0, |R|)`` (predicate), raises
-    KGError naming the split.
+    A split may be given as any sequence of 3-wide rows of integers; it is converted here, once.  A
+    split of non-integer ids (floats or strings included), a split that is not 3 wide, or an id
+    outside ``[0, |E|)`` (head, tail) or ``[0, |R|)`` (predicate) raises KGError naming the split.
     """
 
     vocab: Vocab
@@ -130,10 +130,12 @@ class KnowledgeGraph:
         splits = {}
         for name, rows in self.splits.items():
             try:
-                rows = np.asarray(rows, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError):
-                raise KGError(f"split '{name}': rows are not (head, predicate, tail) integer triples") from None
-            rows = rows.reshape(0, 3) if rows.shape == (0,) else rows
+                rows = np.asarray(rows)  # no int64 dtype here: it would truncate floats and parse digit strings
+            except ValueError:  # ragged rows
+                rows = None
+            if rows is None or (rows.size and rows.dtype.kind not in "iu"):
+                raise KGError(f"split '{name}': rows are not (head, predicate, tail) integer triples")
+            rows = (rows.reshape(0, 3) if rows.shape == (0,) else rows).astype(np.int64, copy=False)
             if rows.ndim != 2 or rows.shape[1] != 3:
                 raise KGError(f"split '{name}': rows must be (head, predicate, tail) triples, got shape {rows.shape}")
             bad = np.argwhere((rows < 0) | (rows >= limits))

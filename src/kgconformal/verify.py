@@ -1,18 +1,17 @@
-"""Monte-Carlo verification of the coverage and shrinkage guarantees.
+"""Verification of the coverage and shrinkage guarantees through the code that a run executes.
 
-These suites run on synthetic data where the relevant probabilities can be
-estimated by resampling: marginal coverage of the global threshold,
-per-part conditional coverage of the dual calibration, and the set-size
-shrinkage implied by the rank filter.  The last two resample calibration and
-test pairs of one synthetic pool, fit through ``experiment.METHODS`` and
-reduce through ``conformal.query_filters`` and ``conformal.set_outcomes``: the
-code that a run executes.
+Every check fits through ``experiment.METHODS`` and reduces through ``conformal.query_filters`` and
+``conformal.set_outcomes``.  Marginal coverage of kgcp and mcp is checked exactly, by split conformal's
+leave-one-out identity on one seeded multiset.  Per-part conditional coverage of the dual calibration, and the
+set-size shrinkage implied by the rank filter, are Monte-Carlo estimates over resamples of calibration and test
+pairs from one synthetic pool.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .scores import ScorerConfig, softmax_scores
 
 __all__ = [
     "CheckResult",
+    "leave_one_out_hits",
     "marginal_coverage_check",
     "conditional_coverage_check",
     "shrinkage_check",
@@ -41,40 +41,56 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.details}"
 
 
-def marginal_coverage_check(n_cal: int = 99, epsilon: float = 0.1, n_trials: int = 500,
-                            n_test: int = 100, seed: int = 0) -> CheckResult:
-    """Mean coverage of the global threshold over i.i.d. continuous scores.
+def _run_data(predicates, answers, raw, calib_nonconf=None, calib_ranks=None) -> experiment.RunData:
+    """An unmasked run with one-hot predicate vectors whose pair ``j`` is calibration and test pair on row ``j``."""
+    n, n_predicates = answers.size, int(predicates.max()) + 1
+    pairs = QueryAnswerSet(direction=np.zeros(n, dtype=np.int64), anchor=np.arange(n), predicate=predicates,
+                           answer=answers)
+    kg = KnowledgeGraph(Vocab.from_identifiers(range(raw.shape[1]), range(n_predicates)), splits={})
+    no_masks = np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return experiment.RunData(kg, pairs, pairs, models.ScoreMatrix(pairs.queries(), raw), np.arange(n), *no_masks,
+                              calib_nonconf, calib_ranks, np.eye(n_predicates))
 
-    The target band is [1-eps, 1-eps + 1/(n_cal+1)], widened by 3 Monte-Carlo
-    standard errors on each side.
+
+def leave_one_out_hits(method: str, predicates, nonconf, epsilon: float) -> np.ndarray:
+    """Whether pair ``i``'s answer is in the set that ``experiment.METHODS[method]`` fits on all pairs but ``i``.
+
+    Pair ``i`` is a test pair on a one-entity query row, its answer at ``nonconf[i]``.  ``conformal.query_filters``
+    turns each fit into a filter over every row, one ``conformal.set_outcomes`` call sizes every (fit, pair), and
+    pair ``i``'s hit is read at fit ``i``.
     """
-    rng = np.random.default_rng(seed)
-    coverages = np.empty(n_trials)
-    for t in range(n_trials):
-        cal = rng.normal(size=n_cal)
-        test = rng.normal(size=n_test)
-        threshold = conformal.quantile(cal, epsilon)
-        coverages[t] = np.mean(test <= threshold)
-    mean_cov = float(coverages.mean())
-    se = float(coverages.std(ddof=1) / math.sqrt(n_trials))
-    low = 1.0 - epsilon
-    high = 1.0 - epsilon + 1.0 / (n_cal + 1)
-    passed = (low - 3 * se) <= mean_cov <= (high + 3 * se)
-    return CheckResult(
-        name="marginal-coverage",
-        passed=passed,
-        details=f"mean coverage {mean_cov:.4f} vs [{low:.4f}, {high:.4f}] +/- 3*{se:.4f}",
-        stats={"mean_coverage": mean_cov, "se": se, "low": low, "high": high},
-    )
+    nonconf = np.asarray(nonconf, dtype=np.float64)
+    n = nonconf.size
+    data = _run_data(np.asarray(predicates, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros((n, 1)),
+                     nonconf, np.ones(n, dtype=np.int64))  # the one entity ranks first
+    fitted = [experiment.METHODS[method](data, np.delete(np.arange(n), i), epsilon, 0.0, 0) for i in range(n)]
+    return _outcomes(data, nonconf[:, None], fitted, np.arange(n))[1].diagonal().copy()
+
+
+def marginal_coverage_check(n_cal: int = 19, epsilon: float = 0.1, seed: int = 0) -> CheckResult:
+    """Split conformal's leave-one-out identity on 5 predicates of ``n_cal + 1`` standard normal scores each.
+
+    Over n + 1 distinct scores exactly ``k = ceil((n+1)(1-eps))`` of the n + 1 held-out choices are covered, for
+    kgcp pooled and for mcp per predicate.  The check passes only when every count equals its ``k``.
+    """
+    predicates = np.repeat(np.arange(5), n_cal + 1)
+    nonconf = np.random.default_rng(seed).normal(size=predicates.size)
+    stats, details = {}, []
+    for method, groups in (("kgcp", np.zeros_like(predicates)), ("mcp", predicates)):
+        covered = np.bincount(groups, leave_one_out_hits(method, groups, nonconf, epsilon)).astype(int).tolist()
+        size = predicates.size // len(covered)
+        stats[method] = {"covered": covered, "k": math.ceil(size * (1 - Fraction(str(epsilon))))}
+        details.append(f"{method} {', '.join(map(str, covered))} of {size} (k {stats[method]['k']})")
+    passed = all(c == counts["k"] for counts in stats.values() for c in counts["covered"])
+    return CheckResult("marginal-coverage", passed, "held-out values covered: " + "; ".join(details), stats)
 
 
 def _pool(rng, n_parts: int, pool_size: int, n_entities: int) -> tuple[experiment.RunData, np.ndarray]:
-    """``pool_size`` synthetic pairs per predicate as one unmasked run, plus every pair's nonconformity row.
+    """``pool_size`` synthetic pairs per predicate as one :func:`_run_data` run, plus every pair's nonconformity row.
 
     Scores are standard normal with the answer boosted by a per-predicate
-    quality from 3 down to 0.75.  Every pair is both a calibration and a test
-    pair of the run, so a resample is a pair of index arrays.  Predicate
-    vectors are one-hot.  The answers' nonconformity and ranks come from
+    quality from 3 down to 0.75.  A resample is a pair of index arrays.  The
+    answers' nonconformity and ranks come from
     ``experiment.answer_nonconf_and_ranks``, as in ``prepare_run``.
     """
     raw = np.empty((n_parts, pool_size, n_entities))
@@ -84,25 +100,9 @@ def _pool(rng, n_parts: int, pool_size: int, n_entities: int) -> tuple[experimen
         answer[g] = rng.integers(0, n_entities, size=pool_size)
         raw[g, np.arange(pool_size), answer[g]] += quality
     raw, answer = raw.reshape(-1, n_entities), answer.ravel()
-    n = answer.size
-    pairs = QueryAnswerSet(direction=np.zeros(n, dtype=np.int64), anchor=np.arange(n),
-                           predicate=np.repeat(np.arange(n_parts), pool_size), answer=answer)
-    score_rows = models.ScoreMatrix(queries=pairs.queries(), scores=raw)
-    indptr, indices = np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)  # no masks
-    calib_nonconf, calib_ranks = experiment.answer_nonconf_and_ranks(ScorerConfig(), score_rows, np.arange(n),
-                                                                     answer, indptr, indices)
-    pool = experiment.RunData(
-        kg=KnowledgeGraph(Vocab.from_identifiers(range(n_entities), range(n_parts)), splits={}),
-        calib=pairs,
-        test=pairs,
-        calib_nonconf=calib_nonconf,
-        calib_ranks=calib_ranks,
-        score_rows=score_rows,
-        test_rows=np.arange(n),
-        mask_indptr=indptr,
-        mask_indices=indices,
-        predicate_vectors=np.eye(n_parts),
-    )
+    pool = _run_data(np.repeat(np.arange(n_parts), pool_size), answer, raw)
+    pool.calib_nonconf, pool.calib_ranks = experiment.answer_nonconf_and_ranks(
+        ScorerConfig(), pool.score_rows, pool.test_rows, answer, pool.mask_indptr, pool.mask_indices)
     nonconf = np.array([softmax_scores(row) for row in raw])
     return pool, nonconf
 

@@ -618,6 +618,15 @@ class TestExitCodes:
         config = write_config(tmp_path, dataset)
         assert cli.main(["run", "--config", str(config), "--methods", "bogus"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag", ["config", "dataset", "output-dir"])
+    def test_path_of_the_wrong_kind_names_the_path(self, tmp_path, dataset, capsys, flag):
+        """A directory as the config or the dataset, or a file as the output directory, exits 2 naming it."""
+        config = write_config(tmp_path, dataset)
+        wrong = config if flag == "output-dir" else tmp_path  # a repeated --config takes the last path
+        assert cli.main(["run", "--config", str(config), f"--{flag}", str(wrong)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(wrong) in err
+
     def test_verify_bounds_exit_codes(self, monkeypatch):
         ok = [CheckResult(name="a", passed=True, details="fine")]
         bad = [CheckResult(name="a", passed=False, details="off")]

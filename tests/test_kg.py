@@ -107,8 +107,8 @@ class TestKnowledgeGraphRows:
         with pytest.raises(KGError, match="split 'train'"):
             KnowledgeGraph(self.vocab, {"train": rows})
 
-    @pytest.mark.parametrize("row", [("a", 0, 1), (None, 0, 1), (2**70, 0, 1)],
-                             ids=["string", "none", "int64-overflow"])
+    @pytest.mark.parametrize("row", [("a", 0, 1), (None, 0, 1), (2**70, 0, 1), (0.7, 0, 1), ("1", "0", "1")],
+                             ids=["string", "none", "int64-overflow", "float", "digit-string"])
     def test_row_of_non_int64_ids_names_the_split(self, row):
         with pytest.raises(KGError, match="split 'valid': rows are not"):
             KnowledgeGraph(self.vocab, {"valid": [(0, 0, 1), row]})

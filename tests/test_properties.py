@@ -24,13 +24,14 @@ from hypothesis.extra import numpy as hnp
 
 from kgconformal import experiment, models
 from kgconformal.conformal import (CalibratedModel, PartCalibration, PredicatePartition, build_partition,
-                                   fit_condkgcp, fit_kgcp, fit_mcp, fit_part_mcp, quantile, query_filters,
-                                   rank_threshold, score_only, set_outcomes)
+                                   fit_condkgcp, fit_part_mcp, quantile, query_filters, rank_threshold, score_only,
+                                   set_outcomes)
 from kgconformal.kg import (DIRECTIONS, KGError, Query, QueryAnswerSet, SplitConfig, filter_masks, make_queries,
                             rank_cuts, rank_of, split_triples)
 from kgconformal.models import (ScoreFile, ScoreMatrix, _sample_negatives, _triple_keys, export_predicate_vectors,
                                 export_scores, import_predicate_vectors, import_scores)
 from kgconformal.scores import ScorerConfig, softmax_scores
+from kgconformal.verify import leave_one_out_hits
 
 import query_oracle
 import split_oracle
@@ -213,16 +214,6 @@ def test_quantile_matches_exact_order_statistic(values, per_mille):
     assert quantile(np.array(values, dtype=np.float64), epsilon) == expected
 
 
-def _leave_one_out_hits(fit, predicates: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Whether each score is within the threshold that ``fit(predicates, scores)`` calibrates on all the others."""
-    hits = np.empty(scores.size, dtype=bool)
-    for i in range(scores.size):
-        rest = np.arange(scores.size) != i
-        (threshold,), _ = query_filters(fit(predicates[rest], scores[rest]), predicates[i:i + 1], n_entities=1)
-        hits[i] = scores[i] <= threshold
-    return hits
-
-
 def _assert_exact_coverage(hits: np.ndarray, scores: np.ndarray, per_mille: int) -> None:
     """Split-conformal coverage over the n + 1 held-out choices: exactly k = ceil((n+1)(1-eps)) of them on
     distinct scores, at least k with ties.  k = n + 1 (coverage 1) is the case k > n, a threshold of +inf."""
@@ -242,8 +233,7 @@ def scores_with_or_without_ties(draw, size: int):
 @example(np.arange(2.0), 1)  # n = 1: k = 2 > n, so every held-out score is covered by +inf
 @example(np.arange(100.0), 100)  # n = 99, eps 0.1: exactly 90 of 100
 def test_kgcp_leave_one_out_coverage_is_exact(scores, per_mille):
-    pooled = np.zeros(scores.size, dtype=np.int64)
-    hits = _leave_one_out_hits(lambda _, rest: fit_kgcp(rest, per_mille / 1000), pooled, scores)
+    hits = leave_one_out_hits("kgcp", np.zeros(scores.size, dtype=np.int64), scores, per_mille / 1000)
     _assert_exact_coverage(hits, scores, per_mille)
 
 
@@ -254,13 +244,13 @@ def predicates_and_scores(draw):
     predicates = np.repeat(np.arange(n_pred), counts)
     scores = np.concatenate([draw(scores_with_or_without_ties(c)) for c in counts])
     order = draw(st.permutations(range(predicates.size)))
-    return n_pred, predicates[order], scores[order]
+    return predicates[order], scores[order]
 
 
 @given(predicates_and_scores(), st.integers(1, 999))
 def test_mcp_leave_one_out_coverage_is_exact_per_predicate(case, per_mille):
-    n_pred, predicates, scores = case
-    hits = _leave_one_out_hits(lambda preds, rest: fit_mcp(preds, rest, per_mille / 1000, n_pred), predicates, scores)
+    predicates, scores = case
+    hits = leave_one_out_hits("mcp", predicates, scores, per_mille / 1000)
     for r in np.unique(predicates):
         _assert_exact_coverage(hits[predicates == r], scores[predicates == r], per_mille)
 

@@ -16,14 +16,14 @@ def test_check_result_line_format():
 
 
 def test_marginal_check_detects_broken_band(monkeypatch):
-    args = dict(n_cal=9, epsilon=0.5, n_trials=50, seed=0)
-    result = marginal_coverage_check(**args)
-    assert result.passed, result.details
-    assert result.stats["low"] == 0.5
     real = conformal.quantile
-    # raising epsilon by 1/(n+1) takes the order statistic one below the conformal one
-    monkeypatch.setattr(conformal, "quantile", lambda values, epsilon: real(values, epsilon + 1 / (len(values) + 1)))
-    assert not marginal_coverage_check(**args).passed
+    # moving epsilon by 1/(n+1) moves the order statistic by one: up takes the one below the conformal one
+    for shift in (0, 1, -1):
+        monkeypatch.setattr(conformal, "quantile", lambda values, eps: real(values, eps + shift / (len(values) + 1)))
+        result = marginal_coverage_check(n_cal=9, epsilon=0.5, seed=0)
+        assert result.passed == (shift == 0), result.details
+        assert result.stats == {"kgcp": {"covered": [25 - shift], "k": 25},
+                                "mcp": {"covered": [5 - shift] * 5, "k": 5}}
 
 
 SMALL_CONDITIONAL = dict(n_resamples=40, part_size=100, pool_size=1000)
