@@ -59,7 +59,10 @@ def _artifact(what: str, path: Path, stage: str) -> Path:
 
 def _load_config(args) -> ExperimentConfig:
     """The ``--config`` file (or the defaults) with the flags applied, validated once."""
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    try:
+        doc = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.config}: {exc}") from exc
     flags = {attr: getattr(args, attr) for attr in ("dataset", "output_dir", "gamma", "phi")}
     for attr, parse in (("methods", str), ("epsilons", float), ("seeds", int)):
         if getattr(args, attr):

@@ -392,12 +392,13 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.nda
     """Set size and answer hit of each (query, answer) pair under each filter, without building the sets.
 
     Rows of ``nonconf`` and ``masked_raw`` are query rows over all entities.
-    A row masks the union of its pairs' masks: its entities at -inf in
-    ``masked_raw``.  ``thresholds`` and ``cutoffs`` hold one filter per row
-    (see :func:`query_filters`) and one query row per column.  Pair ``j``
-    reads row ``rows[j]``; its answer ``answers[j]`` scored ``answer_raw[j]``
-    before masking.  Its candidates are the row's unmasked entities plus its
-    answer, which is added back when the row masks it (``e_j``).  A set is
+    A row masks its query's known answers (filtered), its pairs' own included,
+    or none (raw): its entities at -inf in ``masked_raw``.  ``thresholds``
+    and ``cutoffs`` hold one filter per row (see :func:`query_filters`) and
+    one query row per column.  Pair ``j`` reads row ``rows[j]``; its answer
+    ``answers[j]`` scored ``answer_raw[j]`` before masking.  Its candidates are
+    the row's unmasked entities plus its answer, added back when the row
+    masks it (``e_j``).  A set is
     ``(nonconf <= threshold) & (raw > cut)`` with the rank cutoff as a score
     cut, so sizes and hits equal those of :func:`predict_set` given the pair's
     candidate ranks and mask.  A NaN threshold gives an empty set.  No input is

@@ -132,15 +132,15 @@ def _known_keys(cls, doc, what: str, fixed: tuple[str, ...] = ()) -> dict:
 
 @dataclass
 class EvalData:
-    """What :func:`evaluate` reads: the KG, the query sets, and the test pairs' score rows and filter masks."""
+    """What :func:`evaluate` reads: the KG, the query sets, the score rows and their masks, the test pairs' rows."""
 
     kg: KnowledgeGraph
     calib: QueryAnswerSet         # read for its size and directions only
     test: QueryAnswerSet
     score_rows: models.RowSource  # raw score rows of the test queries (and, in a RunData, the calibration ones)
     test_rows: np.ndarray         # row of each test pair's query in ``score_rows``
-    mask_indptr: np.ndarray       # CSR filter masks of the test pairs: pair j masks
-    mask_indices: np.ndarray      # mask_indices[mask_indptr[j]:mask_indptr[j + 1]]
+    mask_indptr: np.ndarray       # CSR filter masks of the score rows: row s masks
+    mask_indices: np.ndarray      # mask_indices[mask_indptr[s]:mask_indptr[s + 1]]
 
 
 @dataclass
@@ -166,13 +166,13 @@ def load_or_generate_kg(config: ExperimentConfig, seed: int) -> KnowledgeGraph:
 
 
 def _query_sets(config: ExperimentConfig, kg: KnowledgeGraph):
-    """The calibration and test query sets, and the known sets that filter masks are built from."""
+    """The calibration and test query sets, and the known triples that filter masks are built from (none when raw)."""
     calib = make_queries(kg.triples("valid"), config.both_directions)
     test = make_queries(kg.triples("test"), config.both_directions)
     if not len(calib) or not len(test):
         raise KGError("calibration or test split is empty")
-    known = [make_queries(kg.triples("train"), config.both_directions), calib, test] if config.filtered else []
-    return calib, test, known
+    known = np.concatenate([kg.triples(name) for name in ("train", "valid", "test")])
+    return calib, test, known if config.filtered else known[:0]
 
 
 def _rows(source: models.RowSource, kg: KnowledgeGraph, *sets) -> list[np.ndarray]:
@@ -194,7 +194,7 @@ def prepare_test(config: ExperimentConfig, seed: int, score_matrix: models.RowSo
         kg = load_or_generate_kg(config, seed)
     calib, test, known = _query_sets(config, kg)
     (test_rows,) = _rows(score_matrix, kg, test)
-    return EvalData(kg, calib, test, score_matrix, test_rows, *filter_masks(test, known))
+    return EvalData(kg, calib, test, score_matrix, test_rows, *filter_masks(score_matrix.queries, known))
 
 
 def prepare_run(config: ExperimentConfig, seed: int,
@@ -222,10 +222,10 @@ def prepare_run(config: ExperimentConfig, seed: int,
         source = models.ModelScores(model, calib, test)
     calib_rows, test_rows = _rows(source, kg, calib, test)
     pred_vecs = _predicate_vectors(kg, predicate_vectors, model) if "condkgcp" in config.methods else None
+    masks = filter_masks(source.queries, known)
     calib_nonconf, calib_ranks = answer_nonconf_and_ranks(config.scorer_config(seed), source, calib_rows,
-                                                          calib.answer, *filter_masks(calib, known))
-    # the test masks are built after the calibration pass, so the two are never held together
-    return RunData(kg, calib, test, source, test_rows, *filter_masks(test, known),
+                                                          calib.answer, *masks)
+    return RunData(kg, calib, test, source, test_rows, *masks,
                    calib_nonconf=calib_nonconf, calib_ranks=calib_ranks, predicate_vectors=pred_vecs)
 
 
@@ -250,10 +250,10 @@ def answer_nonconf_and_ranks(scorer: scores.ScorerConfig, source: models.RowSour
                              indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nonconformity and filtered rank of each pair's answer, in one blocked pass (see :func:`_score_blocks`).
 
-    Pair ``j`` reads score row ``rows[j]``, masks its CSR slice of ``indices`` and draws as query ``j``.  Its
-    rank is pessimistic: the number of unmasked candidates that score ``>=`` the answer, the answer included.
-    On a query row masked with the union of its pairs' masks, that is the row's count of scores ``>=`` the
-    answer's, plus one when the row masks the answer itself.
+    Pair ``j`` reads score row ``rows[j]``, which masks its CSR slice of ``indices``, and draws as query ``j``.
+    Its rank is pessimistic: the number of candidates that score ``>=`` the answer, where the candidates are
+    the row's unmasked entities plus the answer.  That is the masked row's count of scores ``>=`` the
+    answer's, plus one when the row masks the answer itself, as a filtered row masks every known answer.
     """
     nonconf_at = np.empty(rows.shape[0])
     ranks = np.empty(rows.shape[0], dtype=np.int64)
@@ -277,8 +277,8 @@ def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: n
     its pairs in the block; APS and RAPS draw a u per pair, so each pair owns a row.  The source fills each
     query row once; a pair's own row is a copy of it.  ``nonconf`` row ``u`` draws as query ``draws[j]`` of its
     first pair ``j``, so a pair keeps its APS/RAPS u in every pass that gives it the same draw index.
-    ``answer_raw`` holds each pair's answer score, read before ``masked`` rows get the union of their pairs'
-    CSR masks at -inf.  The arrays of a block are views of one buffer the next block overwrites.
+    ``answer_raw`` holds each pair's answer score, read before each ``masked`` row gets its score row's CSR mask
+    at -inf.  The arrays of a block are views of one buffer the next block overwrites.
     """
     n = rows.shape[0]
     order = np.argsort(rows, kind="stable")
@@ -295,14 +295,11 @@ def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: n
         # from the back, so each query row is copied to its pairs before a pair's copy overwrites it
         for i in np.flatnonzero(unit != query)[::-1].tolist():
             masked[i] = masked[query[i]]
-        owner = block[np.diff(unit, prepend=-1) > 0]
-        for i, q in enumerate(draws[owner].tolist()):
-            nonconf[i] = scores.nonconformity(masked[i], scorer, query_index=q)
         answer_raw = masked[unit, answers[block]]
-        lo, counts = indptr[block], indptr[block + 1] - indptr[block]
-        # position of each masked entity in ``indices``: pair i's slice lo[i] + 0, 1, ..., counts[i] - 1
-        at = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        masked[np.repeat(unit, counts), indices[at]] = -np.inf
+        owner = block[np.diff(unit, prepend=-1) > 0]
+        for i, (q, s) in enumerate(zip(draws[owner].tolist(), rows[owner].tolist())):
+            nonconf[i] = scores.nonconformity(masked[i], scorer, query_index=q)
+            masked[i, indices[indptr[s] : indptr[s + 1]]] = -np.inf  # score row s's mask, once per unit row
         yield block, unit, nonconf, masked, answer_raw
 
 
@@ -524,8 +521,7 @@ def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData, gamma_grid
     scored = np.concatenate([held for _, held, _ in split])
     pairs = QueryAnswerSet(*(getattr(data.calib, f.name)[scored] for f in fields(QueryAnswerSet)))
     (rows,) = _rows(data.score_rows, data.kg, pairs)
-    indptr, indices = filter_masks(pairs, _query_sets(config, data.kg)[2])
-    held_out = replace(data, test=pairs, test_rows=rows, mask_indptr=indptr, mask_indices=indices)
+    held_out = replace(data, test=pairs, test_rows=rows)
     scored_groups = list(_direction_groups(held_out, config.split_directions))
     sizes, hits = _outcomes(config, seed, held_out, [_filters(held_out, scored_groups, fits) for fits in fitted],
                             scored)

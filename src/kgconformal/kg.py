@@ -184,7 +184,10 @@ def load_kg(path: str | Path) -> KnowledgeGraph:
     if path.suffix != ".json":
         raw = {"all": _parse_tsv(path)}
     else:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise KGError(f"{path}: {exc}") from exc
         raw = {}
         for name in ("train", "valid", "test"):
             if name in manifest:
@@ -249,30 +252,19 @@ def query_keys(queries: np.ndarray) -> np.ndarray:
     return ((1 - queries[:, 0]) << 62) | (queries[:, 1] << 31) | queries[:, 2]
 
 
-def filter_masks(qa: QueryAnswerSet, known: list[QueryAnswerSet]) -> tuple[np.ndarray, np.ndarray]:
-    """CSR filter masks ``(indptr, indices)``: pair ``i`` of ``qa`` masks ``indices[indptr[i]:indptr[i + 1]]``.
-
-    A mask holds, in ascending order, the answers its query has in ``known`` other than the pair's own.
+def filter_masks(queries: np.ndarray, triples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR filter masks ``(indptr, indices)``: ``(n, 3)`` query row ``i`` masks ``indices[indptr[i]:indptr[i + 1]]``,
+    in ascending order every answer its ``(direction, anchor, predicate)`` has among the known ``(n, 3)`` ``triples``.
     """
-    indptr = np.zeros(len(qa) + 1, dtype=np.int64)
-    if not known:
-        return indptr, np.empty(0, dtype=np.int64)
-    known_keys = query_keys(np.concatenate([k.queries() for k in known]))
-    answers = np.concatenate([k.answer for k in known])
-    # sorted distinct (query key, answer) rows: each query's known answers form one run
-    order = np.lexsort((answers, known_keys))
-    known_keys, answers = known_keys[order], answers[order]
-    new = np.ones(order.shape, dtype=bool)
-    new[1:] = (known_keys[1:] != known_keys[:-1]) | (answers[1:] != answers[:-1])
-    known_keys, answers = known_keys[new], answers[new]
-    keys = query_keys(qa.queries())
-    lo = np.searchsorted(known_keys, keys, side="left")
-    sizes = np.searchsorted(known_keys, keys, side="right") - lo
-    owner = np.repeat(np.arange(len(qa)), sizes)
-    answers = answers[np.repeat(lo - (np.cumsum(sizes) - sizes), sizes) + np.arange(owner.shape[0])]
-    other = answers != qa.answer[owner]
-    np.cumsum(np.bincount(owner[other], minlength=len(qa)), out=indptr[1:])
-    return indptr, answers[other]
+    known = make_queries(triples)
+    keys = query_keys(known.queries())
+    order = np.lexsort((known.answer, keys))  # each query's known answers form one ascending run
+    keys, answers = keys[order], known.answer[order]
+    wanted = query_keys(queries)
+    lo = np.searchsorted(keys, wanted, side="left")
+    sizes = np.searchsorted(keys, wanted, side="right") - lo
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    return indptr, answers[np.repeat(lo - indptr[:-1], sizes) + np.arange(indptr[-1])]
 
 
 def rank_of(scores: np.ndarray, answer: int, filter_mask=None) -> int:

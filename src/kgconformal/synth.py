@@ -29,11 +29,16 @@ class SyntheticKGSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_entities", "n_clusters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if len(self.triple_counts) != self.n_predicates:
             raise ValueError("need one triple count per predicate")
         if any(c < 1 for c in self.triple_counts):
             raise ValueError("triple counts must be >= 1")
         rates = self.rates()
+        if len(rates) != self.n_predicates:
+            raise ValueError(f"noise_rates must hold one rate per predicate ({self.n_predicates}), got {len(rates)}")
         if any(not 0.0 <= x < 1.0 for x in rates):
             raise ValueError("noise rates must be in [0, 1)")
         if self.rules is not None:

@@ -627,6 +627,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(wrong) in err
 
+    @pytest.mark.parametrize("flag", ["config", "dataset"])
+    def test_malformed_json_names_the_file(self, tmp_path, dataset, capsys, flag):
+        """A config or a dataset manifest that is not JSON exits 2 naming the file."""
+        config = write_config(tmp_path, dataset)
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"epochs": 3,}', encoding="utf-8")
+        assert cli.main(["run", "--config", str(config), f"--{flag}", str(bad)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {bad}: Expecting property name enclosed in double quotes")
+
+    @pytest.mark.parametrize("args, field", [
+        (["--entities", "30", "--counts", "20", "20", "20", "--noise", "0.1", "0.2"], "noise_rates"),
+        (["--entities", "0", "--counts", "20"], "n_entities"),
+        (["--entities", "30", "--counts", "20", "--clusters", "0"], "n_clusters"),
+    ], ids=["noise", "entities", "clusters"])
+    def test_generate_sizes_name_their_field(self, tmp_path, capsys, args, field):
+        assert cli.main(["generate", *args, "--out", str(tmp_path / "data")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {field} must")
+
     def test_verify_bounds_exit_codes(self, monkeypatch):
         ok = [CheckResult(name="a", passed=True, details="fine")]
         bad = [CheckResult(name="a", passed=False, details="off")]

@@ -66,7 +66,8 @@ class TestConfig:
         ({"phi": 0}, "phi must be >= 1, got 0"),
         ({"scorer": {"kind": "raps", "raps_k_reg": 0}}, "raps_k_reg must be >= 1"),
         ({"synthetic": {"n_predicates": 2, "triple_counts": [10]}}, "need one triple count per predicate"),
-    ], ids=["epsilon-zero", "gamma", "phi", "raps-k-reg", "synthetic"])
+        ({"synthetic": {"noise_rates": [0.1, 0.2]}}, "noise_rates must hold one rate per predicate (5), got 2"),
+    ], ids=["epsilon-zero", "gamma", "phi", "raps-k-reg", "synthetic", "synthetic-noise"])
     def test_rejects_what_calibration_would_reject(self, setting, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             tiny_config(**setting)
@@ -92,7 +93,11 @@ class TestPrepareRun:
         n_cal, n_test = len(data.calib.pairs), len(data.test.pairs)
         assert data.calib_nonconf.shape == (n_cal,)
         assert data.calib_ranks.shape == (n_cal,)
-        assert data.test_rows.shape == (n_test,) and data.mask_indptr.shape == (n_test + 1,)
+        assert data.test_rows.shape == (n_test,)
+        # one CSR slice per score row; filtered, a test pair's row masks its answer too
+        assert data.mask_indptr.shape == (len(data.score_rows.queries) + 1,)
+        for row, a in zip(data.test_rows.tolist(), data.test.answer.tolist()):
+            assert a in data.mask_indices[data.mask_indptr[row] : data.mask_indptr[row + 1]]
         assert isinstance(data.score_rows, ModelScores) and data.score_rows.n_entities == 40
         rows = np.empty((n_test, 40))
         data.score_rows.fill(data.test_rows, rows)
@@ -128,15 +133,17 @@ class TestPrepareRun:
         matrix.scores = np.round(matrix.scores)  # a few distinct values per row: ties everywhere
         monkeypatch.setattr(experiment, "EVAL_BLOCK_ROWS", 7)
         data = prepare_run(config, 0, score_matrix=matrix, model=model)
-        kg = data.kg
-        known = [make_queries(kg.splits["train"]), data.calib, data.test] if filtered else []
-        indptr, indices = filter_masks(data.calib, known)
+        known = np.concatenate([data.kg.splits[name] for name in ("train", "valid", "test")])
+        indptr, indices = filter_masks(matrix.queries, known if filtered else known[:0])
+        assert np.array_equal(data.mask_indptr, indptr) and np.array_equal(data.mask_indices, indices)
         (rows,) = matrix.rows(data.calib)
         scorer = config.scorer_config(0)
         ties = 0
         for i, (row, a) in enumerate(zip(rows.tolist(), data.calib.answer.tolist())):
             raw = matrix.scores[row]
-            mask = indices[indptr[i] : indptr[i + 1]].tolist()
+            row_mask = indices[indptr[row] : indptr[row + 1]].tolist()
+            assert (a in row_mask) == filtered
+            mask = [e for e in row_mask if e != a]  # the pair's own mask: its row's, less its answer
             assert data.calib_nonconf[i] == scores.nonconformity(raw, scorer, query_index=i)[a]
             assert data.calib_ranks[i] == rank_of(raw, a, mask)
             ties += np.count_nonzero(np.delete(raw, mask) == raw[a]) > 1

@@ -202,10 +202,7 @@ class TestSplits:
 
 
 def test_answer_index_collects_all_splits():
-    qa1 = make_queries(np.array([(0, 0, 1)]), both_directions=False)
-    qa2 = make_queries(np.array([(0, 0, 2)]), both_directions=False)
-    # the index of query ('tail', 0, 0) holds {1, 2}; each pair masks the other answer
-    indptr, indices = filter_masks(qa1, [qa1, qa2])
-    assert indptr.tolist() == [0, 1] and indices.tolist() == [2]
-    indptr, indices = filter_masks(qa2, [qa1, qa2])
-    assert indptr.tolist() == [0, 1] and indices.tolist() == [1]
+    train, test = np.array([(0, 0, 1)]), np.array([(0, 0, 2)])
+    # query ('tail', 0, 0) knows {1, 2}, one answer from each split, and its row masks both; ('head', 2, 0) knows {0}
+    indptr, indices = filter_masks(np.array([(0, 0, 0), (1, 2, 0)]), np.concatenate([train, test]))
+    assert indptr.tolist() == [0, 2, 3] and indices.tolist() == [1, 2, 0]

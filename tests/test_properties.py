@@ -61,18 +61,17 @@ def test_candidate_ranks_match_rank_of_and_brute_force_under_ties(case):
 
 @st.composite
 def shared_rows(draw, scores):
-    """Query rows of ``scores`` (one per row) that 1-4 pairs share, and each pair's mask: the row's known answers
-    (its drawn mask plus every pair's answer) but the pair's own when filtered, nothing when raw (both forms
-    drawn).  Returns ``(rows, answers, masks)`` in pair order, one pair per list entry."""
+    """Query rows of ``scores`` (one per row) that 1-4 pairs share, and each row's mask: its known answers (its
+    drawn mask plus every pair's answer) when filtered, nothing when raw (both forms drawn).  Returns ``(rows,
+    answers, masks)``: rows and answers in pair order, one mask per row.  A pair's own mask is its row's but its
+    answer."""
     filtered = draw(st.booleans())
     rows, answers, masks = [], [], []
     for row, (values, extra) in enumerate(scores):
         own = draw(st.lists(st.integers(0, values.size - 1), min_size=1, max_size=min(4, values.size), unique=True))
-        known = set(extra) | set(own)
-        for a in own:
-            rows.append(row)
-            answers.append(a)
-            masks.append(known - {a} if filtered else set())
+        rows += [row] * len(own)
+        answers += own
+        masks.append(set(extra) | set(own) if filtered else set())
     return rows, answers, masks
 
 
@@ -87,14 +86,15 @@ def test_block_answer_ranks_match_rank_of_and_brute_force_under_ties(case, data)
     for i, (scores, _) in enumerate(cases):
         raw[i, : scores.size] = scores
     order = data.draw(st.permutations(range(len(rows))))
-    rows, answers, masks = (np.array(rows)[order], np.array(answers)[order], [sorted(masks[j]) for j in order])
-    indptr = np.cumsum([0] + [len(m) for m in masks])
-    indices = np.array([e for m in masks for e in m], dtype=np.int64)
+    rows, answers = np.array(rows)[order], np.array(answers)[order]
+    indptr = np.cumsum([0] + [len(m) for m in masks])  # one CSR slice per score row
+    indices = np.array([e for m in masks for e in sorted(m)], dtype=np.int64)
     queries = np.column_stack((np.zeros(n, dtype=np.int64), np.arange(n), np.zeros(n, dtype=np.int64)))
     with mock.patch.object(experiment, "EVAL_BLOCK_ROWS", 2):  # several blocks
         nonconf, ranks = experiment.answer_nonconf_and_ranks(ScorerConfig(), ScoreMatrix(queries=queries, scores=raw),
                                                              rows, answers, indptr, indices)
-    for j, (row, a, mask) in enumerate(zip(rows.tolist(), answers.tolist(), masks)):
+    for j, (row, a) in enumerate(zip(rows.tolist(), answers.tolist())):
+        mask = masks[row] - {a}
         kept = [e for e in range(width) if e not in mask]
         assert ranks[j] == rank_of(raw[row], a, mask) == sum(raw[row, c] >= raw[row, a] for c in kept)
         assert nonconf[j] == softmax_scores(raw[row])[a]
@@ -115,10 +115,10 @@ def test_rank_cut_selects_exactly_the_ranks_within_the_cutoff_under_ties(case):
 
 @st.composite
 def set_outcome_cases(draw):
-    """Query rows of tied raw scores and nonconformity values on a quarter grid, each shared by 1-4 pairs whose
-    masks differ only by their answers (:func:`shared_rows`; some rows know every entity), and several filters per
-    call, one per row: thresholds on the grid, +inf or NaN; cutoffs of a filter without a rank cut all at least
-    the row width, those of a ranked filter anywhere in 0..width+1."""
+    """Query rows of tied raw scores and nonconformity values on a quarter grid, each shared by 1-4 pairs and
+    masked once (:func:`shared_rows`; some rows know every entity), and several filters per call, one per row:
+    thresholds on the grid, +inf or NaN; cutoffs of a filter without a rank cut all at least the row width, those
+    of a ranked filter anywhere in 0..width+1."""
     n_rows, width = draw(st.integers(1, 5)), draw(st.integers(1, 10))
     raw = draw(hnp.arrays(np.float64, (n_rows, width), elements=st.integers(-2, 2)))
     nonconf = draw(hnp.arrays(np.float64, (n_rows, width), elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0,
@@ -141,15 +141,15 @@ def set_outcome_cases(draw):
 @example((np.array([[0.5, 0.5, 0.0]]), np.array([[1.0, 2.0, 0.0]]), np.array([0]), np.array([0]), [{1}],
           np.array([[0.5], [math.nan], [0.5]]), np.array([[3], [3], [1]])))
 # two pairs whose answers the row masks: the first scores exactly b_1, the only unmasked score, the second below it
-@example((np.zeros((1, 3)), np.array([[1.0, 1.0, 0.0]]), np.array([0, 0]), np.array([0, 2]), [{2}, {0}],
+@example((np.zeros((1, 3)), np.array([[1.0, 1.0, 0.0]]), np.array([0, 0]), np.array([0, 2]), [{0, 2}],
           np.array([[math.inf], [math.inf]]), np.array([[1], [2]])))
 def test_set_outcomes_match_brute_force_sets_with_many_filters_per_call(case):
     """Each (filter, pair) size and hit equals the brute-force set on the pair's own mask: candidates with
-    ``nonconf <= threshold`` and a pessimistic filtered rank within the cutoff.  The query rows are masked with
-    the union of their pairs' masks.  The inputs come back unchanged."""
+    ``nonconf <= threshold`` and a pessimistic filtered rank within the cutoff: its row's mask but its answer.
+    The inputs come back unchanged."""
     nonconf, raw, rows, answers, masks, thresholds, cutoffs = case
     masked = raw.copy()
-    for row, mask in zip(rows.tolist(), masks):
+    for row, mask in enumerate(masks):
         masked[row, sorted(mask)] = -np.inf
     answer_raw = raw[rows, answers]
     inputs = (nonconf, masked, thresholds, cutoffs, rows, answers, answer_raw)
@@ -159,7 +159,7 @@ def test_set_outcomes_match_brute_force_sets_with_many_filters_per_call(case):
         assert np.array_equal(got, was, equal_nan=got.dtype.kind == "f")
     for f, j in np.ndindex(sizes.shape):
         row = rows[j]
-        kept = [e for e in range(raw.shape[1]) if e not in masks[j]]
+        kept = [e for e in range(raw.shape[1]) if e not in masks[row] - {answers[j]}]
         members = {e for e in kept if nonconf[row, e] <= thresholds[f, row]
                    and sum(raw[row, c] >= raw[row, e] for c in kept) <= cutoffs[f, row]}
         assert sizes[f, j] == len(members)
@@ -471,33 +471,37 @@ def test_make_queries_matches_per_pair_oracle(rows, both_directions):
 
 @given(st.lists(triple_lists, min_size=3, max_size=3), st.booleans())
 def test_filter_masks_match_answer_index(splits, both_directions):
-    """Each pair masks its query's known answers across the splits but its own; unfiltered, nothing."""
-    sets = [make_queries(np.array(rows, dtype=np.int64).reshape(-1, 3), both_directions) for rows in splits]
+    """Each query row masks its query's known answers across the splits, a pair's own included; raw, nothing."""
+    known = np.array([row for rows in splits for row in rows], dtype=np.int64).reshape(-1, 3)
     index = query_oracle.build_answer_index([query_oracle.make_queries(rows, both_directions) for rows in splits])
-    for qa in sets:
-        indptr, indices = filter_masks(qa, sets)
+    for rows in splits:
+        qa = make_queries(np.array(rows, dtype=np.int64).reshape(-1, 3), both_directions)
+        indptr, indices = filter_masks(qa.queries(), known)
         assert indptr.shape == (len(qa) + 1,)
         for i, (q, a) in enumerate(qa.pairs):
-            assert indices[indptr[i] : indptr[i + 1]].tolist() == sorted(index[q.key()] - {a})
-        indptr, indices = filter_masks(qa, [])
+            assert indices[indptr[i] : indptr[i + 1]].tolist() == sorted(index[q.key()])
+        indptr, indices = filter_masks(qa.queries(), known[:0])
         assert indptr.tolist() == [0] * (len(qa) + 1) and indices.size == 0
 
 
 @given(st.lists(triple_lists, min_size=3, max_size=3), st.booleans(), st.booleans())
 def test_pairs_of_a_query_share_one_filtered_row(splits, both_directions, filtered):
-    """What a shared query row rests on: filtered, every pair of query ``q`` masks ``K(q)`` but its own answer, so
-    its mask plus its answer is ``K(q)``, one set per query; raw, no pair masks anything."""
-    sets = [make_queries(np.array(rows, dtype=np.int64).reshape(-1, 3), both_directions) for rows in splits]
+    """What a shared query row rests on: every pair of query ``q`` reads one score row, which masks ``K(q)``, the
+    pair's own answer included, when filtered, so each pair adds its answer back; raw, the row masks nothing."""
+    triples = [np.array(rows, dtype=np.int64).reshape(-1, 3) for rows in splits]
+    sets = [make_queries(rows, both_directions) for rows in triples]
     known_answers: dict = {}
     for qa in sets:
         for q, a in qa.pairs:
             known_answers.setdefault(q.key(), set()).add(a)
-    for qa in sets:
-        indptr, indices = filter_masks(qa, sets if filtered else [])
-        for i, (q, a) in enumerate(qa.pairs):
-            mask = set(indices[indptr[i] : indptr[i + 1]].tolist())
-            assert a not in mask
-            assert mask | {a} == known_answers[q.key()] if filtered else not mask
+    queries = np.unique(np.concatenate([qa.queries() for qa in sets]), axis=0)
+    source = ScoreMatrix(queries=queries, scores=np.zeros((len(queries), 6)))
+    known = np.concatenate(triples)
+    indptr, indices = filter_masks(source.queries, known if filtered else known[:0])
+    for qa, rows in zip(sets, source.rows(*sets)):
+        for (q, a), row in zip(qa.pairs, rows.tolist()):
+            mask = set(indices[indptr[row] : indptr[row + 1]].tolist())
+            assert (a in mask and mask == known_answers[q.key()]) if filtered else not mask
 
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 5)), max_size=300),

@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -46,6 +47,16 @@ class TestGenerate:
             spec(noise_rates=1.5)
         with pytest.raises(ValueError):
             spec(triple_counts=[0, 10, 10])
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"noise_rates": [0.1, 0.2]}, "noise_rates must hold one rate per predicate (3), got 2"),
+        ({"noise_rates": [0.1, 0.2, 0.3, 0.4]}, "noise_rates must hold one rate per predicate (3), got 4"),
+        ({"n_entities": 0}, "n_entities must be >= 1, got 0"),
+        ({"n_clusters": 0}, "n_clusters must be >= 1, got 0"),
+    ], ids=["noise-short", "noise-long", "entities", "clusters"])
+    def test_sizes_name_their_field(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spec(**kw)
 
     def test_impossible_count_raises(self):
         with pytest.raises(RuntimeError, match="cannot place"):

@@ -1,4 +1,4 @@
-"""Write the parity fixtures: seven configs, each run staged and end to end, into one directory.
+"""Write the parity fixtures: eight configs, each run staged and end to end, into one directory.
 
 A refactor that claims "same numbers" is checked by running this on two
 trees and comparing the outputs byte for byte::
@@ -44,6 +44,7 @@ CONFIGS = {
                         "seeds": [0, 1], "epsilons": [0.1, 0.2]},
     "distmult-raw-macro": {"model_kind": "distmult", "filtered": False, "macro_avesize": True,
                            "epsilons": [0.1, 0.2]},
+    "transe-tail-only": {"model_kind": "transe", "both_directions": False, "epsilons": [0.1, 0.2]},
 }
 GENERATE = ["generate", "--entities", "100", "--counts", "200", "100", "60", "40", "30", "--seed", "0",
             "--out", "data"]
