@@ -58,20 +58,16 @@ def _artifact(what: str, path: Path, stage: str) -> Path:
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The ``--config`` file (or the defaults) with the flags applied, validated once."""
-    try:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{args.config}: {exc}") from exc
-    flags = {attr: getattr(args, attr) for attr in ("dataset", "output_dir", "gamma", "phi")}
+    """The ``--config`` file (or the defaults) with the flags applied, validated once; ValueError names a bad flag."""
+    flags = {attr: getattr(args, attr) for attr in ("dataset", "output_dir", "gamma", "phi", "split_directions",
+                                                    "filtered") if getattr(args, attr) is not None}
     for attr, parse in (("methods", str), ("epsilons", float), ("seeds", int)):
         if getattr(args, attr):
-            flags[attr] = [parse(v) for v in getattr(args, attr).split(",")]
-    if args.split_directions:
-        flags["split_directions"] = True
-    if args.raw_ranking:
-        flags["filtered"] = False
-    return ExperimentConfig.from_dict(doc, **{k: v for k, v in flags.items() if v is not None})
+            try:
+                flags[attr] = [parse(v) for v in getattr(args, attr).split(",")]
+            except ValueError as exc:
+                raise ValueError(f"--{attr}: {exc}") from exc
+    return ExperimentConfig.load(args.config, **flags) if args.config else ExperimentConfig.from_dict({}, **flags)
 
 
 def _echo_config(config: ExperimentConfig, out: Path) -> None:
@@ -225,9 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", help="comma-separated seeds")
         p.add_argument("--gamma", type=float)
         p.add_argument("--phi", type=int)
-        p.add_argument("--split-directions", action="store_true", dest="split_directions",
+        p.add_argument("--split-directions", action="store_const", const=True, dest="split_directions",
                        help="calibrate head and tail queries separately")
-        p.add_argument("--raw-ranking", action="store_true", dest="raw_ranking",
+        p.add_argument("--raw-ranking", action="store_const", const=False, dest="filtered",
                        help="disable the filtered-ranking mask")
 
     for name, func in (("train", cmd_train), ("score", cmd_score), ("calibrate", cmd_calibrate)):

@@ -388,7 +388,8 @@ def prop1_bounds(epsilon: float, gamma: float, rank_miscoverage: float, n_cal: i
 
 
 def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.ndarray, cutoffs: np.ndarray,
-                 rows: np.ndarray, answers: np.ndarray, answer_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 rows: np.ndarray, answers: np.ndarray, answer_raw: np.ndarray,
+                 softmax: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Set size and answer hit of each (query, answer) pair under each filter, without building the sets.
 
     Rows of ``nonconf`` and ``masked_raw`` are query rows over all entities.
@@ -398,15 +399,14 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.nda
     one query row per column.  Pair ``j`` reads row ``rows[j]``; its answer
     ``answers[j]`` scored ``answer_raw[j]`` before masking.  Its candidates are
     the row's unmasked entities plus its answer, added back when the row
-    masks it (``e_j``).  A set is
-    ``(nonconf <= threshold) & (raw > cut)`` with the rank cutoff as a score
-    cut, so sizes and hits equal those of :func:`predict_set` given the pair's
-    candidate ranks and mask.  A NaN threshold gives an empty set.  No input is
-    modified.
+    masks it (``e_j``).  A set is ``(nonconf <= threshold) & (raw > cut)``
+    with the rank cutoff as a score cut, so sizes and hits equal those of
+    :func:`predict_set` given the pair's candidate ranks and mask.  A NaN
+    threshold gives an empty set.  No input is modified.
 
-    With ``b_k`` the k-th largest unmasked score of the row (one sort of the
-    row, :func:`kg.rank_cuts`; ``b_0 = +inf``, -inf past the end), cutoff ``k``
-    gives pair ``j``:
+    Each masked row is sorted once.  With ``b_k`` the k-th largest unmasked
+    score of the row (:func:`kg.rank_cuts`; ``b_0 = +inf``, -inf past the
+    end), cutoff ``k`` gives pair ``j``:
 
     * ``hit = nonconf[answer] <= threshold & x > (b_k if e_j else b_(k+1))``,
       since an added-back answer is one more candidate at its own score ``x``;
@@ -414,45 +414,41 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.nda
       candidate score, as it acts on the row's own entities;
     * ``size = #{row entities: nonconf <= threshold, raw > cut} + e_j * hit``.
 
-    A filter whose every cut is -inf (no rank filter, as in kgcp and mcp) is
-    sized by sorting each row's unmasked nonconformity values at or below the
-    row's largest such threshold: the row's count under all such filters is
-    one ``searchsorted(side="right")`` into them.  A filter with a rank cut
-    compares the whole block once, at one pair's cut per row; a row whose
-    other pairs have another cut counts that cut on its own.
+    ``softmax``, given when ``nonconf`` is :func:`scores.softmax_scores`,
+    holds each row's max raw score and sum of ``exp(raw - max)``.  As 1 - p
+    falls where raw rises, a set is a top of the sorted row, ``min(P, m)``
+    long: ``P`` searches the threshold in 1 - p recomputed down the row, ``m``
+    the cut.  Without it (APS and RAPS break ties in p by index or position),
+    each filter compares the whole block: one pair per row, or ValueError.
     Returns ``(sizes, hits)``, each shaped ``(len(thresholds), len(rows))``.
     """
-    n_filters = thresholds.shape[0]
-    both = rank_cuts(masked_raw, np.hstack((cutoffs.T - 1, cutoffs.T))).T  # b_k, then b_(k+1), per (filter, row)
+    ordered = np.sort(masked_raw, axis=1)
+    n_filters, width = thresholds.shape[0], ordered.shape[1]
+    both = rank_cuts(ordered, np.hstack((cutoffs.T - 1, cutoffs.T))).T  # b_k, then b_(k+1), per (filter, row)
     b_k, b_next = both[:n_filters, rows], both[n_filters:, rows]
     at = (rows, answers)
     added = masked_raw[at] == -np.inf
     hits = (nonconf[at] <= thresholds[:, rows]) & (answer_raw > np.where(added, b_k, b_next))
     cuts = np.where(added & (answer_raw >= b_k), b_k, b_next)
-    ranked = np.isfinite(cuts).any(axis=1)
     sizes = np.empty(cuts.shape, dtype=np.int64)
-    if not ranked.all():
-        row_thresholds = np.ascontiguousarray(thresholds[~ranked].T)
-        counts = np.empty(row_thresholds.shape, dtype=np.int64)
-        # fmax skips NaN thresholds; an entity above the row's largest threshold is in none of its sets
-        for i, top in enumerate(np.fmax.reduce(row_thresholds, axis=1).tolist()):
-            below = nonconf[i][(nonconf[i] <= top) & (masked_raw[i] > -np.inf)]
-            below.sort()
-            counts[i] = np.searchsorted(below, row_thresholds[i], side="right")
-        counts[np.isnan(row_thresholds)] = 0
-        sizes[~ranked] = counts.T[:, rows]
-    for f in np.flatnonzero(ranked):
+    if softmax is None:
+        if np.unique(rows).size < rows.size:
+            raise ValueError("rows shared by several pairs need their softmax statistics")
         row_cuts = np.full(masked_raw.shape[0], -np.inf)
-        row_cuts[rows] = cuts[f]  # the cut of one of each row's pairs
-        member = nonconf <= thresholds[f, :, None]
-        member &= masked_raw > row_cuts[:, None]
-        sizes[f] = member.sum(axis=1, dtype=np.int32)[rows]
-        counted = {}  # (row, cut) of the pairs whose cut is not their row's
-        for j in np.flatnonzero(cuts[f] != row_cuts[rows]).tolist():
-            row, cut = rows[j], cuts[f, j]
-            if (row, cut) not in counted:
-                counted[row, cut] = np.count_nonzero((nonconf[row] <= thresholds[f, row]) & (masked_raw[row] > cut))
-            sizes[f, j] = counted[row, cut]
+        for f in range(n_filters):
+            row_cuts[rows] = cuts[f]
+            member = nonconf <= thresholds[f, :, None]
+            member &= masked_raw > row_cuts[:, None]
+            sizes[f] = member.sum(axis=1, dtype=np.int32)[rows]
+    else:
+        thresholds = np.where(np.isnan(thresholds), -np.inf, thresholds)  # no 1 - p is at or below -inf
+        descending = np.empty(width)  # 1 - p of the sorted row, largest score first, as scores.softmax_scores has it
+        for i, (top, total) in enumerate(softmax.T.tolist()):
+            pairs = rows == i
+            np.exp(np.subtract(ordered[i, ::-1], top, out=descending), out=descending)
+            np.subtract(1.0, np.divide(descending, total, out=descending), out=descending)
+            sizes[:, pairs] = np.minimum(np.searchsorted(descending, thresholds[:, i, None], side="right"),
+                                         width - np.searchsorted(ordered[i], cuts[:, pairs], side="right"))
     sizes += added & hits
     return sizes, hits
 

@@ -111,12 +111,12 @@ class ExperimentConfig:
         return cls(**{**_known_keys(cls, doc, "config"), **overrides})
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+    def load(cls, path: str | Path, **overrides) -> "ExperimentConfig":
+        """The config file at ``path`` with ``overrides`` applied; ValueError names the path when it is not JSON."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")), **overrides)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _known_keys(cls, doc, what: str, fixed: tuple[str, ...] = ()) -> dict:
@@ -257,8 +257,8 @@ def answer_nonconf_and_ranks(scorer: scores.ScorerConfig, source: models.RowSour
     """
     nonconf_at = np.empty(rows.shape[0])
     ranks = np.empty(rows.shape[0], dtype=np.int64)
-    for block, unit, nonconf, masked, answer_raw in _score_blocks(scorer, source, rows, answers, indptr, indices,
-                                                                  np.arange(rows.shape[0])):
+    for block, unit, nonconf, masked, answer_raw, _ in _score_blocks(scorer, source, rows, answers, indptr, indices,
+                                                                     np.arange(rows.shape[0])):
         at = (unit, answers[block])
         nonconf_at[block] = nonconf[at]
         per_row = np.split(answer_raw, np.flatnonzero(np.diff(unit)) + 1)
@@ -269,7 +269,7 @@ def answer_nonconf_and_ranks(scorer: scores.ScorerConfig, source: models.RowSour
 
 def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: np.ndarray, answers: np.ndarray,
                   indptr: np.ndarray, indices: np.ndarray, draws: np.ndarray):
-    """Yield ``(block, unit, nonconf, masked, answer_raw)`` per block of ``EVAL_BLOCK_ROWS`` pairs.
+    """Yield ``(block, unit, nonconf, masked, answer_raw, softmax)`` per block of ``EVAL_BLOCK_ROWS`` pairs.
 
     Pair ``j`` reads score row ``rows[j]``.  The pairs are visited in stable ``rows`` order, so the pairs of one
     query are adjacent; a query may straddle two blocks.  ``block`` holds the block's pair indices, and pair
@@ -278,11 +278,13 @@ def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: n
     query row once; a pair's own row is a copy of it.  ``nonconf`` row ``u`` draws as query ``draws[j]`` of its
     first pair ``j``, so a pair keeps its APS/RAPS u in every pass that gives it the same draw index.
     ``answer_raw`` holds each pair's answer score, read before each ``masked`` row gets its score row's CSR mask
-    at -inf.  The arrays of a block are views of one buffer the next block overwrites.
+    at -inf.  ``softmax`` holds each row's max raw score and sum of ``exp(raw - max)`` (None under APS and RAPS).
+    The arrays of a block are views of buffers the next block overwrites.
     """
     n = rows.shape[0]
     order = np.argsort(rows, kind="stable")
     buffers = np.empty((2, min(EVAL_BLOCK_ROWS, n), source.n_entities))
+    softmax = np.empty((2, min(EVAL_BLOCK_ROWS, n))) if scorer.kind == "softmax" else None
     for start in range(0, n, EVAL_BLOCK_ROWS):
         block = order[start : start + EVAL_BLOCK_ROWS]
         query_rows = rows[block]
@@ -298,9 +300,14 @@ def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: n
         answer_raw = masked[unit, answers[block]]
         owner = block[np.diff(unit, prepend=-1) > 0]
         for i, (q, s) in enumerate(zip(draws[owner].tolist(), rows[owner].tolist())):
-            nonconf[i] = scores.nonconformity(masked[i], scorer, query_index=q)
+            if softmax is None:
+                nonconf[i] = scores.nonconformity(masked[i], scorer, query_index=q)
+            else:  # scores.softmax_scores, keeping its max and exp-sum
+                softmax[0, i] = top = masked[i].max()
+                softmax[1, i] = total = np.exp(masked[i] - top, out=nonconf[i]).sum()
+                np.subtract(1.0, nonconf[i] / total, out=nonconf[i])
             masked[i, indices[indptr[s] : indptr[s + 1]]] = -np.inf  # score row s's mask, once per unit row
-        yield block, unit, nonconf, masked, answer_raw
+        yield block, unit, nonconf, masked, answer_raw, None if softmax is None else softmax[:, : unit[-1] + 1]
 
 
 def _direction_groups(data: EvalData, split_directions: bool):
@@ -381,17 +388,17 @@ def _outcomes(config: ExperimentConfig, seed: int, data: EvalData, filters: list
     :func:`_score_blocks` (test pair ``j`` draws as query ``draws[j]``) is reduced by
     :func:`conformal.set_outcomes`.  Returns ``(sizes, hits)``, each shaped ``(len(filters), n_test)``.
     """
-    thresholds = np.stack([t for t, _ in filters])
-    cutoffs = np.stack([k for _, k in filters])
+    thresholds, cutoffs = map(np.stack, zip(*filters))
     sizes = np.empty(thresholds.shape, dtype=np.int64)
     hits = np.empty(thresholds.shape, dtype=bool)
     answers = data.test.answer
-    for block, unit, nonconf, masked, answer_raw in _score_blocks(config.scorer_config(seed), data.score_rows,
-                                                                  data.test_rows, answers, data.mask_indptr,
-                                                                  data.mask_indices, draws):
+    for block, unit, nonconf, masked, answer_raw, softmax in _score_blocks(config.scorer_config(seed),
+                                                                           data.score_rows, data.test_rows, answers,
+                                                                           data.mask_indptr, data.mask_indices, draws):
         owner = block[np.diff(unit, prepend=-1) > 0]  # a row's filter is its query's: that of its first pair
         sizes[:, block], hits[:, block] = conformal.set_outcomes(nonconf, masked, thresholds[:, owner],
-                                                                 cutoffs[:, owner], unit, answers[block], answer_raw)
+                                                                 cutoffs[:, owner], unit, answers[block], answer_raw,
+                                                                 softmax)
     return sizes, hits
 
 

@@ -285,23 +285,21 @@ def rank_of(scores: np.ndarray, answer: int, filter_mask=None) -> int:
     return int(np.count_nonzero(scores[keep] >= target))
 
 
-def rank_cuts(masked_scores: np.ndarray, cutoffs) -> np.ndarray:
+def rank_cuts(ordered: np.ndarray, cutoffs) -> np.ndarray:
     """Score cuts equivalent to top-``k`` rank filters, one per (row, cutoff).
 
-    ``masked_scores`` holds one query per row, finite except for masked
-    entities, which are -inf; ``cutoffs`` holds each row's rank cutoffs
-    (shape ``(rows, m)``).  The cut for cutoff ``k`` is the (k+1)-th largest
-    unmasked score, or -inf when ``k`` is at least the number of unmasked
-    entities; cutoff -1 (no rank is that small) cuts at +inf, so cutoffs
-    ``k - 1`` and ``k`` read the k-th and the (k+1)-th largest score from one
-    sort.  For an unmasked entity ``e``, its filtered rank
-    ``rank_of(scores, e, mask) <= k`` holds exactly when
-    ``scores[e] > cut``, ties included: a pessimistic rank counts the
-    candidates scoring ``>= scores[e]``, and at most ``k`` of them do exactly
-    when the (k+1)-th largest score lies below ``scores[e]``.  Masked
-    entities never pass the cut.
+    ``ordered`` holds one query's scores per row, sorted ascending: finite
+    except for masked entities, which are -inf and come first.  ``cutoffs``
+    holds each row's rank cutoffs (shape ``(rows, m)``).  The cut for cutoff
+    ``k`` is the (k+1)-th largest unmasked score, or -inf when ``k`` is at
+    least the number of unmasked entities; cutoff -1 (no rank is that small)
+    cuts at +inf, so cutoffs ``k - 1`` and ``k`` read the k-th and the
+    (k+1)-th largest score.  For an unmasked entity ``e``, its filtered rank
+    ``rank_of(scores, e, mask) <= k`` holds exactly when ``scores[e] > cut``,
+    ties included: a pessimistic rank counts the candidates scoring
+    ``>= scores[e]``, and at most ``k`` of them do exactly when the (k+1)-th
+    largest score lies below ``scores[e]``.  Masked entities never pass the cut.
     """
-    ordered = np.sort(masked_scores, axis=1)
     n = ordered.shape[1]
     cutoffs = np.asarray(cutoffs, dtype=np.int64)
     # the (k+1)-th largest is ascending position n-1-k; masked entries (-inf) fill the bottom

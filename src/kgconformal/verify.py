@@ -118,9 +118,9 @@ def _outcomes(pool: experiment.RunData, nonconf: np.ndarray, fitted, test_idx) -
     filters = [conformal.query_filters(model, pool.test.predicate[test_idx], pool.kg.vocab.n_entities)
                for model in fitted]
     raw, answers = pool.score_rows.scores[test_idx], pool.test.answer[test_idx]
-    rows = np.arange(test_idx.size)  # one pair per query row, and no masks
-    return conformal.set_outcomes(nonconf[test_idx], raw, np.stack([t for t, _ in filters]),
-                                  np.stack([k for _, k in filters]), rows, answers, raw[rows, answers])
+    rows = np.arange(test_idx.size)  # one pair per query row and no masks: set_outcomes compares the whole block
+    return conformal.set_outcomes(nonconf[test_idx], raw, *map(np.stack, zip(*filters)), rows, answers,
+                                  raw[rows, answers])
 
 
 def conditional_coverage_check(gammas=(0.0, 0.5, 1.0), epsilon: float = 0.1,

@@ -618,6 +618,15 @@ class TestExitCodes:
         config = write_config(tmp_path, dataset)
         assert cli.main(["run", "--config", str(config), "--methods", "bogus"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("epsilons", "0.1,", "could not convert string to float: ''"),
+        ("seeds", "a", "invalid literal for int() with base 10: 'a'"),
+    ], ids=["epsilons", "seeds"])
+    def test_list_flag_that_does_not_parse_names_the_flag(self, tmp_path, dataset, capsys, flag, value, message):
+        config = write_config(tmp_path, dataset)
+        assert cli.main(["run", "--config", str(config), f"--{flag}", value]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --{flag}: {message}\n"
+
     @pytest.mark.parametrize("flag", ["config", "dataset", "output-dir"])
     def test_path_of_the_wrong_kind_names_the_path(self, tmp_path, dataset, capsys, flag):
         """A directory as the config or the dataset, or a file as the output directory, exits 2 naming it."""

@@ -20,6 +20,8 @@ from kgconformal.conformal import (
     verify_shrinkage,
 )
 
+from kgconformal.scores import raps_scores
+
 from rank_oracle import candidate_ranks
 
 
@@ -335,6 +337,37 @@ class TestSetOutcomes:
         if method == "condkgcp":
             assert np.any(cutoffs < unmasked) and np.any(cutoffs >= unmasked)
         assert 0 < sizes.sum() < masked.size and 0 < hits.sum() < n_queries
+
+    def test_raps_row_with_underflowed_ties_is_compared_entity_by_entity(self):
+        """RAPS orders entities whose probability underflows to 0 by index and penalises them by position, so their
+        nonconformity differs at one raw score and no raw-score cut gives their sets: one pair per row is compared
+        whole, and equals predict_set."""
+        raw = np.array([[5.0, -1000.0, 0.0, -1000.0, -1000.0, 4.0]] * 2)
+        nonconf = np.array([raps_scores(row, 0.3, lam=0.2, k_reg=1) for row in raw])
+        tied = raw[0] == -1000.0
+        assert np.unique(nonconf[0, tied]).size == tied.sum()  # p = 0 on each, one nonconformity each
+        masks = [{0}, set()]  # the first row filtered, its answer masked; the second raw
+        answers, masked = np.array([0, 3]), raw.copy()
+        masked[0, 0] = -np.inf
+        thresholds_ = np.array([[nonconf[0, 3], nonconf[1, 3]], [np.nan, 1.1], [math.inf, nonconf[1, 4]]])
+        cutoffs = np.array([[6, 6], [2, 5], [4, 3]])
+        rows = np.arange(2)
+        sizes, hits = set_outcomes(nonconf, masked, thresholds_, cutoffs, rows, answers, raw[rows, answers])
+        for f, (t, k) in enumerate(zip(thresholds_, cutoffs)):
+            for i, mask in enumerate(masks):
+                own = mask - {answers[i]}
+                model = CalibratedModel("condkgcp", 0.1, {0: PartCalibration(int(k[i]), 0.0, 0.1, t[i], 1, t[i])})
+                members = predict_set(model, 0, nonconf[i], candidate_ranks(raw[i], own), own)
+                assert sizes[f, i] == members.size
+                assert hits[f, i] == (answers[i] in members)
+        assert 0 < sizes.sum() and 0 < hits.sum() < hits.size
+
+    def test_shared_rows_without_softmax_statistics_are_refused(self):
+        """Only softmax rows may be shared by several pairs: the whole-block compare sizes one pair per row."""
+        raw = np.array([[1.0, 0.0, 2.0]])
+        with pytest.raises(ValueError, match="softmax statistics"):
+            set_outcomes(raw, raw, np.array([[0.5]]), np.array([[1]]), np.array([0, 0]), np.array([0, 1]),
+                         raw[0, :2])
 
 
 class TestSerialization:

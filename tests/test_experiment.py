@@ -75,14 +75,29 @@ class TestConfig:
     def test_scorer_rng_seed_is_rejected_at_load(self):
         """Each seed draws its own APS/RAPS stream; a config may not pin them all to one."""
         with pytest.raises(ValueError, match=re.escape("scorer has unknown keys: rng_seed")):
-            ExperimentConfig.from_json('{"synthetic": {}, "scorer": {"kind": "aps", "rng_seed": 3}}')
+            ExperimentConfig.from_dict({"synthetic": {}, "scorer": {"kind": "aps", "rng_seed": 3}})
         config = tiny_config(scorer={"kind": "aps"})
         assert config.scorer_config(5) == scores.ScorerConfig(kind="aps", rng_seed=5) != config.scorer_config(0)
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         config = tiny_config(methods=["kgcp"], epsilons=[0.05, 0.2])
-        restored = ExperimentConfig.from_json(config.to_json())
-        assert restored == config
+        (tmp_path / "config.json").write_text(config.to_json(), encoding="utf-8")
+        assert ExperimentConfig.load(tmp_path / "config.json") == config
+
+    def test_load_names_a_file_that_is_not_json(self, tmp_path):
+        bad = tmp_path / "config.json"
+        bad.write_text('{"epochs": 3,}', encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: Expecting property name enclosed in double quotes")):
+            ExperimentConfig.load(bad)
+
+    def test_load_applies_overrides_before_validating(self, tmp_path):
+        """A file that is incomplete alone (no data source) loads once the overrides complete it."""
+        path = tmp_path / "config.json"
+        path.write_text('{"epochs": 3}', encoding="utf-8")
+        with pytest.raises(ValueError, match="dataset path"):
+            ExperimentConfig.load(path)
+        config = ExperimentConfig.load(path, dataset="data/manifest.json", seeds=[4])
+        assert (config.epochs, config.dataset, config.seeds) == (3, "data/manifest.json", [4])
 
 
 class TestPrepareRun:

@@ -1,10 +1,11 @@
 """Property tests: ranks and rank cuts under tied scores, set sizes and hits of query rows shared by several pairs
-against brute-force sets on each pair's own mask, the calibration rank cutoff, the tuning cut of the calibration
-pairs, the conformal quantile, the leave-one-out coverage of kgcp and mcp, the predicate partition under tied
-distances, the stored per-part counts and score-only thresholds against their refit, the calibrated-model and
-predicate-vector files (round trip and truncation), the negative sampler against its per-candidate loop, the
-columnar queries, filter masks and score export against their per-pair versions, the one masked row the pairs of a
-query share, and score-file rows read on demand against the matrix."""
+against brute-force sets on each pair's own mask and, on softmax rows, against predict_set over rank_of, the
+calibration rank cutoff, the tuning cut of the calibration pairs, the conformal quantile, the leave-one-out
+coverage of kgcp and mcp, the predicate partition under tied distances, the stored per-part counts and score-only
+thresholds against their refit, the calibrated-model and predicate-vector files (round trip and truncation), the
+negative sampler against its per-candidate loop, the columnar queries, filter masks and score export against their
+per-pair versions, the one masked row the pairs of a query share, and score-file rows read on demand against the
+matrix."""
 
 import math
 import re
@@ -24,8 +25,8 @@ from hypothesis.extra import numpy as hnp
 
 from kgconformal import experiment, models
 from kgconformal.conformal import (CalibratedModel, PartCalibration, PredicatePartition, build_partition,
-                                   fit_condkgcp, fit_part_mcp, quantile, query_filters, rank_threshold, score_only,
-                                   set_outcomes)
+                                   fit_condkgcp, fit_part_mcp, predict_set, quantile, query_filters, rank_threshold,
+                                   score_only, set_outcomes)
 from kgconformal.kg import (DIRECTIONS, KGError, Query, QueryAnswerSet, SplitConfig, filter_masks, make_queries,
                             rank_cuts, rank_of, split_triples)
 from kgconformal.models import (ScoreFile, ScoreMatrix, _sample_negatives, _triple_keys, export_predicate_vectors,
@@ -60,15 +61,16 @@ def test_candidate_ranks_match_rank_of_and_brute_force_under_ties(case):
 
 
 @st.composite
-def shared_rows(draw, scores):
-    """Query rows of ``scores`` (one per row) that 1-4 pairs share, and each row's mask: its known answers (its
-    drawn mask plus every pair's answer) when filtered, nothing when raw (both forms drawn).  Returns ``(rows,
-    answers, masks)``: rows and answers in pair order, one mask per row.  A pair's own mask is its row's but its
-    answer."""
+def shared_rows(draw, scores, max_pairs=4):
+    """Query rows of ``scores`` (one per row) that 1 to ``max_pairs`` pairs share, and each row's mask: its known
+    answers (its drawn mask plus every pair's answer) when filtered, nothing when raw (both forms drawn).  Returns
+    ``(rows, answers, masks)``: rows and answers in pair order, one mask per row.  A pair's own mask is its row's but
+    its answer."""
     filtered = draw(st.booleans())
     rows, answers, masks = [], [], []
     for row, (values, extra) in enumerate(scores):
-        own = draw(st.lists(st.integers(0, values.size - 1), min_size=1, max_size=min(4, values.size), unique=True))
+        own = draw(st.lists(st.integers(0, values.size - 1), min_size=1, max_size=min(max_pairs, values.size),
+                            unique=True))
         rows += [row] * len(own)
         answers += own
         masks.append(set(extra) | set(own) if filtered else set())
@@ -107,54 +109,71 @@ def test_rank_cut_selects_exactly_the_ranks_within_the_cutoff_under_ties(case):
     masked = scores.copy()
     masked[list(mask)] = -np.inf
     n = scores.size
-    cuts = rank_cuts(masked[None, :], np.arange(n + 2)[None, :])[0]
+    cuts = rank_cuts(np.sort(masked)[None, :], np.arange(n + 2)[None, :])[0]
     for k in range(n + 2):
         within = {e for e in range(n) if e not in mask and ranks[e] <= k}
         assert {e for e in range(n) if masked[e] > cuts[k]} == within
 
 
+def softmax_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each raw row's ``softmax_scores`` and its max and sum of ``exp(raw - max)``, shaped ``(2, rows)``: the
+    statistics the evaluation pass hands to ``set_outcomes``."""
+    top = raw.max(axis=1)
+    total = np.array([np.exp(row - t).sum() for row, t in zip(raw, top)])
+    return np.array([softmax_scores(row) for row in raw]), np.stack((top, total))
+
+
 @st.composite
 def set_outcome_cases(draw):
-    """Query rows of tied raw scores and nonconformity values on a quarter grid, each shared by 1-4 pairs and
-    masked once (:func:`shared_rows`; some rows know every entity), and several filters per call, one per row:
-    thresholds on the grid, +inf or NaN; cutoffs of a filter without a rank cut all at least the row width, those
-    of a ranked filter anywhere in 0..width+1."""
+    """Query rows of tied raw scores, masked once (:func:`shared_rows`; some rows know every entity), and several
+    filters per call, one per row.  Either the rows hold 1 - softmax of their raw scores, with its statistics, and
+    1-4 pairs share each, or they hold arbitrary nonconformity values on a quarter grid and one pair each.
+    Thresholds are on the grid, at one of the row's own values, +inf or NaN; cutoffs of a filter without a rank cut
+    are all at least the row width, those of a ranked filter anywhere in 0..width+1."""
     n_rows, width = draw(st.integers(1, 5)), draw(st.integers(1, 10))
     raw = draw(hnp.arrays(np.float64, (n_rows, width), elements=st.integers(-2, 2)))
-    nonconf = draw(hnp.arrays(np.float64, (n_rows, width), elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0,
-                                                                                      math.inf])))
+    if draw(st.booleans()):
+        nonconf, softmax = softmax_rows(raw)
+    else:
+        nonconf = draw(hnp.arrays(np.float64, (n_rows, width),
+                                  elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, math.inf])))
+        softmax = None
     known = [set(range(width)) if draw(st.booleans()) else draw(st.sets(st.integers(0, width - 1)))
              for _ in range(n_rows)]
-    rows, answers, masks = draw(shared_rows([(row, extra) for row, extra in zip(raw, known)]))
+    rows, answers, masks = draw(shared_rows([(row, extra) for row, extra in zip(raw, known)],
+                                            max_pairs=1 if softmax is None else 4))
     thresholds, cutoffs = [], []
     for _ in range(draw(st.integers(1, 8))):
-        thresholds.append(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf, math.nan]),
-                                        min_size=n_rows, max_size=n_rows)))
+        thresholds.append([draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf, math.nan, *nonconf[r].tolist()]))
+                           for r in range(n_rows)])
         low = 0 if draw(st.booleans()) else width
         cutoffs.append(draw(st.lists(st.integers(low, width + 1), min_size=n_rows, max_size=n_rows)))
     return (nonconf, raw, np.array(rows), np.array(answers), masks, np.array(thresholds),
-            np.array(cutoffs, dtype=np.int64))
+            np.array(cutoffs, dtype=np.int64), softmax)
+
+
+TIED = np.array([[1.0, 1.0, 0.0]])
 
 
 @given(set_outcome_cases())
 # a tie at the threshold, a NaN threshold beside a finite one, a masked entity under the threshold, a ranked filter
 @example((np.array([[0.5, 0.5, 0.0]]), np.array([[1.0, 2.0, 0.0]]), np.array([0]), np.array([0]), [{1}],
-          np.array([[0.5], [math.nan], [0.5]]), np.array([[3], [3], [1]])))
+          np.array([[0.5], [math.nan], [0.5]]), np.array([[3], [3], [1]]), None))
 # two pairs whose answers the row masks: the first scores exactly b_1, the only unmasked score, the second below it
-@example((np.zeros((1, 3)), np.array([[1.0, 1.0, 0.0]]), np.array([0, 0]), np.array([0, 2]), [{0, 2}],
-          np.array([[math.inf], [math.inf]]), np.array([[1], [2]])))
+@example((softmax_rows(TIED)[0], TIED, np.array([0, 0]), np.array([0, 2]), [{0, 2}],
+          np.array([[math.inf], [math.inf]]), np.array([[1], [2]]), softmax_rows(TIED)[1]))
 def test_set_outcomes_match_brute_force_sets_with_many_filters_per_call(case):
     """Each (filter, pair) size and hit equals the brute-force set on the pair's own mask: candidates with
     ``nonconf <= threshold`` and a pessimistic filtered rank within the cutoff: its row's mask but its answer.
     The inputs come back unchanged."""
-    nonconf, raw, rows, answers, masks, thresholds, cutoffs = case
+    nonconf, raw, rows, answers, masks, thresholds, cutoffs, softmax = case
     masked = raw.copy()
     for row, mask in enumerate(masks):
         masked[row, sorted(mask)] = -np.inf
     answer_raw = raw[rows, answers]
     inputs = (nonconf, masked, thresholds, cutoffs, rows, answers, answer_raw)
     before = [x.copy() for x in inputs]
-    sizes, hits = set_outcomes(*inputs)
+    sizes, hits = set_outcomes(*inputs, softmax)
     for got, was in zip(inputs, before):
         assert np.array_equal(got, was, equal_nan=got.dtype.kind == "f")
     for f, j in np.ndindex(sizes.shape):
@@ -164,6 +183,63 @@ def test_set_outcomes_match_brute_force_sets_with_many_filters_per_call(case):
                    and sum(raw[row, c] >= raw[row, e] for c in kept) <= cutoffs[f, row]}
         assert sizes[f, j] == len(members)
         assert hits[f, j] == (answers[j] in members)
+
+
+@st.composite
+def softmax_cases(draw):
+    """Softmax query rows on an integer grid times a scale, each shared by 1-4 pairs and masked once
+    (:func:`shared_rows`), and 1-4 models with one part per row.  Scale 1 ties raw scores; at 40 the tail
+    probabilities fall below 5.5e-17, so their 1 - p rounds to exactly 1.0; at 800 they underflow to p = 0.  A
+    part's threshold is one of its row's own 1 - p values, 1.0, the float below 1.0, +inf or NaN; its rank cutoff
+    is none (a -inf cut) or 0..width."""
+    n_rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([1.0, 40.0, 800.0]))
+    raw = scale * draw(hnp.arrays(np.float64, (n_rows, width), elements=st.integers(-2, 2)))
+    nonconf, softmax = softmax_rows(raw)
+    known = [draw(st.sets(st.integers(0, width - 1))) for _ in range(n_rows)]
+    rows, answers, masks = draw(shared_rows(list(zip(raw, known))))
+    partition = PredicatePartition(parts=[[r] for r in range(n_rows)], phi=1)
+    fitted = []
+    for _ in range(draw(st.integers(1, 4))):
+        per_part = {}
+        for r in range(n_rows):
+            t = draw(st.sampled_from([*nonconf[r].tolist(), 1.0, math.nextafter(1.0, 0.0), math.inf, math.nan]))
+            per_part[r] = PartCalibration(draw(st.none() | st.integers(0, width)), 0.0, 0.1, t, 1, t)
+        fitted.append(CalibratedModel("condkgcp", 0.1, per_part, partition))
+    return raw, nonconf, softmax, np.array(rows), np.array(answers), masks, fitted
+
+
+def two_cut_row():
+    """One filtered row, 40 * (3, 2, 1, 0), whose two pairs' answers (entities 0 and 2) it masks: at cutoff 1 the
+    first answer beats b_1 and cuts there, the second cuts at b_2.  Below the top entity every 1 - p is 1.0."""
+    raw = 40.0 * np.array([[3.0, 2.0, 1.0, 0.0]])
+    nonconf, softmax = softmax_rows(raw)
+    parts = {0: PartCalibration(1, 0.0, 0.1, 1.0, 1, 1.0)}, {0: PartCalibration(1, 0.0, 0.1, math.nextafter(1.0, 0.0),
+                                                                                 1, math.nextafter(1.0, 0.0))}
+    fitted = [CalibratedModel("condkgcp", 0.1, per_part) for per_part in parts]
+    return raw, nonconf, softmax, np.array([0, 0]), np.array([0, 2]), [{0, 2}], fitted
+
+
+@given(softmax_cases())
+@example(two_cut_row())
+def test_softmax_sizes_match_predict_set_over_rank_of(case):
+    """The softmax path (``set_outcomes`` given the rows' statistics) sizes each (model, pair) as ``predict_set``
+    does, given every candidate's ``rank_of`` on the pair's own mask: its row's mask but its answer."""
+    raw, nonconf, softmax, rows, answers, masks, fitted = case
+    n_rows, width = raw.shape
+    masked = raw.copy()
+    for r, mask in enumerate(masks):
+        masked[r, sorted(mask)] = -np.inf
+    filters = [query_filters(model, np.arange(n_rows), width) for model in fitted]
+    sizes, hits = set_outcomes(nonconf, masked, np.stack([t for t, _ in filters]), np.stack([k for _, k in filters]),
+                               rows, answers, raw[rows, answers], softmax)
+    for j, (r, a) in enumerate(zip(rows.tolist(), answers.tolist())):
+        mask = masks[r] - {a}
+        ranks = np.array([0 if e in mask else rank_of(raw[r], e, mask) for e in range(width)])
+        for f, model in enumerate(fitted):
+            members = predict_set(model, r, nonconf[r], ranks, mask)
+            assert sizes[f, j] == members.size
+            assert hits[f, j] == (a in members)
 
 
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=60), st.integers(1, 999))
