@@ -134,7 +134,10 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    """Evaluate the calibrated models on the test pairs' score rows; no model, sidecar or calibration row is read."""
+    """Evaluate the calibrated models on the test pairs' score rows; no model, sidecar or calibration row is read.
+
+    Each calibrated file must hold the configured method, direction group, epsilon and scorer, else StageError.
+    """
     config = _load_config(args)
     out = Path(config.output_dir)
     _echo_config(config, out)
@@ -142,6 +145,7 @@ def cmd_evaluate(args) -> int:
     for seed in config.seeds:
         data = prepare_test(config, seed, models.import_scores(_artifact("score", _scores_path(out, seed), "score")))
         fitted = {}
+        scorer = config.scorer_config(seed).record()
         for method, direction, epsilon in calibration_keys(config, data):
             path = _artifact("calibrated-model", _calibrated_path(out, seed, method, direction, epsilon), "calibrate")
             fitted[(method, direction, epsilon)] = model = conformal.CalibratedModel.load(path)
@@ -149,6 +153,8 @@ def cmd_evaluate(args) -> int:
                 if (model.method, model.direction, model.epsilon) != (method, direction, epsilon):
                     raise ValueError(f"holds {model.method} at epsilon {model.epsilon:g}{_group(model.direction)}, "
                                      f"not {method} at {epsilon:g}{_group(direction)}")
+                if model.scorer != scorer:
+                    raise ValueError(f"holds thresholds of scorer {model.scorer}, not of {scorer}")
                 if model.partition is not None:
                     model.partition.validate(data.kg.vocab.n_predicates)
             except ValueError as exc:

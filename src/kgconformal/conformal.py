@@ -187,7 +187,9 @@ class CalibratedModel:
     """Per-part calibration over a predicate partition (None: one part, index 0, for every predicate).
 
     ``direction`` names the direction group whose calibration pairs fitted it
-    (None when the directions are pooled).
+    (None when the directions are pooled), and ``scorer`` the nonconformity
+    scorer whose scale the thresholds are on (``scores.ScorerConfig.record``;
+    None when not fitted through a configured run).
     """
 
     method: str
@@ -197,6 +199,7 @@ class CalibratedModel:
     gamma: float = 0.0
     warnings: list[str] = field(default_factory=list)
     direction: str | None = None
+    scorer: dict | None = None
 
     def to_json(self) -> str:
         def enc(x):
@@ -207,6 +210,7 @@ class CalibratedModel:
             "method": self.method,
             "epsilon": self.epsilon,
             "direction": self.direction,
+            "scorer": self.scorer,
             "gamma": self.gamma,
             "partition": None if partition is None else {"parts": partition.parts, "phi": partition.phi},
             "per_part": {
@@ -254,7 +258,7 @@ class CalibratedModel:
             raise ValueError(f"per_part holds parts {sorted(per_part)}, the partition has {n_parts}")
         return cls(method=doc["method"], epsilon=float(doc["epsilon"]), per_part=per_part,
                    partition=partition, gamma=float(doc["gamma"]), warnings=list(doc["warnings"]),
-                   direction=doc["direction"])
+                   direction=doc["direction"], scorer=doc["scorer"])
 
     def part_ids(self, predicates) -> np.ndarray:
         """The part index of each predicate (0 for every predicate without a partition)."""
@@ -389,23 +393,27 @@ def prop1_bounds(epsilon: float, gamma: float, rank_miscoverage: float, n_cal: i
 
 def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.ndarray, cutoffs: np.ndarray,
                  rows: np.ndarray, answers: np.ndarray, answer_raw: np.ndarray,
-                 softmax: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 added: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Set size and answer hit of each (query, answer) pair under each filter, without building the sets.
 
-    Rows of ``nonconf`` and ``masked_raw`` are query rows over all entities.
-    A row masks its query's known answers (filtered), its pairs' own included,
-    or none (raw): its entities at -inf in ``masked_raw``.  ``thresholds``
-    and ``cutoffs`` hold one filter per row (see :func:`query_filters`) and
-    one query row per column.  Pair ``j`` reads row ``rows[j]``; its answer
-    ``answers[j]`` scored ``answer_raw[j]`` before masking.  Its candidates are
-    the row's unmasked entities plus its answer, added back when the row
-    masks it (``e_j``).  A set is ``(nonconf <= threshold) & (raw > cut)``
-    with the rank cutoff as a score cut, so sizes and hits equal those of
-    :func:`predict_set` given the pair's candidate ranks and mask.  A NaN
-    threshold gives an empty set.  No input is modified.
+    Rows of ``masked_raw`` are query rows over all entities.  A row masks its query's known answers (filtered),
+    its pairs' own included, or none (raw): its entities at -inf.  ``thresholds`` and ``cutoffs`` hold one filter
+    per row (see :func:`query_filters`) and one query row per column.  Pair ``j`` reads row ``rows[j]``; its answer
+    ``answers[j]`` scored ``answer_raw[j]`` before masking, and ``added[j]`` (``e_j``) says whether the row masks
+    it.  Its candidates are the row's unmasked entities plus its answer when added back.  A set is
+    ``(nonconf <= threshold) & (raw > cut)`` with the rank cutoff as a score cut, so sizes and hits equal those of
+    :func:`predict_set` given the pair's candidate ranks and mask.  A NaN threshold gives an empty set.  No input
+    is modified.
 
-    Each masked row is sorted once.  With ``b_k`` the k-th largest unmasked
-    score of the row (:func:`kg.rank_cuts`; ``b_0 = +inf``, -inf past the
+    ``nonconf`` takes one of two forms:
+
+    * each row's log-sum-exp of its raw scores (one value per row, :func:`scores.log_sum_exp`), whose
+      nonconformity is ``lse - raw`` (:func:`scores.softmax_scores`); ``masked_raw`` then holds each row sorted
+      ascending, masked entities first, several pairs may share a row, and ``answers`` is not read;
+    * each row's nonconformity over all entities (APS, RAPS, or any one-pair rows), ``masked_raw`` in entity
+      order and one pair per row, else ValueError.
+
+    With ``b_k`` the k-th largest unmasked score of the row (:func:`kg.rank_cuts`; ``b_0 = +inf``, -inf past the
     end), cutoff ``k`` gives pair ``j``:
 
     * ``hit = nonconf[answer] <= threshold & x > (b_k if e_j else b_(k+1))``,
@@ -414,24 +422,22 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.nda
       candidate score, as it acts on the row's own entities;
     * ``size = #{row entities: nonconf <= threshold, raw > cut} + e_j * hit``.
 
-    ``softmax``, given when ``nonconf`` is :func:`scores.softmax_scores`,
-    holds each row's max raw score and sum of ``exp(raw - max)``.  As 1 - p
-    falls where raw rises, a set is a top of the sorted row, ``min(P, m)``
-    long: ``P`` searches the threshold in 1 - p recomputed down the row, ``m``
-    the cut.  Without it (APS and RAPS break ties in p by index or position),
-    each filter compares the whole block: one pair per row, or ValueError.
+    Under softmax ``lse - raw`` does not rise where raw rises (IEEE subtraction is monotone), so a set is a top
+    of the sorted row, ``min(P, m)`` long: ``P`` searches the threshold in ``lse - raw`` down the row, ``m`` the
+    cut.  APS and RAPS break ties in p by index or position, so their nonconformity is no function of the raw
+    score: each filter compares the whole block, sorted once in a copy for the cuts.
     Returns ``(sizes, hits)``, each shaped ``(len(thresholds), len(rows))``.
     """
-    ordered = np.sort(masked_raw, axis=1)
+    softmax = nonconf.ndim == 1
+    ordered = masked_raw if softmax else np.sort(masked_raw, axis=1)
     n_filters, width = thresholds.shape[0], ordered.shape[1]
     both = rank_cuts(ordered, np.hstack((cutoffs.T - 1, cutoffs.T))).T  # b_k, then b_(k+1), per (filter, row)
     b_k, b_next = both[:n_filters, rows], both[n_filters:, rows]
-    at = (rows, answers)
-    added = masked_raw[at] == -np.inf
-    hits = (nonconf[at] <= thresholds[:, rows]) & (answer_raw > np.where(added, b_k, b_next))
+    answer_nonconf = nonconf[rows] - answer_raw if softmax else nonconf[rows, answers]
+    hits = (answer_nonconf <= thresholds[:, rows]) & (answer_raw > np.where(added, b_k, b_next))
     cuts = np.where(added & (answer_raw >= b_k), b_k, b_next)
     sizes = np.empty(cuts.shape, dtype=np.int64)
-    if softmax is None:
+    if not softmax:
         if np.unique(rows).size < rows.size:
             raise ValueError("rows shared by several pairs need their softmax statistics")
         row_cuts = np.full(masked_raw.shape[0], -np.inf)
@@ -441,12 +447,11 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.nda
             member &= masked_raw > row_cuts[:, None]
             sizes[f] = member.sum(axis=1, dtype=np.int32)[rows]
     else:
-        thresholds = np.where(np.isnan(thresholds), -np.inf, thresholds)  # no 1 - p is at or below -inf
-        descending = np.empty(width)  # 1 - p of the sorted row, largest score first, as scores.softmax_scores has it
-        for i, (top, total) in enumerate(softmax.T.tolist()):
+        thresholds = np.where(np.isnan(thresholds), -np.inf, thresholds)  # no lse - raw is at or below -inf
+        descending = np.empty(width)  # lse - raw of the sorted row, largest score first
+        for i, lse in enumerate(nonconf.tolist()):
             pairs = rows == i
-            np.exp(np.subtract(ordered[i, ::-1], top, out=descending), out=descending)
-            np.subtract(1.0, np.divide(descending, total, out=descending), out=descending)
+            np.subtract(lse, ordered[i, ::-1], out=descending)
             sizes[:, pairs] = np.minimum(np.searchsorted(descending, thresholds[:, i, None], side="right"),
                                          width - np.searchsorted(ordered[i], cuts[:, pairs], side="right"))
     sizes += added & hits

@@ -257,10 +257,10 @@ def answer_nonconf_and_ranks(scorer: scores.ScorerConfig, source: models.RowSour
     """
     nonconf_at = np.empty(rows.shape[0])
     ranks = np.empty(rows.shape[0], dtype=np.int64)
-    for block, unit, nonconf, masked, answer_raw, _ in _score_blocks(scorer, source, rows, answers, indptr, indices,
-                                                                     np.arange(rows.shape[0])):
+    for block, unit, nonconf, masked, answer_raw in _score_blocks(scorer, source, rows, answers, indptr, indices,
+                                                                  np.arange(rows.shape[0])):
         at = (unit, answers[block])
-        nonconf_at[block] = nonconf[at]
+        nonconf_at[block] = nonconf[unit] - answer_raw if nonconf.ndim == 1 else nonconf[at]
         per_row = np.split(answer_raw, np.flatnonzero(np.diff(unit)) + 1)
         ranks[block] = np.concatenate([(row >= x[:, None]).sum(axis=1) for row, x in zip(masked, per_row)])
         ranks[block] += masked[at] == -np.inf
@@ -269,30 +269,34 @@ def answer_nonconf_and_ranks(scorer: scores.ScorerConfig, source: models.RowSour
 
 def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: np.ndarray, answers: np.ndarray,
                   indptr: np.ndarray, indices: np.ndarray, draws: np.ndarray):
-    """Yield ``(block, unit, nonconf, masked, answer_raw, softmax)`` per block of ``EVAL_BLOCK_ROWS`` pairs.
+    """Yield ``(block, unit, nonconf, masked, answer_raw)`` per block of ``EVAL_BLOCK_ROWS`` pairs.
 
     Pair ``j`` reads score row ``rows[j]``.  The pairs are visited in stable ``rows`` order, so the pairs of one
     query are adjacent; a query may straddle two blocks.  ``block`` holds the block's pair indices, and pair
     ``block[i]`` owns row ``unit[i]`` of ``nonconf`` and ``masked``.  Under softmax a row is a query's, shared by
     its pairs in the block; APS and RAPS draw a u per pair, so each pair owns a row.  The source fills each
-    query row once; a pair's own row is a copy of it.  ``nonconf`` row ``u`` draws as query ``draws[j]`` of its
-    first pair ``j``, so a pair keeps its APS/RAPS u in every pass that gives it the same draw index.
-    ``answer_raw`` holds each pair's answer score, read before each ``masked`` row gets its score row's CSR mask
-    at -inf.  ``softmax`` holds each row's max raw score and sum of ``exp(raw - max)`` (None under APS and RAPS).
-    The arrays of a block are views of buffers the next block overwrites.
+    query row once; a pair's own row is a copy of it.  ``answer_raw`` holds each pair's answer score, read before
+    each ``masked`` row gets its score row's CSR mask at -inf.  Under softmax ``nonconf`` holds each row's
+    :func:`scores.log_sum_exp` of its raw scores, so that its nonconformity is ``lse - raw`` as
+    :func:`scores.softmax_scores` computes it, and only ``masked`` is a block-sized buffer.  Under APS and RAPS it
+    holds each row's nonconformity over all entities, drawn as query ``draws[j]`` of the row's first pair ``j``, so
+    a pair keeps its u in every pass that gives it the same draw index.  The arrays of a block are views of
+    buffers the next block overwrites.
     """
     n = rows.shape[0]
     order = np.argsort(rows, kind="stable")
-    buffers = np.empty((2, min(EVAL_BLOCK_ROWS, n), source.n_entities))
-    softmax = np.empty((2, min(EVAL_BLOCK_ROWS, n))) if scorer.kind == "softmax" else None
+    buffer = np.empty((min(EVAL_BLOCK_ROWS, n), source.n_entities))
+    softmax = scorer.kind == "softmax"
+    row_values = np.empty(buffer.shape[:1] if softmax else buffer.shape)
+    exps = np.empty(source.n_entities) if softmax else None  # log_sum_exp's exponentials, one row at a time
     for start in range(0, n, EVAL_BLOCK_ROWS):
         block = order[start : start + EVAL_BLOCK_ROWS]
         query_rows = rows[block]
         first = np.ones(block.size, dtype=bool)  # the block's first pair of each query
         first[1:] = query_rows[1:] != query_rows[:-1]
         query = np.cumsum(first) - 1
-        unit = query if scorer.kind == "softmax" else np.arange(block.size)
-        masked, nonconf = buffers[:, : unit[-1] + 1]
+        unit = query if softmax else np.arange(block.size)
+        masked, nonconf = buffer[: unit[-1] + 1], row_values[: unit[-1] + 1]
         source.fill(query_rows[first], masked[: query[-1] + 1])
         # from the back, so each query row is copied to its pairs before a pair's copy overwrites it
         for i in np.flatnonzero(unit != query)[::-1].tolist():
@@ -300,14 +304,12 @@ def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: n
         answer_raw = masked[unit, answers[block]]
         owner = block[np.diff(unit, prepend=-1) > 0]
         for i, (q, s) in enumerate(zip(draws[owner].tolist(), rows[owner].tolist())):
-            if softmax is None:
+            if softmax:
+                nonconf[i] = scores.log_sum_exp(masked[i], out=exps)
+            else:
                 nonconf[i] = scores.nonconformity(masked[i], scorer, query_index=q)
-            else:  # scores.softmax_scores, keeping its max and exp-sum
-                softmax[0, i] = top = masked[i].max()
-                softmax[1, i] = total = np.exp(masked[i] - top, out=nonconf[i]).sum()
-                np.subtract(1.0, nonconf[i] / total, out=nonconf[i])
             masked[i, indices[indptr[s] : indptr[s + 1]]] = -np.inf  # score row s's mask, once per unit row
-        yield block, unit, nonconf, masked, answer_raw, None if softmax is None else softmax[:, : unit[-1] + 1]
+        yield block, unit, nonconf, masked, answer_raw
 
 
 def _direction_groups(data: EvalData, split_directions: bool):
@@ -353,7 +355,8 @@ METHODS = {
 
 
 def calibrate(config: ExperimentConfig, seed: int, data: RunData) -> dict[tuple, conformal.CalibratedModel]:
-    """Fit every model of :func:`calibration_keys` on its direction group's calibration pairs.
+    """Fit every model of :func:`calibration_keys` on its direction group's calibration pairs, each recording its
+    direction group and its scorer.
 
     condkgcp uses the config's (gamma, phi).  With ``config.tune`` and condkgcp,
     :func:`tune_condkgcp` selects them on held-out calibration pairs, and every
@@ -370,48 +373,56 @@ def calibrate(config: ExperimentConfig, seed: int, data: RunData) -> dict[tuple,
         else:
             gamma, phi, cal_idx = tuned
     fitted = {}
+    scorer = config.scorer_config(seed).record()
     for method, direction, epsilon in calibration_keys(config, data):
         model = METHODS[method](data, cal_idx[direction], epsilon, gamma, phi, direction)
-        model.direction = direction
+        model.direction, model.scorer = direction, scorer
         if method == "condkgcp":
             model.warnings.extend(tune_warnings)
         fitted[(method, direction, epsilon)] = model
     return fitted
 
 
-def _outcomes(config: ExperimentConfig, seed: int, data: EvalData, filters: list[tuple[np.ndarray, np.ndarray]],
+def _outcomes(config: ExperimentConfig, seed: int, data: EvalData, filters: tuple[np.ndarray, np.ndarray],
               draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Set size and answer hit of every test pair under each filter, in one blocked pass.
 
-    A filter is a per-test-pair (score threshold, rank cutoff) pair of arrays, equal across the pairs of a
-    query, since :func:`_filters` looks it up by direction group and predicate.  Each block of
-    :func:`_score_blocks` (test pair ``j`` draws as query ``draws[j]``) is reduced by
-    :func:`conformal.set_outcomes`.  Returns ``(sizes, hits)``, each shaped ``(len(filters), n_test)``.
+    ``filters`` holds each filter's per-test-pair score thresholds and rank cutoffs, one row per filter, equal
+    across the pairs of a query, since :func:`_filters` looks them up by direction group and predicate.  Each
+    block of :func:`_score_blocks` (test pair ``j`` draws as query ``draws[j]``) is reduced by
+    :func:`conformal.set_outcomes`; softmax rows are sorted in their block buffer first, once ``e_j`` is read.
+    Returns ``(sizes, hits)``, each shaped ``(n_filters, n_test)``.
     """
-    thresholds, cutoffs = map(np.stack, zip(*filters))
+    thresholds, cutoffs = filters
     sizes = np.empty(thresholds.shape, dtype=np.int64)
     hits = np.empty(thresholds.shape, dtype=bool)
     answers = data.test.answer
-    for block, unit, nonconf, masked, answer_raw, softmax in _score_blocks(config.scorer_config(seed),
-                                                                           data.score_rows, data.test_rows, answers,
-                                                                           data.mask_indptr, data.mask_indices, draws):
+    for block, unit, nonconf, masked, answer_raw in _score_blocks(config.scorer_config(seed), data.score_rows,
+                                                                  data.test_rows, answers, data.mask_indptr,
+                                                                  data.mask_indices, draws):
         owner = block[np.diff(unit, prepend=-1) > 0]  # a row's filter is its query's: that of its first pair
+        added = masked[unit, answers[block]] == -np.inf  # e_j, read before the sort below moves the entities
+        if nonconf.ndim == 1:  # softmax: set_outcomes searches the sorted rows, sorted in their buffer
+            masked.sort(axis=1)
         sizes[:, block], hits[:, block] = conformal.set_outcomes(nonconf, masked, thresholds[:, owner],
                                                                  cutoffs[:, owner], unit, answers[block], answer_raw,
-                                                                 softmax)
+                                                                 added)
     return sizes, hits
 
 
 def _filters(data: EvalData, groups: list,
-             group_models: list[conformal.CalibratedModel]) -> tuple[np.ndarray, np.ndarray]:
-    """The per-test-pair filter of one model per direction group of ``groups`` (see :func:`_direction_groups`)."""
+             filter_models: list[list[conformal.CalibratedModel]]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-test-pair (score thresholds, rank cutoffs), one row per filter: filter ``f`` applies
+    ``filter_models[f]``, one model per direction group of ``groups`` (see :func:`_direction_groups`)."""
     n_entities = data.kg.vocab.n_entities
+    shape = (len(filter_models), len(data.test))
     # NaN: a pair outside every direction group gets an empty set
-    thresholds = np.full(len(data.test), np.nan)
-    cutoffs = np.full(len(data.test), n_entities, dtype=np.int64)
-    for (_, _, test_idx), model in zip(groups, group_models):
-        thresholds[test_idx], cutoffs[test_idx] = conformal.query_filters(model, data.test.predicate[test_idx],
-                                                                          n_entities)
+    thresholds = np.full(shape, np.nan)
+    cutoffs = np.full(shape, n_entities, dtype=np.int64)
+    for f, group_models in enumerate(filter_models):
+        for (_, _, test_idx), model in zip(groups, group_models):
+            thresholds[f, test_idx], cutoffs[f, test_idx] = conformal.query_filters(
+                model, data.test.predicate[test_idx], n_entities)
     return thresholds, cutoffs
 
 
@@ -454,7 +465,7 @@ def evaluate(config: ExperimentConfig, seed: int, data: EvalData,
         if "condkgcp" in config.methods:
             per_group[("score-only", epsilon)] = [conformal.score_only(m) for m in per_group[("condkgcp", epsilon)]]
 
-    sizes, hits = _outcomes(config, seed, data, [_filters(data, groups, fits) for fits in per_group.values()],
+    sizes, hits = _outcomes(config, seed, data, _filters(data, groups, list(per_group.values())),
                             len(data.calib) + np.arange(len(data.test)))
     outcome = {key: (sizes[f], hits[f]) for f, key in enumerate(per_group)}
 
@@ -530,8 +541,7 @@ def tune_condkgcp(config: ExperimentConfig, seed: int, data: RunData, gamma_grid
     (rows,) = _rows(data.score_rows, data.kg, pairs)
     held_out = replace(data, test=pairs, test_rows=rows)
     scored_groups = list(_direction_groups(held_out, config.split_directions))
-    sizes, hits = _outcomes(config, seed, held_out, [_filters(held_out, scored_groups, fits) for fits in fitted],
-                            scored)
+    sizes, hits = _outcomes(config, seed, held_out, _filters(held_out, scored_groups, fitted), scored)
     reference, *reps = [metrics.evaluate_outcomes("tune", epsilon, seed, pairs.predicate, size, hit,
                                                   config.macro_avesize) for size, hit in zip(sizes, hits)]
 

@@ -9,6 +9,7 @@ import numpy as np
 __all__ = [
     "ScorerConfig",
     "aps_scores",
+    "log_sum_exp",
     "nonconformity",
     "raps_scores",
     "softmax_probs",
@@ -32,6 +33,11 @@ class ScorerConfig:
         if self.raps_k_reg < 1:
             raise ValueError("raps_k_reg must be >= 1")
 
+    def record(self) -> dict:
+        """The settings that fix the scale of the thresholds calibrated on this scorer: all but the per-seed
+        ``rng_seed``."""
+        return {"kind": self.kind, "raps_lambda": self.raps_lambda, "raps_k_reg": self.raps_k_reg}
+
 
 def softmax_probs(raw: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over all candidate entities."""
@@ -41,9 +47,24 @@ def softmax_probs(raw: np.ndarray) -> np.ndarray:
     return exp / exp.sum()
 
 
+def log_sum_exp(raw: np.ndarray, out: np.ndarray | None = None) -> float:
+    """``log(sum(exp(raw)))`` of one score row, as ``max + log(sum(exp(raw - max)))`` so that it cannot overflow.
+
+    ``out``, when given, is a work buffer shaped like ``raw`` that the shifted exponentials are written to.
+    """
+    top = raw.max()
+    return float(top + np.log(np.exp(np.subtract(raw, top, out=out), out=out).sum()))
+
+
 def softmax_scores(raw: np.ndarray) -> np.ndarray:
-    """Nonconformity 1 - softmax(raw); lower means more plausible."""
-    return 1.0 - softmax_probs(raw)
+    """Nonconformity -log softmax(raw), computed as ``log_sum_exp(raw) - raw``; lower means more plausible.
+
+    It orders entities as 1 - softmax(raw) does, but 1 - p rounds to exactly 1.0 for every p below about
+    5.5e-17, where -log p keeps them apart.  As IEEE subtraction is monotone, a higher raw score never gets a
+    higher nonconformity, so a set ``nonconf <= t`` is the top of the row's raw scores.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    return log_sum_exp(raw) - raw
 
 
 def _descending_order(probs: np.ndarray) -> np.ndarray:

@@ -120,7 +120,7 @@ def _outcomes(pool: experiment.RunData, nonconf: np.ndarray, fitted, test_idx) -
     raw, answers = pool.score_rows.scores[test_idx], pool.test.answer[test_idx]
     rows = np.arange(test_idx.size)  # one pair per query row and no masks: set_outcomes compares the whole block
     return conformal.set_outcomes(nonconf[test_idx], raw, *map(np.stack, zip(*filters)), rows, answers,
-                                  raw[rows, answers])
+                                  raw[rows, answers], np.zeros(rows.size, dtype=bool))
 
 
 def conditional_coverage_check(gammas=(0.0, 0.5, 1.0), epsilon: float = 0.1,

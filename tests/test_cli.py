@@ -77,6 +77,13 @@ def _without_direction(text):
     return json.dumps(doc)
 
 
+def _without_scorer(text):
+    """A saved model in the format before it named its scorer: its thresholds were 1 - p under softmax."""
+    doc = json.loads(text)
+    del doc["scorer"]
+    return json.dumps(doc)
+
+
 def evaluate_from_test_rows_only(config, monkeypatch):
     """Staged ``evaluate`` on ``config`` (seed 0) with no model or sidecar file and a calibration pass that raises;
     every score row it reads must be a test query's, one read per test query and block."""
@@ -543,13 +550,14 @@ class TestExitCodes:
          "older format"),
         ("condkgcp", _without_part_counts, "missing key 'n_cal'"),
         ("kgcp", _without_direction, "missing key 'direction'"),
+        ("kgcp", _without_scorer, "missing key 'scorer'"),
         ("mcp", _with_parts([[0], [1]]), "partition misses predicate 2 of 3"),
         ("mcp", _with_parts([[0], [2]]), "partition misses predicate 1"),
         ("mcp", _with_parts([[0], [1], [2], [3]]), "partition names predicate 3, but there are 3"),
         ("mcp", _with_parts([[0, 1], [1], [2]]), "partition parts overlap on predicates [1]"),
         ("mcp", _with_parts([[0], [1], [2], [-1]]), "partition lists negative predicate -1"),
-    ], ids=["missing-key", "truncated", "old-format", "without-part-counts", "without-direction", "part-dropped",
-            "predicate-skipped", "predicate-past-kg", "predicate-repeated", "predicate-negative"])
+    ], ids=["missing-key", "truncated", "old-format", "without-part-counts", "without-direction", "without-scorer",
+            "part-dropped", "predicate-skipped", "predicate-past-kg", "predicate-repeated", "predicate-negative"])
     def test_malformed_calibrated_model_names_file(self, tmp_path, dataset, capsys, method, edit, message):
         config = write_config(tmp_path, dataset, methods=[method])
         for stage in ("train", "score", "calibrate"):
@@ -575,6 +583,21 @@ class TestExitCodes:
         method, epsilon = source.split("_e")
         assert f"error: {artifact}: holds {method} at epsilon {epsilon}, not " in err
         assert "rerun the 'calibrate' stage" in err
+
+    @pytest.mark.parametrize("scorer", [{"kind": "raps"}, {"kind": "softmax", "raps_k_reg": 2}],
+                             ids=["kind", "raps-setting"])
+    def test_calibrated_file_of_another_scorer_names_file(self, tmp_path, dataset, capsys, scorer):
+        """Thresholds calibrated under softmax are on another scale than RAPS scores: evaluate refuses them."""
+        config = write_config(tmp_path, dataset, methods=["kgcp"])
+        for stage in ("train", "score", "calibrate"):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(edited(config, scorer=scorer))]) == cli.EXIT_CONFIG
+        artifact = tmp_path / "out" / "calibrated_kgcp_e0.1_s0.json"
+        settings = {"kind": "softmax", "raps_lambda": 0.01, "raps_k_reg": 5}
+        err = capsys.readouterr().err
+        assert f"error: {artifact}: holds thresholds of scorer {settings}, not of {settings | scorer}" in err
+        assert "rerun the 'calibrate' stage" in err and not (tmp_path / "out" / "reports.csv").exists()
 
     def test_calibrated_file_of_another_direction_group_names_file(self, tmp_path, dataset, capsys):
         config = write_config(tmp_path, dataset, methods=["kgcp", "mcp"])

@@ -200,8 +200,10 @@ class TestPrepareTest:
 
 
 class TestMemory:
-    """Four times the triples (|E| = 2000) must raise the traced peak by less than 10%, from a trained model and
-    from a score file: no path holds an array that grows with |Q| x |E|."""
+    """Four times the triples (|E| = 2000) must raise the traced peak, from a trained model and from a score file,
+    by less than half a byte per added (test score row x entity) cell: no path holds an array that grows with
+    |Q| x |E|.  Per-pair state (queries, masks, filters, set sizes and hits: about 350 B per added pair) grows,
+    and the fixed block buffers do not."""
 
     @staticmethod
     def config(scale):
@@ -210,15 +212,17 @@ class TestMemory:
                                       "noise_rates": 0.2, "n_clusters": 8}, model_kind="transe", dim=16,
                            epochs=1, phi=50)
 
-    def traced_peaks(self, run, before=lambda cfg, kg, model: None):
-        """Traced peak of ``run(config, kg, model)`` at x1 and x4, after an untraced ``before`` with the same
+    def assert_peak_grows_by_less_than_half_a_byte_per_test_cell(self, run, before=lambda cfg, kg, model: None):
+        """Trace the peak of ``run(config, kg, model)`` at x1 and x4, after an untraced ``before`` with the same
         arguments; the model is trained at x1 beforehand."""
         small = self.config(1)
         model = models.train(experiment.load_or_generate_kg(small, 0), "transe", small.train_config(0), dim=16)
-        peaks = []
+        peaks, cells = [], []
         for scale in (1, 4):
             cfg = self.config(scale)
             kg = experiment.load_or_generate_kg(cfg, 0)
+            test_rows = np.unique(make_queries(kg.splits["test"], cfg.both_directions).queries(), axis=0)
+            cells.append(test_rows.shape[0] * kg.vocab.n_entities)
             before(cfg, kg, model)
             tracemalloc.start()
             try:
@@ -226,15 +230,15 @@ class TestMemory:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        return peaks
+        allowed = 0.5 * (cells[1] - cells[0])
+        assert peaks[1] - peaks[0] < allowed, [f"{p / 1e6:.2f} MB" for p in (*peaks, allowed)]
 
     def test_traced_peak_does_not_grow_with_the_splits(self):
         """prepare_run + run_single with a trained model: score rows are scored block by block, not kept."""
         def in_memory_run(cfg, kg, model):
             run_single(cfg, 0, data=prepare_run(cfg, 0, model=model, kg=kg))
 
-        peaks = self.traced_peaks(in_memory_run)
-        assert peaks[1] < 1.1 * peaks[0], [f"{p / 1e6:.1f} MB" for p in peaks]
+        self.assert_peak_grows_by_less_than_half_a_byte_per_test_cell(in_memory_run)
 
     def test_staged_traced_peak_does_not_grow_with_the_splits(self, tmp_path):
         """import_scores + prepare_run + run_single from a score file: the import keeps the query columns only,
@@ -249,11 +253,25 @@ class TestMemory:
             source = models.import_scores(path)
             run_single(cfg, 0, data=prepare_run(cfg, 0, score_matrix=source, model=model, kg=kg))
 
-        peaks = self.traced_peaks(staged_run, before=write_scores)
-        assert peaks[1] < 1.1 * peaks[0], [f"{p / 1e6:.1f} MB" for p in peaks]
+        self.assert_peak_grows_by_less_than_half_a_byte_per_test_cell(staged_run, before=write_scores)
 
 
 class TestRunSingle:
+    def test_softmax_tail_below_1e17_gets_a_set_smaller_than_every_candidate(self):
+        """Each filtered score row is 40 times a permutation of 0..|E|-1, so every p but the top one lies below
+        1e-17.  1 - p rounds those to exactly 1.0, and kgcp's threshold then keeps every candidate; -log p keeps
+        them apart, so the sets are smaller than the candidates."""
+        config = tiny_config(methods=["kgcp"])
+        model = trained_model(config)
+        trained = prepare_run(config, 0, model=model)
+        matrix = in_memory(ModelScores(model, trained.calib, trained.test))
+        matrix.scores = 40.0 * np.argsort(np.argsort(matrix.scores, axis=1), axis=1)
+        assert np.sort(scores.softmax_probs(matrix.scores[0]))[-2] < 1e-17
+        data = prepare_run(config, 0, score_matrix=matrix, model=model)
+        (report,) = run_single(config, 0, data=data)
+        candidates = data.kg.vocab.n_entities - np.diff(data.mask_indptr)[data.test_rows] + 1  # e_j adds the answer
+        assert 0.0 < report.avesize < candidates.mean()
+
     def test_reports_for_all_methods(self):
         config = tiny_config()
         reports = run_single(config, 0)
@@ -315,7 +333,7 @@ class TestRunSingle:
         fitted = calibrate(config, 0, data)
         groups = list(experiment._direction_groups(data, False))
         models_ = [*fitted.values(), conformal.score_only(fitted[("condkgcp", None, 0.1)])]
-        filters = [experiment._filters(data, groups, [model]) for model in models_]
+        filters = experiment._filters(data, groups, [[model] for model in models_])
         draws = len(data.calib) + np.arange(len(data.test))
         whole = experiment._outcomes(config, 0, data, filters, draws)
         ordered = np.sort(data.test_rows)
@@ -421,7 +439,7 @@ class TestTuning:
         real_outcomes = experiment._outcomes
 
         def recording_outcomes(config, seed, data, filters, draws):
-            calls["_outcomes"].append(len(filters))
+            calls["_outcomes"].append(len(filters[0]))
             return real_outcomes(config, seed, data, filters, draws)
 
         def no_run_single(*args, **kw):

@@ -31,7 +31,7 @@ from kgconformal.kg import (DIRECTIONS, KGError, Query, QueryAnswerSet, SplitCon
                             rank_cuts, rank_of, split_triples)
 from kgconformal.models import (ScoreFile, ScoreMatrix, _sample_negatives, _triple_keys, export_predicate_vectors,
                                 export_scores, import_predicate_vectors, import_scores)
-from kgconformal.scores import ScorerConfig, softmax_scores
+from kgconformal.scores import ScorerConfig, log_sum_exp, softmax_scores
 from kgconformal.verify import leave_one_out_hits
 
 import query_oracle
@@ -115,19 +115,29 @@ def test_rank_cut_selects_exactly_the_ranks_within_the_cutoff_under_ties(case):
         assert {e for e in range(n) if masked[e] > cuts[k]} == within
 
 
+@given(hnp.arrays(np.float64, st.integers(1, 12), elements=st.integers(-2, 2)), st.sampled_from([1.0, 40.0, 800.0]))
+def test_softmax_scores_do_not_decrease_as_raw_falls(grid, scale):
+    """-log p is ``lse - raw``, so it does not fall where raw falls, ties with raw and stays finite: also where p
+    lies below 1e-17 (scale 40) or underflows to 0 (scale 800)."""
+    raw = scale * grid
+    nonconf = softmax_scores(raw)
+    order = np.argsort(-raw, kind="stable")
+    assert np.all(np.diff(nonconf[order]) >= 0)
+    assert np.all((np.diff(nonconf[order]) == 0) == (np.diff(raw[order]) == 0))
+    assert np.all(np.isfinite(nonconf))
+
+
 def softmax_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each raw row's ``softmax_scores`` and its max and sum of ``exp(raw - max)``, shaped ``(2, rows)``: the
-    statistics the evaluation pass hands to ``set_outcomes``."""
-    top = raw.max(axis=1)
-    total = np.array([np.exp(row - t).sum() for row, t in zip(raw, top)])
-    return np.array([softmax_scores(row) for row in raw]), np.stack((top, total))
+    """Each raw row's ``softmax_scores`` and its ``log_sum_exp``: the statistic the evaluation pass hands to
+    ``set_outcomes`` in place of the rows."""
+    return np.array([softmax_scores(row) for row in raw]), np.array([log_sum_exp(row) for row in raw])
 
 
 @st.composite
 def set_outcome_cases(draw):
     """Query rows of tied raw scores, masked once (:func:`shared_rows`; some rows know every entity), and several
-    filters per call, one per row.  Either the rows hold 1 - softmax of their raw scores, with its statistics, and
-    1-4 pairs share each, or they hold arbitrary nonconformity values on a quarter grid and one pair each.
+    filters per call, one per row.  Either the rows hold -log softmax of their raw scores, with each row's
+    log-sum-exp, and 1-4 pairs share each, or they hold arbitrary nonconformity values on a quarter grid and one pair each.
     Thresholds are on the grid, at one of the row's own values, +inf or NaN; cutoffs of a filter without a rank cut
     are all at least the row width, those of a ranked filter anywhere in 0..width+1."""
     n_rows, width = draw(st.integers(1, 5)), draw(st.integers(1, 10))
@@ -165,15 +175,15 @@ TIED = np.array([[1.0, 1.0, 0.0]])
 def test_set_outcomes_match_brute_force_sets_with_many_filters_per_call(case):
     """Each (filter, pair) size and hit equals the brute-force set on the pair's own mask: candidates with
     ``nonconf <= threshold`` and a pessimistic filtered rank within the cutoff: its row's mask but its answer.
-    The inputs come back unchanged."""
-    nonconf, raw, rows, answers, masks, thresholds, cutoffs, softmax = case
+    Softmax rows are passed as their log-sum-exp and sorted.  The inputs come back unchanged."""
+    nonconf, raw, rows, answers, masks, thresholds, cutoffs, lse = case
     masked = raw.copy()
     for row, mask in enumerate(masks):
         masked[row, sorted(mask)] = -np.inf
-    answer_raw = raw[rows, answers]
-    inputs = (nonconf, masked, thresholds, cutoffs, rows, answers, answer_raw)
+    rows_in = (nonconf, masked) if lse is None else (lse, np.sort(masked, axis=1))
+    inputs = (*rows_in, thresholds, cutoffs, rows, answers, raw[rows, answers], masked[rows, answers] == -np.inf)
     before = [x.copy() for x in inputs]
-    sizes, hits = set_outcomes(*inputs, softmax)
+    sizes, hits = set_outcomes(*inputs)
     for got, was in zip(inputs, before):
         assert np.array_equal(got, was, equal_nan=got.dtype.kind == "f")
     for f, j in np.ndindex(sizes.shape):
@@ -189,13 +199,13 @@ def test_set_outcomes_match_brute_force_sets_with_many_filters_per_call(case):
 def softmax_cases(draw):
     """Softmax query rows on an integer grid times a scale, each shared by 1-4 pairs and masked once
     (:func:`shared_rows`), and 1-4 models with one part per row.  Scale 1 ties raw scores; at 40 the tail
-    probabilities fall below 5.5e-17, so their 1 - p rounds to exactly 1.0; at 800 they underflow to p = 0.  A
-    part's threshold is one of its row's own 1 - p values, 1.0, the float below 1.0, +inf or NaN; its rank cutoff
+    probabilities fall below 5.5e-17, where 1 - p would round to exactly 1.0; at 800 they underflow to p = 0.  A
+    part's threshold is one of its row's own -log p values, the float below one, 0, +inf or NaN; its rank cutoff
     is none (a -inf cut) or 0..width."""
     n_rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 8))
     scale = draw(st.sampled_from([1.0, 40.0, 800.0]))
     raw = scale * draw(hnp.arrays(np.float64, (n_rows, width), elements=st.integers(-2, 2)))
-    nonconf, softmax = softmax_rows(raw)
+    nonconf, lse = softmax_rows(raw)
     known = [draw(st.sets(st.integers(0, width - 1))) for _ in range(n_rows)]
     rows, answers, masks = draw(shared_rows(list(zip(raw, known))))
     partition = PredicatePartition(parts=[[r] for r in range(n_rows)], phi=1)
@@ -203,36 +213,41 @@ def softmax_cases(draw):
     for _ in range(draw(st.integers(1, 4))):
         per_part = {}
         for r in range(n_rows):
-            t = draw(st.sampled_from([*nonconf[r].tolist(), 1.0, math.nextafter(1.0, 0.0), math.inf, math.nan]))
+            t = draw(st.sampled_from([*nonconf[r].tolist(), *np.nextafter(nonconf[r], -np.inf).tolist(), 0.0,
+                                      math.inf, math.nan]))
             per_part[r] = PartCalibration(draw(st.none() | st.integers(0, width)), 0.0, 0.1, t, 1, t)
         fitted.append(CalibratedModel("condkgcp", 0.1, per_part, partition))
-    return raw, nonconf, softmax, np.array(rows), np.array(answers), masks, fitted
+    return raw, nonconf, lse, np.array(rows), np.array(answers), masks, fitted
 
 
 def two_cut_row():
     """One filtered row, 40 * (3, 2, 1, 0), whose two pairs' answers (entities 0 and 2) it masks: at cutoff 1 the
-    first answer beats b_1 and cuts there, the second cuts at b_2.  Below the top entity every 1 - p is 1.0."""
+    first answer beats b_1 and cuts there, the second cuts at b_2.  Below the top entity every p is below 1e-17, so
+    1 - p would be 1.0 there; the thresholds are entity 2's -log p and the float below it."""
     raw = 40.0 * np.array([[3.0, 2.0, 1.0, 0.0]])
-    nonconf, softmax = softmax_rows(raw)
-    parts = {0: PartCalibration(1, 0.0, 0.1, 1.0, 1, 1.0)}, {0: PartCalibration(1, 0.0, 0.1, math.nextafter(1.0, 0.0),
-                                                                                 1, math.nextafter(1.0, 0.0))}
-    fitted = [CalibratedModel("condkgcp", 0.1, per_part) for per_part in parts]
-    return raw, nonconf, softmax, np.array([0, 0]), np.array([0, 2]), [{0, 2}], fitted
+    nonconf, lse = softmax_rows(raw)
+    fitted = [CalibratedModel("condkgcp", 0.1, {0: PartCalibration(1, 0.0, 0.1, t, 1, t)})
+              for t in (nonconf[0, 2], math.nextafter(nonconf[0, 2], 0.0))]
+    return raw, nonconf, lse, np.array([0, 0]), np.array([0, 2]), [{0, 2}], fitted
 
 
 @given(softmax_cases())
 @example(two_cut_row())
 def test_softmax_sizes_match_predict_set_over_rank_of(case):
-    """The softmax path (``set_outcomes`` given the rows' statistics) sizes each (model, pair) as ``predict_set``
-    does, given every candidate's ``rank_of`` on the pair's own mask: its row's mask but its answer."""
-    raw, nonconf, softmax, rows, answers, masks, fitted = case
+    """The softmax path (``set_outcomes`` given each row's log-sum-exp and the sorted rows) sizes each (model, pair)
+    as ``predict_set`` does, given every candidate's ``rank_of`` on the pair's own mask: its row's mask but its
+    answer.  Distinct raw scores of a row get distinct -log p, also where p lies below 1e-17 or underflows."""
+    raw, nonconf, lse, rows, answers, masks, fitted = case
     n_rows, width = raw.shape
+    for r in range(n_rows):
+        assert np.unique(nonconf[r]).size == np.unique(raw[r]).size
     masked = raw.copy()
     for r, mask in enumerate(masks):
         masked[r, sorted(mask)] = -np.inf
     filters = [query_filters(model, np.arange(n_rows), width) for model in fitted]
-    sizes, hits = set_outcomes(nonconf, masked, np.stack([t for t, _ in filters]), np.stack([k for _, k in filters]),
-                               rows, answers, raw[rows, answers], softmax)
+    sizes, hits = set_outcomes(lse, np.sort(masked, axis=1), np.stack([t for t, _ in filters]),
+                               np.stack([k for _, k in filters]), rows, answers, raw[rows, answers],
+                               masked[rows, answers] == -np.inf)
     for j, (r, a) in enumerate(zip(rows.tolist(), answers.tolist())):
         mask = masks[r] - {a}
         ranks = np.array([0 if e in mask else rank_of(raw[r], e, mask) for e in range(width)])
@@ -398,7 +413,10 @@ def calibrated_models(draw):
     }
     return CalibratedModel(method=method, epsilon=draw(_finite), per_part=per_part, partition=partition,
                            gamma=draw(_finite), warnings=draw(st.lists(st.text(max_size=20), max_size=3)),
-                           direction=draw(st.sampled_from([None, "head", "tail"])))
+                           direction=draw(st.sampled_from([None, "head", "tail"])),
+                           scorer=draw(st.none() | st.fixed_dictionaries({
+                               "kind": st.sampled_from(["softmax", "aps", "raps"]), "raps_lambda": _finite,
+                               "raps_k_reg": st.integers(1, 10**6)})))
 
 
 @given(calibrated_models())

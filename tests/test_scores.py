@@ -8,31 +8,34 @@ from kgconformal.scores import (
     aps_scores,
     nonconformity,
     raps_scores,
+    softmax_probs,
     softmax_scores,
     uniform_for_query,
 )
 
 
 class TestSoftmax:
+    """softmax_scores is -log p: lse(raw) - raw."""
+
     def test_uniform_input(self):
         out = softmax_scores(np.full(4, 2.7))
-        assert np.allclose(out, 0.75)
+        assert np.allclose(out, math.log(4.0))
 
     def test_hand_computed_ratio(self):
         out = softmax_scores(np.array([math.log(3.0), 0.0]))
-        assert np.allclose(out, [0.25, 0.75])
+        assert np.allclose(out, [-math.log(0.75), -math.log(0.25)])
 
     def test_large_magnitude_no_overflow(self):
         out = softmax_scores(np.array([1000.0, 0.0, 0.0]))
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(0.0, abs=1e-12)
-        assert out[1] == pytest.approx(1.0, abs=1e-12)
+        assert out[1] == pytest.approx(1000.0, abs=1e-12)  # p = exp(-1000), which 1 - p would round to 1.0
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             raw = rng.normal(scale=10, size=int(rng.integers(2, 50)))
-            assert (1.0 - softmax_scores(raw)).sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.exp(-softmax_scores(raw)).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_decreasing_in_raw(self):
         rng = np.random.default_rng(1)
@@ -68,8 +71,7 @@ class TestAPS:
         rng = np.random.default_rng(3)
         raw = rng.normal(size=15)
         out = aps_scores(raw, 0.4)
-        probs = 1.0 - softmax_scores(raw)
-        order = np.argsort(-probs, kind="stable")
+        order = np.argsort(-softmax_probs(raw), kind="stable")
         assert np.all(np.diff(out[order]) >= -1e-12)
 
     def test_bad_u(self):
