@@ -392,15 +392,15 @@ def prop1_bounds(epsilon: float, gamma: float, rank_miscoverage: float, n_cal: i
 
 
 def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.ndarray, cutoffs: np.ndarray,
-                 rows: np.ndarray, answers: np.ndarray, answer_raw: np.ndarray,
+                 rows: np.ndarray, answer_nonconf: np.ndarray, answer_raw: np.ndarray,
                  added: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Set size and answer hit of each (query, answer) pair under each filter, without building the sets.
 
     Rows of ``masked_raw`` are query rows over all entities.  A row masks its query's known answers (filtered),
     its pairs' own included, or none (raw): its entities at -inf.  ``thresholds`` and ``cutoffs`` hold one filter
     per row (see :func:`query_filters`) and one query row per column.  Pair ``j`` reads row ``rows[j]``; its answer
-    ``answers[j]`` scored ``answer_raw[j]`` before masking, and ``added[j]`` (``e_j``) says whether the row masks
-    it.  Its candidates are the row's unmasked entities plus its answer when added back.  A set is
+    has nonconformity ``answer_nonconf[j]``, scored ``answer_raw[j]`` before masking, and is added back when the
+    row masks it (``added[j]``, ``e_j``): its candidates are the row's unmasked entities plus that answer.  A set is
     ``(nonconf <= threshold) & (raw > cut)`` with the rank cutoff as a score cut, so sizes and hits equal those of
     :func:`predict_set` given the pair's candidate ranks and mask.  A NaN threshold gives an empty set.  No input
     is modified.
@@ -409,14 +409,14 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.nda
 
     * each row's log-sum-exp of its raw scores (one value per row, :func:`scores.log_sum_exp`), whose
       nonconformity is ``lse - raw`` (:func:`scores.softmax_scores`); ``masked_raw`` then holds each row sorted
-      ascending, masked entities first, several pairs may share a row, and ``answers`` is not read;
+      ascending, masked entities first, and several pairs may share a row;
     * each row's nonconformity over all entities (APS, RAPS, or any one-pair rows), ``masked_raw`` in entity
       order and one pair per row, else ValueError.
 
     With ``b_k`` the k-th largest unmasked score of the row (:func:`kg.rank_cuts`; ``b_0 = +inf``, -inf past the
     end), cutoff ``k`` gives pair ``j``:
 
-    * ``hit = nonconf[answer] <= threshold & x > (b_k if e_j else b_(k+1))``,
+    * ``hit = answer_nonconf <= threshold & x > (b_k if e_j else b_(k+1))``,
       since an added-back answer is one more candidate at its own score ``x``;
     * ``cut = b_k if (e_j and x >= b_k) else b_(k+1)``: the (k+1)-th largest
       candidate score, as it acts on the row's own entities;
@@ -433,7 +433,6 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.nda
     n_filters, width = thresholds.shape[0], ordered.shape[1]
     both = rank_cuts(ordered, np.hstack((cutoffs.T - 1, cutoffs.T))).T  # b_k, then b_(k+1), per (filter, row)
     b_k, b_next = both[:n_filters, rows], both[n_filters:, rows]
-    answer_nonconf = nonconf[rows] - answer_raw if softmax else nonconf[rows, answers]
     hits = (answer_nonconf <= thresholds[:, rows]) & (answer_raw > np.where(added, b_k, b_next))
     cuts = np.where(added & (answer_raw >= b_k), b_k, b_next)
     sizes = np.empty(cuts.shape, dtype=np.int64)

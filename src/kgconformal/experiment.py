@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import types
+import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -120,14 +123,37 @@ class ExperimentConfig:
 
 
 def _known_keys(cls, doc, what: str, fixed: tuple[str, ...] = ()) -> dict:
-    """``doc``, checked to be a dict whose keys are all fields of dataclass ``cls`` but ``fixed``; ValueError names
-    ``what``."""
+    """``doc``, checked to be a dict whose keys are all fields of dataclass ``cls`` but ``fixed``, each holding a
+    value of its field's type (:func:`_fits`); ValueError names ``what``, and the key of a value of the wrong
+    type."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - ({f.name for f in fields(cls)} - set(fixed)))
     if unknown:
         raise ValueError(f"{what} has unknown keys: {', '.join(map(str, unknown))}")
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in doc and not _fits(doc[f.name], hints[f.name]):
+            raise ValueError(f"{what} key {f.name} must be {f.type}, got {json.dumps(doc[f.name], default=str)}")
     return doc
+
+
+def _fits(value, hint) -> bool:
+    """Whether a parsed JSON ``value`` is of the field type ``hint``: an integer is also a float, but a bool is
+    neither, and a list stands for a tuple.  Any value fits ``dict``: a nested document (``scorer``,
+    ``synthetic``) goes through its own :func:`_known_keys`, which names it."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is dict:
+        return True
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, (list, tuple)) and all(_fits(item, args[0]) for item in value)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and len(value) == len(args) and all(map(_fits, value, args))
+    if hint in (int, float):
+        return isinstance(value, numbers.Integral if hint is int else numbers.Real) and not isinstance(value, bool)
+    return isinstance(value, hint)
 
 
 @dataclass
@@ -251,37 +277,37 @@ def answer_nonconf_and_ranks(scorer: scores.ScorerConfig, source: models.RowSour
     """Nonconformity and filtered rank of each pair's answer, in one blocked pass (see :func:`_score_blocks`).
 
     Pair ``j`` reads score row ``rows[j]``, which masks its CSR slice of ``indices``, and draws as query ``j``.
-    Its rank is pessimistic: the number of candidates that score ``>=`` the answer, where the candidates are
-    the row's unmasked entities plus the answer.  That is the masked row's count of scores ``>=`` the
-    answer's, plus one when the row masks the answer itself, as a filtered row masks every known answer.
+    Its nonconformity is the one the pass yields.  Its rank is pessimistic: the number of candidates that score
+    ``>=`` the answer, where the candidates are the row's unmasked entities plus the answer.  That is the masked
+    row's count of scores ``>=`` the answer's, plus ``e_j``, as a filtered row masks every known answer.
     """
     nonconf_at = np.empty(rows.shape[0])
     ranks = np.empty(rows.shape[0], dtype=np.int64)
-    for block, unit, nonconf, masked, answer_raw in _score_blocks(scorer, source, rows, answers, indptr, indices,
-                                                                  np.arange(rows.shape[0])):
-        at = (unit, answers[block])
-        nonconf_at[block] = nonconf[unit] - answer_raw if nonconf.ndim == 1 else nonconf[at]
+    for block, unit, _, _, masked, answer_raw, answer_nonconf, added in _score_blocks(
+            scorer, source, rows, answers, indptr, indices, np.arange(rows.shape[0])):
+        nonconf_at[block] = answer_nonconf
         per_row = np.split(answer_raw, np.flatnonzero(np.diff(unit)) + 1)
-        ranks[block] = np.concatenate([(row >= x[:, None]).sum(axis=1) for row, x in zip(masked, per_row)])
-        ranks[block] += masked[at] == -np.inf
+        ranks[block] = np.concatenate([(row >= x[:, None]).sum(axis=1) for row, x in zip(masked, per_row)]) + added
     return nonconf_at, ranks
 
 
 def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: np.ndarray, answers: np.ndarray,
                   indptr: np.ndarray, indices: np.ndarray, draws: np.ndarray):
-    """Yield ``(block, unit, nonconf, masked, answer_raw)`` per block of ``EVAL_BLOCK_ROWS`` pairs.
+    """Yield ``(block, unit, owner, nonconf, masked, answer_raw, answer_nonconf, added)`` per block of
+    ``EVAL_BLOCK_ROWS`` pairs: the one place a pair's answer is read.
 
     Pair ``j`` reads score row ``rows[j]``.  The pairs are visited in stable ``rows`` order, so the pairs of one
     query are adjacent; a query may straddle two blocks.  ``block`` holds the block's pair indices, and pair
-    ``block[i]`` owns row ``unit[i]`` of ``nonconf`` and ``masked``.  Under softmax a row is a query's, shared by
-    its pairs in the block; APS and RAPS draw a u per pair, so each pair owns a row.  The source fills each
-    query row once; a pair's own row is a copy of it.  ``answer_raw`` holds each pair's answer score, read before
-    each ``masked`` row gets its score row's CSR mask at -inf.  Under softmax ``nonconf`` holds each row's
-    :func:`scores.log_sum_exp` of its raw scores, so that its nonconformity is ``lse - raw`` as
-    :func:`scores.softmax_scores` computes it, and only ``masked`` is a block-sized buffer.  Under APS and RAPS it
-    holds each row's nonconformity over all entities, drawn as query ``draws[j]`` of the row's first pair ``j``, so
-    a pair keeps its u in every pass that gives it the same draw index.  The arrays of a block are views of
-    buffers the next block overwrites.
+    ``block[i]`` owns row ``unit[i]`` of ``nonconf`` and ``masked``, whose first pair is ``owner[unit[i]]``.  Under
+    softmax a row is a query's, shared by its pairs in the block; APS and RAPS draw a u per pair, so each pair owns
+    a row.  The source fills each query row once; a pair's own row is a copy of it.  ``answer_raw`` holds each
+    pair's answer score, read before each ``masked`` row gets its score row's CSR mask at -inf, and ``added`` its
+    ``e_j``, whether the row masks the answer, read right after.  Under softmax ``nonconf`` holds each row's
+    :func:`scores.log_sum_exp` of its raw scores, so that ``answer_nonconf``, the answer's nonconformity, is
+    ``lse - answer_raw`` as :func:`scores.softmax_scores` computes it, and only ``masked`` is a block-sized
+    buffer.  Under APS and RAPS it holds each row's nonconformity over all entities, drawn as query ``draws[j]``
+    of the row's pair ``j``, so a pair keeps its u in every pass that gives it the same draw index.  The arrays of
+    a block are views of buffers the next block overwrites; a consumer may sort ``masked`` in place.
     """
     n = rows.shape[0]
     order = np.argsort(rows, kind="stable")
@@ -301,15 +327,17 @@ def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: n
         # from the back, so each query row is copied to its pairs before a pair's copy overwrites it
         for i in np.flatnonzero(unit != query)[::-1].tolist():
             masked[i] = masked[query[i]]
-        answer_raw = masked[unit, answers[block]]
-        owner = block[np.diff(unit, prepend=-1) > 0]
+        at = (unit, answers[block])
+        answer_raw = masked[at]
+        owner = block[first] if softmax else block
         for i, (q, s) in enumerate(zip(draws[owner].tolist(), rows[owner].tolist())):
             if softmax:
                 nonconf[i] = scores.log_sum_exp(masked[i], out=exps)
             else:
                 nonconf[i] = scores.nonconformity(masked[i], scorer, query_index=q)
             masked[i, indices[indptr[s] : indptr[s + 1]]] = -np.inf  # score row s's mask, once per unit row
-        yield block, unit, nonconf, masked, answer_raw
+        answer_nonconf = nonconf[unit] - answer_raw if softmax else nonconf[at]
+        yield block, unit, owner, nonconf, masked, answer_raw, answer_nonconf, masked[at] == -np.inf
 
 
 def _direction_groups(data: EvalData, split_directions: bool):
@@ -388,25 +416,22 @@ def _outcomes(config: ExperimentConfig, seed: int, data: EvalData, filters: tupl
     """Set size and answer hit of every test pair under each filter, in one blocked pass.
 
     ``filters`` holds each filter's per-test-pair score thresholds and rank cutoffs, one row per filter, equal
-    across the pairs of a query, since :func:`_filters` looks them up by direction group and predicate.  Each
-    block of :func:`_score_blocks` (test pair ``j`` draws as query ``draws[j]``) is reduced by
-    :func:`conformal.set_outcomes`; softmax rows are sorted in their block buffer first, once ``e_j`` is read.
+    across the pairs of a query, since :func:`_filters` looks them up by direction group and predicate; a row
+    takes its first pair's.  Each block of :func:`_score_blocks` (test pair ``j`` draws as query ``draws[j]``) is
+    reduced by :func:`conformal.set_outcomes`; softmax rows are sorted in their block buffer first.
     Returns ``(sizes, hits)``, each shaped ``(n_filters, n_test)``.
     """
     thresholds, cutoffs = filters
     sizes = np.empty(thresholds.shape, dtype=np.int64)
     hits = np.empty(thresholds.shape, dtype=bool)
-    answers = data.test.answer
-    for block, unit, nonconf, masked, answer_raw in _score_blocks(config.scorer_config(seed), data.score_rows,
-                                                                  data.test_rows, answers, data.mask_indptr,
-                                                                  data.mask_indices, draws):
-        owner = block[np.diff(unit, prepend=-1) > 0]  # a row's filter is its query's: that of its first pair
-        added = masked[unit, answers[block]] == -np.inf  # e_j, read before the sort below moves the entities
+    for block, unit, owner, nonconf, masked, answer_raw, answer_nonconf, added in _score_blocks(
+            config.scorer_config(seed), data.score_rows, data.test_rows, data.test.answer, data.mask_indptr,
+            data.mask_indices, draws):
         if nonconf.ndim == 1:  # softmax: set_outcomes searches the sorted rows, sorted in their buffer
             masked.sort(axis=1)
         sizes[:, block], hits[:, block] = conformal.set_outcomes(nonconf, masked, thresholds[:, owner],
-                                                                 cutoffs[:, owner], unit, answers[block], answer_raw,
-                                                                 added)
+                                                                 cutoffs[:, owner], unit, answer_nonconf,
+                                                                 answer_raw, added)
     return sizes, hits
 
 

@@ -170,11 +170,34 @@ def _parse_tsv(path: Path) -> list[tuple[str, str, str]]:
     return rows
 
 
+def _manifest_files(path: Path) -> dict[str, Path]:
+    """Each key of the JSON manifest at ``path`` and its file, relative to the manifest's directory.
+
+    KGError names the manifest, and the key at fault: a document that is not an object, a key that is not one of
+    ``train``, ``valid``, ``test``, ``entities`` and ``relations``, or a value that is not a path string.
+    """
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise KGError(f"{path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise KGError(f"{path}: manifest must be a JSON object, got {type(manifest).__name__}")
+    unknown = sorted(set(manifest) - {"train", "valid", "test", "entities", "relations"})
+    if unknown:
+        raise KGError(f"{path}: manifest has unknown keys: {', '.join(unknown)} "
+                      "(train, valid, test, entities, relations)")
+    for key, value in manifest.items():
+        if not isinstance(value, str):
+            raise KGError(f"{path}: manifest key '{key}' must be a path string, got {type(value).__name__}")
+    return {key: path.parent / value for key, value in manifest.items()}
+
+
 def load_kg(path: str | Path) -> KnowledgeGraph:
     """Load a KG from a JSON manifest (a ``.json`` path) referencing split TSVs, or a triples TSV.
 
     The manifest format is ``{"train": path, "valid": path, "test": path,
-    "entities": optional path, "relations": optional path}``.  With a bare
+    "entities": optional path, "relations": optional path}``; any other key, or a value that
+    is not a string, raises KGError naming the manifest and the key.  With a bare
     TSV, all triples land in a single split named ``"all"``.
     """
     path = Path(path)
@@ -184,18 +207,12 @@ def load_kg(path: str | Path) -> KnowledgeGraph:
     if path.suffix != ".json":
         raw = {"all": _parse_tsv(path)}
     else:
-        try:
-            manifest = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise KGError(f"{path}: {exc}") from exc
-        raw = {}
-        for name in ("train", "valid", "test"):
-            if name in manifest:
-                raw[name] = _parse_tsv(path.parent / manifest[name])
+        files = _manifest_files(path)
+        raw = {name: _parse_tsv(files[name]) for name in ("train", "valid", "test") if name in files}
         if not raw:
             raise KGError(f"{path}: manifest declares no splits")
-        declared = {key: {ln.strip() for ln in (path.parent / manifest[key]).read_text(encoding="utf-8").splitlines()
-                          if ln.strip()} for key in ("entities", "relations") if key in manifest}
+        declared = {key: {ln.strip() for ln in files[key].read_text(encoding="utf-8").splitlines() if ln.strip()}
+                    for key in ("entities", "relations") if key in files}
 
     all_rows = [row for rows in raw.values() for row in rows]
     if not all_rows:

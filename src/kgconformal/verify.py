@@ -114,12 +114,13 @@ def _resample(rng, n_parts: int, pool_size: int, part_size: int) -> tuple[np.nda
 
 
 def _outcomes(pool: experiment.RunData, nonconf: np.ndarray, fitted, test_idx) -> tuple[np.ndarray, np.ndarray]:
-    """Set size and answer hit of each test pair under each fitted model, as the evaluation pass reduces them."""
+    """Set size and answer hit of each test pair under each fitted model, as the evaluation pass reduces them;
+    a pair's answer nonconformity and score are read off its own row, which no mask touches (no ``e_j``)."""
     filters = [conformal.query_filters(model, pool.test.predicate[test_idx], pool.kg.vocab.n_entities)
                for model in fitted]
-    raw, answers = pool.score_rows.scores[test_idx], pool.test.answer[test_idx]
+    nonconf, raw, answers = nonconf[test_idx], pool.score_rows.scores[test_idx], pool.test.answer[test_idx]
     rows = np.arange(test_idx.size)  # one pair per query row and no masks: set_outcomes compares the whole block
-    return conformal.set_outcomes(nonconf[test_idx], raw, *map(np.stack, zip(*filters)), rows, answers,
+    return conformal.set_outcomes(nonconf, raw, *map(np.stack, zip(*filters)), rows, nonconf[rows, answers],
                                   raw[rows, answers], np.zeros(rows.size, dtype=bool))
 
 

@@ -498,6 +498,45 @@ class TestExitCodes:
         assert f"error: {message}\n" == capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"gamma": "0.1"}, 'config key gamma must be float, got "0.1"'),
+        ({"epsilons": "0.1"}, 'config key epsilons must be list[float], got "0.1"'),
+        ({"epochs": "3"}, 'config key epochs must be int, got "3"'),
+        ({"dim": 16.0}, "config key dim must be int, got 16.0"),
+        ({"seeds": [0.5]}, "config key seeds must be list[int], got [0.5]"),
+        ({"dataset": 5}, "config key dataset must be str | None, got 5"),
+        ({"synthetic": {"n_entities": "10"}}, 'synthetic key n_entities must be int, got "10"'),
+        ({"scorer": {"kind": "aps", "raps_lambda": "x"}}, 'scorer key raps_lambda must be float, got "x"'),
+        ({"methods": "kgcp"}, 'config key methods must be list[str], got "kgcp"'),
+        ({"phi": 2.5}, "config key phi must be int, got 2.5"),
+        ({"gamma": True}, "config key gamma must be float, got true"),
+    ], ids=["gamma", "epsilons", "epochs", "dim", "seeds", "dataset", "synthetic", "scorer", "methods", "phi",
+            "bool-for-number"])
+    def test_config_value_of_the_wrong_type_is_named(self, tmp_path, dataset, capsys, changes, message):
+        config = edited(write_config(tmp_path, dataset), **changes)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("manifest, message", [
+        ({"train": 5}, "manifest key 'train' must be a path string, got int"),
+        (["train"], "manifest must be a JSON object, got list"),
+        ({"train": "train.tsv", "valid": "valid.tsv", "test": "test.tsv", "entities": 3},
+         "manifest key 'entities' must be a path string, got int"),
+        ({"train": "train.tsv", "valid": "valid.tsv", "tset": "test.tsv"},
+         "manifest has unknown keys: tset (train, valid, test, entities, relations)"),
+    ], ids=["split-not-a-string", "not-an-object", "vocabulary-not-a-string", "unknown-key"])
+    def test_malformed_manifest_names_the_manifest_and_key(self, tmp_path, dataset, capsys, manifest, message):
+        bad = tmp_path / "data" / "manifest.json"
+        bad.parent.mkdir()
+        for name in ("train.tsv", "valid.tsv", "test.tsv"):
+            (bad.parent / name).write_bytes((dataset.parent / name).read_bytes())
+        bad.write_text(json.dumps(manifest), encoding="utf-8")
+        config = write_config(tmp_path, bad)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "out" / "model_s0.npz").exists()
+
     @pytest.mark.parametrize("what", ["config", "scorer"])
     def test_config_that_is_not_an_object(self, tmp_path, dataset, capsys, what):
         config = write_config(tmp_path, dataset)

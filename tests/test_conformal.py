@@ -324,8 +324,8 @@ class TestSetOutcomes:
             masked[i, list(mask)] = -np.inf
         thresholds_, cutoffs = query_filters(model, predicates, n_entities)
         rows = np.arange(n_queries)  # one pair per query row
-        sizes, hits = set_outcomes(nonconf, masked, thresholds_[None, :], cutoffs[None, :], rows, answers,
-                                   raw[rows, answers], masked[rows, answers] == -np.inf)
+        sizes, hits = set_outcomes(nonconf, masked, thresholds_[None, :], cutoffs[None, :], rows,
+                                   nonconf[rows, answers], raw[rows, answers], masked[rows, answers] == -np.inf)
 
         for i, mask in enumerate(masks):
             members = predict_set(model, int(predicates[i]), nonconf[i], candidate_ranks(raw[i], mask), mask)
@@ -352,8 +352,8 @@ class TestSetOutcomes:
         thresholds_ = np.array([[nonconf[0, 3], nonconf[1, 3]], [np.nan, 1.1], [math.inf, nonconf[1, 4]]])
         cutoffs = np.array([[6, 6], [2, 5], [4, 3]])
         rows = np.arange(2)
-        sizes, hits = set_outcomes(nonconf, masked, thresholds_, cutoffs, rows, answers, raw[rows, answers],
-                                   masked[rows, answers] == -np.inf)
+        sizes, hits = set_outcomes(nonconf, masked, thresholds_, cutoffs, rows, nonconf[rows, answers],
+                                   raw[rows, answers], masked[rows, answers] == -np.inf)
         for f, (t, k) in enumerate(zip(thresholds_, cutoffs)):
             for i, mask in enumerate(masks):
                 own = mask - {answers[i]}
@@ -367,8 +367,8 @@ class TestSetOutcomes:
         """Only softmax rows may be shared by several pairs: the whole-block compare sizes one pair per row."""
         raw = np.array([[1.0, 0.0, 2.0]])
         with pytest.raises(ValueError, match="softmax statistics"):
-            set_outcomes(raw, raw, np.array([[0.5]]), np.array([[1]]), np.array([0, 0]), np.array([0, 1]),
-                         raw[0, :2], np.zeros(2, dtype=bool))
+            set_outcomes(raw, raw, np.array([[0.5]]), np.array([[1]]), np.array([0, 0]), raw[0, :2], raw[0, :2],
+                         np.zeros(2, dtype=bool))
 
 
 class TestSerialization:

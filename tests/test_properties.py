@@ -4,8 +4,8 @@ calibration rank cutoff, the tuning cut of the calibration pairs, the conformal 
 coverage of kgcp and mcp, the predicate partition under tied distances, the stored per-part counts and score-only
 thresholds against their refit, the calibrated-model and predicate-vector files (round trip and truncation), the
 negative sampler against its per-candidate loop, the columnar queries, filter masks and score export against their
-per-pair versions, the one masked row the pairs of a query share, and score-file rows read on demand against the
-matrix."""
+per-pair versions, the one masked row the pairs of a query share, each pair's answer facts that the block pass
+yields, and score-file rows read on demand against the matrix."""
 
 import math
 import re
@@ -31,7 +31,7 @@ from kgconformal.kg import (DIRECTIONS, KGError, Query, QueryAnswerSet, SplitCon
                             rank_cuts, rank_of, split_triples)
 from kgconformal.models import (ScoreFile, ScoreMatrix, _sample_negatives, _triple_keys, export_predicate_vectors,
                                 export_scores, import_predicate_vectors, import_scores)
-from kgconformal.scores import ScorerConfig, log_sum_exp, softmax_scores
+from kgconformal.scores import ScorerConfig, log_sum_exp, nonconformity, softmax_scores
 from kgconformal.verify import leave_one_out_hits
 
 import query_oracle
@@ -77,29 +77,62 @@ def shared_rows(draw, scores, max_pairs=4):
     return rows, answers, masks
 
 
+def block_pass_inputs(case, data):
+    """A :func:`shared_rows` case as the block pass takes it: ``(source, rows, answers, indptr, indices)``.  The
+    drawn rows are padded to one width with scores below every drawn one, the pairs come in a drawn order, and each
+    score row has one CSR mask."""
+    cases, (rows, answers, masks) = case
+    n, width = len(cases), max(scores.size for scores, _ in cases)
+    raw = np.full((n, width), -5.0)
+    for i, (scores, _) in enumerate(cases):
+        raw[i, : scores.size] = scores
+    order = data.draw(st.permutations(range(len(rows))))
+    indptr = np.cumsum([0] + [len(m) for m in masks])
+    indices = np.array([e for m in masks for e in sorted(m)], dtype=np.int64)
+    queries = np.column_stack((np.zeros(n, dtype=np.int64), np.arange(n), np.zeros(n, dtype=np.int64)))
+    return ScoreMatrix(queries=queries, scores=raw), np.array(rows)[order], np.array(answers)[order], indptr, indices
+
+
 @given(st.lists(tied_scores_and_mask(), min_size=1, max_size=9).flatmap(
     lambda cases: st.tuples(st.just(cases), shared_rows(cases))), st.data())
 def test_block_answer_ranks_match_rank_of_and_brute_force_under_ties(case, data):
     """The calibration ranks of ``prepare_run`` and ``verify``: query rows shared by 1-4 pairs, pairs in shuffled
     order over blocks of 2, so a query's pairs straddle blocks; each pair is checked on its own mask."""
-    cases, (rows, answers, masks) = case
-    n, width = len(cases), max(scores.size for scores, _ in cases)
-    raw = np.full((n, width), -5.0)  # padding scores below every drawn one
-    for i, (scores, _) in enumerate(cases):
-        raw[i, : scores.size] = scores
-    order = data.draw(st.permutations(range(len(rows))))
-    rows, answers = np.array(rows)[order], np.array(answers)[order]
-    indptr = np.cumsum([0] + [len(m) for m in masks])  # one CSR slice per score row
-    indices = np.array([e for m in masks for e in sorted(m)], dtype=np.int64)
-    queries = np.column_stack((np.zeros(n, dtype=np.int64), np.arange(n), np.zeros(n, dtype=np.int64)))
+    source, rows, answers, indptr, indices = block_pass_inputs(case, data)
+    raw, masks = source.scores, case[1][2]
     with mock.patch.object(experiment, "EVAL_BLOCK_ROWS", 2):  # several blocks
-        nonconf, ranks = experiment.answer_nonconf_and_ranks(ScorerConfig(), ScoreMatrix(queries=queries, scores=raw),
-                                                             rows, answers, indptr, indices)
+        nonconf, ranks = experiment.answer_nonconf_and_ranks(ScorerConfig(), source, rows, answers, indptr, indices)
     for j, (row, a) in enumerate(zip(rows.tolist(), answers.tolist())):
         mask = masks[row] - {a}
-        kept = [e for e in range(width) if e not in mask]
+        kept = [e for e in range(raw.shape[1]) if e not in mask]
         assert ranks[j] == rank_of(raw[row], a, mask) == sum(raw[row, c] >= raw[row, a] for c in kept)
         assert nonconf[j] == softmax_scores(raw[row])[a]
+
+
+@given(st.lists(tied_scores_and_mask(), min_size=1, max_size=6).flatmap(
+    lambda cases: st.tuples(st.just(cases), shared_rows(cases))), st.sampled_from(["softmax", "aps", "raps"]),
+    st.data())
+def test_score_blocks_yield_each_pairs_answer_facts(case, kind, data):
+    """The block pass yields, per pair, its answer's raw score, its answer's nonconformity under its own draw bit
+    for bit, and ``e_j`` as "its row's CSR mask holds the answer"; each row's owner is its first pair in the block.
+    Query rows are shared by 1-4 pairs, filtered or raw, in shuffled order over blocks of 1-3 pairs, so queries
+    straddle blocks."""
+    source, rows, answers, indptr, indices = block_pass_inputs(case, data)
+    raw = source.scores
+    draws = 3 + np.array(data.draw(st.permutations(range(rows.size))))
+    scorer = ScorerConfig(kind=kind, rng_seed=data.draw(st.integers(0, 3)))
+    seen = np.zeros(rows.size, dtype=int)
+    with mock.patch.object(experiment, "EVAL_BLOCK_ROWS", data.draw(st.integers(1, 3))):
+        for block, unit, owner, _, _, answer_raw, answer_nonconf, added in experiment._score_blocks(
+                scorer, source, rows, answers, indptr, indices, draws):
+            for i, (j, u) in enumerate(zip(block.tolist(), unit.tolist())):
+                row, a = rows[j], answers[j]
+                assert answer_raw[i] == raw[row, a]
+                assert answer_nonconf[i] == nonconformity(raw[row], scorer, query_index=int(draws[j]))[a]
+                assert added[i] == (a in indices[indptr[row] : indptr[row + 1]])
+                assert owner[u] == block[np.flatnonzero(unit == u)[0]]
+            seen[block] += 1
+    assert np.all(seen == 1)
 
 
 @given(tied_scores_and_mask())
@@ -181,7 +214,8 @@ def test_set_outcomes_match_brute_force_sets_with_many_filters_per_call(case):
     for row, mask in enumerate(masks):
         masked[row, sorted(mask)] = -np.inf
     rows_in = (nonconf, masked) if lse is None else (lse, np.sort(masked, axis=1))
-    inputs = (*rows_in, thresholds, cutoffs, rows, answers, raw[rows, answers], masked[rows, answers] == -np.inf)
+    inputs = (*rows_in, thresholds, cutoffs, rows, nonconf[rows, answers], raw[rows, answers],
+              masked[rows, answers] == -np.inf)
     before = [x.copy() for x in inputs]
     sizes, hits = set_outcomes(*inputs)
     for got, was in zip(inputs, before):
@@ -246,7 +280,7 @@ def test_softmax_sizes_match_predict_set_over_rank_of(case):
         masked[r, sorted(mask)] = -np.inf
     filters = [query_filters(model, np.arange(n_rows), width) for model in fitted]
     sizes, hits = set_outcomes(lse, np.sort(masked, axis=1), np.stack([t for t, _ in filters]),
-                               np.stack([k for _, k in filters]), rows, answers, raw[rows, answers],
+                               np.stack([k for _, k in filters]), rows, nonconf[rows, answers], raw[rows, answers],
                                masked[rows, answers] == -np.inf)
     for j, (r, a) in enumerate(zip(rows.tolist(), answers.tolist())):
         mask = masks[r] - {a}
