@@ -409,9 +409,11 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.nda
 
     * each row's log-sum-exp of its raw scores (one value per row, :func:`scores.log_sum_exp`), whose
       nonconformity is ``lse - raw`` (:func:`scores.softmax_scores`); ``masked_raw`` then holds each row sorted
-      ascending, masked entities first, and several pairs may share a row;
-    * each row's nonconformity over all entities (APS, RAPS, or any one-pair rows), ``masked_raw`` in entity
-      order and one pair per row, else ValueError.
+      ascending, masked entities first;
+    * each pair's own nonconformity over all entities (APS, RAPS: one row per pair, since each pair draws its own
+      u), with ``masked_raw`` in entity order.
+
+    Either way several pairs may share a row.
 
     With ``b_k`` the k-th largest unmasked score of the row (:func:`kg.rank_cuts`; ``b_0 = +inf``, -inf past the
     end), cutoff ``k`` gives pair ``j``:
@@ -425,7 +427,8 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.nda
     Under softmax ``lse - raw`` does not rise where raw rises (IEEE subtraction is monotone), so a set is a top
     of the sorted row, ``min(P, m)`` long: ``P`` searches the threshold in ``lse - raw`` down the row, ``m`` the
     cut.  APS and RAPS break ties in p by index or position, so their nonconformity is no function of the raw
-    score: each filter compares the whole block, sorted once in a copy for the cuts.
+    score: each pair's nonconformity row is compared with its query's masked row, once for every filter, and the
+    query rows are sorted once in a copy for the cuts.
     Returns ``(sizes, hits)``, each shaped ``(len(thresholds), len(rows))``.
     """
     softmax = nonconf.ndim == 1
@@ -437,14 +440,10 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.nda
     cuts = np.where(added & (answer_raw >= b_k), b_k, b_next)
     sizes = np.empty(cuts.shape, dtype=np.int64)
     if not softmax:
-        if np.unique(rows).size < rows.size:
-            raise ValueError("rows shared by several pairs need their softmax statistics")
-        row_cuts = np.full(masked_raw.shape[0], -np.inf)
-        for f in range(n_filters):
-            row_cuts[rows] = cuts[f]
-            member = nonconf <= thresholds[f, :, None]
-            member &= masked_raw > row_cuts[:, None]
-            sizes[f] = member.sum(axis=1, dtype=np.int32)[rows]
+        for j, r in enumerate(rows.tolist()):
+            member = nonconf[j] <= thresholds[:, r, None]
+            member &= masked_raw[r] > cuts[:, j, None]
+            sizes[:, j] = member.sum(axis=1)
     else:
         thresholds = np.where(np.isnan(thresholds), -np.inf, thresholds)  # no lse - raw is at or below -inf
         descending = np.empty(width)  # lse - raw of the sorted row, largest score first

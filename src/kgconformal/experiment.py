@@ -75,6 +75,11 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method: {m} ({', '.join(METHODS)})")
+        for name in ("methods", "epsilons", "seeds"):
+            values = list(getattr(self, name))
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{name} lists {value} more than once: {values}")
         if self.tune_objective not in ("ef", "covgap", "avesize"):
             raise ValueError(f"unknown tune_objective: {self.tune_objective} (ef, covgap or avesize)")
         if not all(0.0 < epsilon < 1.0 for epsilon in self.epsilons):
@@ -297,17 +302,17 @@ def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: n
     ``EVAL_BLOCK_ROWS`` pairs: the one place a pair's answer is read.
 
     Pair ``j`` reads score row ``rows[j]``.  The pairs are visited in stable ``rows`` order, so the pairs of one
-    query are adjacent; a query may straddle two blocks.  ``block`` holds the block's pair indices, and pair
-    ``block[i]`` owns row ``unit[i]`` of ``nonconf`` and ``masked``, whose first pair is ``owner[unit[i]]``.  Under
-    softmax a row is a query's, shared by its pairs in the block; APS and RAPS draw a u per pair, so each pair owns
-    a row.  The source fills each query row once; a pair's own row is a copy of it.  ``answer_raw`` holds each
-    pair's answer score, read before each ``masked`` row gets its score row's CSR mask at -inf, and ``added`` its
-    ``e_j``, whether the row masks the answer, read right after.  Under softmax ``nonconf`` holds each row's
-    :func:`scores.log_sum_exp` of its raw scores, so that ``answer_nonconf``, the answer's nonconformity, is
-    ``lse - answer_raw`` as :func:`scores.softmax_scores` computes it, and only ``masked`` is a block-sized
-    buffer.  Under APS and RAPS it holds each row's nonconformity over all entities, drawn as query ``draws[j]``
-    of the row's pair ``j``, so a pair keeps its u in every pass that gives it the same draw index.  The arrays of
-    a block are views of buffers the next block overwrites; a consumer may sort ``masked`` in place.
+    query are adjacent; a query may straddle two blocks.  ``block`` holds the block's pair indices; ``masked`` holds
+    one row per distinct query of the block, filled once by the source, and pair ``block[i]`` reads its row
+    ``unit[i]``, whose first pair is ``owner[unit[i]]``.  ``answer_raw`` holds each pair's answer score, read before
+    each ``masked`` row gets its score row's CSR mask at -inf, and ``added`` its ``e_j``, whether the row masks the
+    answer, read right after.  Under softmax ``nonconf`` holds each query row's :func:`scores.log_sum_exp` of its
+    raw scores, so that ``answer_nonconf``, the answer's nonconformity, is ``lse - answer_raw`` as
+    :func:`scores.softmax_scores` computes it, and only ``masked`` is a block-sized buffer.  APS and RAPS draw a u
+    per pair, so under them ``nonconf`` holds one row per pair (row ``i`` for ``block[i]``): the nonconformity
+    over all entities of its query's row before the mask, drawn as query ``draws[j]`` of pair ``j``, so a pair
+    keeps its u in every pass that gives it the same draw index.  The arrays of a block are views of buffers the
+    next block overwrites; a consumer may sort ``masked`` in place.
     """
     n = rows.shape[0]
     order = np.argsort(rows, kind="stable")
@@ -320,23 +325,19 @@ def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: n
         query_rows = rows[block]
         first = np.ones(block.size, dtype=bool)  # the block's first pair of each query
         first[1:] = query_rows[1:] != query_rows[:-1]
-        query = np.cumsum(first) - 1
-        unit = query if softmax else np.arange(block.size)
-        masked, nonconf = buffer[: unit[-1] + 1], row_values[: unit[-1] + 1]
-        source.fill(query_rows[first], masked[: query[-1] + 1])
-        # from the back, so each query row is copied to its pairs before a pair's copy overwrites it
-        for i in np.flatnonzero(unit != query)[::-1].tolist():
-            masked[i] = masked[query[i]]
+        unit, owner = np.cumsum(first) - 1, block[first]
+        masked, nonconf = buffer[: owner.size], row_values[: owner.size if softmax else block.size]
+        source.fill(query_rows[first], masked)
         at = (unit, answers[block])
         answer_raw = masked[at]
-        owner = block[first] if softmax else block
-        for i, (q, s) in enumerate(zip(draws[owner].tolist(), rows[owner].tolist())):
+        if not softmax:  # a u per pair, drawn over its query's row before the mask
+            for j, (i, q) in enumerate(zip(unit.tolist(), draws[block].tolist())):
+                nonconf[j] = scores.nonconformity(masked[i], scorer, query_index=q)
+        for i, s in enumerate(query_rows[first].tolist()):
             if softmax:
                 nonconf[i] = scores.log_sum_exp(masked[i], out=exps)
-            else:
-                nonconf[i] = scores.nonconformity(masked[i], scorer, query_index=q)
-            masked[i, indices[indptr[s] : indptr[s + 1]]] = -np.inf  # score row s's mask, once per unit row
-        answer_nonconf = nonconf[unit] - answer_raw if softmax else nonconf[at]
+            masked[i, indices[indptr[s] : indptr[s + 1]]] = -np.inf  # score row s's mask, once per query row
+        answer_nonconf = nonconf[unit] - answer_raw if softmax else nonconf[np.arange(block.size), at[1]]
         yield block, unit, owner, nonconf, masked, answer_raw, answer_nonconf, masked[at] == -np.inf
 
 

@@ -59,8 +59,11 @@ def generate_triples(spec: SyntheticKGSpec) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
     clusters = rng.integers(0, spec.n_clusters, size=spec.n_entities)
     members = [np.flatnonzero(clusters == c) for c in range(spec.n_clusters)]
-    if spec.rules is not None and any(m.size == 0 for m in members):
-        raise RuntimeError("explicit rules need every cluster to be non-empty")
+    for r, rule in enumerate(spec.rules or []):
+        for c in rule:
+            if members[c].size == 0:
+                raise ValueError(f"predicate {r}: rules[{r}] names cluster {c}, which holds no entity "
+                                 f"(n_entities {spec.n_entities}, n_clusters {spec.n_clusters}, seed {spec.seed})")
     if spec.rules is None:
         members = [m for m in members if m.size > 0]
     n_clusters = len(members)
@@ -79,7 +82,8 @@ def generate_triples(spec: SyntheticKGSpec) -> np.ndarray:
         while produced < spec.triple_counts[r]:
             attempts += 1
             if attempts > 1000 * spec.triple_counts[r]:
-                raise RuntimeError(f"predicate {r}: cannot place {spec.triple_counts[r]} distinct triples")
+                raise ValueError(f"predicate {r}: cannot place triple_counts[{r}] = {spec.triple_counts[r]} distinct "
+                                 f"triples among n_entities {spec.n_entities}")
             h = int(rng.choice(members[src]))
             if rng.random() < rates[r]:
                 t = int(rng.integers(0, spec.n_entities))

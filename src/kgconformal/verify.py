@@ -119,7 +119,7 @@ def _outcomes(pool: experiment.RunData, nonconf: np.ndarray, fitted, test_idx) -
     filters = [conformal.query_filters(model, pool.test.predicate[test_idx], pool.kg.vocab.n_entities)
                for model in fitted]
     nonconf, raw, answers = nonconf[test_idx], pool.score_rows.scores[test_idx], pool.test.answer[test_idx]
-    rows = np.arange(test_idx.size)  # one pair per query row and no masks: set_outcomes compares the whole block
+    rows = np.arange(test_idx.size)  # one pair per query row and no masks: each pair's row against its own raw row
     return conformal.set_outcomes(nonconf, raw, *map(np.stack, zip(*filters)), rows, nonconf[rows, answers],
                                   raw[rows, answers], np.zeros(rows.size, dtype=bool))
 

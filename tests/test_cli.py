@@ -537,6 +537,34 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not (tmp_path / "out" / "model_s0.npz").exists()
 
+    @pytest.mark.parametrize("flag, values, message", [
+        ("--seeds", "0,1,0", "seeds lists 0 more than once: [0, 1, 0]"),
+        ("--epsilons", "0.1,0.2,0.1", "epsilons lists 0.1 more than once: [0.1, 0.2, 0.1]"),
+        ("--methods", "kgcp,mcp,kgcp", "methods lists kgcp more than once: ['kgcp', 'mcp', 'kgcp']"),
+    ], ids=["seeds", "epsilons", "methods"])
+    def test_repeated_list_value_is_named(self, tmp_path, dataset, capsys, flag, values, message):
+        """A repeated seed would count as another seed in summary.json, a repeated ε or method would write its
+        report rows twice: the config is refused before any training."""
+        config = write_config(tmp_path, dataset)
+        assert cli.main(["run", "--config", str(config), flag, values]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_impossible_triple_count_names_the_predicate_and_field(self, tmp_path, capsys):
+        """Two entities hold at most four distinct triples of a predicate, so 100 cannot be placed."""
+        assert cli.main(["generate", "--entities", "2", "--counts", "100", "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == ("error: predicate 0: cannot place triple_counts[0] = 100 distinct triples "
+                                           "among n_entities 2\n")
+
+    def test_synthetic_rule_naming_an_empty_cluster_names_the_predicate_and_rule(self, tmp_path, dataset, capsys):
+        """Seed 0 puts the two entities in clusters 6 and 5, so cluster 0 is empty."""
+        spec = {"n_entities": 2, "n_predicates": 2, "triple_counts": [2, 2], "n_clusters": 8,
+                "rules": [[5, 6], [5, 0]], "seed": 0}
+        config = edited(without_dataset(write_config(tmp_path, dataset)), synthetic=spec)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == ("error: predicate 1: rules[1] names cluster 0, which holds no entity "
+                                           "(n_entities 2, n_clusters 8, seed 0)\n")
+
     @pytest.mark.parametrize("what", ["config", "scorer"])
     def test_config_that_is_not_an_object(self, tmp_path, dataset, capsys, what):
         config = write_config(tmp_path, dataset)

@@ -340,7 +340,7 @@ class TestSetOutcomes:
 
     def test_raps_row_with_underflowed_ties_is_compared_entity_by_entity(self):
         """RAPS orders entities whose probability underflows to 0 by index and penalises them by position, so their
-        nonconformity differs at one raw score and no raw-score cut gives their sets: one pair per row is compared
+        nonconformity differs at one raw score and no raw-score cut gives their sets: each pair's row is compared
         whole, and equals predict_set."""
         raw = np.array([[5.0, -1000.0, 0.0, -1000.0, -1000.0, 4.0]] * 2)
         nonconf = np.array([raps_scores(row, 0.3, lam=0.2, k_reg=1) for row in raw])
@@ -362,13 +362,6 @@ class TestSetOutcomes:
                 assert sizes[f, i] == members.size
                 assert hits[f, i] == (answers[i] in members)
         assert 0 < sizes.sum() and 0 < hits.sum() < hits.size
-
-    def test_shared_rows_without_softmax_statistics_are_refused(self):
-        """Only softmax rows may be shared by several pairs: the whole-block compare sizes one pair per row."""
-        raw = np.array([[1.0, 0.0, 2.0]])
-        with pytest.raises(ValueError, match="softmax statistics"):
-            set_outcomes(raw, raw, np.array([[0.5]]), np.array([[1]]), np.array([0, 0]), raw[0, :2], raw[0, :2],
-                         np.zeros(2, dtype=bool))
 
 
 class TestSerialization:

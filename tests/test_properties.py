@@ -1,11 +1,11 @@
 """Property tests: ranks and rank cuts under tied scores, set sizes and hits of query rows shared by several pairs
-against brute-force sets on each pair's own mask and, on softmax rows, against predict_set over rank_of, the
-calibration rank cutoff, the tuning cut of the calibration pairs, the conformal quantile, the leave-one-out
-coverage of kgcp and mcp, the predicate partition under tied distances, the stored per-part counts and score-only
-thresholds against their refit, the calibrated-model and predicate-vector files (round trip and truncation), the
-negative sampler against its per-candidate loop, the columnar queries, filter masks and score export against their
-per-pair versions, the one masked row the pairs of a query share, each pair's answer facts that the block pass
-yields, and score-file rows read on demand against the matrix."""
+against brute-force sets on each pair's own mask and nonconformity row and, on softmax rows, against predict_set
+over rank_of, the calibration rank cutoff, the tuning cut of the calibration pairs, the conformal quantile, the
+leave-one-out coverage of kgcp and mcp, the predicate partition under tied distances, the stored per-part counts
+and score-only thresholds against their refit, the calibrated-model and predicate-vector files (round trip and
+truncation), the negative sampler against its per-candidate loop, the columnar queries, filter masks and score
+export against their per-pair versions, the one masked row the pairs of a query share, each pair's answer facts
+that the block pass yields, and score-file rows read on demand against the matrix."""
 
 import math
 import re
@@ -61,15 +61,15 @@ def test_candidate_ranks_match_rank_of_and_brute_force_under_ties(case):
 
 
 @st.composite
-def shared_rows(draw, scores, max_pairs=4):
-    """Query rows of ``scores`` (one per row) that 1 to ``max_pairs`` pairs share, and each row's mask: its known
+def shared_rows(draw, scores):
+    """Query rows of ``scores`` (one per row) that 1 to 4 pairs share, and each row's mask: its known
     answers (its drawn mask plus every pair's answer) when filtered, nothing when raw (both forms drawn).  Returns
     ``(rows, answers, masks)``: rows and answers in pair order, one mask per row.  A pair's own mask is its row's but
     its answer."""
     filtered = draw(st.booleans())
     rows, answers, masks = [], [], []
     for row, (values, extra) in enumerate(scores):
-        own = draw(st.lists(st.integers(0, values.size - 1), min_size=1, max_size=min(max_pairs, values.size),
+        own = draw(st.lists(st.integers(0, values.size - 1), min_size=1, max_size=min(4, values.size),
                             unique=True))
         rows += [row] * len(own)
         answers += own
@@ -115,20 +115,26 @@ def test_block_answer_ranks_match_rank_of_and_brute_force_under_ties(case, data)
 def test_score_blocks_yield_each_pairs_answer_facts(case, kind, data):
     """The block pass yields, per pair, its answer's raw score, its answer's nonconformity under its own draw bit
     for bit, and ``e_j`` as "its row's CSR mask holds the answer"; each row's owner is its first pair in the block.
-    Query rows are shared by 1-4 pairs, filtered or raw, in shuffled order over blocks of 1-3 pairs, so queries
-    straddle blocks."""
+    Every scorer yields one masked row per distinct query of the block; under APS and RAPS each pair's yielded
+    nonconformity row equals its own draw over its query's unmasked row, bit for bit over every entity.  Query rows
+    are shared by 1-4 pairs, filtered or raw, in shuffled order over blocks of 1-3 pairs, so queries straddle
+    blocks."""
     source, rows, answers, indptr, indices = block_pass_inputs(case, data)
     raw = source.scores
     draws = 3 + np.array(data.draw(st.permutations(range(rows.size))))
     scorer = ScorerConfig(kind=kind, rng_seed=data.draw(st.integers(0, 3)))
     seen = np.zeros(rows.size, dtype=int)
     with mock.patch.object(experiment, "EVAL_BLOCK_ROWS", data.draw(st.integers(1, 3))):
-        for block, unit, owner, _, _, answer_raw, answer_nonconf, added in experiment._score_blocks(
+        for block, unit, owner, nonconf, masked, answer_raw, answer_nonconf, added in experiment._score_blocks(
                 scorer, source, rows, answers, indptr, indices, draws):
+            assert len(masked) == len(owner) == np.unique(rows[block]).size
             for i, (j, u) in enumerate(zip(block.tolist(), unit.tolist())):
                 row, a = rows[j], answers[j]
+                own = nonconformity(raw[row], scorer, query_index=int(draws[j]))
                 assert answer_raw[i] == raw[row, a]
-                assert answer_nonconf[i] == nonconformity(raw[row], scorer, query_index=int(draws[j]))[a]
+                assert answer_nonconf[i] == own[a]
+                if kind != "softmax":
+                    assert np.array_equal(nonconf[i], own)
                 assert added[i] == (a in indices[indptr[row] : indptr[row + 1]])
                 assert owner[u] == block[np.flatnonzero(unit == u)[0]]
             seen[block] += 1
@@ -168,31 +174,33 @@ def softmax_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @st.composite
 def set_outcome_cases(draw):
-    """Query rows of tied raw scores, masked once (:func:`shared_rows`; some rows know every entity), and several
-    filters per call, one per row.  Either the rows hold -log softmax of their raw scores, with each row's
-    log-sum-exp, and 1-4 pairs share each, or they hold arbitrary nonconformity values on a quarter grid and one pair each.
-    Thresholds are on the grid, at one of the row's own values, +inf or NaN; cutoffs of a filter without a rank cut
-    are all at least the row width, those of a ranked filter anywhere in 0..width+1."""
+    """Query rows of tied raw scores, masked once and shared by 1-4 pairs each (:func:`shared_rows`; some rows know
+    every entity), and several filters per call, one per row.  Each pair has a nonconformity row of its own: either
+    its query row's -log softmax of the raw scores, given as each row's log-sum-exp, or values on a quarter grid
+    drawn per pair, as APS and RAPS draw a u per pair.  Thresholds are on the grid, at one of the row's pairs' own
+    values, +inf or NaN; cutoffs of a filter without a rank cut are all at least the row width, those of a ranked
+    filter anywhere in 0..width+1."""
     n_rows, width = draw(st.integers(1, 5)), draw(st.integers(1, 10))
     raw = draw(hnp.arrays(np.float64, (n_rows, width), elements=st.integers(-2, 2)))
-    if draw(st.booleans()):
-        nonconf, softmax = softmax_rows(raw)
-    else:
-        nonconf = draw(hnp.arrays(np.float64, (n_rows, width),
-                                  elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, math.inf])))
-        softmax = None
     known = [set(range(width)) if draw(st.booleans()) else draw(st.sets(st.integers(0, width - 1)))
              for _ in range(n_rows)]
-    rows, answers, masks = draw(shared_rows([(row, extra) for row, extra in zip(raw, known)],
-                                            max_pairs=1 if softmax is None else 4))
+    rows, answers, masks = draw(shared_rows(list(zip(raw, known))))
+    rows, answers = np.array(rows), np.array(answers)
+    if draw(st.booleans()):
+        nonconf, softmax = softmax_rows(raw)
+        nonconf = nonconf[rows]
+    else:
+        nonconf = draw(hnp.arrays(np.float64, (rows.size, width),
+                                  elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, math.inf])))
+        softmax = None
     thresholds, cutoffs = [], []
     for _ in range(draw(st.integers(1, 8))):
-        thresholds.append([draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf, math.nan, *nonconf[r].tolist()]))
+        thresholds.append([draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf, math.nan,
+                                                 *nonconf[rows == r].ravel().tolist()]))
                            for r in range(n_rows)])
         low = 0 if draw(st.booleans()) else width
         cutoffs.append(draw(st.lists(st.integers(low, width + 1), min_size=n_rows, max_size=n_rows)))
-    return (nonconf, raw, np.array(rows), np.array(answers), masks, np.array(thresholds),
-            np.array(cutoffs, dtype=np.int64), softmax)
+    return nonconf, raw, rows, answers, masks, np.array(thresholds), np.array(cutoffs, dtype=np.int64), softmax
 
 
 TIED = np.array([[1.0, 1.0, 0.0]])
@@ -203,18 +211,18 @@ TIED = np.array([[1.0, 1.0, 0.0]])
 @example((np.array([[0.5, 0.5, 0.0]]), np.array([[1.0, 2.0, 0.0]]), np.array([0]), np.array([0]), [{1}],
           np.array([[0.5], [math.nan], [0.5]]), np.array([[3], [3], [1]]), None))
 # two pairs whose answers the row masks: the first scores exactly b_1, the only unmasked score, the second below it
-@example((softmax_rows(TIED)[0], TIED, np.array([0, 0]), np.array([0, 2]), [{0, 2}],
+@example((softmax_rows(TIED)[0][[0, 0]], TIED, np.array([0, 0]), np.array([0, 2]), [{0, 2}],
           np.array([[math.inf], [math.inf]]), np.array([[1], [2]]), softmax_rows(TIED)[1]))
 def test_set_outcomes_match_brute_force_sets_with_many_filters_per_call(case):
-    """Each (filter, pair) size and hit equals the brute-force set on the pair's own mask: candidates with
-    ``nonconf <= threshold`` and a pessimistic filtered rank within the cutoff: its row's mask but its answer.
-    Softmax rows are passed as their log-sum-exp and sorted.  The inputs come back unchanged."""
+    """Each (filter, pair) size and hit equals the brute-force set on the pair's own mask and nonconformity row:
+    candidates with ``nonconf <= threshold`` and a pessimistic filtered rank within the cutoff: its row's mask but
+    its answer.  Softmax rows are passed as their log-sum-exp and sorted.  The inputs come back unchanged."""
     nonconf, raw, rows, answers, masks, thresholds, cutoffs, lse = case
     masked = raw.copy()
     for row, mask in enumerate(masks):
         masked[row, sorted(mask)] = -np.inf
     rows_in = (nonconf, masked) if lse is None else (lse, np.sort(masked, axis=1))
-    inputs = (*rows_in, thresholds, cutoffs, rows, nonconf[rows, answers], raw[rows, answers],
+    inputs = (*rows_in, thresholds, cutoffs, rows, nonconf[np.arange(rows.size), answers], raw[rows, answers],
               masked[rows, answers] == -np.inf)
     before = [x.copy() for x in inputs]
     sizes, hits = set_outcomes(*inputs)
@@ -223,7 +231,7 @@ def test_set_outcomes_match_brute_force_sets_with_many_filters_per_call(case):
     for f, j in np.ndindex(sizes.shape):
         row = rows[j]
         kept = [e for e in range(raw.shape[1]) if e not in masks[row] - {answers[j]}]
-        members = {e for e in kept if nonconf[row, e] <= thresholds[f, row]
+        members = {e for e in kept if nonconf[j, e] <= thresholds[f, row]
                    and sum(raw[row, c] >= raw[row, e] for c in kept) <= cutoffs[f, row]}
         assert sizes[f, j] == len(members)
         assert hits[f, j] == (answers[j] in members)

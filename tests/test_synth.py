@@ -59,7 +59,7 @@ class TestGenerate:
             spec(**kw)
 
     def test_impossible_count_raises(self):
-        with pytest.raises(RuntimeError, match="cannot place"):
+        with pytest.raises(ValueError, match=re.escape("predicate 0: cannot place triple_counts[0] = 100")):
             generate_triples(SyntheticKGSpec(
                 n_entities=3, n_predicates=1, triple_counts=[100],
                 noise_rates=0.0, n_clusters=1, seed=0,

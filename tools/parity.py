@@ -1,4 +1,4 @@
-"""Write the parity fixtures: nine configs, each run staged and end to end, into one directory.
+"""Write the parity fixtures: ten configs, each run staged and end to end, into one directory.
 
 A refactor that claims "same numbers" is checked by running this on two
 trees and comparing the outputs byte for byte::
@@ -46,6 +46,8 @@ CONFIGS = {
                            "epsilons": [0.1, 0.2]},
     "transe-tail-only": {"model_kind": "transe", "both_directions": False, "epsilons": [0.1, 0.2]},
     "transe-dim64": {"model_kind": "transe", "dim": 64, "epsilons": [0.05]},
+    "transe-aps-tune-split": {"model_kind": "transe", "scorer": {"kind": "aps"}, "tune": True,
+                              "split_directions": True, "epsilons": [0.1, 0.2]},
 }
 GENERATE = ["generate", "--entities", "100", "--counts", "200", "100", "60", "40", "30", "--seed", "0",
             "--out", "data"]
