@@ -184,6 +184,8 @@ def _write_reports(out: Path, reports, rows, plot_data: bool = False) -> None:
 
 
 def cmd_verify_bounds(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     results = verify.run_all_checks(seed=args.seed)
     for result in results:
         print(result.line())

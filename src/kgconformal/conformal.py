@@ -413,7 +413,8 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.nda
     * each pair's own nonconformity over all entities (APS, RAPS: one row per pair, since each pair draws its own
       u), with ``masked_raw`` in entity order.
 
-    Either way several pairs may share a row.
+    Either way several pairs may share a row.  The softmax form sizes each run of equal ``rows`` as one slice, so
+    it visits each row once when a row's pairs are adjacent, as ``experiment._score_blocks`` yields them.
 
     With ``b_k`` the k-th largest unmasked score of the row (:func:`kg.rank_cuts`; ``b_0 = +inf``, -inf past the
     end), cutoff ``k`` gives pair ``j``:
@@ -447,11 +448,12 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.nda
     else:
         thresholds = np.where(np.isnan(thresholds), -np.inf, thresholds)  # no lse - raw is at or below -inf
         descending = np.empty(width)  # lse - raw of the sorted row, largest score first
-        for i, lse in enumerate(nonconf.tolist()):
-            pairs = rows == i
-            np.subtract(lse, ordered[i, ::-1], out=descending)
-            sizes[:, pairs] = np.minimum(np.searchsorted(descending, thresholds[:, i, None], side="right"),
-                                         width - np.searchsorted(ordered[i], cuts[:, pairs], side="right"))
+        starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()  # each run of one row's pairs
+        for start, stop in zip(starts, starts[1:] + [rows.size]):
+            i = rows[start]
+            np.subtract(nonconf[i], ordered[i, ::-1], out=descending)
+            sizes[:, start:stop] = np.minimum(np.searchsorted(descending, thresholds[:, i, None], side="right"),
+                                              width - np.searchsorted(ordered[i], cuts[:, start:stop], side="right"))
     sizes += added & hits
     return sizes, hits
 

@@ -80,6 +80,8 @@ class ExperimentConfig:
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ValueError(f"{name} lists {value} more than once: {values}")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
         if self.tune_objective not in ("ef", "covgap", "avesize"):
             raise ValueError(f"unknown tune_objective: {self.tune_objective} (ef, covgap or avesize)")
         if not all(0.0 < epsilon < 1.0 for epsilon in self.epsilons):
@@ -452,32 +454,14 @@ def _filters(data: EvalData, groups: list,
     return thresholds, cutoffs
 
 
-def _prop1_bound_checks(model: conformal.CalibratedModel, direction: str | None, test_predicates: np.ndarray,
-                        hits: np.ndarray) -> dict[tuple[str | None, int], bool]:
-    """Point check of the per-part conditional coverage bounds on one direction group's test pairs.
-
-    ``hits`` flags the group's test pairs whose set holds the answer.  Keyed
-    ``(direction, part)``; n_g is the part's stored calibration count.
-    """
-    test_part = model.part_ids(test_predicates)
-    checks: dict[tuple[str | None, int], bool] = {}
-    for g in np.unique(test_part).tolist():
-        flags = hits[test_part == g]
-        pc = model.per_part[g]
-        lower, upper = conformal.prop1_bounds(model.epsilon, model.gamma, pc.rank_miscoverage, pc.n_cal)
-        slack = 3.0 * math.sqrt(0.25 / flags.size)  # binomial half-width at 3 SE
-        cov = float(np.mean(flags))
-        checks[(direction, g)] = (lower - slack) <= cov <= (upper + slack)
-    return checks
-
-
 def evaluate(config: ExperimentConfig, seed: int, data: EvalData,
              fitted: dict[tuple, conformal.CalibratedModel]) -> list[metrics.EvaluationReport]:
     """Reports of the models :func:`calibrate` fitted, one per (epsilon, method).
 
     Each method's sets are scored against kgcp's (EF); condkgcp reports also
     carry the shrinkage diagnostics, against each part's stored score-only
-    threshold (:func:`conformal.score_only`), and the Prop-1 bound checks.
+    threshold (:func:`conformal.score_only`).  Prop 1's coverage bounds are
+    checked by ``verify``, not here.
     Everything but the test pairs comes from the models, so ``data`` needs no
     calibration pass (:func:`prepare_test`).  No set is materialised: every
     test pair reduces to its set size and answer hit (:func:`_outcomes`).
@@ -506,15 +490,11 @@ def evaluate(config: ExperimentConfig, seed: int, data: EvalData,
             if method != "kgcp":
                 rep.ef = metrics.efficiency_rate(rep.covgap, rep.avesize, reference.covgap, reference.avesize)
             if method == "condkgcp":
-                dual_sizes, dual_hits = outcome[("condkgcp", epsilon)]
+                dual_sizes = outcome[("condkgcp", epsilon)][0]
                 score_only_sizes = outcome[("score-only", epsilon)][0]
-                shrinkage = []
-                for (direction, _, test_idx), model in zip(groups, per_group[("condkgcp", epsilon)]):
-                    test_predicates = data.test.predicate[test_idx]
-                    shrinkage.append(conformal.verify_shrinkage(model.partition, test_predicates,
-                                                                dual_sizes[test_idx], score_only_sizes[test_idx]))
-                    rep.bound_checks.update(_prop1_bound_checks(model, direction, test_predicates,
-                                                                dual_hits[test_idx]))
+                shrinkage = [conformal.verify_shrinkage(model.partition, data.test.predicate[test_idx],
+                                                        dual_sizes[test_idx], score_only_sizes[test_idx])
+                             for (_, _, test_idx), model in zip(groups, per_group[("condkgcp", epsilon)])]
                 rep.csr = float(np.nanmean([s.csr for s in shrinkage]))
                 rep.sigma_bar = float(np.nanmean([s.sigma_bar for s in shrinkage]))
             reports.append(rep)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class EvaluationReport:
     ef: float | str | None = None
     csr: float | None = None
     sigma_bar: float | None = None
-    bound_checks: dict[tuple[str | None, int], bool] = field(default_factory=dict)  # (direction, part)
 
     def row(self) -> dict:
         return {
@@ -109,7 +108,8 @@ def evaluate_outcomes(method: str, epsilon: float, seed: int, predicates, sizes,
 
 
 def aggregate_rows(reports: list[EvaluationReport]) -> list[dict]:
-    """Mean +/- std across seeds per (method, epsilon); EF reported as mean only."""
+    """Mean +/- std across seeds per (method, epsilon); EF reported as the mean over the seeds where it did not
+    fail, ``"failure"`` when it failed on every seed, and None when no report has one (kgcp, the EF reference)."""
     groups: dict[tuple[str, float], list[EvaluationReport]] = {}
     for rep in reports:
         groups.setdefault((rep.method, rep.epsilon), []).append(rep)
@@ -118,6 +118,7 @@ def aggregate_rows(reports: list[EvaluationReport]) -> list[dict]:
         gaps = np.array([r.covgap for r in group])
         sizes = np.array([r.avesize for r in group])
         efs = [r.ef for r in group if isinstance(r.ef, float)]
+        any_ef = any(r.ef is not None for r in group)
         rows.append({
             "method": method,
             "epsilon": epsilon,
@@ -126,7 +127,7 @@ def aggregate_rows(reports: list[EvaluationReport]) -> list[dict]:
             "covgap_std": float(gaps.std()),
             "avesize_mean": float(sizes.mean()),
             "avesize_std": float(sizes.std()),
-            "ef_mean": float(np.mean(efs)) if efs else EF_FAILURE,
+            "ef_mean": float(np.mean(efs)) if efs else EF_FAILURE if any_ef else None,
         })
     return rows
 
@@ -136,10 +137,10 @@ def format_table(rows: list[dict]) -> str:
     lines = [header, "-" * len(header)]
     for row in rows:
         ef = row["ef_mean"]
-        ef_text = f"{ef:10.2f}" if isinstance(ef, float) else f"{ef:>10}"
+        ef_text = f"{ef:10.2f}" if isinstance(ef, float) else f"{ef or '':>10}"  # blank without an EF
         lines.append(
             f"{row['method']:<10} {row['epsilon']:>5.2f} "
             f"{row['covgap_mean']:8.3f}±{row['covgap_std']:<7.3f} "
-            f"{row['avesize_mean']:9.2f}±{row['avesize_std']:<8.2f} {ef_text}"
+            f"{row['avesize_mean']:9.2f}±{row['avesize_std']:<8.2f} {ef_text}".rstrip()
         )
     return "\n".join(lines)

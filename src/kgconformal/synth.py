@@ -32,6 +32,8 @@ class SyntheticKGSpec:
         for name in ("n_entities", "n_clusters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(self.triple_counts) != self.n_predicates:
             raise ValueError("need one triple count per predicate")
         if any(c < 1 for c in self.triple_counts):

@@ -1,7 +1,8 @@
 """Verification of the coverage and shrinkage guarantees through the code that a run executes.
 
 Every check fits through ``experiment.METHODS`` and reduces through ``conformal.query_filters`` and
-``conformal.set_outcomes``.  Marginal coverage of kgcp and mcp is checked exactly, by split conformal's
+``conformal.set_outcomes``, which sizes each set by the lse search of every softmax run: each query row goes in as
+its log-sum-exp and its sorted raw scores.  This is the one place Prop 1's bounds are checked.  Marginal coverage of kgcp and mcp is checked exactly, by split conformal's
 leave-one-out identity on one seeded multiset.  Per-part conditional coverage of the dual calibration, and the
 set-size shrinkage implied by the rank filter, are Monte-Carlo estimates over resamples of calibration and test
 pairs from one synthetic pool.
@@ -15,9 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import conformal, experiment, models
+from . import conformal, experiment, models, scores
 from .kg import KnowledgeGraph, QueryAnswerSet, Vocab
-from .scores import ScorerConfig, softmax_scores
 
 __all__ = [
     "CheckResult",
@@ -55,16 +55,17 @@ def _run_data(predicates, answers, raw, calib_nonconf=None, calib_ranks=None) ->
 def leave_one_out_hits(method: str, predicates, nonconf, epsilon: float) -> np.ndarray:
     """Whether pair ``i``'s answer is in the set that ``experiment.METHODS[method]`` fits on all pairs but ``i``.
 
-    Pair ``i`` is a test pair on a one-entity query row, its answer at ``nonconf[i]``.  ``conformal.query_filters``
-    turns each fit into a filter over every row, one ``conformal.set_outcomes`` call sizes every (fit, pair), and
-    pair ``i``'s hit is read at fit ``i``.
+    Pair ``i`` is a test pair on a one-entity query row: its answer, scored 0, with log-sum-exp ``nonconf[i]``, so
+    its nonconformity is exactly ``nonconf[i] - 0.0 == nonconf[i]``.  ``conformal.query_filters`` turns each fit
+    into a filter over every row, one ``conformal.set_outcomes`` call sizes every (fit, pair), and pair ``i``'s hit
+    is read at fit ``i``.
     """
     nonconf = np.asarray(nonconf, dtype=np.float64)
     n = nonconf.size
     data = _run_data(np.asarray(predicates, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros((n, 1)),
                      nonconf, np.ones(n, dtype=np.int64))  # the one entity ranks first
     fitted = [experiment.METHODS[method](data, np.delete(np.arange(n), i), epsilon, 0.0, 0) for i in range(n)]
-    return _outcomes(data, nonconf[:, None], fitted, np.arange(n))[1].diagonal().copy()
+    return _outcomes(data, nonconf, data.score_rows.scores, fitted, np.arange(n))[1].diagonal().copy()
 
 
 def marginal_coverage_check(n_cal: int = 19, epsilon: float = 0.1, seed: int = 0) -> CheckResult:
@@ -85,8 +86,9 @@ def marginal_coverage_check(n_cal: int = 19, epsilon: float = 0.1, seed: int = 0
     return CheckResult("marginal-coverage", passed, "held-out values covered: " + "; ".join(details), stats)
 
 
-def _pool(rng, n_parts: int, pool_size: int, n_entities: int) -> tuple[experiment.RunData, np.ndarray]:
-    """``pool_size`` synthetic pairs per predicate as one :func:`_run_data` run, plus every pair's nonconformity row.
+def _pool(rng, n_parts: int, pool_size: int, n_entities: int) -> tuple[experiment.RunData, np.ndarray, np.ndarray]:
+    """``pool_size`` synthetic pairs per predicate as one :func:`_run_data` run, plus each pair's row in the form
+    ``conformal.set_outcomes`` sizes softmax sets from: its ``scores.log_sum_exp`` and its raw scores sorted.
 
     Scores are standard normal with the answer boosted by a per-predicate
     quality from 3 down to 0.75.  A resample is a pair of index arrays.  The
@@ -102,9 +104,8 @@ def _pool(rng, n_parts: int, pool_size: int, n_entities: int) -> tuple[experimen
     raw, answer = raw.reshape(-1, n_entities), answer.ravel()
     pool = _run_data(np.repeat(np.arange(n_parts), pool_size), answer, raw)
     pool.calib_nonconf, pool.calib_ranks = experiment.answer_nonconf_and_ranks(
-        ScorerConfig(), pool.score_rows, pool.test_rows, answer, pool.mask_indptr, pool.mask_indices)
-    nonconf = np.array([softmax_scores(row) for row in raw])
-    return pool, nonconf
+        scores.ScorerConfig(), pool.score_rows, pool.test_rows, answer, pool.mask_indptr, pool.mask_indices)
+    return pool, np.array([scores.log_sum_exp(row) for row in raw]), np.sort(raw, axis=1)
 
 
 def _resample(rng, n_parts: int, pool_size: int, part_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -113,15 +114,17 @@ def _resample(rng, n_parts: int, pool_size: int, part_size: int) -> tuple[np.nda
     return idx[:, :part_size].ravel(), idx[:, part_size:].ravel()
 
 
-def _outcomes(pool: experiment.RunData, nonconf: np.ndarray, fitted, test_idx) -> tuple[np.ndarray, np.ndarray]:
-    """Set size and answer hit of each test pair under each fitted model, as the evaluation pass reduces them;
-    a pair's answer nonconformity and score are read off its own row, which no mask touches (no ``e_j``)."""
+def _outcomes(pool: experiment.RunData, lse: np.ndarray, ordered: np.ndarray, fitted,
+              test_idx) -> tuple[np.ndarray, np.ndarray]:
+    """Set size and answer hit of each test pair under each fitted model, as the evaluation pass reduces softmax
+    sets: each row's ``lse`` and sorted raw scores ``ordered``, and each answer's nonconformity from
+    ``pool.calib_nonconf``.  Each pair has its own query row, which no mask touches (no ``e_j``)."""
     filters = [conformal.query_filters(model, pool.test.predicate[test_idx], pool.kg.vocab.n_entities)
                for model in fitted]
-    nonconf, raw, answers = nonconf[test_idx], pool.score_rows.scores[test_idx], pool.test.answer[test_idx]
-    rows = np.arange(test_idx.size)  # one pair per query row and no masks: each pair's row against its own raw row
-    return conformal.set_outcomes(nonconf, raw, *map(np.stack, zip(*filters)), rows, nonconf[rows, answers],
-                                  raw[rows, answers], np.zeros(rows.size, dtype=bool))
+    answer_raw = pool.score_rows.scores[test_idx, pool.test.answer[test_idx]]
+    return conformal.set_outcomes(lse[test_idx], ordered[test_idx], *map(np.stack, zip(*filters)),
+                                  np.arange(test_idx.size), pool.calib_nonconf[test_idx], answer_raw,
+                                  np.zeros(test_idx.size, dtype=bool))
 
 
 def conditional_coverage_check(gammas=(0.0, 0.5, 1.0), epsilon: float = 0.1,
@@ -136,13 +139,14 @@ def conditional_coverage_check(gammas=(0.0, 0.5, 1.0), epsilon: float = 0.1,
     part g is predicate g.
     """
     rng = np.random.default_rng(seed)
-    pool, nonconf = _pool(rng, n_parts, pool_size, n_entities)
+    pool, lse, ordered = _pool(rng, n_parts, pool_size, n_entities)
     pool_ranks = pool.calib_ranks.reshape(n_parts, pool_size)
     margins = np.empty((2, len(gammas), n_parts, n_resamples))  # coverage above the lower bound, below the upper
     for t in range(n_resamples):
         cal_idx, test_idx = _resample(rng, n_parts, pool_size, part_size)
         fitted = [experiment.METHODS["condkgcp"](pool, cal_idx, epsilon, gamma, part_size) for gamma in gammas]
-        coverage = _outcomes(pool, nonconf, fitted, test_idx)[1].reshape(len(gammas), n_parts, part_size).mean(axis=2)
+        hits = _outcomes(pool, lse, ordered, fitted, test_idx)[1]
+        coverage = hits.reshape(len(gammas), n_parts, part_size).mean(axis=2)
         for i, (gamma, model) in enumerate(zip(gammas, fitted)):
             for g, pc in model.per_part.items():
                 misc_pop = float(np.mean(pool_ranks[g] > pc.rank_cutoff))
@@ -173,13 +177,13 @@ def shrinkage_check(gamma: float = 0.5, epsilon: float = 0.1, n_resamples: int =
     correlation, are only reported.
     """
     rng = np.random.default_rng(seed)
-    pool, nonconf = _pool(rng, n_parts, pool_size, n_entities)
+    pool, lse, ordered = _pool(rng, n_parts, pool_size, n_entities)
     implication_holds = True
     sigma_bars, gaps = np.empty(n_resamples), np.empty(n_resamples)
     for t in range(n_resamples):
         cal_idx, test_idx = _resample(rng, n_parts, pool_size, part_size)
         cond = experiment.METHODS["condkgcp"](pool, cal_idx, epsilon, gamma, phi)
-        sizes, _ = _outcomes(pool, nonconf, [cond, conformal.score_only(cond)], test_idx)
+        sizes, _ = _outcomes(pool, lse, ordered, [cond, conformal.score_only(cond)], test_idx)
         report = conformal.verify_shrinkage(cond.partition, pool.test.predicate[test_idx], *sizes)
         sigma_bars[t] = report.sigma_bar
         gaps[t] = np.mean(sizes[0]) - np.mean(sizes[1])

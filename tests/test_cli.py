@@ -550,6 +550,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["run", "--seeds", "0,-1"], "seeds must be >= 0, got [0, -1]"),
+        (["verify-bounds", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    ], ids=["run-seeds", "verify-bounds-seed"])
+    def test_negative_seed_is_named_before_any_work(self, tmp_path, dataset, capsys, args, message):
+        """numpy rejects a negative seed only where it first draws, and for ``run`` that is after the KG is read."""
+        config = ["--config", str(write_config(tmp_path, dataset))] if args[0] == "run" else []
+        assert cli.main([*args, *config]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_impossible_triple_count_names_the_predicate_and_field(self, tmp_path, capsys):
         """Two entities hold at most four distinct triples of a predicate, so 100 cannot be placed."""
         assert cli.main(["generate", "--entities", "2", "--counts", "100", "--out", str(tmp_path / "d")]) == 2
@@ -739,7 +750,8 @@ class TestExitCodes:
         (["--entities", "30", "--counts", "20", "20", "20", "--noise", "0.1", "0.2"], "noise_rates"),
         (["--entities", "0", "--counts", "20"], "n_entities"),
         (["--entities", "30", "--counts", "20", "--clusters", "0"], "n_clusters"),
-    ], ids=["noise", "entities", "clusters"])
+        (["--entities", "30", "--counts", "20", "--seed", "-1"], "seed"),
+    ], ids=["noise", "entities", "clusters", "seed"])
     def test_generate_sizes_name_their_field(self, tmp_path, capsys, args, field):
         assert cli.main(["generate", *args, "--out", str(tmp_path / "data")]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: {field} must")

@@ -101,6 +101,14 @@ class TestReporting:
         (row,) = aggregate_rows(reports)
         assert row["ef_mean"] == EF_FAILURE
 
+    def test_aggregate_reference_without_ef_is_null_not_failure(self):
+        """kgcp is the EF reference and has no EF: its summary holds null and its table cell stays blank."""
+        reports = [evaluate_predictions("kgcp", 0.1, s, [0], [1], [{1}]) for s in range(2)]
+        rows = aggregate_rows(reports + [self.make_report(0, 0.1, 10.0, EF_FAILURE)])
+        assert [row["ef_mean"] for row in rows] == [None, EF_FAILURE]
+        kgcp_line, condkgcp_line = format_table(rows).splitlines()[2:]
+        assert kgcp_line.endswith("±0.00") and condkgcp_line.endswith("failure")
+
     def test_format_table_contains_methods(self):
         reports = [self.make_report(0, 0.1, 10.0, -2.0)]
         text = format_table(aggregate_rows(reports))

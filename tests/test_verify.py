@@ -65,3 +65,18 @@ def test_run_all_checks_names():
         "shrinkage-condition",
     ]
     assert all(r.passed for r in results)
+
+
+def test_pool_checks_size_softmax_sets_from_each_rows_lse(monkeypatch):
+    """The checks hand ``set_outcomes`` each row's log-sum-exp, the form every softmax run sizes sets from, and
+    never a nonconformity row."""
+    real, dims = conformal.set_outcomes, []
+
+    def spy(nonconf, *args):
+        dims.append(nonconf.ndim)
+        return real(nonconf, *args)
+
+    monkeypatch.setattr(conformal, "set_outcomes", spy)
+    conditional_coverage_check(n_resamples=3, part_size=20, pool_size=100)
+    shrinkage_check(n_resamples=3, part_size=20, pool_size=100, phi=10)
+    assert dims == [1] * 6

@@ -1,4 +1,4 @@
-"""Write the parity fixtures: ten configs, each run staged and end to end, into one directory.
+"""Write the parity fixtures: eleven configs, each run staged and end to end, into one directory.
 
 A refactor that claims "same numbers" is checked by running this on two
 trees and comparing the outputs byte for byte::
@@ -7,8 +7,11 @@ trees and comparing the outputs byte for byte::
     python3 tools/parity.py --src OTHER_TREE/src OUT_OLD
     diff -r OUT_OLD OUT_NEW
 
-It generates one dataset (``generate --entities 100 --counts 200 100 60 40
-30 --seed 0``) into ``OUT_DIR/data``.  It then writes each config to
+It generates two datasets (``DATASETS``): ``generate --entities 100 --counts
+200 100 60 40 30 --seed 0`` into ``OUT_DIR/data``, which every config reads
+unless it names another, and ``generate --entities 100 --counts 600 100 60
+--clusters 2 --seed 0`` into ``OUT_DIR/data-rich``, whose direction groups
+reach ``tune``'s smallest phi.  It then writes each config to
 ``OUT_DIR/<name>.json``: 40 epochs and dim 8, the default methods and phi,
 plus the settings in ``CONFIGS``.  Each config runs twice:
 ``train``, ``score``, ``calibrate`` and ``evaluate --plot-data`` into
@@ -48,9 +51,14 @@ CONFIGS = {
     "transe-dim64": {"model_kind": "transe", "dim": 64, "epsilons": [0.05]},
     "transe-aps-tune-split": {"model_kind": "transe", "scorer": {"kind": "aps"}, "tune": True,
                               "split_directions": True, "epsilons": [0.1, 0.2]},
+    "transe-aps-tune-split-rich": {"dataset": "data-rich/manifest.json", "model_kind": "transe",
+                                   "scorer": {"kind": "aps"}, "tune": True, "split_directions": True,
+                                   "epsilons": [0.1, 0.2]},
 }
-GENERATE = ["generate", "--entities", "100", "--counts", "200", "100", "60", "40", "30", "--seed", "0",
-            "--out", "data"]
+DATASETS = {  # output directory -> generate arguments
+    "data": ["--entities", "100", "--counts", "200", "100", "60", "40", "30", "--seed", "0"],
+    "data-rich": ["--entities", "100", "--counts", "600", "100", "60", "--clusters", "2", "--seed", "0"],
+}
 
 
 def _cli(out: Path, src: Path, args: list[str], stdout: Path) -> None:
@@ -75,7 +83,8 @@ def main(argv=None) -> int:
         parser.error(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
 
-    _cli(out, src, GENERATE, out / "generate.stdout")
+    for data, generate in DATASETS.items():
+        _cli(out, src, ["generate", *generate, "--out", data], out / f"generate-{data}.stdout")
     for name, settings in CONFIGS.items():
         config = f"{name}.json"
         (out / config).write_text(json.dumps({**BASE, **settings}, indent=2, sort_keys=True) + "\n", encoding="utf-8")
