@@ -29,7 +29,7 @@ class SyntheticKGSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_entities", "n_clusters"):
+        for name in ("n_entities", "n_predicates", "n_clusters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
@@ -57,7 +57,13 @@ class SyntheticKGSpec:
 
 
 def generate_triples(spec: SyntheticKGSpec) -> np.ndarray:
-    """Distinct (head, predicate, tail) rows, an ``(n, 3)`` int64 array grouped by predicate in draw order."""
+    """Distinct (head, predicate, tail) rows, an ``(n, 3)`` int64 array grouped by predicate in draw order.
+
+    The rows depend only on the spec and numpy's PCG64 stream from ``default_rng(spec.seed)``: one cluster
+    per entity, then, per predicate, its (source, target) clusters when ``rules`` is None, then one head,
+    one noise coin and one tail per attempt; an attempt that repeats a row is dropped.
+    ``tests/synth_oracle.py`` pins that order.
+    """
     rng = np.random.default_rng(spec.seed)
     clusters = rng.integers(0, spec.n_clusters, size=spec.n_entities)
     members = [np.flatnonzero(clusters == c) for c in range(spec.n_clusters)]
@@ -71,33 +77,36 @@ def generate_triples(spec: SyntheticKGSpec) -> np.ndarray:
     n_clusters = len(members)
     rates = spec.rates()
 
-    triples = np.empty((sum(spec.triple_counts), 3), dtype=np.int64)
+    # One scalar rng.integers per draw: rng.choice(a) draws the same integers(0, a.size) at several times the
+    # cost, and a bulk draw with size= would take other numbers from the stream.
+    rows: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
-    for r in range(spec.n_predicates):
+    for r, count in enumerate(spec.triple_counts):
         if spec.rules is not None:
             src, dst = spec.rules[r]
         else:
             src = int(rng.integers(0, n_clusters))
             dst = int(rng.integers(0, n_clusters))
+        heads, tails = members[src].tolist(), members[dst].tolist()
         produced = 0
         attempts = 0
-        while produced < spec.triple_counts[r]:
+        while produced < count:
             attempts += 1
-            if attempts > 1000 * spec.triple_counts[r]:
-                raise ValueError(f"predicate {r}: cannot place triple_counts[{r}] = {spec.triple_counts[r]} distinct "
+            if attempts > 1000 * count:
+                raise ValueError(f"predicate {r}: cannot place triple_counts[{r}] = {count} distinct "
                                  f"triples among n_entities {spec.n_entities}")
-            h = int(rng.choice(members[src]))
+            h = heads[rng.integers(0, len(heads))]
             if rng.random() < rates[r]:
                 t = int(rng.integers(0, spec.n_entities))
             else:
-                t = int(rng.choice(members[dst]))
+                t = tails[rng.integers(0, len(tails))]
             key = (h, r, t)
             if key in seen:
                 continue
-            triples[len(seen)] = key
+            rows.append(key)
             seen.add(key)
             produced += 1
-    return triples
+    return np.array(rows, dtype=np.int64)
 
 
 def synthetic_kg(spec: SyntheticKGSpec,

@@ -576,6 +576,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == ("error: predicate 1: rules[1] names cluster 0, which holds no entity "
                                            "(n_entities 2, n_clusters 8, seed 0)\n")
 
+    def test_synthetic_spec_without_predicates_names_the_field(self, tmp_path, dataset, capsys):
+        """A spec with no predicate would generate an empty KG, whose empty calibration split names no field."""
+        spec = {"n_entities": 20, "n_predicates": 0, "triple_counts": [], "noise_rates": [], "n_clusters": 2}
+        config = edited(without_dataset(write_config(tmp_path, dataset)), synthetic=spec)
+        assert cli.main(["run", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: n_predicates must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("what", ["config", "scorer"])
     def test_config_that_is_not_an_object(self, tmp_path, dataset, capsys, what):
         config = write_config(tmp_path, dataset)

@@ -5,7 +5,8 @@ leave-one-out coverage of kgcp and mcp, the predicate partition under tied dista
 and score-only thresholds against their refit, the calibrated-model and predicate-vector files (round trip and
 truncation), the negative sampler against its per-candidate loop, the columnar queries, filter masks and score
 export against their per-pair versions, the one masked row the pairs of a query share, each pair's answer facts
-that the block pass yields, and score-file rows read on demand against the matrix."""
+that the block pass yields, score-file rows read on demand against the matrix, and the synthetic generator against
+its ``rng.choice`` loop."""
 
 import math
 import re
@@ -32,10 +33,12 @@ from kgconformal.kg import (DIRECTIONS, KGError, Query, QueryAnswerSet, SplitCon
 from kgconformal.models import (ScoreFile, ScoreMatrix, _sample_negatives, _triple_keys, export_predicate_vectors,
                                 export_scores, import_predicate_vectors, import_scores)
 from kgconformal.scores import ScorerConfig, log_sum_exp, nonconformity, softmax_scores
+from kgconformal.synth import SyntheticKGSpec, generate_triples
 from kgconformal.verify import leave_one_out_hits
 
 import query_oracle
 import split_oracle
+import synth_oracle
 import train_oracle
 from rank_oracle import candidate_ranks
 
@@ -651,6 +654,39 @@ def test_split_triples_keeps_the_list_shuffle_order(rows, seed, fractions):
     for name in want:
         assert got[name].shape == (len(want[name]), 3)
         assert list(map(tuple, got[name].tolist())) == want[name]
+
+
+@st.composite
+def synthetic_specs(draw):
+    """Small specs: with so few entities, attempts repeat rows, rules name empty clusters and some counts exceed the
+    distinct triples the entities can hold."""
+    n_predicates = draw(st.integers(1, 3))
+    n_clusters = draw(st.integers(1, 4))
+    per_predicate = lambda elements: st.lists(elements, min_size=n_predicates, max_size=n_predicates)
+    rate = st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)
+    cluster = st.integers(0, n_clusters - 1)
+    return SyntheticKGSpec(
+        n_entities=draw(st.integers(1, 10)), n_predicates=n_predicates,
+        triple_counts=draw(per_predicate(st.integers(1, 5))), noise_rates=draw(rate | per_predicate(rate)),
+        n_clusters=n_clusters, rules=draw(st.none() | per_predicate(st.tuples(cluster, cluster))),
+        seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@given(synthetic_specs())
+@example(SyntheticKGSpec(n_entities=2, n_predicates=1, triple_counts=[5], noise_rates=0.5, n_clusters=1, seed=0))
+@example(SyntheticKGSpec(n_entities=2, n_predicates=2, triple_counts=[2, 2], n_clusters=8, rules=[(5, 6), (5, 0)]))
+def test_generate_triples_draws_what_the_choice_loop_drew(spec):
+    """The same bytes as the ``rng.choice`` loop, or the same ``ValueError``: per attempt one head, one noise coin and
+    one tail, each ``choice`` over a cluster's members drawn as ``integers(0, size)``."""
+    try:
+        want = synth_oracle.generate_triples(spec)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            generate_triples(spec)
+        return
+    got = generate_triples(spec)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @st.composite

@@ -53,7 +53,8 @@ class TestGenerate:
         ({"noise_rates": [0.1, 0.2, 0.3, 0.4]}, "noise_rates must hold one rate per predicate (3), got 4"),
         ({"n_entities": 0}, "n_entities must be >= 1, got 0"),
         ({"n_clusters": 0}, "n_clusters must be >= 1, got 0"),
-    ], ids=["noise-short", "noise-long", "entities", "clusters"])
+        ({"n_predicates": 0, "triple_counts": [], "noise_rates": []}, "n_predicates must be >= 1, got 0"),
+    ], ids=["noise-short", "noise-long", "entities", "clusters", "predicates"])
     def test_sizes_name_their_field(self, kw, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             spec(**kw)
