@@ -2,7 +2,9 @@
 and score-matrix import/export.
 
 ComplEx embeddings are stored as ``[real | imag]`` blocks of width ``dim``
-each, so a row has length ``2 * dim``.
+each, so a row has length ``2 * dim``.  While :func:`train` runs, each
+ComplEx matrix lives as two C-contiguous planes, its real and its imaginary
+half, and the ``[real | imag]`` rows are written back when it returns.
 """
 
 from __future__ import annotations
@@ -196,23 +198,27 @@ def _softplus(x):
 
 
 class _Workspace:
-    """Float64 buffers of one ``train`` call, reused by every batch step.
+    """Buffers of one ``train`` call, reused by every batch step.
 
-    ``ws(name, m, width)`` is the first ``m`` rows of the buffer ``name``, a
-    C-contiguous ``(m, width)`` view (``(m,)`` without a width).  A buffer is
-    allocated on first use and again only if a later call needs more rows, so
-    the steps of a call write to the same pages instead of freeing and
-    faulting in fresh temporaries.
+    ``ws(name, m, width)`` is the first ``m`` rows of the float64 buffer
+    ``name``, a C-contiguous ``(m, width)`` view (``(m,)`` without a width);
+    ``dtype=np.int64`` gives an integer buffer, which holds the flat scatter
+    indices.  A buffer is allocated on first use and again only if a later
+    call needs more rows, so the steps of a call write to the same pages
+    instead of freeing and faulting in fresh temporaries.  While ComplEx
+    trains, every buffer is one plane wide (``dim`` columns): the real and
+    imaginary parts live in separate buffers, never as ``[real | imag]``
+    halves.
     """
 
     def __init__(self):
         self._buffers: dict[tuple, np.ndarray] = {}
 
-    def __call__(self, name: str, m: int, width: int | None = None) -> np.ndarray:
-        key = (name, width)
+    def __call__(self, name: str, m: int, width: int | None = None, dtype=np.float64) -> np.ndarray:
+        key = (name, width, dtype)
         buf = self._buffers.get(key)
         if buf is None or buf.shape[0] < m:
-            buf = self._buffers[key] = np.empty((m,) if width is None else (m, width))
+            buf = self._buffers[key] = np.empty((m,) if width is None else (m, width), dtype=dtype)
         return buf[:m]
 
 
@@ -265,24 +271,26 @@ def _bce_loss_weights(s, labels):
     return loss, (_sigmoid(s) - labels)[:, None]
 
 
-def bilinear_bce_loss_grad(kind: str, dim: int, E, R, labels, ws: _Workspace | None = None):
+def bilinear_bce_loss_grad(kind: str, E, R, labels, ws: _Workspace | None = None):
     """Binary cross-entropy of a batch of labelled triples for DistMult/ComplEx with gradients.
 
-    ``E`` stacks the gathered head and tail rows of the ``m`` triples as
-    ``[H; T]`` and ``R`` holds their relation rows.  Returns the summed loss
-    and the gradients of those rows, laid out as ``E`` and ``R``.  The
-    products and gradients live in ``ws`` (a fresh workspace when None), so
-    the gradients are valid until its next use.  ComplEx copies the real and
-    imaginary halves into contiguous blocks first: the products are
-    elementwise, so the layout changes no bit of them, and a contiguous
-    block is several times faster to read than a strided half.
+    ``E`` and ``R`` are the gathered planes of the ``m`` triples: one plane
+    each for DistMult, the real and the imaginary plane each for ComplEx.
+    An ``E`` plane stacks the head and tail rows as ``[H; T]`` (``2m``
+    rows), an ``R`` plane holds the relation rows.  Returns the summed loss
+    and the gradient planes of those rows, one per plane of ``E`` and of
+    ``R`` and laid out as them.  The products and gradients live in
+    C-contiguous ``ws`` buffers one plane wide (a fresh workspace when
+    None), so the gradients are valid until its next use.
     """
     ws = _Workspace() if ws is None else ws
-    m, width = R.shape
-    H, T = E[:m], E[m:]
-    g_ent, g_r, s = ws("g_ent", 2 * m, width), ws("g_pred", m, width), ws("s", m)
-    g_h, g_t = g_ent[:m], g_ent[m:]
+    m, width = R[0].shape
+    s = ws("s", m)
     if kind == "distmult":
+        (E,), (R,) = E, R
+        H, T = E[:m], E[m:]
+        g_ent, g_r = ws("g_ent", 2 * m, width), ws("g_pred", m, width)
+        g_h, g_t = g_ent[:m], g_ent[m:]
         np.multiply(H, R, out=g_t)
         np.multiply(g_t, T, out=g_h)
         g_h.sum(axis=1, out=s)  # s = sum(H * R * T)
@@ -291,12 +299,12 @@ def bilinear_bce_loss_grad(kind: str, dim: int, E, R, labels, ws: _Workspace | N
         np.multiply(H, T, out=g_r)
         for g in (g_h, g_r, g_t):
             g *= dl
-        return loss, g_ent, g_r
-    hr, hi, rr, ri, tr, ti = (ws(name, m, dim) for name in ("hr", "hi", "rr", "ri", "tr", "ti"))
-    for mat, real, imag in ((H, hr, hi), (R, rr, ri), (T, tr, ti)):
-        np.copyto(real, mat[:, :dim])
-        np.copyto(imag, mat[:, dim:])
-    acc, tmp = ws("acc", m, dim), ws("prod", m, dim)
+        return loss, (g_ent,), (g_r,)
+    (er, ei), (rr, ri) = E, R
+    hr, hi, tr, ti = er[:m], ei[:m], er[m:], ei[m:]
+    g_ent = ws("g_ent_re", 2 * m, width), ws("g_ent_im", 2 * m, width)
+    g_pred = ws("g_pred_re", m, width), ws("g_pred_im", m, width)
+    acc, tmp = ws("acc", m, width), ws("prod", m, width)
     # s = sum(hr * rr * tr - hi * ri * tr + hr * ri * ti + hi * rr * ti)
     np.multiply(hr, rr, out=acc)
     np.multiply(acc, tr, out=acc)
@@ -306,21 +314,21 @@ def bilinear_bce_loss_grad(kind: str, dim: int, E, R, labels, ws: _Workspace | N
         op(acc, tmp, out=acc)
     acc.sum(axis=1, out=s)
     loss, dl = _bce_loss_weights(s, labels)
-    # each gradient half is (+/-x1 * y1 op x2 * y2) * dl, written to its strided half of the row
+    # each gradient plane is (+/-x1 * y1 op x2 * y2) * dl
     for out, negate, x1, y1, op, x2, y2 in (
-        (g_h[:, :dim], False, rr, tr, np.add, ri, ti), (g_h[:, dim:], True, ri, tr, np.add, rr, ti),
-        (g_r[:, :dim], False, hr, tr, np.add, hi, ti), (g_r[:, dim:], True, hi, tr, np.add, hr, ti),
-        (g_t[:, :dim], False, hr, rr, np.subtract, hi, ri), (g_t[:, dim:], False, hr, ri, np.add, hi, rr),
+        (g_ent[0][:m], False, rr, tr, np.add, ri, ti), (g_ent[1][:m], True, ri, tr, np.add, rr, ti),
+        (g_pred[0], False, hr, tr, np.add, hi, ti), (g_pred[1], True, hi, tr, np.add, hr, ti),
+        (g_ent[0][m:], False, hr, rr, np.subtract, hi, ri), (g_ent[1][m:], False, hr, ri, np.add, hi, rr),
     ):
         if negate:
-            np.negative(x1, out=acc)
-            np.multiply(acc, y1, out=acc)
+            np.negative(x1, out=out)
+            np.multiply(out, y1, out=out)
         else:
-            np.multiply(x1, y1, out=acc)
+            np.multiply(x1, y1, out=out)
         np.multiply(x2, y2, out=tmp)
-        op(acc, tmp, out=acc)
-        np.multiply(acc, dl, out=out)
-    return loss, g_ent, g_r
+        op(out, tmp, out=out)
+        np.multiply(out, dl, out=out)
+    return loss, g_ent, g_pred
 
 
 def _init_model(kind: str, dim: int, n_ent: int, n_pred: int, rng: np.random.Generator, norm: int) -> EmbeddingModel:
@@ -376,11 +384,23 @@ def _sample_negatives(rng, heads, rels, tails, n_ent: int, n_pred: int, known, k
     return neg_h, rels_rep, neg_t
 
 
+def _planes(kind: str, mat: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    """The C-contiguous ``(n, width)`` planes that training updates: ``mat`` itself, or for ComplEx a copy of
+    its real and of its imaginary half."""
+    if kind == "complex":
+        return tuple(np.ascontiguousarray(part) for part in _complex_parts(mat, dim))
+    return (mat,)
+
+
 def train(kg: KnowledgeGraph, kind: str, cfg: TrainConfig, dim: int = 16, norm: int = 1) -> EmbeddingModel:
     """SGD training on the ``train`` split; margin ranking loss for TransE, BCE for DistMult/ComplEx.
 
-    Each epoch's mean loss per training triple and its wall time in seconds
-    are logged at DEBUG on ``kgconformal.models``.
+    Every step updates the planes of the two matrices (see :func:`_batch_step`).  TransE and DistMult
+    train their matrices in place, one plane each; TransE's per-epoch renormalisation acts on
+    ``model.entity_embeddings``.  ComplEx trains a contiguous real and imaginary plane per matrix,
+    copied from the ``[real | imag]`` rows here and written back before the model is returned.
+    Each epoch's mean loss per training triple and its wall time in seconds are logged at DEBUG on
+    ``kgconformal.models``.
     """
     triples = kg.triples("train")
     if not len(triples):
@@ -388,12 +408,17 @@ def train(kg: KnowledgeGraph, kind: str, cfg: TrainConfig, dim: int = 16, norm: 
     rng = np.random.default_rng(cfg.seed)
     n_ent, n_pred = kg.vocab.n_entities, kg.vocab.n_predicates
     model = _init_model(kind, dim, n_ent, n_pred, rng, norm)
+    ent, pred = _planes(kind, model.entity_embeddings, dim), _planes(kind, model.predicate_embeddings, dim)
 
     heads, rels, tails = triples.T
     known = np.unique(_triple_keys(heads, rels, tails, n_ent, n_pred))
     n = heads.shape[0]
     k = cfg.negatives
     ws = _Workspace()
+
+    def transe_step(E, R):
+        loss, g_ent, g_pred = transe_loss_grad(E[0], R[0], cfg.margin, norm, ws)
+        return loss, (g_ent,), (g_pred,)
 
     for epoch in range(cfg.epochs):
         began = time.perf_counter()
@@ -408,49 +433,67 @@ def train(kg: KnowledgeGraph, kind: str, cfg: TrainConfig, dim: int = 16, norm: 
             nh, nr, nt = _sample_negatives(rng, bh, br, bt, n_ent, n_pred, known, k)
             if kind == "transe":  # one (positive, negative) pair per negative, with the relation nr
                 ent_idx = np.concatenate([np.repeat(bh, k), np.repeat(bt, k), nh, nt])
-                loss = _batch_step(model, cfg, ent_idx, nr,
-                                   lambda E, R: transe_loss_grad(E, R, cfg.margin, norm, ws), ws)
+                loss = _batch_step(ent, pred, cfg, ent_idx, nr, transe_step, ws)
             else:
                 labels = np.concatenate([np.ones(bh.shape[0]), np.zeros(nh.shape[0])])
-                loss = _batch_step(model, cfg, np.concatenate([bh, nh, bt, nt]), np.concatenate([br, nr]),
-                                   lambda E, R: bilinear_bce_loss_grad(kind, dim, E, R, labels, ws), ws)
+                loss = _batch_step(ent, pred, cfg, np.concatenate([bh, nh, bt, nt]), np.concatenate([br, nr]),
+                                   lambda E, R: bilinear_bce_loss_grad(kind, E, R, labels, ws), ws)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss
         logger.debug("epoch %d: mean loss %.6g per training triple, %.3f s", epoch, epoch_loss / n,
                      time.perf_counter() - began)
+    if kind == "complex":
+        for mat, planes in ((model.entity_embeddings, ent), (model.predicate_embeddings, pred)):
+            for part, plane in zip(_complex_parts(mat, dim), planes):
+                part[...] = plane
     return model
 
 
-def _scatter_update(mat, idx, grad, rows, cfg):
+def _flat_index(idx, width: int, ws: _Workspace):
+    """The flat positions ``idx[i] * width + j`` of rows ``idx`` of a C-contiguous ``(n, width)`` matrix, in
+    row-major order, written to the integer buffer ``"flat"`` of ``ws``; valid until the next call with ``ws``."""
+    flat = ws("flat", idx.shape[0], width, np.int64)
+    np.add((idx * width)[:, None], np.arange(width), out=flat)
+    return flat.reshape(-1)
+
+
+def _scatter_update(mat, flat, grad, rows, cfg):
     """``mat[idx] -= lr * (grad + l2 * rows)``, accumulating repeated indices; overwrites ``grad`` and ``rows``.
 
-    One 1-D ``subtract.at`` over a flat view of ``mat`` (numpy's fast indexed
-    loop) in row-major order: every element takes its subtractions in batch
-    order, as the 2-D call does, so the result is bit-identical.
+    ``mat`` is one plane, a C-contiguous ``(n, width)`` matrix, and ``flat`` is :func:`_flat_index` of
+    ``idx`` for its width.  One 1-D ``subtract.at`` over a flat view of ``mat`` (numpy's fast indexed loop)
+    in row-major order: every element takes its subtractions in batch order, as the 2-D call does, so the
+    result is bit-identical.  The real and imaginary planes of a ComplEx matrix share one ``flat``.
     """
     if not mat.flags.c_contiguous:  # reshape would return a copy and drop the update
         raise ValueError("scatter target must be C-contiguous")
     np.multiply(rows, cfg.l2, out=rows)
     np.add(grad, rows, out=grad)
     np.multiply(grad, cfg.lr, out=grad)
-    width = mat.shape[1]
-    np.subtract.at(mat.reshape(-1), (idx[:, None] * width + np.arange(width)).ravel(), grad.ravel())
+    np.subtract.at(mat.reshape(-1), flat, grad.reshape(-1))
 
 
-def _batch_step(model, cfg, ent_idx, pred_idx, loss_grad, ws):
-    """One SGD step: gather every row, take ``loss_grad(E, R)``, scatter once per matrix; returns the loss.
+def _batch_step(ent, pred, cfg, ent_idx, pred_idx, loss_grad, ws):
+    """One SGD step over the planes of the entity and the predicate matrix; returns the loss.
 
-    ``loss_grad`` returns the loss and the gradients of the gathered rows
-    ``E = ent[ent_idx]`` and ``R = pred[pred_idx]``.  The L2 terms read those
+    ``ent`` and ``pred`` are tuples of C-contiguous ``(n, width)`` planes: the matrix itself for TransE
+    and DistMult, the real and the imaginary plane for ComplEx.  Each plane is gathered with
+    :func:`_gather` (``E`` at ``ent_idx``, ``R`` at ``pred_idx``), ``loss_grad(E, R)`` returns the loss
+    and one gradient per gathered plane, and each plane is scattered once.  The flat index of each
+    index array is built once per step and shared by the planes of its matrix.  The L2 terms read the
     rows as they were before the step.
     """
-    ent, pred = model.entity_embeddings, model.predicate_embeddings
-    E = _gather(ent, ent_idx, ws("E", ent_idx.shape[0], ent.shape[1]))
-    R = _gather(pred, pred_idx, ws("R", pred_idx.shape[0], pred.shape[1]))
+    def gather(planes, idx, name):
+        return tuple(_gather(plane, idx, ws(f"{name}{i}", idx.shape[0], plane.shape[1]))
+                     for i, plane in enumerate(planes))
+
+    E, R = gather(ent, ent_idx, "E"), gather(pred, pred_idx, "R")
     loss, g_ent, g_pred = loss_grad(E, R)
-    _scatter_update(ent, ent_idx, g_ent, E, cfg)
-    _scatter_update(pred, pred_idx, g_pred, R, cfg)
+    for planes, idx, grads, rows in ((ent, ent_idx, g_ent, E), (pred, pred_idx, g_pred, R)):
+        flat = _flat_index(idx, planes[0].shape[1], ws)
+        for plane, grad, gathered in zip(planes, grads, rows):
+            _scatter_update(plane, flat, grad, gathered, cfg)
     return loss
 
 

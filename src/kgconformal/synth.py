@@ -38,6 +38,10 @@ class SyntheticKGSpec:
             raise ValueError("need one triple count per predicate")
         if any(c < 1 for c in self.triple_counts):
             raise ValueError("triple counts must be >= 1")
+        for r, count in enumerate(self.triple_counts):
+            if count > self.n_entities ** 2:
+                raise ValueError(f"predicate {r}: triple_counts[{r}] = {count} exceeds n_entities ** 2 = "
+                                 f"{self.n_entities ** 2}, the distinct triples a predicate can hold")
         rates = self.rates()
         if len(rates) != self.n_predicates:
             raise ValueError(f"noise_rates must hold one rate per predicate ({self.n_predicates}), got {len(rates)}")

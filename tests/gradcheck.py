@@ -59,15 +59,28 @@ def check_transe(rng, p: int, margin: float, n_ent: int = 6, n_pred: int = 2, di
     return loss
 
 
+def planes(kind: str, rows: np.ndarray, dim: int) -> tuple:
+    """The planes ``models.train`` steps over: ``rows`` itself, or for ComplEx its real and imaginary halves, copied
+    C-contiguous from the ``[real | imag]`` rows."""
+    if kind == "complex":
+        return np.ascontiguousarray(rows[:, :dim]), np.ascontiguousarray(rows[:, dim:])
+    return (rows,)
+
+
 def check_bce(rng, kind: str, first_label: float, dim: int = 3, rows: int = 4) -> None:
-    """FD-check :func:`bilinear_bce_loss_grad` on a random batch whose labels alternate from ``first_label``."""
+    """FD-check :func:`bilinear_bce_loss_grad` on a random batch whose labels alternate from ``first_label``.
+
+    The batch is drawn and perturbed as ``[real | imag]`` rows; each call takes their planes, and the gradient
+    planes are joined back into rows.
+    """
     width = 2 * dim if kind == "complex" else dim
     h, r, t = (rng.normal(size=(rows, width)) for _ in range(3))
     params = {"E": np.concatenate([h, t]), "R": r}
     labels = (first_label + np.arange(rows)) % 2
 
     def loss_grad():
-        return bilinear_bce_loss_grad(kind, dim, params["E"], params["R"], labels)
+        return bilinear_bce_loss_grad(kind, planes(kind, params["E"], dim), planes(kind, params["R"], dim), labels)
 
     _, g_ent, g_pred = loss_grad()
-    assert_matches_fd(lambda: loss_grad()[0], params, {"E": g_ent, "R": g_pred})
+    grads = {"E": np.concatenate(g_ent, axis=1), "R": np.concatenate(g_pred, axis=1)}
+    assert_matches_fd(lambda: loss_grad()[0], params, grads)

@@ -562,10 +562,11 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_impossible_triple_count_names_the_predicate_and_field(self, tmp_path, capsys):
-        """Two entities hold at most four distinct triples of a predicate, so 100 cannot be placed."""
+        """Two entities hold at most four distinct triples of a predicate, so the spec refuses 100 before drawing."""
         assert cli.main(["generate", "--entities", "2", "--counts", "100", "--out", str(tmp_path / "d")]) == 2
-        assert capsys.readouterr().err == ("error: predicate 0: cannot place triple_counts[0] = 100 distinct triples "
-                                           "among n_entities 2\n")
+        assert capsys.readouterr().err == ("error: predicate 0: triple_counts[0] = 100 exceeds n_entities ** 2 = 4, "
+                                           "the distinct triples a predicate can hold\n")
+        assert not (tmp_path / "d").exists()
 
     def test_synthetic_rule_naming_an_empty_cluster_names_the_predicate_and_rule(self, tmp_path, dataset, capsys):
         """Seed 0 puts the two entities in clusters 6 and 5, so cluster 0 is empty."""

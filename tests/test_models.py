@@ -12,6 +12,7 @@ from kgconformal.models import (
     ModelScores,
     ScoreFile,
     TrainConfig,
+    TrainingDiverged,
     export_predicate_vectors,
     export_scores,
     import_predicate_vectors,
@@ -25,7 +26,7 @@ from kgconformal.models import (
 )
 
 import train_oracle
-from gradcheck import check_bce, check_transe
+from gradcheck import check_bce, check_transe, planes
 from score_rows import in_memory, write_csv
 
 
@@ -358,13 +359,15 @@ class TestTrainExactness:
 
     @pytest.mark.parametrize("kind,norm", SCORED_KINDS)
     def test_loss_grad_equal_oracle(self, kind, norm):
-        """Loss and gradients bit for bit, without a workspace and through a reused larger one."""
+        """Loss and gradients bit for bit, without a workspace and through a reused larger one; the ComplEx
+        gradient planes, joined, are the oracle's ``[real | imag]`` rows."""
         rng = np.random.default_rng(8)
         dim, m = 32, 700
         width = 2 * dim if kind == "complex" else dim
         ent, pred = rng.normal(size=(500, width)), rng.normal(size=(7, width))
         ws = models._Workspace()
-        ws("g_h", m + 50, width)  # a buffer with spare rows, as after a full batch
+        for name in ("g_ent", "g_ent_re", "g_ent_im"):  # buffers with spare rows, as after a full batch
+            ws(name, 4 * m + 50, dim)  # a plane is dim wide for every kind
         for workspace in (None, ws, ws):
             if kind == "transe":
                 idx = [rng.integers(0, 7 if name == "r" else 500, size=m) for name in ("h", "r", "t", "hn", "tn")]
@@ -376,8 +379,10 @@ class TestTrainExactness:
             else:
                 H, R, T = ent[rng.integers(0, 500, m)], pred[rng.integers(0, 7, m)], ent[rng.integers(0, 500, m)]
                 labels = (np.arange(m) % 3 == 0).astype(float)
-                loss, g_ent, g_pred = models.bilinear_bce_loss_grad(kind, dim, np.concatenate([H, T]), R, labels,
-                                                                    workspace)
+                loss, g_ent, g_pred = models.bilinear_bce_loss_grad(
+                    kind, planes(kind, np.concatenate([H, T]), dim), planes(kind, R, dim), labels, workspace)
+                assert all(g.flags.c_contiguous for g in (*g_ent, *g_pred))
+                g_ent, g_pred = np.concatenate(g_ent, axis=1), np.concatenate(g_pred, axis=1)
                 want_loss, want = train_oracle.bilinear_bce_loss_grad(kind, dim, H, R, T, labels)
                 names = ("h", "t")
             assert loss == want_loss
@@ -385,6 +390,19 @@ class TestTrainExactness:
             assert g_ent.shape == (len(names) * m, width) and g_pred.shape == (m, width)
             assert np.array_equal(g_ent, np.concatenate([want[name] for name in names]))
             assert np.array_equal(g_pred, want["r"])
+
+    @pytest.mark.parametrize("kind", ["complex", "distmult"])
+    def test_divergence_at_the_oracles_epoch(self, kind):
+        """A large ``lr`` overflows the bilinear scores some epochs in; ``train`` stops at the oracle's epoch."""
+        kg = toy_kg(n_ent=30, n_pred=3, n_triples=100, seed=2)
+        cfg = TrainConfig(epochs=60, lr=1.0, negatives=3, batch_size=32, seed=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged) as oracle:
+                train_oracle.train(kg, kind, cfg, dim=8)
+            message = str(oracle.value)
+            assert re.fullmatch(r"non-finite loss at epoch [1-9]\d*", message)  # after whole epochs of steps
+            with pytest.raises(TrainingDiverged, match=f"^{re.escape(message)}$"):
+                train(kg, kind, cfg, dim=8)
 
     @pytest.mark.parametrize("kind,norm", SCORED_KINDS)
     def test_dense_kg_with_collisions_and_the_try_cap(self, kind, norm):
@@ -428,8 +446,9 @@ class TestTrainExactness:
         before = mat.copy()
         idx = np.array([0, 2, 2])
         grad, rows = np.ones((3, mat.shape[1])), np.ones((3, mat.shape[1]))
+        flat = models._flat_index(idx, mat.shape[1], models._Workspace())
         with pytest.raises(ValueError, match="C-contiguous"):
-            models._scatter_update(mat, idx, grad, rows, TrainConfig())
+            models._scatter_update(mat, flat, grad, rows, TrainConfig())
         assert np.array_equal(mat, before)
 
     def test_scatter_updates_a_c_contiguous_matrix_in_place(self):
@@ -437,7 +456,9 @@ class TestTrainExactness:
         address = mat.__array_interface__["data"][0]
         idx = np.array([1, 3, 1])
         grad = np.arange(9.0).reshape(3, 3)
-        models._scatter_update(mat, idx, grad, np.zeros((3, 3)), TrainConfig(lr=1.0, l2=0.0))
+        flat = models._flat_index(idx, 3, models._Workspace())
+        assert flat.tolist() == [3, 4, 5, 9, 10, 11, 3, 4, 5]
+        models._scatter_update(mat, flat, grad, np.zeros((3, 3)), TrainConfig(lr=1.0, l2=0.0))
         assert mat.__array_interface__["data"][0] == address
         assert mat.tolist() == [[0, 0, 0], [-6, -8, -10], [0, 0, 0], [-3, -4, -5]]
 

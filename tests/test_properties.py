@@ -3,10 +3,10 @@ against brute-force sets on each pair's own mask and nonconformity row and, on s
 over rank_of, the calibration rank cutoff, the tuning cut of the calibration pairs, the conformal quantile, the
 leave-one-out coverage of kgcp and mcp, the predicate partition under tied distances, the stored per-part counts
 and score-only thresholds against their refit, the calibrated-model and predicate-vector files (round trip and
-truncation), the negative sampler against its per-candidate loop, the columnar queries, filter masks and score
-export against their per-pair versions, the one masked row the pairs of a query share, each pair's answer facts
-that the block pass yields, score-file rows read on demand against the matrix, and the synthetic generator against
-its ``rng.choice`` loop."""
+truncation), the negative sampler against its per-candidate loop, the flat scatter and the plane steps against the
+2-D scatter, the columnar queries, filter masks and score export against their per-pair versions, the one masked
+row the pairs of a query share, each pair's answer facts that the block pass yields, score-file rows read on demand
+against the matrix, and the synthetic generator against its ``rng.choice`` loop."""
 
 import math
 import re
@@ -592,8 +592,56 @@ def test_flat_scatter_equals_the_2d_subtract_at(case):
     mat, idx, grad, rows, cfg = case
     want = mat.copy()
     train_oracle._scatter_update(want, idx, grad.copy(), rows.copy(), cfg)
-    models._scatter_update(mat, idx, grad, rows, cfg)
+    models._scatter_update(mat, models._flat_index(idx, mat.shape[1], models._Workspace()), grad, rows, cfg)
     assert mat.tobytes() == want.tobytes()
+
+
+@st.composite
+def plane_steps(draw):
+    """Entity and predicate rows of one or two planes, and two steps, a batch of ``m`` and then a smaller one (as the
+    last partial batch is), whose indices repeat a few rows many times; each step carries row gradients of both
+    matrices, ``2m`` entity rows and ``m`` predicate rows."""
+    n_planes, width = draw(st.sampled_from([1, 2])), draw(st.integers(1, 9))
+    n_ent, n_pred = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    m = draw(st.integers(2, 40))
+    sizes = (m, draw(st.integers(1, m - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))  # terms of different magnitudes, so the order of sums shows
+
+    def indices(n_rows, size):
+        return rng.choice(rng.integers(0, n_rows, size=draw(st.integers(1, 3))), size=size)
+
+    steps = [(indices(n_ent, 2 * size), indices(n_pred, size),
+              rng.normal(scale=scale, size=(2 * size, n_planes * width)),
+              rng.normal(scale=scale, size=(size, n_planes * width))) for size in sizes]
+    cfg = models.TrainConfig(lr=draw(st.sampled_from([0.05, 0.3, 1.0])), l2=draw(st.sampled_from([0.0, 1e-6, 0.1])))
+    return (n_planes, rng.normal(size=(n_ent, n_planes * width)), rng.normal(size=(n_pred, n_planes * width)), steps,
+            cfg)
+
+
+@given(plane_steps())
+def test_plane_steps_equal_the_row_scatter(case):
+    """``_batch_step`` over the planes of ``[real | imag]`` rows (or of one plane), through one workspace, updates them
+    as the oracle's 2-D scatter updates the rows: each matrix's planes share one flat index, rebuilt for the smaller
+    batch, and each L2 term reads its rows as they were before the step."""
+    n_planes, ent_rows, pred_rows, steps, cfg = case
+
+    def planes(rows):  # C-contiguous copies, never views that share memory with the oracle's rows
+        return tuple(part.copy(order="C") for part in np.split(rows, n_planes, axis=1))
+
+    ent, pred, ws = planes(ent_rows), planes(pred_rows), models._Workspace()
+    for ent_idx, pred_idx, g_ent, g_pred in steps:
+
+        def loss_grad(E, R):
+            assert np.concatenate(E, axis=1).tobytes() == ent_rows[ent_idx].tobytes()
+            assert np.concatenate(R, axis=1).tobytes() == pred_rows[pred_idx].tobytes()
+            return 0.0, planes(g_ent), planes(g_pred)
+
+        assert models._batch_step(ent, pred, cfg, ent_idx, pred_idx, loss_grad, ws) == 0.0
+        train_oracle._scatter_update(ent_rows, ent_idx, g_ent, ent_rows[ent_idx], cfg)
+        train_oracle._scatter_update(pred_rows, pred_idx, g_pred, pred_rows[pred_idx], cfg)
+        assert np.concatenate(ent, axis=1).tobytes() == ent_rows.tobytes()
+        assert np.concatenate(pred, axis=1).tobytes() == pred_rows.tobytes()
 
 
 # few entities and predicates, so triples repeat within and across splits
@@ -658,14 +706,14 @@ def test_split_triples_keeps_the_list_shuffle_order(rows, seed, fractions):
 
 @st.composite
 def synthetic_specs(draw):
-    """Small specs: with so few entities, attempts repeat rows, rules name empty clusters and some counts exceed the
-    distinct triples the entities can hold."""
+    """The fields of small specs: with so few entities, attempts repeat rows, rules name empty clusters and some
+    counts exceed the distinct triples the entities can hold."""
     n_predicates = draw(st.integers(1, 3))
     n_clusters = draw(st.integers(1, 4))
     per_predicate = lambda elements: st.lists(elements, min_size=n_predicates, max_size=n_predicates)
     rate = st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)
     cluster = st.integers(0, n_clusters - 1)
-    return SyntheticKGSpec(
+    return dict(
         n_entities=draw(st.integers(1, 10)), n_predicates=n_predicates,
         triple_counts=draw(per_predicate(st.integers(1, 5))), noise_rates=draw(rate | per_predicate(rate)),
         n_clusters=n_clusters, rules=draw(st.none() | per_predicate(st.tuples(cluster, cluster))),
@@ -673,11 +721,22 @@ def synthetic_specs(draw):
 
 
 @given(synthetic_specs())
-@example(SyntheticKGSpec(n_entities=2, n_predicates=1, triple_counts=[5], noise_rates=0.5, n_clusters=1, seed=0))
-@example(SyntheticKGSpec(n_entities=2, n_predicates=2, triple_counts=[2, 2], n_clusters=8, rules=[(5, 6), (5, 0)]))
-def test_generate_triples_draws_what_the_choice_loop_drew(spec):
+@example(dict(n_entities=2, n_predicates=1, triple_counts=[5], noise_rates=0.5, n_clusters=1, seed=0))
+@example(dict(n_entities=2, n_predicates=1, triple_counts=[4], noise_rates=0.1, n_clusters=8, seed=0))
+@example(dict(n_entities=2, n_predicates=2, triple_counts=[2, 2], n_clusters=8, rules=[(5, 6), (5, 0)]))
+def test_generate_triples_draws_what_the_choice_loop_drew(fields):
     """The same bytes as the ``rng.choice`` loop, or the same ``ValueError``: per attempt one head, one noise coin and
-    one tail, each ``choice`` over a cluster's members drawn as ``integers(0, size)``."""
+    one tail, each ``choice`` over a cluster's members drawn as ``integers(0, size)``.  A count above
+    ``n_entities ** 2``, which no draw can place, is refused when the spec is made."""
+    too_many = [r for r, count in enumerate(fields["triple_counts"]) if count > fields["n_entities"] ** 2]
+    if too_many:
+        r = too_many[0]
+        message = (f"predicate {r}: triple_counts[{r}] = {fields['triple_counts'][r]} exceeds n_entities ** 2 = "
+                   f"{fields['n_entities'] ** 2}, the distinct triples a predicate can hold")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SyntheticKGSpec(**fields)
+        return
+    spec = SyntheticKGSpec(**fields)
     try:
         want = synth_oracle.generate_triples(spec)
     except ValueError as exc:

@@ -54,17 +54,18 @@ class TestGenerate:
         ({"n_entities": 0}, "n_entities must be >= 1, got 0"),
         ({"n_clusters": 0}, "n_clusters must be >= 1, got 0"),
         ({"n_predicates": 0, "triple_counts": [], "noise_rates": []}, "n_predicates must be >= 1, got 0"),
-    ], ids=["noise-short", "noise-long", "entities", "clusters", "predicates"])
+        ({"n_entities": 3, "triple_counts": [9, 10, 1]},
+         "predicate 1: triple_counts[1] = 10 exceeds n_entities ** 2 = 9, the distinct triples a predicate can hold"),
+    ], ids=["noise-short", "noise-long", "entities", "clusters", "predicates", "counts"])
     def test_sizes_name_their_field(self, kw, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             spec(**kw)
 
     def test_impossible_count_raises(self):
-        with pytest.raises(ValueError, match=re.escape("predicate 0: cannot place triple_counts[0] = 100")):
-            generate_triples(SyntheticKGSpec(
-                n_entities=3, n_predicates=1, triple_counts=[100],
-                noise_rates=0.0, n_clusters=1, seed=0,
-            ))
+        """Nine triples fit three entities, but not the clusters seed 0 puts them in; only the draws find that."""
+        tight = SyntheticKGSpec(n_entities=3, n_predicates=1, triple_counts=[9], noise_rates=0.0, n_clusters=8, seed=0)
+        with pytest.raises(ValueError, match=re.escape("predicate 0: cannot place triple_counts[0] = 9")):
+            generate_triples(tight)
 
 
 class TestWriteDataset:
