@@ -391,30 +391,19 @@ def prop1_bounds(epsilon: float, gamma: float, rank_miscoverage: float, n_cal: i
     return lower, upper
 
 
-def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.ndarray, cutoffs: np.ndarray,
-                 rows: np.ndarray, answer_nonconf: np.ndarray, answer_raw: np.ndarray,
-                 added: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def set_outcomes(ordered: np.ndarray, nonconf_at, thresholds: np.ndarray, cutoffs: np.ndarray, rows: np.ndarray,
+                 answer_nonconf, answer_raw, added) -> tuple[np.ndarray, np.ndarray]:
     """Set size and answer hit of each (query, answer) pair under each filter, without building the sets.
 
-    Rows of ``masked_raw`` are query rows over all entities.  A row masks its query's known answers (filtered),
-    its pairs' own included, or none (raw): its entities at -inf.  ``thresholds`` and ``cutoffs`` hold one filter
-    per row (see :func:`query_filters`) and one query row per column.  Pair ``j`` reads row ``rows[j]``; its answer
-    has nonconformity ``answer_nonconf[j]``, scored ``answer_raw[j]`` before masking, and is added back when the
-    row masks it (``added[j]``, ``e_j``): its candidates are the row's unmasked entities plus that answer.  A set is
-    ``(nonconf <= threshold) & (raw > cut)`` with the rank cutoff as a score cut, so sizes and hits equal those of
-    :func:`predict_set` given the pair's candidate ranks and mask.  A NaN threshold gives an empty set.  No input
-    is modified.
-
-    ``nonconf`` takes one of two forms:
-
-    * each row's log-sum-exp of its raw scores (one value per row, :func:`scores.log_sum_exp`), whose
-      nonconformity is ``lse - raw`` (:func:`scores.softmax_scores`); ``masked_raw`` then holds each row sorted
-      ascending, masked entities first;
-    * each pair's own nonconformity over all entities (APS, RAPS: one row per pair, since each pair draws its own
-      u), with ``masked_raw`` in entity order.
-
-    Either way several pairs may share a row.  The softmax form sizes each run of equal ``rows`` as one slice, so
-    it visits each row once when a row's pairs are adjacent, as ``experiment._score_blocks`` yields them.
+    Rows of ``ordered`` are query rows over all entities, sorted ascending.  A row masks its query's known answers
+    (filtered), its pairs' own included, or none (raw): its entities at -inf, first.  ``thresholds`` and ``cutoffs``
+    hold one filter per row (see :func:`query_filters`) and one query row per column.  Pair ``j`` reads row
+    ``rows[j]``; its answer has nonconformity ``answer_nonconf[j]``, scored ``answer_raw[j]`` before masking, and is
+    added back when the row masks it (``added[j]``, ``e_j``): its candidates are the row's unmasked entities plus
+    that answer.  ``nonconf_at(at)`` reads pair ``j``'s nonconformity at position ``at[f, j]`` of its row
+    (``scores.softmax_at``, ``scores.aps_at``).  A set is ``(nonconf <= threshold) & (raw > cut)`` with the rank
+    cutoff as a score cut, so sizes and hits equal those of :func:`predict_set` given the pair's candidate ranks
+    and mask.  A NaN threshold gives an empty set.  No input is modified.
 
     With ``b_k`` the k-th largest unmasked score of the row (:func:`kg.rank_cuts`; ``b_0 = +inf``, -inf past the
     end), cutoff ``k`` gives pair ``j``:
@@ -425,35 +414,21 @@ def set_outcomes(nonconf: np.ndarray, masked_raw: np.ndarray, thresholds: np.nda
       candidate score, as it acts on the row's own entities;
     * ``size = #{row entities: nonconf <= threshold, raw > cut} + e_j * hit``.
 
-    Under softmax ``lse - raw`` does not rise where raw rises (IEEE subtraction is monotone), so a set is a top
-    of the sorted row, ``min(P, m)`` long: ``P`` searches the threshold in ``lse - raw`` down the row, ``m`` the
-    cut.  APS and RAPS break ties in p by index or position, so their nonconformity is no function of the raw
-    score: each pair's nonconformity row is compared with its query's masked row, once for every filter, and the
-    query rows are sorted once in a copy for the cuts.
+    Down a row from its top raw never rises and no scorer's nonconformity falls (``scores.aps_order``), so a set's
+    row entities are a top of the row, whose length one bisection per (filter, pair) finds.
     Returns ``(sizes, hits)``, each shaped ``(len(thresholds), len(rows))``.
     """
-    softmax = nonconf.ndim == 1
-    ordered = masked_raw if softmax else np.sort(masked_raw, axis=1)
     n_filters, width = thresholds.shape[0], ordered.shape[1]
     both = rank_cuts(ordered, np.hstack((cutoffs.T - 1, cutoffs.T))).T  # b_k, then b_(k+1), per (filter, row)
     b_k, b_next = both[:n_filters, rows], both[n_filters:, rows]
-    hits = (answer_nonconf <= thresholds[:, rows]) & (answer_raw > np.where(added, b_k, b_next))
+    thresholds = thresholds[:, rows]
+    hits = (answer_nonconf <= thresholds) & (answer_raw > np.where(added, b_k, b_next))
     cuts = np.where(added & (answer_raw >= b_k), b_k, b_next)
-    sizes = np.empty(cuts.shape, dtype=np.int64)
-    if not softmax:
-        for j, r in enumerate(rows.tolist()):
-            member = nonconf[j] <= thresholds[:, r, None]
-            member &= masked_raw[r] > cuts[:, j, None]
-            sizes[:, j] = member.sum(axis=1)
-    else:
-        thresholds = np.where(np.isnan(thresholds), -np.inf, thresholds)  # no lse - raw is at or below -inf
-        descending = np.empty(width)  # lse - raw of the sorted row, largest score first
-        starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()  # each run of one row's pairs
-        for start, stop in zip(starts, starts[1:] + [rows.size]):
-            i = rows[start]
-            np.subtract(nonconf[i], ordered[i, ::-1], out=descending)
-            sizes[:, start:stop] = np.minimum(np.searchsorted(descending, thresholds[:, i, None], side="right"),
-                                              width - np.searchsorted(ordered[i], cuts[:, start:stop], side="right"))
+    sizes = np.zeros(cuts.shape, dtype=np.int64)  # the longest top of the row in the set found so far
+    for step in (1 << b for b in reversed(range(width.bit_length()))):
+        longer = sizes + step
+        at = np.maximum(width - longer, 0)  # the top's last position
+        sizes += step * ((longer <= width) & (ordered[rows, at] > cuts) & (nonconf_at(at) <= thresholds))
     sizes += added & hits
     return sizes, hits
 

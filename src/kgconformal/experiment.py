@@ -300,7 +300,7 @@ def answer_nonconf_and_ranks(scorer: scores.ScorerConfig, source: models.RowSour
 
 def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: np.ndarray, answers: np.ndarray,
                   indptr: np.ndarray, indices: np.ndarray, draws: np.ndarray):
-    """Yield ``(block, unit, owner, nonconf, masked, answer_raw, answer_nonconf, added)`` per block of
+    """Yield ``(block, unit, owner, nonconf_at, masked, answer_raw, answer_nonconf, added)`` per block of
     ``EVAL_BLOCK_ROWS`` pairs: the one place a pair's answer is read.
 
     Pair ``j`` reads score row ``rows[j]``.  The pairs are visited in stable ``rows`` order, so the pairs of one
@@ -308,39 +308,61 @@ def _score_blocks(scorer: scores.ScorerConfig, source: models.RowSource, rows: n
     one row per distinct query of the block, filled once by the source, and pair ``block[i]`` reads its row
     ``unit[i]``, whose first pair is ``owner[unit[i]]``.  ``answer_raw`` holds each pair's answer score, read before
     each ``masked`` row gets its score row's CSR mask at -inf, and ``added`` its ``e_j``, whether the row masks the
-    answer, read right after.  Under softmax ``nonconf`` holds each query row's :func:`scores.log_sum_exp` of its
-    raw scores, so that ``answer_nonconf``, the answer's nonconformity, is ``lse - answer_raw`` as
-    :func:`scores.softmax_scores` computes it, and only ``masked`` is a block-sized buffer.  APS and RAPS draw a u
-    per pair, so under them ``nonconf`` holds one row per pair (row ``i`` for ``block[i]``): the nonconformity
-    over all entities of its query's row before the mask, drawn as query ``draws[j]`` of pair ``j``, so a pair
-    keeps its u in every pass that gives it the same draw index.  The arrays of a block are views of buffers the
-    next block overwrites; a consumer may sort ``masked`` in place.
+    answer.  ``answer_nonconf`` is its :func:`scores.nonconformity`, bit for bit, drawn as query ``draws[j]``.
+    Once ``masked`` is sorted ascending in place, ``nonconf_at(at)`` reads pair ``block[i]``'s nonconformity at
+    each unmasked position ``at[..., i]`` of its row (:func:`scores.softmax_at`, :func:`scores.aps_at`).  The
+    arrays are views of buffers sized for the fullest block, which the next block overwrites.
     """
-    n = rows.shape[0]
+    n, width = rows.shape[0], source.n_entities
     order = np.argsort(rows, kind="stable")
-    buffer = np.empty((min(EVAL_BLOCK_ROWS, n), source.n_entities))
-    softmax = scorer.kind == "softmax"
-    row_values = np.empty(buffer.shape[:1] if softmax else buffer.shape)
-    exps = np.empty(source.n_entities) if softmax else None  # log_sum_exp's exponentials, one row at a time
+    first = np.diff(rows[order], prepend=-1) != 0  # each block's first pair of each query
+    first[::EVAL_BLOCK_ROWS] = True
+    most = np.bincount(np.flatnonzero(first) // EVAL_BLOCK_ROWS).max(initial=0)  # query rows of the fullest block
+    buffer, softmax = np.empty((most, width)), scorer.kind == "softmax"
+    if softmax:
+        lse, exps = np.empty(most), np.empty(width)  # exps: log_sum_exp's exponentials, one row at a time
+    else:  # zeros: positions no unmasked entity sorts to stay finite
+        ahead, mass = np.zeros((most, width)), np.zeros((most, width))
+        place = np.zeros((most, width), dtype=np.int32) if scorer.kind == "raps" else None
     for start in range(0, n, EVAL_BLOCK_ROWS):
-        block = order[start : start + EVAL_BLOCK_ROWS]
-        query_rows = rows[block]
-        first = np.ones(block.size, dtype=bool)  # the block's first pair of each query
-        first[1:] = query_rows[1:] != query_rows[:-1]
-        unit, owner = np.cumsum(first) - 1, block[first]
-        masked, nonconf = buffer[: owner.size], row_values[: owner.size if softmax else block.size]
-        source.fill(query_rows[first], masked)
-        at = (unit, answers[block])
-        answer_raw = masked[at]
-        if not softmax:  # a u per pair, drawn over its query's row before the mask
-            for j, (i, q) in enumerate(zip(unit.tolist(), draws[block].tolist())):
-                nonconf[j] = scores.nonconformity(masked[i], scorer, query_index=q)
-        for i, s in enumerate(query_rows[first].tolist()):
+        block, firsts = order[start : start + EVAL_BLOCK_ROWS], first[start : start + EVAL_BLOCK_ROWS]
+        unit, owner = np.cumsum(firsts) - 1, block[firsts]
+        masked, answer = buffer[: owner.size], answers[block]
+        source.fill(rows[owner], masked)
+        answer_raw = masked[unit, answer]
+        if not softmax:
+            u = np.array([scores.uniform_for_query(scorer.rng_seed, q) for q in draws[block].tolist()])
+            answer_nonconf, bounds = np.empty(block.size), np.append(np.flatnonzero(firsts), block.size).tolist()
+        for i, s in enumerate(rows[owner].tolist()):
+            known = indices[indptr[s] : indptr[s + 1]]
             if softmax:
-                nonconf[i] = scores.log_sum_exp(masked[i], out=exps)
-            masked[i, indices[indptr[s] : indptr[s + 1]]] = -np.inf  # score row s's mask, once per query row
-        answer_nonconf = nonconf[unit] - answer_raw if softmax else nonconf[np.arange(block.size), at[1]]
-        yield block, unit, owner, nonconf, masked, answer_raw, answer_nonconf, masked[at] == -np.inf
+                lse[i] = scores.log_sum_exp(masked[i], out=exps)
+            else:
+                pairs = slice(bounds[i], bounds[i + 1])  # the row's pairs
+                answer_nonconf[pairs] = _aps_row(scorer, masked[i], known, answer[pairs], u[pairs], ahead[i],
+                                                 mass[i], None if place is None else place[i])
+            masked[i, known] = -np.inf  # score row s's mask, once per query row
+        if softmax:
+            answer_nonconf, nonconf_at = lse[unit] - answer_raw, scores.softmax_at(lse, masked, unit)
+        else:
+            nonconf_at = scores.aps_at(scorer, ahead, mass, place, u, unit)
+        yield block, unit, owner, nonconf_at, masked, answer_raw, answer_nonconf, masked[unit, answer] == -np.inf
+
+
+def _aps_row(scorer: scores.ScorerConfig, row: np.ndarray, known: np.ndarray, answers: np.ndarray, u: np.ndarray,
+             ahead: np.ndarray, mass: np.ndarray, place: np.ndarray | None) -> np.ndarray:
+    """APS or RAPS nonconformity of ``answers``, drawn with ``u``, over a query ``row`` before its mask ``known``.
+    Lays out the row's :func:`scores.aps_order` terms (and 1-based places) where its unmasked entities sort to."""
+    ranked, row_ahead, row_mass = scores.aps_order(row)
+    pos = np.empty(row.size, dtype=np.int64)  # each entity's position in the order
+    pos[ranked] = np.arange(row.size)
+    kept = np.flatnonzero(np.isin(ranked, known, invert=True))[::-1]  # the unmasked ones' positions, lowest first
+    top, at = slice(row.size - kept.size, row.size), pos[answers]
+    ahead[top], mass[top] = row_ahead[kept], row_mass[kept]
+    if place is None:
+        return row_ahead[at] + u * row_mass[at]
+    place[top] = kept + 1
+    return row_ahead[at] + u * row_mass[at] + scores.raps_penalty(at + 1, scorer.raps_lambda, scorer.raps_k_reg)
 
 
 def _direction_groups(data: EvalData, split_directions: bool):
@@ -421,18 +443,17 @@ def _outcomes(config: ExperimentConfig, seed: int, data: EvalData, filters: tupl
     ``filters`` holds each filter's per-test-pair score thresholds and rank cutoffs, one row per filter, equal
     across the pairs of a query, since :func:`_filters` looks them up by direction group and predicate; a row
     takes its first pair's.  Each block of :func:`_score_blocks` (test pair ``j`` draws as query ``draws[j]``) is
-    reduced by :func:`conformal.set_outcomes`; softmax rows are sorted in their block buffer first.
+    sorted in its buffer and reduced by :func:`conformal.set_outcomes`, whatever the scorer.
     Returns ``(sizes, hits)``, each shaped ``(n_filters, n_test)``.
     """
     thresholds, cutoffs = filters
     sizes = np.empty(thresholds.shape, dtype=np.int64)
     hits = np.empty(thresholds.shape, dtype=bool)
-    for block, unit, owner, nonconf, masked, answer_raw, answer_nonconf, added in _score_blocks(
+    for block, unit, owner, nonconf_at, masked, answer_raw, answer_nonconf, added in _score_blocks(
             config.scorer_config(seed), data.score_rows, data.test_rows, data.test.answer, data.mask_indptr,
             data.mask_indices, draws):
-        if nonconf.ndim == 1:  # softmax: set_outcomes searches the sorted rows, sorted in their buffer
-            masked.sort(axis=1)
-        sizes[:, block], hits[:, block] = conformal.set_outcomes(nonconf, masked, thresholds[:, owner],
+        masked.sort(axis=1)
+        sizes[:, block], hits[:, block] = conformal.set_outcomes(masked, nonconf_at, thresholds[:, owner],
                                                                  cutoffs[:, owner], unit, answer_nonconf,
                                                                  answer_raw, added)
     return sizes, hits

@@ -8,10 +8,14 @@ import numpy as np
 
 __all__ = [
     "ScorerConfig",
+    "aps_at",
+    "aps_order",
     "aps_scores",
     "log_sum_exp",
     "nonconformity",
+    "raps_penalty",
     "raps_scores",
+    "softmax_at",
     "softmax_probs",
     "softmax_scores",
     "uniform_for_query",
@@ -67,47 +71,54 @@ def softmax_scores(raw: np.ndarray) -> np.ndarray:
     return log_sum_exp(raw) - raw
 
 
-def _descending_order(probs: np.ndarray) -> np.ndarray:
-    # stable: ties broken by lowest entity index
-    return np.argsort(-probs, kind="stable")
+def aps_order(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A row's stable descending-score order (ties by index) and, in that order, the softmax mass ahead of each
+    candidate and its own.  Along it ``ahead + u * mass`` never falls: each step adds ``mass >= u * mass``."""
+    raw = np.asarray(raw, dtype=np.float64)
+    order = np.argsort(-raw, kind="stable")
+    mass = softmax_probs(raw)[order]
+    return order, np.concatenate([[0.0], np.cumsum(mass)[:-1]]), mass
 
 
-def _aps_in_order(raw: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """The descending softmax order and each candidate's APS score, in that order."""
-    if not 0.0 <= u <= 1.0:
-        raise ValueError("u must be in [0, 1]")
-    probs = softmax_probs(raw)
-    order = _descending_order(probs)
-    sorted_probs = probs[order]
-    ahead = np.concatenate([[0.0], np.cumsum(sorted_probs)[:-1]])
-    return order, ahead + u * sorted_probs
-
-
-def _unsort(order: np.ndarray, values_sorted: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values_sorted)
-    out[order] = values_sorted
-    return out
+def raps_penalty(places: np.ndarray, lam: float, k_reg: int) -> np.ndarray:
+    """RAPS's penalty of the candidates at 1-based ``places`` in :func:`aps_order`."""
+    return lam * np.maximum(places - k_reg, 0)
 
 
 def aps_scores(raw: np.ndarray, u: float) -> np.ndarray:
-    """Cumulative-probability nonconformity.
-
-    Candidates are sorted by descending softmax probability (ties by entity
-    index); the score of a candidate is the probability mass strictly ahead
-    of it plus ``u`` times its own mass.
-    """
-    return _unsort(*_aps_in_order(raw, u))
+    """Cumulative-probability nonconformity: in :func:`aps_order`, the mass strictly ahead of a candidate plus
+    ``u`` times its own.  Like :func:`raps_scores`, the per-query reference of the evaluation pass."""
+    return raps_scores(raw, u, 0.0, 1)
 
 
 def raps_scores(raw: np.ndarray, u: float, lam: float, k_reg: int) -> np.ndarray:
-    """APS plus a rank-based penalty ``lam * max(position - k_reg, 0)``."""
+    """APS plus :func:`raps_penalty` by 1-based place in :func:`aps_order`."""
+    if not 0.0 <= u <= 1.0:
+        raise ValueError("u must be in [0, 1]")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if k_reg < 1:
         raise ValueError("k_reg must be >= 1")
-    order, aps_sorted = _aps_in_order(raw, u)
-    penalty = lam * np.maximum(np.arange(1, order.size + 1) - k_reg, 0)  # by 1-based position in the order
-    return _unsort(order, aps_sorted + penalty)
+    order, ahead, mass = aps_order(raw)
+    out = np.empty(order.size)
+    out[order] = ahead + u * mass + raps_penalty(np.arange(1, order.size + 1), lam, k_reg)
+    return out
+
+
+def softmax_at(lse: np.ndarray, ordered: np.ndarray, rows: np.ndarray):
+    """Reads -log p at positions of sorted rows: pair ``j``'s of row ``rows[j]`` of ``ordered``, whose log-sum-exp
+    is ``lse[rows[j]]``, by the subtraction :func:`softmax_scores` makes."""
+    return lambda at: lse[rows] - ordered[rows, at]
+
+
+def aps_at(cfg: ScorerConfig, ahead: np.ndarray, mass: np.ndarray, place: np.ndarray | None, u: np.ndarray,
+           rows: np.ndarray):
+    """Reads pair ``j``'s APS or RAPS nonconformity, drawn with ``u[j]``, from row ``rows[j]`` of the laid-out
+    :func:`aps_order` terms ``ahead``, ``mass`` and (RAPS) 1-based ``place``, as :func:`raps_scores` computes it."""
+    if cfg.kind == "aps":
+        return lambda at: ahead[rows, at] + u * mass[rows, at]
+    return lambda at: (ahead[rows, at] + u * mass[rows, at]
+                       + raps_penalty(place[rows, at], cfg.raps_lambda, cfg.raps_k_reg))
 
 
 def uniform_for_query(seed: int, query_index: int) -> float:
@@ -119,7 +130,5 @@ def nonconformity(raw: np.ndarray, cfg: ScorerConfig, query_index: int = 0) -> n
     """Apply the configured transform; APS/RAPS draw one u per query."""
     if cfg.kind == "softmax":
         return softmax_scores(raw)
-    u = uniform_for_query(cfg.rng_seed, query_index)
-    if cfg.kind == "aps":
-        return aps_scores(raw, u)
-    return raps_scores(raw, u, cfg.raps_lambda, cfg.raps_k_reg)
+    lam = cfg.raps_lambda if cfg.kind == "raps" else 0.0  # APS: RAPS without its penalty, as aps_scores
+    return raps_scores(raw, uniform_for_query(cfg.rng_seed, query_index), lam, cfg.raps_k_reg)

@@ -1,11 +1,10 @@
 """Verification of the coverage and shrinkage guarantees through the code that a run executes.
 
 Every check fits through ``experiment.METHODS`` and reduces through ``conformal.query_filters`` and
-``conformal.set_outcomes``, which sizes each set by the lse search of every softmax run: each query row goes in as
-its log-sum-exp and its sorted raw scores.  This is the one place Prop 1's bounds are checked.  Marginal coverage of kgcp and mcp is checked exactly, by split conformal's
-leave-one-out identity on one seeded multiset.  Per-part conditional coverage of the dual calibration, and the
-set-size shrinkage implied by the rank filter, are Monte-Carlo estimates over resamples of calibration and test
-pairs from one synthetic pool.
+``conformal.set_outcomes``, as a softmax run does.  This is the one place Prop 1's bounds are checked.  Marginal
+coverage of kgcp and mcp is checked exactly, by split conformal's leave-one-out identity on one seeded multiset.
+Per-part conditional coverage of the dual calibration, and the set-size shrinkage implied by the rank filter, are
+Monte-Carlo estimates over resamples of calibration and test pairs from one synthetic pool.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ def marginal_coverage_check(n_cal: int = 19, epsilon: float = 0.1, seed: int = 0
 
 def _pool(rng, n_parts: int, pool_size: int, n_entities: int) -> tuple[experiment.RunData, np.ndarray, np.ndarray]:
     """``pool_size`` synthetic pairs per predicate as one :func:`_run_data` run, plus each pair's row in the form
-    ``conformal.set_outcomes`` sizes softmax sets from: its ``scores.log_sum_exp`` and its raw scores sorted.
+    ``conformal.set_outcomes`` sizes softmax sets from: its raw scores sorted, and its ``scores.log_sum_exp``.
 
     Scores are standard normal with the answer boosted by a per-predicate
     quality from 3 down to 0.75.  A resample is a pair of index arrays.  The
@@ -117,13 +116,14 @@ def _resample(rng, n_parts: int, pool_size: int, part_size: int) -> tuple[np.nda
 def _outcomes(pool: experiment.RunData, lse: np.ndarray, ordered: np.ndarray, fitted,
               test_idx) -> tuple[np.ndarray, np.ndarray]:
     """Set size and answer hit of each test pair under each fitted model, as the evaluation pass reduces softmax
-    sets: each row's ``lse`` and sorted raw scores ``ordered``, and each answer's nonconformity from
+    sets: each sorted row ``ordered`` read through its ``lse``, each answer's nonconformity from
     ``pool.calib_nonconf``.  Each pair has its own query row, which no mask touches (no ``e_j``)."""
     filters = [conformal.query_filters(model, pool.test.predicate[test_idx], pool.kg.vocab.n_entities)
                for model in fitted]
     answer_raw = pool.score_rows.scores[test_idx, pool.test.answer[test_idx]]
-    return conformal.set_outcomes(lse[test_idx], ordered[test_idx], *map(np.stack, zip(*filters)),
-                                  np.arange(test_idx.size), pool.calib_nonconf[test_idx], answer_raw,
+    rows, ordered = np.arange(test_idx.size), ordered[test_idx]
+    return conformal.set_outcomes(ordered, scores.softmax_at(lse[test_idx], ordered, rows),
+                                  *map(np.stack, zip(*filters)), rows, pool.calib_nonconf[test_idx], answer_raw,
                                   np.zeros(test_idx.size, dtype=bool))
 
 

@@ -20,9 +20,10 @@ from kgconformal.conformal import (
     verify_shrinkage,
 )
 
-from kgconformal.scores import raps_scores
+from kgconformal.scores import ScorerConfig, nonconformity, raps_scores
 
 from rank_oracle import candidate_ranks
+from score_rows import sorted_form
 
 
 def thresholds(model):
@@ -301,8 +302,11 @@ class TestSetOutcomes:
     def test_sizes_and_hits_equal_predict_set(self, method):
         rng = np.random.default_rng(12)
         n_entities, n_predicates, n_queries = 12, 4, 60
+        raw = rng.integers(-2, 3, size=(n_queries, n_entities)).astype(float)  # tied scores
+        scorer = ScorerConfig(kind="raps", raps_lambda=0.05, raps_k_reg=3)
+        nonconf = np.array([nonconformity(row, scorer, query_index=i) for i, row in enumerate(raw)])
         preds = np.repeat([0, 1, 2], 20)  # predicate 3 has no calibration pairs
-        nonconf_true = rng.integers(0, 5, size=60) / 4
+        nonconf_true = rng.choice(nonconf.ravel(), size=60)  # thresholds tie with entities' values
         # part of predicate 0 gets a small cutoff, the others one at least the unmasked count
         ranks_true = np.where(preds == 0, rng.integers(1, 4, size=60), rng.integers(10, 13, size=60))
         partition = build_partition(preds, np.array([[0.0], [5.0], [9.0], [5.5]]), phi=5)
@@ -313,18 +317,14 @@ class TestSetOutcomes:
             "condkgcp": lambda: fit_condkgcp(preds, nonconf_true, ranks_true, partition, 0.2, gamma=0.5),
         }[method]()
 
-        raw = rng.integers(-2, 3, size=(n_queries, n_entities)).astype(float)  # tied scores
-        nonconf = rng.integers(0, 7, size=(n_queries, n_entities)) / 4  # ties with the thresholds
         predicates = rng.integers(0, n_predicates, size=n_queries)
         answers = rng.integers(0, n_entities, size=n_queries)
         masks = [set(rng.choice(n_entities, size=rng.integers(0, 6), replace=False).tolist()) - {int(a)}
                  for a in answers]
-        masked = raw.copy()
-        for i, mask in enumerate(masks):
-            masked[i, list(mask)] = -np.inf
         thresholds_, cutoffs = query_filters(model, predicates, n_entities)
         rows = np.arange(n_queries)  # one pair per query row
-        sizes, hits = set_outcomes(nonconf, masked, thresholds_[None, :], cutoffs[None, :], rows,
+        masked, ordered, nonconf_at = sorted_form(raw, masks, rows, nonconf)
+        sizes, hits = set_outcomes(ordered, nonconf_at, thresholds_[None, :], cutoffs[None, :], rows,
                                    nonconf[rows, answers], raw[rows, answers], masked[rows, answers] == -np.inf)
 
         for i, mask in enumerate(masks):
@@ -339,20 +339,19 @@ class TestSetOutcomes:
         assert 0 < sizes.sum() < masked.size and 0 < hits.sum() < n_queries
 
     def test_raps_row_with_underflowed_ties_is_compared_entity_by_entity(self):
-        """RAPS orders entities whose probability underflows to 0 by index and penalises them by position, so their
-        nonconformity differs at one raw score and no raw-score cut gives their sets: each pair's row is compared
-        whole, and equals predict_set."""
+        """RAPS penalises entities whose probability underflows to 0 by their place in the descending-score order,
+        ties by index, so their nonconformity differs at one raw score.  The bisection down the sorted row, which
+        holds them in that order from the top, sizes each set as predict_set does entity by entity."""
         raw = np.array([[5.0, -1000.0, 0.0, -1000.0, -1000.0, 4.0]] * 2)
         nonconf = np.array([raps_scores(row, 0.3, lam=0.2, k_reg=1) for row in raw])
         tied = raw[0] == -1000.0
         assert np.unique(nonconf[0, tied]).size == tied.sum()  # p = 0 on each, one nonconformity each
         masks = [{0}, set()]  # the first row filtered, its answer masked; the second raw
-        answers, masked = np.array([0, 3]), raw.copy()
-        masked[0, 0] = -np.inf
+        answers, rows = np.array([0, 3]), np.arange(2)
+        masked, ordered, nonconf_at = sorted_form(raw, masks, rows, nonconf)
         thresholds_ = np.array([[nonconf[0, 3], nonconf[1, 3]], [np.nan, 1.1], [math.inf, nonconf[1, 4]]])
         cutoffs = np.array([[6, 6], [2, 5], [4, 3]])
-        rows = np.arange(2)
-        sizes, hits = set_outcomes(nonconf, masked, thresholds_, cutoffs, rows, nonconf[rows, answers],
+        sizes, hits = set_outcomes(ordered, nonconf_at, thresholds_, cutoffs, rows, nonconf[rows, answers],
                                    raw[rows, answers], masked[rows, answers] == -np.inf)
         for f, (t, k) in enumerate(zip(thresholds_, cutoffs)):
             for i, mask in enumerate(masks):

@@ -1,7 +1,7 @@
 """Property tests: ranks and rank cuts under tied scores, set sizes and hits of query rows shared by several pairs
 against brute-force sets on each pair's own mask and nonconformity row and, on softmax rows, against predict_set
-over rank_of, the calibration rank cutoff, the tuning cut of the calibration pairs, the conformal quantile, the
-leave-one-out coverage of kgcp and mcp, the predicate partition under tied distances, the stored per-part counts
+over rank_of, APS and RAPS nonconformity down the descending-score order, the calibration rank cutoff, the
+tuning cut of the calibration pairs, the conformal quantile, the leave-one-out coverage of kgcp and mcp, the predicate partition under tied distances, the stored per-part counts
 and score-only thresholds against their refit, the calibrated-model and predicate-vector files (round trip and
 truncation), the negative sampler against its per-candidate loop, the flat scatter and the plane steps against the
 2-D scatter, the columnar queries, filter masks and score export against their per-pair versions, the one masked
@@ -32,7 +32,7 @@ from kgconformal.kg import (DIRECTIONS, KGError, Query, QueryAnswerSet, SplitCon
                             rank_cuts, rank_of, split_triples)
 from kgconformal.models import (ScoreFile, ScoreMatrix, _sample_negatives, _triple_keys, export_predicate_vectors,
                                 export_scores, import_predicate_vectors, import_scores)
-from kgconformal.scores import ScorerConfig, log_sum_exp, nonconformity, softmax_scores
+from kgconformal.scores import ScorerConfig, log_sum_exp, nonconformity, softmax_at, softmax_scores
 from kgconformal.synth import SyntheticKGSpec, generate_triples
 from kgconformal.verify import leave_one_out_hits
 
@@ -41,6 +41,10 @@ import split_oracle
 import synth_oracle
 import train_oracle
 from rank_oracle import candidate_ranks
+from score_rows import sorted_form
+
+
+SCALES = [1e-17, 1.0, 40.0, 800.0]  # raw-score scales: p ties from rounding, 1, p below 1e-17, p underflowing to 0
 
 
 @st.composite
@@ -114,32 +118,41 @@ def test_block_answer_ranks_match_rank_of_and_brute_force_under_ties(case, data)
 
 @given(st.lists(tied_scores_and_mask(), min_size=1, max_size=6).flatmap(
     lambda cases: st.tuples(st.just(cases), shared_rows(cases))), st.sampled_from(["softmax", "aps", "raps"]),
-    st.data())
-def test_score_blocks_yield_each_pairs_answer_facts(case, kind, data):
+    st.sampled_from(SCALES), st.data())
+def test_score_blocks_yield_each_pairs_answer_facts(case, kind, scale, data):
     """The block pass yields, per pair, its answer's raw score, its answer's nonconformity under its own draw bit
     for bit, and ``e_j`` as "its row's CSR mask holds the answer"; each row's owner is its first pair in the block.
-    Every scorer yields one masked row per distinct query of the block; under APS and RAPS each pair's yielded
-    nonconformity row equals its own draw over its query's unmasked row, bit for bit over every entity.  Query rows
-    are shared by 1-4 pairs, filtered or raw, in shuffled order over blocks of 1-3 pairs, so queries straddle
-    blocks."""
+    Every scorer yields one masked row per distinct query of the block.  Once the block is sorted, every unmasked
+    position of a pair's row reads, bit for bit, the pair's own ``nonconformity`` of the entity there: by ascending
+    score, ties by descending index.  Query rows are shared by 1-4 pairs, filtered or raw, in shuffled order over
+    blocks of 1-3 pairs, so queries straddle blocks.  Scale 1e-17 rounds distinct scores to one p, at 40 the tail
+    probabilities fall below 1e-17, and at 800 they underflow to 0."""
     source, rows, answers, indptr, indices = block_pass_inputs(case, data)
-    raw = source.scores
+    raw = scale * source.scores
+    source = ScoreMatrix(queries=source.queries, scores=raw)
     draws = 3 + np.array(data.draw(st.permutations(range(rows.size))))
-    scorer = ScorerConfig(kind=kind, rng_seed=data.draw(st.integers(0, 3)))
+    scorer = ScorerConfig(kind=kind, raps_lambda=data.draw(st.sampled_from([0.01, 0.2])),
+                          raps_k_reg=data.draw(st.integers(1, 3)), rng_seed=data.draw(st.integers(0, 3)))
+    width = raw.shape[1]
     seen = np.zeros(rows.size, dtype=int)
     with mock.patch.object(experiment, "EVAL_BLOCK_ROWS", data.draw(st.integers(1, 3))):
-        for block, unit, owner, nonconf, masked, answer_raw, answer_nonconf, added in experiment._score_blocks(
+        for block, unit, owner, nonconf_at, masked, answer_raw, answer_nonconf, added in experiment._score_blocks(
                 scorer, source, rows, answers, indptr, indices, draws):
             assert len(masked) == len(owner) == np.unique(rows[block]).size
+            masked.sort(axis=1)
+            read = nonconf_at(np.broadcast_to(np.arange(width)[:, None], (width, block.size)))
             for i, (j, u) in enumerate(zip(block.tolist(), unit.tolist())):
                 row, a = rows[j], answers[j]
                 own = nonconformity(raw[row], scorer, query_index=int(draws[j]))
                 assert answer_raw[i] == raw[row, a]
                 assert answer_nonconf[i] == own[a]
-                if kind != "softmax":
-                    assert np.array_equal(nonconf[i], own)
-                assert added[i] == (a in indices[indptr[row] : indptr[row + 1]])
+                known = indices[indptr[row] : indptr[row + 1]]
+                assert added[i] == (a in known)
                 assert owner[u] == block[np.flatnonzero(unit == u)[0]]
+                kept = np.setdiff1d(np.arange(width), known)
+                there = kept[np.lexsort((-kept, raw[row, kept]))]  # the entity at each unmasked position
+                assert np.array_equal(masked[u, width - kept.size :], raw[row, there])
+                assert np.array_equal(read[width - kept.size :, i], own[there])
             seen[block] += 1
     assert np.all(seen == 1)
 
@@ -169,33 +182,47 @@ def test_softmax_scores_do_not_decrease_as_raw_falls(grid, scale):
     assert np.all(np.isfinite(nonconf))
 
 
+@given(hnp.arrays(np.float64, st.integers(1, 12), elements=st.integers(-8, 8)), st.sampled_from(SCALES),
+       st.sampled_from(["aps", "raps"]), st.sampled_from([0.0, 0.01, 0.2]), st.integers(1, 4), st.integers(0, 50))
+def test_aps_and_raps_do_not_decrease_down_the_descending_score_order(grid, scale, kind, lam, k_reg, query):
+    """Along the stable descending-score order (ties by index) APS and RAPS nonconformity never falls, also where
+    distinct scores round to one p (scale 1e-17), p lies below 1e-17 (40) or underflows to 0 (800), so a set
+    ``nonconf <= t`` is a top of the row's scores: the invariant the bisection in ``set_outcomes`` rests on."""
+    raw = scale / 4 * grid
+    nonconf = nonconformity(raw, ScorerConfig(kind=kind, raps_lambda=lam, raps_k_reg=k_reg), query_index=query)
+    assert np.all(np.diff(nonconf[np.argsort(-raw, kind="stable")]) >= 0)
+
+
 def softmax_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each raw row's ``softmax_scores`` and its ``log_sum_exp``: the statistic the evaluation pass hands to
-    ``set_outcomes`` in place of the rows."""
+    """Each raw row's ``softmax_scores`` and its ``log_sum_exp``, from which ``softmax_at`` reads a sorted row."""
     return np.array([softmax_scores(row) for row in raw]), np.array([log_sum_exp(row) for row in raw])
+
+
+def scored(scorer: ScorerConfig, raw: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each pair's own ``nonconformity`` row: pair ``j`` draws as query ``j`` over its row ``raw[rows[j]]``."""
+    return np.array([nonconformity(raw[r], scorer, query_index=j) for j, r in enumerate(rows.tolist())])
 
 
 @st.composite
 def set_outcome_cases(draw):
-    """Query rows of tied raw scores, masked once and shared by 1-4 pairs each (:func:`shared_rows`; some rows know
-    every entity), and several filters per call, one per row.  Each pair has a nonconformity row of its own: either
-    its query row's -log softmax of the raw scores, given as each row's log-sum-exp, or values on a quarter grid
-    drawn per pair, as APS and RAPS draw a u per pair.  Thresholds are on the grid, at one of the row's pairs' own
-    values, +inf or NaN; cutoffs of a filter without a rank cut are all at least the row width, those of a ranked
-    filter anywhere in 0..width+1."""
+    """Query rows of rounded raw scores (a grid of quarters times a scale of :data:`SCALES`), masked once and shared
+    by 1-4 pairs each (:func:`shared_rows`; some rows know every entity), and several filters per call, one per
+    row.  Each pair has a nonconformity row of its own, drawn through ``nonconformity``: softmax (given as each
+    row's log-sum-exp), or APS or RAPS with a u per pair.  Thresholds are at 0, 0.25, 0.5, 1, at one of the row's
+    pairs' own values, +inf or NaN; cutoffs of a filter without a rank cut are all at least the row width, those of
+    a ranked filter anywhere in 0..width+1."""
     n_rows, width = draw(st.integers(1, 5)), draw(st.integers(1, 10))
-    raw = draw(hnp.arrays(np.float64, (n_rows, width), elements=st.integers(-2, 2)))
+    scale = draw(st.sampled_from(SCALES))
+    raw = scale / 4 * draw(hnp.arrays(np.float64, (n_rows, width), elements=st.integers(-8, 8)))
     known = [set(range(width)) if draw(st.booleans()) else draw(st.sets(st.integers(0, width - 1)))
              for _ in range(n_rows)]
     rows, answers, masks = draw(shared_rows(list(zip(raw, known))))
     rows, answers = np.array(rows), np.array(answers)
-    if draw(st.booleans()):
-        nonconf, softmax = softmax_rows(raw)
-        nonconf = nonconf[rows]
-    else:
-        nonconf = draw(hnp.arrays(np.float64, (rows.size, width),
-                                  elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, math.inf])))
-        softmax = None
+    scorer = ScorerConfig(kind=draw(st.sampled_from(["softmax", "aps", "raps"])),
+                          raps_lambda=draw(st.sampled_from([0.01, 0.2])), raps_k_reg=draw(st.integers(1, 3)),
+                          rng_seed=draw(st.integers(0, 3)))
+    nonconf = scored(scorer, raw, rows)
+    lse = softmax_rows(raw)[1] if scorer.kind == "softmax" else None
     thresholds, cutoffs = [], []
     for _ in range(draw(st.integers(1, 8))):
         thresholds.append([draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf, math.nan,
@@ -203,33 +230,35 @@ def set_outcome_cases(draw):
                            for r in range(n_rows)])
         low = 0 if draw(st.booleans()) else width
         cutoffs.append(draw(st.lists(st.integers(low, width + 1), min_size=n_rows, max_size=n_rows)))
-    return nonconf, raw, rows, answers, masks, np.array(thresholds), np.array(cutoffs, dtype=np.int64), softmax
+    return nonconf, raw, rows, answers, masks, np.array(thresholds), np.array(cutoffs, dtype=np.int64), lse
 
 
 TIED = np.array([[1.0, 1.0, 0.0]])
+SPREAD = np.array([[1.0, 2.0, 0.0]])
+SPREAD_APS = scored(ScorerConfig(kind="aps"), SPREAD, np.array([0]))
 
 
 @given(set_outcome_cases())
 # a tie at the threshold, a NaN threshold beside a finite one, a masked entity under the threshold, a ranked filter
-@example((np.array([[0.5, 0.5, 0.0]]), np.array([[1.0, 2.0, 0.0]]), np.array([0]), np.array([0]), [{1}],
-          np.array([[0.5], [math.nan], [0.5]]), np.array([[3], [3], [1]]), None))
+@example((SPREAD_APS, SPREAD, np.array([0]), np.array([0]), [{1}],
+          SPREAD_APS[0, [[0], [0], [0]]] + np.array([[0.0], [math.nan], [0.0]]), np.array([[3], [3], [1]]), None))
 # two pairs whose answers the row masks: the first scores exactly b_1, the only unmasked score, the second below it
 @example((softmax_rows(TIED)[0][[0, 0]], TIED, np.array([0, 0]), np.array([0, 2]), [{0, 2}],
           np.array([[math.inf], [math.inf]]), np.array([[1], [2]]), softmax_rows(TIED)[1]))
 def test_set_outcomes_match_brute_force_sets_with_many_filters_per_call(case):
     """Each (filter, pair) size and hit equals the brute-force set on the pair's own mask and nonconformity row:
     candidates with ``nonconf <= threshold`` and a pessimistic filtered rank within the cutoff: its row's mask but
-    its answer.  Softmax rows are passed as their log-sum-exp and sorted.  The inputs come back unchanged."""
+    its answer.  Rows go in sorted; softmax rows are read through their log-sum-exp (``softmax_at``), APS and RAPS
+    rows through each pair's own row at the entity in each position.  The inputs come back unchanged."""
     nonconf, raw, rows, answers, masks, thresholds, cutoffs, lse = case
-    masked = raw.copy()
-    for row, mask in enumerate(masks):
-        masked[row, sorted(mask)] = -np.inf
-    rows_in = (nonconf, masked) if lse is None else (lse, np.sort(masked, axis=1))
-    inputs = (*rows_in, thresholds, cutoffs, rows, nonconf[np.arange(rows.size), answers], raw[rows, answers],
+    masked, ordered, nonconf_at = sorted_form(raw, masks, rows, nonconf)
+    if lse is not None:
+        nonconf_at = softmax_at(lse, ordered, rows)
+    inputs = (ordered, thresholds, cutoffs, rows, nonconf[np.arange(rows.size), answers], raw[rows, answers],
               masked[rows, answers] == -np.inf)
-    before = [x.copy() for x in inputs]
-    sizes, hits = set_outcomes(*inputs)
-    for got, was in zip(inputs, before):
+    before = [x.copy() for x in (nonconf, *inputs)]
+    sizes, hits = set_outcomes(inputs[0], nonconf_at, *inputs[1:])
+    for got, was in zip((nonconf, *inputs), before):
         assert np.array_equal(got, was, equal_nan=got.dtype.kind == "f")
     for f, j in np.ndindex(sizes.shape):
         row = rows[j]
@@ -279,9 +308,10 @@ def two_cut_row():
 @given(softmax_cases())
 @example(two_cut_row())
 def test_softmax_sizes_match_predict_set_over_rank_of(case):
-    """The softmax path (``set_outcomes`` given each row's log-sum-exp and the sorted rows) sizes each (model, pair)
-    as ``predict_set`` does, given every candidate's ``rank_of`` on the pair's own mask: its row's mask but its
-    answer.  Distinct raw scores of a row get distinct -log p, also where p lies below 1e-17 or underflows."""
+    """The softmax path (``set_outcomes`` given the sorted rows, read through their log-sum-exp) sizes each
+    (model, pair) as ``predict_set`` does, given every candidate's ``rank_of`` on the pair's own mask: its row's
+    mask but its answer.  Distinct raw scores of a row get distinct -log p, also where p lies below 1e-17 or
+    underflows."""
     raw, nonconf, lse, rows, answers, masks, fitted = case
     n_rows, width = raw.shape
     for r in range(n_rows):
@@ -289,8 +319,9 @@ def test_softmax_sizes_match_predict_set_over_rank_of(case):
     masked = raw.copy()
     for r, mask in enumerate(masks):
         masked[r, sorted(mask)] = -np.inf
+    ordered = np.sort(masked, axis=1)
     filters = [query_filters(model, np.arange(n_rows), width) for model in fitted]
-    sizes, hits = set_outcomes(lse, np.sort(masked, axis=1), np.stack([t for t, _ in filters]),
+    sizes, hits = set_outcomes(ordered, softmax_at(lse, ordered, rows), np.stack([t for t, _ in filters]),
                                np.stack([k for _, k in filters]), rows, nonconf[rows, answers], raw[rows, answers],
                                masked[rows, answers] == -np.inf)
     for j, (r, a) in enumerate(zip(rows.tolist(), answers.tolist())):

@@ -71,7 +71,7 @@ class TestAPS:
         rng = np.random.default_rng(3)
         raw = rng.normal(size=15)
         out = aps_scores(raw, 0.4)
-        order = np.argsort(-softmax_probs(raw), kind="stable")
+        order = np.argsort(-raw, kind="stable")
         assert np.all(np.diff(out[order]) >= -1e-12)
 
     def test_bad_u(self):
@@ -88,6 +88,17 @@ class TestRAPS:
     def test_uniform_penalty(self):
         out = raps_scores(np.zeros(3), 0.0, 0.1, 1)
         assert np.allclose(out, [0.0, 1 / 3 + 0.1, 2 / 3 + 0.2])
+
+    def test_underflowed_scores_are_penalised_in_score_order(self):
+        """Entities 3, 1 and 4 score -1001, -1000 and -999, and each p underflows to 0, so their APS is one value.
+        They stand in the order by score, not by index: 4, 1, 3 at places 4, 5, 6 after entities 0, 5 and 2, so
+        with k_reg 1 RAPS adds 3, 4 and 5 times lambda."""
+        raw = np.array([5.0, -1000.0, 0.0, -1001.0, -999.0, 4.0])
+        assert np.all(softmax_probs(raw)[[1, 3, 4]] == 0.0)
+        aps = aps_scores(raw, 0.3)
+        out = raps_scores(raw, 0.3, 0.2, 1)
+        assert np.array_equal(out[[4, 1, 3]], aps[[4, 1, 3]] + 0.2 * np.array([3, 4, 5]))
+        assert out[4] < out[1] < out[3]
 
     def test_kreg_beyond_size_no_penalty(self):
         rng = np.random.default_rng(5)

@@ -68,15 +68,21 @@ def test_run_all_checks_names():
 
 
 def test_pool_checks_size_softmax_sets_from_each_rows_lse(monkeypatch):
-    """The checks hand ``set_outcomes`` each row's log-sum-exp, the form every softmax run sizes sets from, and
-    never a nonconformity row."""
-    real, dims = conformal.set_outcomes, []
+    """The checks hand ``set_outcomes`` each row sorted and read through its log-sum-exp, the form every softmax run
+    sizes sets from: at its answer's sorted position a pair's row reads its answer's nonconformity bit for bit, and
+    down the row it never falls."""
+    real, calls = conformal.set_outcomes, []
 
-    def spy(nonconf, *args):
-        dims.append(nonconf.ndim)
-        return real(nonconf, *args)
+    def spy(ordered, nonconf_at, thresholds, cutoffs, rows, answer_nonconf, answer_raw, added):
+        assert np.all(np.diff(ordered, axis=1) >= 0)
+        every = nonconf_at(np.broadcast_to(np.arange(ordered.shape[1])[:, None], (ordered.shape[1], rows.size)))
+        assert np.all(np.diff(every, axis=0) <= 0)
+        answer_at = np.array([np.searchsorted(ordered[r], x) for r, x in zip(rows, answer_raw)])
+        assert np.array_equal(nonconf_at(answer_at[None, :])[0], answer_nonconf)
+        calls.append(rows.size)
+        return real(ordered, nonconf_at, thresholds, cutoffs, rows, answer_nonconf, answer_raw, added)
 
     monkeypatch.setattr(conformal, "set_outcomes", spy)
     conditional_coverage_check(n_resamples=3, part_size=20, pool_size=100)
     shrinkage_check(n_resamples=3, part_size=20, pool_size=100, phi=10)
-    assert dims == [1] * 6
+    assert calls == [100] * 6
